@@ -15,6 +15,16 @@ hypothesis families:
 Global hypotheses are ranked assignments of the cost matrix C = -log [W1 W2];
 one is drawn per step and its unnormalized log-weight accumulates into the
 particle score.
+
+Backward simulation runs step-outer, particle-inner. At each step the
+particles are grouped by conditioning set, so the kernel and its ranked
+hypotheses are built once per distinct set rather than once per particle; in
+dirac mode most particles share a set. The grouping key is the ordered tuple
+of (birth time, state bytes): identical ordered sets give identical kernels,
+while a reordered set permutes the cost-matrix rows (and with them the
+ranking's tie-breaks) and the order of the sampled set. Every particle still
+draws from its own seeded stream in the same order as a particle simulated
+alone, so grouping changes no output.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ from .gaussians import (
     GaussianMixture,
     LinearMotionModel,
     _gaussian_nocheck,
+    _jittered,
     _mixture_nocheck,
     sample_gaussian,
     symmetrize,
@@ -206,8 +217,9 @@ class _KernelCache:
         for w, g in birth.intensity:
             if w <= 0.0:
                 continue
-            inv = np.linalg.inv(g.cov)
-            _, logdet = np.linalg.slogdet(g.cov)
+            cov = _jittered(g.cov)
+            inv = np.linalg.inv(cov)
+            _, logdet = np.linalg.slogdet(cov)
             log_norm = math.log(w) - 0.5 * (g.dim * _LOG_2PI + logdet)
             self.birth_comps.append((log_norm, inv, g.mean))
         self.log_uniform = (
@@ -348,13 +360,14 @@ def _first_detected_all(present, heads, cache: _KernelCache, gate: float):
     return out
 
 
-def sample_global(
-    kernel: BackwardKernel,
-    m_best: int,
-    rng: np.random.Generator,
-    w_hyp_min: float = 0.0,
-) -> tuple[Assignment, float]:
-    """Draw one global hypothesis from the ranked top-M; returns it with ln w_hat."""
+def _global_distribution(
+    kernel: BackwardKernel, m_best: int, w_hyp_min: float
+) -> tuple[list[Assignment], np.ndarray, np.ndarray]:
+    """Ranked top-M global hypotheses with their ln w_hat and draw probabilities.
+
+    Hypotheses whose probability falls below `w_hyp_min` are dropped and the
+    rest renormalized.
+    """
     hyps = _ranked(kernel.cost, m_best)  # kernel matrices are valid by construction
     log_w = np.array([-h.cost for h in hyps])
     shifted = np.exp(log_w - log_w.max())
@@ -365,6 +378,17 @@ def sample_global(
         hyps = [h for h, k_ in zip(hyps, keep) if k_]
         log_w = log_w[keep]
         probs = probs[keep] / probs[keep].sum()
+    return hyps, log_w, probs
+
+
+def sample_global(
+    kernel: BackwardKernel,
+    m_best: int,
+    rng: np.random.Generator,
+    w_hyp_min: float = 0.0,
+) -> tuple[Assignment, float]:
+    """Draw one global hypothesis from the ranked top-M; returns it with ln w_hat."""
+    hyps, log_w, probs = _global_distribution(kernel, m_best, w_hyp_min)
     idx = _draw_categorical(probs, rng)
     return hyps[idx], float(log_w[idx])
 
@@ -412,8 +436,16 @@ def backward_simulate(
 ) -> list[Particle]:
     """Algorithm: initialize at K from f_{K|K}, then sample the kernel down to k=1.
 
-    Each particle owns an independent seeded stream, so particles can be drawn
-    in parallel and reproducibly.
+    All particles advance together, one step at a time. At step k they are
+    grouped by their conditioning set, keyed by the ordered tuple of
+    (birth time, state bytes) of its trajectories; each group gets one kernel
+    and one ranked-hypothesis table, and each member then draws from it with
+    its own stream. The key is ordered, not a set, because trajectory order
+    fixes the cost-matrix rows (hence ranking tie-breaks) and the order of the
+    sampled set. Particle i owns the i-th stream spawned from `params.seed`
+    and consumes it in the same order whatever the grouping, so each particle
+    depends only on the seed and its index: the first n particles of a larger
+    run equal an n-particle run.
     """
     if log.k_max < 1:
         raise ContractError("backward simulation needs at least one filtered step")
@@ -429,50 +461,65 @@ def backward_simulate(
         np.random.default_rng(s)
         for s in np.random.SeedSequence(params.seed).spawn(params.num_particles)
     ]
-    caches = [
-        _KernelCache(log.posteriors[k - 1], birth, m) for k in range(1, log.k_max)
-    ]
-    return [
-        _simulate_one(log, birth, m, gate, params, rng, caches) for rng in streams
-    ]
-
-
-def _simulate_one(log, birth, m, gate, params, rng, caches) -> Particle:
     k_max = log.k_max
-    trajectories: list[Trajectory] = []
-    for comp in log.posteriors[k_max - 1].bernoullis:
-        if rng.random() < comp.r:
-            head = (
-                comp.density.mean
-                if params.dirac_mode
-                else sample_gaussian(comp.density, rng)
-            )
-            trajectories.append(Trajectory(k_max, head[None, :]))
-    acc = 0.0
+    sets = [
+        _initial_set(log.posteriors[k_max - 1], k_max, params.dirac_mode, rng)
+        for rng in streams
+    ]
+    accs = [0.0] * len(streams)
     for k in range(k_max - 1, 0, -1):
-        kernel = build_backward_kernel(
-            log.posteriors[k - 1], birth, m, trajectories, gate, k=k, cache=caches[k - 1]
-        )
-        assignment, log_w = sample_global(kernel, params.m_best, rng, params.w_hyp_min)
-        acc += log_w
-        col_to_row = {c: r for r, c in enumerate(assignment.row_to_col)}
-        new_set: list[Trajectory] = list(kernel.absent)
-        for i in range(kernel.n_tracks):
-            if i in col_to_row:
-                hyp = kernel._continued[(i, col_to_row[i])]
-            else:
-                hyp = kernel.bernoullis[i][0]  # ended at k
-            sampled = sample_bernoulli(hyp, k, params.dirac_mode, rng)
+        pmb = log.posteriors[k - 1]
+        cache = _KernelCache(pmb, birth, m)
+        groups: dict[tuple, list[int]] = {}
+        for p, trajectories in enumerate(sets):
+            key = tuple((tr.t, tr.states.tobytes()) for tr in trajectories)
+            groups.setdefault(key, []).append(p)
+        for members in groups.values():
+            kernel = build_backward_kernel(
+                pmb, birth, m, sets[members[0]], gate, k=k, cache=cache
+            )
+            hyps, log_w, probs = _global_distribution(
+                kernel, params.m_best, params.w_hyp_min
+            )
+            for p in members:
+                rng = streams[p]
+                idx = _draw_categorical(probs, rng)
+                accs[p] += float(log_w[idx])
+                sets[p] = _sample_set(kernel, hyps[idx], k, params.dirac_mode, rng)
+    return [Particle(tuple(s), acc) for s, acc in zip(sets, accs)]
+
+
+def _initial_set(pmb: PMBDensity, k_max: int, dirac_mode: bool, rng) -> list[Trajectory]:
+    """Draw the length-1 trajectory set at K from the filtering posterior."""
+    trajectories = []
+    for comp in pmb.bernoullis:
+        if rng.random() < comp.r:
+            head = comp.density.mean if dirac_mode else sample_gaussian(comp.density, rng)
+            trajectories.append(Trajectory(k_max, head[None, :]))
+    return trajectories
+
+
+def _sample_set(
+    kernel: BackwardKernel, assignment: Assignment, k: int, dirac_mode: bool, rng
+) -> list[Trajectory]:
+    """Draw the trajectory set over k:K given one global hypothesis of the kernel."""
+    col_to_row = {c: r for r, c in enumerate(assignment.row_to_col)}
+    new_set: list[Trajectory] = list(kernel.absent)
+    for i in range(kernel.n_tracks):
+        if i in col_to_row:
+            hyp = kernel._continued[(i, col_to_row[i])]
+        else:
+            hyp = kernel.bernoullis[i][0]  # ended at k
+        sampled = sample_bernoulli(hyp, k, dirac_mode, rng)
+        if sampled is not None:
+            new_set.append(sampled)
+    for j in range(kernel.m):
+        if assignment.row_to_col[j] == kernel.n_tracks + j:
+            hyp = kernel.bernoullis[kernel.n_tracks + j][1]
+            sampled = sample_bernoulli(hyp, k, dirac_mode, rng)
             if sampled is not None:
                 new_set.append(sampled)
-        for j in range(kernel.m):
-            if assignment.row_to_col[j] == kernel.n_tracks + j:
-                hyp = kernel.bernoullis[kernel.n_tracks + j][1]
-                sampled = sample_bernoulli(hyp, k, params.dirac_mode, rng)
-                if sampled is not None:
-                    new_set.append(sampled)
-        trajectories = new_set
-    return Particle(tuple(trajectories), acc)
+    return new_set
 
 
 def best_particle(particles: list[Particle]) -> Particle:

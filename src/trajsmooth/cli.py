@@ -53,7 +53,12 @@ def _write_json(path: Path, data) -> None:
 
 
 def _read_json(path: Path):
-    return json.loads(Path(path).read_text())
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _derived_seed(seed: int, run_index: int) -> int:
@@ -94,7 +99,7 @@ def _smoother_params(args, seed) -> SmootherParams:
 
 
 def cmd_simulate(args) -> int:
-    config = load_scenario_config(args.config)
+    config = load_scenario_config(_read_json(args.config))
     scenario = simulate_scenario(config)
     _write_json(Path(args.out), scenario_to_jsonable(scenario))
     return 0

@@ -124,17 +124,27 @@ def make_cv_model(ts: float, sigma_q: float, ps: float, dims: int = 2) -> Linear
     return LinearMotionModel(F, Q, ps)
 
 
-def _spd_cho(a: np.ndarray):
-    """Cholesky factor of a symmetric matrix, applying the jitter policy."""
-    a = symmetrize(np.asarray(a, dtype=float))
+def _jittered(a: np.ndarray) -> np.ndarray:
+    """`a` itself when well conditioned, else `a` plus the diagonal jitter.
+
+    Raises SingularMatrixError when the jitter does not bring the condition
+    estimate under the limit either.
+    """
+    cond = np.linalg.cond(a)
+    if np.isfinite(cond) and cond <= _COND_MAX:
+        return a
+    a = a + _JITTER * np.eye(a.shape[0])
     cond = np.linalg.cond(a)
     if not np.isfinite(cond) or cond > _COND_MAX:
-        a = a + _JITTER * np.eye(a.shape[0])
-        cond = np.linalg.cond(a)
-        if not np.isfinite(cond) or cond > _COND_MAX:
-            raise SingularMatrixError(
-                f"matrix numerically singular (condition estimate {cond:.3e})"
-            )
+        raise SingularMatrixError(
+            f"matrix numerically singular (condition estimate {cond:.3e})"
+        )
+    return a
+
+
+def _spd_cho(a: np.ndarray):
+    """Cholesky factor of a symmetric matrix, applying the jitter policy."""
+    a = _jittered(symmetrize(np.asarray(a, dtype=float)))
     try:
         return cho_factor(a, lower=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - cond check is primary

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +25,13 @@ from trajsmooth.backward import (
     split_y,
 )
 from trajsmooth.errors import ContractError
-from trajsmooth.forward import BernoulliComponent, FilterLog, PMBDensity
+from trajsmooth.forward import (
+    BernoulliComponent,
+    FilterLog,
+    FilterParams,
+    PMBDensity,
+    run_forward,
+)
 from trajsmooth.gaussians import (
     GaussianDensity,
     GaussianMixture,
@@ -31,6 +40,7 @@ from trajsmooth.gaussians import (
     smooth_head,
 )
 from trajsmooth.models import BirthModel
+from trajsmooth.simulate import load_scenario_config, simulate_scenario
 from trajsmooth.trajectory import Trajectory
 
 
@@ -339,6 +349,47 @@ def test_backward_simulate_trajectories_within_horizon():
     for p in particles:
         for tr in p.trajectories:
             assert 1 <= tr.t and tr.last_time <= 4
+
+
+def desk_like_problem():
+    """configs/desk_scale.json cut to 12 steps, filtered at M=20."""
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    cfg = json.loads((configs / "desk_scale.json").read_text())
+    cfg["K"] = 12
+    cfg["schedule"]["deaths"] = [12, 12, 12]
+    scenario = simulate_scenario(load_scenario_config(cfg))
+    return run_forward(scenario, FilterParams(m_best=20)), scenario.birth, scenario.motion
+
+
+# sha256 of the compact sorted-key particle JSON, recorded with the
+# particle-by-particle loop that preceded the grouped one
+PINNED_PARTICLES = {
+    True: "85e23dce026e2cab2f77d95fb1bd7ccb57e2e582c62d5ac1add52b6b00f73fa5",
+    False: "a7bb2dbcee9f2406c6e7977e280fed2b219f4b7c8e48dbac5c573bdab2f81323",
+}
+
+
+@pytest.mark.parametrize("dirac_mode", [True, False])
+def test_backward_simulate_pinned_bytes(dirac_mode):
+    log, birth, motion = desk_like_problem()
+    params = SmootherParams(num_particles=40, m_best=20, dirac_mode=dirac_mode, seed=7)
+    particles = backward_simulate(log, birth, motion, params)
+    blob = json.dumps(particles_to_jsonable(particles), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_PARTICLES[dirac_mode]
+
+
+@pytest.mark.parametrize("dirac_mode", [True, False])
+def test_backward_simulate_particles_independent_of_count(dirac_mode):
+    # particle i's stream is keyed by i alone, so grouping never couples particles
+    log, birth, motion = desk_like_problem()
+    runs = [
+        backward_simulate(
+            log, birth, motion,
+            SmootherParams(num_particles=n, m_best=20, dirac_mode=dirac_mode, seed=3),
+        )
+        for n in (40, 10)
+    ]
+    assert particles_to_jsonable(runs[0][:10]) == particles_to_jsonable(runs[1])
 
 
 def test_best_particle():

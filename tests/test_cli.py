@@ -119,6 +119,35 @@ def test_filter_empty_measurements(tmp_path):
     assert all(step["posterior"]["bernoullis"] == [] for step in data["steps"])
 
 
+def test_singular_birth_covariance_exit_code(tmp_path):
+    # zero velocity variance: the jitter policy applies, or the run exits 3
+    cfg_data = small_config()
+    cfg_data["birth"]["covs"] = [np.diag([400.0, 0.0, 400.0, 0.0]).tolist()]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(cfg_data))
+    scenario, filterlog = tmp_path / "sc.json", tmp_path / "fl.json"
+    assert main(["simulate", "--config", str(cfg), "--out", str(scenario)]) == 0
+    assert main(["filter", "--scenario", str(scenario), "--out", str(filterlog)]) == 0
+    argv = ["smooth", "--scenario", str(scenario), "--filterlog", str(filterlog),
+            "--out", str(tmp_path / "pt.json"), "--particles", "5"]
+    assert main(argv) in (0, 3)
+
+
+@pytest.mark.parametrize("command", ["simulate", "filter", "mc"])
+def test_missing_input_file_is_config_error(tmp_path, capsys, command):
+    missing = tmp_path / "missing.json"
+    flag = "--scenario" if command == "filter" else "--config"
+    assert main([command, flag, str(missing), "--out", str(tmp_path / "out")]) == 2
+    assert str(missing) in capsys.readouterr().err
+
+
+def test_malformed_input_file_is_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"k_max": ')
+    assert main(["filter", "--scenario", str(bad), "--out", str(tmp_path / "fl.json")]) == 2
+    assert str(bad) in capsys.readouterr().err
+
+
 def test_scenario2_runs_end_to_end(tmp_path):
     scenario = tmp_path / "sc2.json"
     filterlog = tmp_path / "fl2.json"
