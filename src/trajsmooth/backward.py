@@ -1,20 +1,18 @@
 """Backward kernel over sets of trajectories and backward simulation.
 
 Given the forward filter's per-step posteriors, each backward step conditions
-on the already-sampled trajectory set over k+1:K and builds a kernel with one
-Bernoulli per forward track plus one per conditioning trajectory. Local
-hypothesis families:
+on the already-sampled trajectory set over k+1:K. Local hypothesis families:
 
   - a forward track ended at k (emits a length-1 trajectory if it existed),
   - a forward track continued into a conditioning trajectory (its head at k is
     the one-step smoothed Gaussian),
   - a trajectory present at k+1 was first detected there: either truly born at
     k+1, or extended one step backward from the undetected-object intensity,
-  - a trajectory not present at k+1 is carried unaltered.
+  - a trajectory not present at k+1 passes through unaltered.
 
 Global hypotheses are ranked assignments of the cost matrix C = -log [W1 W2];
 one is drawn per step and its unnormalized log-weight accumulates into the
-particle score.
+particle score. A kernel holds only what the sampler reads.
 
 Backward simulation runs step-outer, particle-inner. At each step the
 particles are grouped by conditioning set, so the kernel and its ranked
@@ -31,7 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import chi2
@@ -44,7 +42,8 @@ from .gaussians import (
     GaussianMixture,
     LinearMotionModel,
     _gaussian_nocheck,
-    _jittered,
+    _inv_log_norm,
+    _linear_terms,
     _mixture_nocheck,
     sample_gaussian,
     symmetrize,
@@ -80,34 +79,38 @@ class FirstDetected:
     tail: Trajectory
 
 
-@dataclass(frozen=True)
-class Unaltered:
-    """Trajectory born after k+1 passes through unchanged."""
-
-    tail: Trajectory
-
-
 @dataclass(frozen=True, slots=True)
 class LocalHypothesis:
-    assoc: int | None  # conditioning-trajectory index, None for ended/never-existed
+    assoc: int | None  # conditioning-trajectory index, None for ended
     log_weight: float
     existence: float
-    density: EndedAtK | ContinuedSmoothed | FirstDetected | Unaltered | None
+    density: EndedAtK | ContinuedSmoothed | FirstDetected
 
 
 @dataclass
 class BackwardKernel:
-    """Enumerated local hypotheses and the ranked-assignment cost matrix at step k."""
+    """What the sampler reads to draw the trajectory set over k:K from that over k+1:K.
+
+    Row j of `cost` is trajectory j present at k+1; column i < n_tracks pairs
+    it with forward track i, column n_tracks + j is its first detection.
+    """
 
     k: int
-    n_tracks: int  # forward Bernoulli count n_{k|k}
-    m: int  # conditioning trajectories present at k+1
-    present: tuple[Trajectory, ...]
-    absent: tuple[Trajectory, ...]
-    bernoullis: list[list[LocalHypothesis]]
-    ppp_dead: GaussianMixture  # (1 - pS)-scaled undetected intensity; never sampled
     cost: np.ndarray  # m x (n_tracks + m)
-    _continued: dict = field(default_factory=dict)  # (track i, trajectory j) -> hypothesis
+    ended: tuple[LocalHypothesis, ...]  # per track; shared by every kernel of the step
+    continued: dict[tuple[int, int], LocalHypothesis]  # gated (track i, trajectory j)
+    first_detected: list[LocalHypothesis]  # per present trajectory
+    absent: tuple[Trajectory, ...]  # born after k+1; passed through
+
+    @property
+    def m(self) -> int:
+        """Conditioning trajectories present at k+1."""
+        return self.cost.shape[0]
+
+    @property
+    def n_tracks(self) -> int:
+        """Forward Bernoulli count n_{k|k}."""
+        return self.cost.shape[1] - self.cost.shape[0]
 
 
 @dataclass(frozen=True)
@@ -139,9 +142,6 @@ def split_y(trajectories, k: int) -> tuple[list[Trajectory], list[Trajectory]]:
     return present, absent
 
 
-_LOG_2PI = math.log(2.0 * math.pi)
-
-
 def _lse(values) -> float:
     """log-sum-exp of a small list of floats."""
     top = max(values)
@@ -150,29 +150,18 @@ def _lse(values) -> float:
     return float(top + math.log(sum(math.exp(v - top) for v in values)))
 
 
-class _PredictedGaussian:
-    """Per-component cache of the one-step-ahead quantities shared by all pairings."""
+def _smoothing_terms(weighted, m: LinearMotionModel):
+    """Stacked one-step terms of weighted densities (ln w, N(x, P)) under x' ~ N(F x, Q).
 
-    def __init__(self, g: GaussianDensity, m: LinearMotionModel):
-        self.mean_pred = m.F @ g.mean
-        p_pred = symmetrize(m.F @ g.cov @ m.F.T + m.Q)
-        self.inv_pred = np.linalg.inv(p_pred)
-        _, logdet = np.linalg.slogdet(p_pred)
-        self.log_norm = -0.5 * (g.dim * _LOG_2PI + logdet)
-        # smoothing gain G = P F^T P_pred^{-1} and posterior covariance P - G F P
-        self.gain = g.cov @ m.F.T @ self.inv_pred
-        self.cov_smooth = symmetrize(g.cov - self.gain @ m.F @ g.cov)
-        self.mean = g.mean
-
-    def maha(self, y1: np.ndarray) -> float:
-        d = y1 - self.mean_pred
-        return float(d @ self.inv_pred @ d)
-
-    def log_pdf(self, y1: np.ndarray) -> float:
-        return self.log_norm - 0.5 * self.maha(y1)
-
-    def smoothed(self, y1: np.ndarray) -> GaussianDensity:
-        return _gaussian_nocheck(self.mean + self.gain @ (y1 - self.mean_pred), self.cov_smooth)
+    Returns ln w plus the log-normaliser of N(., F x, P_pred), F x, P_pred^{-1},
+    x, the smoothing gain G = P F^T P_pred^{-1} and the smoothed covariance
+    P - G F P, one entry per density.
+    """
+    densities = [g for _, g in weighted]
+    mean_pred, inv_pred, log_norm, gains = _linear_terms(densities, m.F, m.Q)
+    log_const = np.array([lw + ln for (lw, _), ln in zip(weighted, log_norm)])
+    cov_smooth = [symmetrize(g.cov - gain @ m.F @ g.cov) for g, gain in zip(densities, gains)]
+    return log_const, mean_pred, inv_pred, [g.mean for g in densities], gains, cov_smooth
 
 
 class _KernelCache:
@@ -180,52 +169,37 @@ class _KernelCache:
 
     def __init__(self, pmb: PMBDensity, birth: BirthModel, m: LinearMotionModel):
         ps = m.ps
-        self.n_tracks = len(pmb.bernoullis)
-        self.ended: list[LocalHypothesis] = []
-        self.log_w_end = np.empty(self.n_tracks)
-        active = []
+        ended = []
+        self.log_w_end = np.empty(len(pmb.bernoullis))
         for i, comp in enumerate(pmb.bernoullis):
             w_end = 1.0 - comp.r + comp.r * (1.0 - ps)
             # floored so W1 ratios stay finite when r=1 and pS=1 (track cannot end)
             log_w_end = math.log(w_end) if w_end > 0.0 else _LOG_TINY
             exist_end = comp.r * (1.0 - ps) / w_end if w_end > 0.0 else 0.0
             self.log_w_end[i] = log_w_end
-            self.ended.append(
-                LocalHypothesis(None, log_w_end, exist_end, EndedAtK(comp.density))
-            )
-            if comp.r > 0.0 and ps > 0.0:
-                active.append((i, comp, _PredictedGaussian(comp.density, m)))
-        self.active_idx = np.array([i for i, _, _ in active], dtype=int)
-        if active:
-            self.mean_pred = np.stack([p.mean_pred for _, _, p in active])
-            self.inv_pred = np.stack([p.inv_pred for _, _, p in active])
-            self.log_const = np.array(
-                [
-                    math.log(comp.r) + math.log(ps) + p.log_norm
-                    for _, comp, p in active
-                ]
-            )
-            self.gains = [p.gain for _, _, p in active]
-            self.means = [p.mean for _, _, p in active]
-            self.cov_smooth = [p.cov_smooth for _, _, p in active]
-        self.ppp_pred = [
-            (math.log(ps) + math.log(w), _PredictedGaussian(g, m))
-            for w, g in pmb.ppp
-            if w > 0.0 and ps > 0.0
+            ended.append(LocalHypothesis(None, log_w_end, exist_end, EndedAtK(comp.density)))
+        self.ended = tuple(ended)
+
+        # tracks that can continue into a conditioning trajectory
+        active = [(i, c) for i, c in enumerate(pmb.bernoullis) if c.r > 0.0 and ps > 0.0]
+        self.active_idx = np.array([i for i, _ in active], dtype=int)
+        self.tracks = _smoothing_terms(
+            [(math.log(c.r) + math.log(ps), c.density) for _, c in active], m
+        )
+        # undetected intensity extended one step backward
+        self.ppp = _smoothing_terms(
+            [(math.log(ps) + math.log(w), g) for w, g in pmb.ppp if w > 0.0 and ps > 0.0], m
+        )
+
+        births = [(w, g) for w, g in birth.intensity if w > 0.0]
+        covs = np.array([g.cov for _, g in births]).reshape(-1, m.dim, m.dim)
+        inv, log_norm = _inv_log_norm(covs)
+        self.birth_comps = [
+            (math.log(w) + ln, i, g.mean) for (w, g), i, ln in zip(births, inv, log_norm)
         ]
-        self.birth_comps = []
-        for w, g in birth.intensity:
-            if w <= 0.0:
-                continue
-            cov = _jittered(g.cov)
-            inv = np.linalg.inv(cov)
-            _, logdet = np.linalg.slogdet(cov)
-            log_norm = math.log(w) - 0.5 * (g.dim * _LOG_2PI + logdet)
-            self.birth_comps.append((log_norm, inv, g.mean))
         self.log_uniform = (
             math.log(birth.uniform_density) if birth.uniform_density > 0.0 else -math.inf
         )
-        self.ppp_dead = pmb.ppp.scaled(1.0 - ps)
 
 
 def build_backward_kernel(
@@ -246,50 +220,39 @@ def build_backward_kernel(
     if cache is None:
         cache = _KernelCache(pmb, birth, m)
     present, absent = split_y(trajectories, k)
-    n_tracks = cache.n_tracks
+    n_tracks = len(cache.ended)
     n_present = len(present)
     heads = np.array([tr.states[0] for tr in present]) if n_present else None
 
-    bernoullis: list[list[LocalHypothesis]] = [[h] for h in cache.ended]
     continued: dict[tuple[int, int], LocalHypothesis] = {}
     cost = np.full((n_present, n_tracks + n_present), np.inf)
 
     if n_present and cache.active_idx.size:
-        diffs = heads[None, :, :] - cache.mean_pred[:, None, :]
-        mahas = np.einsum("amj,ajk,amk->am", diffs, cache.inv_pred, diffs)
+        log_const, mean_pred, inv_pred, means, gains, cov_smooth = cache.tracks
+        diffs = heads[None, :, :] - mean_pred[:, None, :]
+        mahas = np.einsum("amj,ajk,amk->am", diffs, inv_pred, diffs)
         rows, cols = np.nonzero(mahas <= gate)
         act = cache.active_idx
         for a, j in zip(rows.tolist(), cols.tolist()):
             i = int(act[a])
-            log_w = float(cache.log_const[a] - 0.5 * mahas[a, j])
-            smoothed = _gaussian_nocheck(
-                cache.means[a] + cache.gains[a] @ diffs[a, j], cache.cov_smooth[a]
+            log_w = float(log_const[a] - 0.5 * mahas[a, j])
+            smoothed = _gaussian_nocheck(means[a] + gains[a] @ diffs[a, j], cov_smooth[a])
+            continued[(i, j)] = LocalHypothesis(
+                j, log_w, 1.0, ContinuedSmoothed(smoothed, present[j])
             )
-            hyp = LocalHypothesis(j, log_w, 1.0, ContinuedSmoothed(smoothed, present[j]))
-            bernoullis[i].append(hyp)
-            continued[(i, j)] = hyp
             cost[j, i] = -(log_w - cache.log_w_end[i])
 
-    if n_present:
-        for j, fd in enumerate(_first_detected_all(present, heads, cache, gate)):
-            bernoullis.append([LocalHypothesis(None, 0.0, 0.0, None), fd])
-            cost[j, n_tracks + j] = -fd.log_weight
-
-    for idx, tr in enumerate(absent):
-        bernoullis.append(
-            [LocalHypothesis(n_present + idx, 0.0, 1.0, Unaltered(tr))]
-        )
+    first_detected = _first_detected_all(present, heads, cache, gate) if n_present else []
+    for j, fd in enumerate(first_detected):
+        cost[j, n_tracks + j] = -fd.log_weight
 
     return BackwardKernel(
         k=k,
-        n_tracks=n_tracks,
-        m=n_present,
-        present=tuple(present),
-        absent=tuple(absent),
-        bernoullis=bernoullis,
-        ppp_dead=cache.ppp_dead,
         cost=cost,
-        _continued=continued,
+        ended=cache.ended,
+        continued=continued,
+        first_detected=first_detected,
+        absent=tuple(absent),
     )
 
 
@@ -300,18 +263,16 @@ def _first_detected_all(present, heads, cache: _KernelCache, gate: float):
     intensity; birth/intensity components are gated individually, falling back
     to ungated evaluation when nothing survives so the column stays feasible.
     """
-    n_present = len(present)
     birth_rows = []  # (log_pdf array over j, maha array over j)
     for log_norm, inv, mean in cache.birth_comps:
         d = heads - mean
         maha = np.einsum("ij,jk,ik->i", d, inv, d)
         birth_rows.append((log_norm - 0.5 * maha, maha))
     ext_rows = []  # (log_pdf, maha, smoothed means, shared smoothed cov)
-    for log_ps_w, pred in cache.ppp_pred:
-        d = heads - pred.mean_pred
-        maha = np.einsum("ij,jk,ik->i", d, pred.inv_pred, d)
-        log_pdf = log_ps_w + pred.log_norm - 0.5 * maha
-        ext_rows.append((log_pdf, maha, pred.mean + d @ pred.gain.T, pred.cov_smooth))
+    for log_const, mean_pred, inv_pred, mean, gain, cov_smooth in zip(*cache.ppp):
+        d = heads - mean_pred
+        maha = np.einsum("ij,jk,ik->i", d, inv_pred, d)
+        ext_rows.append((log_const - 0.5 * maha, maha, mean + d @ gain.T, cov_smooth))
 
     out = []
     for j, tr in enumerate(present):
@@ -415,17 +376,14 @@ def sample_bernoulli(
     if isinstance(d, ContinuedSmoothed):
         head = d.g.mean if dirac_mode else sample_gaussian(d.g, rng)
         return d.tail.prepend(head)
-    if isinstance(d, FirstDetected):
-        if rng.random() < d.w_keep:
-            return d.tail
-        weights = np.array([w for w, _ in d.heads])
-        comp = _draw_categorical(weights / weights.sum(), rng)
-        g = d.heads.components[comp][1]
-        head = g.mean if dirac_mode else sample_gaussian(g, rng)
-        return d.tail.prepend(head)
-    if isinstance(d, Unaltered):
+    # FirstDetected: keep the trajectory as born at k+1, or extend it backward
+    if rng.random() < d.w_keep:
         return d.tail
-    return None  # never-existed hypothesis
+    weights = np.array([w for w, _ in d.heads])
+    comp = _draw_categorical(weights / weights.sum(), rng)
+    g = d.heads.components[comp][1]
+    head = g.mean if dirac_mode else sample_gaussian(g, rng)
+    return d.tail.prepend(head)
 
 
 def backward_simulate(
@@ -505,18 +463,15 @@ def _sample_set(
     """Draw the trajectory set over k:K given one global hypothesis of the kernel."""
     col_to_row = {c: r for r, c in enumerate(assignment.row_to_col)}
     new_set: list[Trajectory] = list(kernel.absent)
-    for i in range(kernel.n_tracks):
-        if i in col_to_row:
-            hyp = kernel._continued[(i, col_to_row[i])]
-        else:
-            hyp = kernel.bernoullis[i][0]  # ended at k
+    for i, ended in enumerate(kernel.ended):
+        hyp = kernel.continued[(i, col_to_row[i])] if i in col_to_row else ended
         sampled = sample_bernoulli(hyp, k, dirac_mode, rng)
         if sampled is not None:
             new_set.append(sampled)
-    for j in range(kernel.m):
-        if assignment.row_to_col[j] == kernel.n_tracks + j:
-            hyp = kernel.bernoullis[kernel.n_tracks + j][1]
-            sampled = sample_bernoulli(hyp, k, dirac_mode, rng)
+    n_tracks = kernel.n_tracks
+    for j, fd in enumerate(kernel.first_detected):
+        if assignment.row_to_col[j] == n_tracks + j:
+            sampled = sample_bernoulli(fd, k, dirac_mode, rng)
             if sampled is not None:
                 new_set.append(sampled)
     return new_set

@@ -17,7 +17,9 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +41,7 @@ from .metrics import gospa_over_time, particle_stats
 from .oracle import exact_smooth, posterior_to_jsonable
 from .simulate import (
     Scenario,
+    ScenarioConfig,
     load_scenario_config,
     scenario_from_jsonable,
     scenario_to_jsonable,
@@ -59,6 +62,15 @@ def _read_json(path: Path):
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _decode(path: Path, decode):
+    """`decode` applied to the JSON in `path`; a wrong structure is a ConfigError."""
+    data = _read_json(path)
+    try:
+        return decode(data)
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise ConfigError(f"{path} does not have the expected structure: {exc!r}") from exc
 
 
 def _derived_seed(seed: int, run_index: int) -> int:
@@ -99,22 +111,22 @@ def _smoother_params(args, seed) -> SmootherParams:
 
 
 def cmd_simulate(args) -> int:
-    config = load_scenario_config(_read_json(args.config))
+    config = _decode(args.config, load_scenario_config)
     scenario = simulate_scenario(config)
     _write_json(Path(args.out), scenario_to_jsonable(scenario))
     return 0
 
 
 def cmd_filter(args) -> int:
-    scenario = scenario_from_jsonable(_read_json(args.scenario))
+    scenario = _decode(args.scenario, scenario_from_jsonable)
     log = run_forward(scenario, _filter_params(args))
     _write_json(Path(args.out), filterlog_to_jsonable(log))
     return 0
 
 
 def cmd_smooth(args) -> int:
-    scenario = scenario_from_jsonable(_read_json(args.scenario))
-    log = filterlog_from_jsonable(_read_json(args.filterlog))
+    scenario = _decode(args.scenario, scenario_from_jsonable)
+    log = _decode(args.filterlog, filterlog_from_jsonable)
     seed = args.seed if args.seed is not None else scenario.seed
     particles = backward_simulate(
         log, scenario.birth, scenario.motion, _smoother_params(args, seed)
@@ -142,29 +154,24 @@ def cmd_smooth(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    scenario = scenario_from_jsonable(_read_json(args.scenario))
-    log = filterlog_from_jsonable(_read_json(args.filterlog))
+    scenario = _decode(args.scenario, scenario_from_jsonable)
+    log = _decode(args.filterlog, filterlog_from_jsonable)
     post = exact_smooth(log, scenario.birth, scenario.motion, prune=args.prune)
     _write_json(Path(args.out), posterior_to_jsonable(post))
     return 0
 
 
-def _per_step_estimates_from_particle(data: dict, k_max: int):
-    particles = particles_from_jsonable({"particles": [data]})
-    trajectories = particles[0].trajectories
-    return [states_at_time(trajectories, k) for k in range(1, k_max + 1)]
-
-
 def cmd_evaluate(args) -> int:
-    scenario = scenario_from_jsonable(_read_json(args.scenario))
+    scenario = _decode(args.scenario, scenario_from_jsonable)
     pos_idx = args.pos_idx if args.pos_idx else _position_mask(scenario)
     sources = {}
     if args.filterlog:
-        log = filterlog_from_jsonable(_read_json(args.filterlog))
-        sources["filter"] = log.estimates
+        sources["filter"] = _decode(args.filterlog, filterlog_from_jsonable).estimates
     if args.best:
-        best = _read_json(args.best)
-        sources["smoothed"] = _per_step_estimates_from_particle(best, scenario.k_max)
+        best = _decode(args.best, lambda d: particles_from_jsonable({"particles": [d]})[0])
+        sources["smoothed"] = [
+            states_at_time(best.trajectories, k) for k in range(1, scenario.k_max + 1)
+        ]
     if not sources:
         raise ConfigError("evaluate needs --filterlog and/or --best")
     report = {"c": args.c, "p": args.p, "sources": {}}
@@ -185,60 +192,80 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _load_run_config(path) -> dict:
+class _RunConfig(NamedTuple):
+    """A parsed mc run config; each run replaces the seeds with its derived seed."""
+
+    runs: int
+    seed: int
+    scenario: ScenarioConfig
+    filter: FilterParams
+    smoother: SmootherParams
+    c: float
+    p: float
+    pos_idx: list | None
+
+
+def _load_run_config(path) -> _RunConfig:
+    """Parse and check the whole mc run config before any run starts."""
     cfg = _read_json(path)
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: run config must be a JSON object")
     for key in ("scenario", "mc_runs", "seed"):
         if key not in cfg:
             raise ConfigError(f"missing field {key} in run config")
-    if int(cfg["mc_runs"]) < 1:
-        raise ConfigError("mc_runs must be >= 1")
     scenario_cfg = cfg["scenario"]
     if isinstance(scenario_cfg, str):
         base = Path(path).parent / scenario_cfg
-        cfg["scenario"] = _read_json(base if base.exists() else scenario_cfg)
-    return cfg
+        scenario_cfg = _read_json(base if base.exists() else scenario_cfg)
+    try:
+        seed = int(cfg["seed"])
+        fp = cfg.get("filter", {})
+        sp = cfg.get("smoother", {})
+        mp = cfg.get("metric", {})
+        gate_gamma = sp.get("gate_gamma")
+        run = _RunConfig(
+            runs=int(cfg["mc_runs"]),
+            seed=seed,
+            scenario=load_scenario_config({**scenario_cfg, "seed": seed}),
+            filter=FilterParams(
+                m_best=int(fp.get("M_forward", 20)),
+                gate_prob=float(fp.get("gate_prob", 0.9999)),
+                prune_r=float(fp.get("prune_r", 1e-4)),
+                prune_w=float(fp.get("prune_w", 1e-4)),
+            ),
+            smoother=SmootherParams(
+                num_particles=int(sp.get("T", 200)),
+                m_best=int(sp.get("M", 20)),
+                gate_prob=float(sp.get("gate_prob", 0.9999)),
+                gate_gamma=None if gate_gamma is None else float(gate_gamma),
+                w_hyp_min=float(sp.get("w_hyp_min", 1e-4)),
+                dirac_mode=bool(sp.get("dirac_mode", False)),
+            ),
+            c=float(mp.get("c", 20.0)),
+            p=float(mp.get("p", 1.0)),
+            pos_idx=mp.get("pos_idx"),
+        )
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: bad value in run config: {exc}") from exc
+    if run.runs < 1:
+        raise ConfigError("mc_runs must be >= 1")
+    return run
 
 
 def _mc_single(payload) -> dict:
-    cfg, run_index, seed = payload
-    scenario_cfg = dict(cfg["scenario"])
-    scenario_cfg["seed"] = seed
-    scenario = simulate_scenario(load_scenario_config(scenario_cfg))
-    fp = cfg.get("filter", {})
-    log = run_forward(
-        scenario,
-        FilterParams(
-            m_best=int(fp.get("M_forward", 20)),
-            gate_prob=float(fp.get("gate_prob", 0.9999)),
-            prune_r=float(fp.get("prune_r", 1e-4)),
-            prune_w=float(fp.get("prune_w", 1e-4)),
-        ),
-    )
-    sp = cfg.get("smoother", {})
+    run, run_index, seed = payload
+    scenario = simulate_scenario(replace(run.scenario, seed=seed))
+    log = run_forward(scenario, run.filter)
     particles = backward_simulate(
-        log,
-        scenario.birth,
-        scenario.motion,
-        SmootherParams(
-            num_particles=int(sp.get("T", 200)),
-            m_best=int(sp.get("M", 20)),
-            gate_prob=float(sp.get("gate_prob", 0.9999)),
-            gate_gamma=sp.get("gate_gamma"),
-            w_hyp_min=float(sp.get("w_hyp_min", 1e-4)),
-            dirac_mode=bool(sp.get("dirac_mode", False)),
-            seed=seed,
-        ),
+        log, scenario.birth, scenario.motion, replace(run.smoother, seed=seed)
     )
     best = best_particle(particles)
-    mp = cfg.get("metric", {})
-    c = float(mp.get("c", 20.0))
-    p = float(mp.get("p", 1.0))
-    pos_idx = mp.get("pos_idx") or _position_mask(scenario)
-    _, filt = gospa_over_time(log.estimates, scenario.truth, c, p, pos_idx)
+    pos_idx = run.pos_idx or _position_mask(scenario)
+    _, filt = gospa_over_time(log.estimates, scenario.truth, run.c, run.p, pos_idx)
     smoothed_estimates = [
         states_at_time(best.trajectories, k) for k in range(1, scenario.k_max + 1)
     ]
-    _, smoo = gospa_over_time(smoothed_estimates, scenario.truth, c, p, pos_idx)
+    _, smoo = gospa_over_time(smoothed_estimates, scenario.truth, run.c, run.p, pos_idx)
     stats = particle_stats(particles, scenario.k_max)
     return {
         "run": run_index,
@@ -250,14 +277,17 @@ def _mc_single(payload) -> dict:
 
 
 def cmd_mc(args) -> int:
-    cfg = _load_run_config(args.config)
-    runs = int(cfg["mc_runs"])
-    seed = int(cfg["seed"])
-    payloads = [(cfg, i, _derived_seed(seed, i)) for i in range(runs)]
-    workers = int(os.environ.get("TRAJSMOOTH_WORKERS", "1"))
+    run = _load_run_config(args.config)
+    runs = run.runs
+    payloads = [(run, i, _derived_seed(run.seed, i)) for i in range(runs)]
+    value = os.environ.get("TRAJSMOOTH_WORKERS", "1")
+    try:
+        workers = int(value)
+    except ValueError:
+        raise ConfigError(f"TRAJSMOOTH_WORKERS must be an integer, got {value!r}") from None
     start = time.time()
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, runs)) as pool:
             results = list(pool.map(_mc_single, payloads))
     else:
         results = [_mc_single(p) for p in payloads]
@@ -269,7 +299,7 @@ def cmd_mc(args) -> int:
     se = float(diff.std(ddof=1) / np.sqrt(runs)) if runs > 1 else 0.0
     report = {
         "mc_runs": runs,
-        "seed": seed,
+        "seed": run.seed,
         "derived_seeds": [r["seed"] for r in results],
         "per_run": results,
         "aggregate": {

@@ -22,6 +22,7 @@ from .gaussians import (
     GaussianDensity,
     GaussianMixture,
     LinearMotionModel,
+    _linear_terms,
     moment_match,
     predict_gaussian,
     symmetrize,
@@ -95,34 +96,10 @@ def prune_pmb(pmb: PMBDensity, r_min: float, w_min: float) -> PMBDensity:
     )
 
 
-_LOG_2PI = math.log(2.0 * math.pi)
-
-
-class _MeasPrep:
-    """Per-component measurement-update quantities shared by all measurements.
-
-    The posterior covariance (Joseph form) does not depend on the measurement,
-    so only the innovation and posterior mean vary per pairing.
-    """
-
-    def __init__(self, g: GaussianDensity, mm: MeasurementModel):
-        s = symmetrize(mm.H @ g.cov @ mm.H.T + mm.R)
-        self.s_inv = np.linalg.inv(s)
-        _, logdet = np.linalg.slogdet(s)
-        self.log_norm = -0.5 * (mm.dim_z * _LOG_2PI + logdet)
-        self.z_pred = mm.H @ g.mean
-        gain = g.cov @ mm.H.T @ self.s_inv
-        ikh = np.eye(g.dim) - gain @ mm.H
-        self.cov_upd = symmetrize(ikh @ g.cov @ ikh.T + gain @ mm.R @ gain.T)
-        self.gain = gain
-        self.mean = g.mean
-
-    def maha(self, z: np.ndarray) -> float:
-        d = z - self.z_pred
-        return float(d @ self.s_inv @ d)
-
-    def updated(self, z: np.ndarray) -> GaussianDensity:
-        return GaussianDensity(self.mean + self.gain @ (z - self.z_pred), self.cov_upd)
+def _joseph_cov(g: GaussianDensity, gain: np.ndarray, mm: MeasurementModel) -> np.ndarray:
+    """Updated covariance in Joseph form; it does not depend on the measurement."""
+    ikh = np.eye(g.dim) - gain @ mm.H
+    return symmetrize(ikh @ g.cov @ ikh.T + gain @ mm.R @ gain.T)
 
 
 def update_pmb(
@@ -139,41 +116,49 @@ def update_pmb(
     n = len(pmb.bernoullis)
     mz = len(scan)
     log_pd = math.log(mm.pd) if mm.pd > 0.0 else -math.inf
-    log_qd = math.log1p(-mm.pd) if mm.pd < 1.0 else -math.inf
 
     # local hypotheses for existing tracks
     log_w_miss = np.empty(n)
     r_miss = np.empty(n)
     det: list[dict[int, tuple[float, GaussianDensity]]] = [dict() for _ in range(n)]
     log_tiny = math.log(np.finfo(float).tiny)
+    detectable = [i for i, c in enumerate(pmb.bernoullis) if c.r > 0.0 and mm.pd > 0.0 and scan]
+    z_pred, s_inv, log_norm, gains = _linear_terms(
+        [pmb.bernoullis[i].density for i in detectable], mm.H, mm.R
+    )
     for i, comp in enumerate(pmb.bernoullis):
         w_miss = 1.0 - comp.r + comp.r * (1.0 - mm.pd)
         # floored so the cost-matrix ratio stays finite when r=1 and pd=1
         log_w_miss[i] = math.log(w_miss) if w_miss > 0.0 else log_tiny
         r_miss[i] = comp.r * (1.0 - mm.pd) / w_miss if w_miss > 0.0 else 0.0
-        if comp.r > 0.0 and mm.pd > 0.0 and scan:
-            prep = _MeasPrep(comp.density, mm)
-            log_r_pd = math.log(comp.r) + log_pd
-            for j, z in enumerate(scan):
-                maha = prep.maha(z)
-                if maha <= gate:
-                    det[i][j] = (
-                        log_r_pd + prep.log_norm - 0.5 * maha,
-                        prep.updated(z),
-                    )
+    for a, i in enumerate(detectable):
+        g = pmb.bernoullis[i].density
+        cov_upd = _joseph_cov(g, gains[a], mm)
+        log_r_pd = math.log(pmb.bernoullis[i].r) + log_pd
+        for j, z in enumerate(scan):
+            d = z - z_pred[a]
+            maha = float(d @ s_inv[a] @ d)
+            if maha <= gate:
+                det[i][j] = (
+                    log_r_pd + log_norm[a] - 0.5 * maha,
+                    GaussianDensity(g.mean + gains[a] @ d, cov_upd),
+                )
 
     # new-track hypotheses, one per measurement (PPP components gated individually)
-    ppp_preps = [(math.log(w), _MeasPrep(g, mm)) for w, g in pmb.ppp if w > 0.0]
+    ppp = [(w, g) for w, g in pmb.ppp if w > 0.0]
+    ppp_z, ppp_s_inv, ppp_log_norm, ppp_gains = _linear_terms([g for _, g in ppp], mm.H, mm.R)
+    ppp_covs = [_joseph_cov(g, gain, mm) for (_, g), gain in zip(ppp, ppp_gains)]
     log_w_new = np.empty(mz)
     r_new = np.empty(mz)
     new_density: list[GaussianDensity | None] = [None] * mz
     for j, z in enumerate(scan):
         liks, comps = [], []
-        for log_w, prep in ppp_preps:
-            maha = prep.maha(z)
+        for c, (w, g) in enumerate(ppp):
+            d = z - ppp_z[c]
+            maha = float(d @ ppp_s_inv[c] @ d)
             if maha <= gate:
-                liks.append(log_w + prep.log_norm - 0.5 * maha)
-                comps.append(prep.updated(z))
+                liks.append(math.log(w) + ppp_log_norm[c] - 0.5 * maha)
+                comps.append(GaussianDensity(g.mean + ppp_gains[c] @ d, ppp_covs[c]))
         if liks:
             liks = np.asarray(liks)
             log_obj = log_pd + logsumexp(liks)

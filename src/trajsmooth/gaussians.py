@@ -1,9 +1,12 @@
 """Linear-Gaussian primitives: densities, prediction, one-step backward smoothing.
 
 All covariance-producing operations symmetrize their output as (A + A^T)/2 to
-bound floating-point drift. Solves against predicted covariances go through a
-Cholesky factorization; a matrix whose condition estimate exceeds 1e12 gets a
-single 1e-9 jitter on the diagonal and is rejected if that does not help.
+bound floating-point drift. One inversion policy, `_jittered`, covers every
+covariance the package inverts: a matrix whose condition estimate exceeds 1e12
+gets a single 1e-9 jitter on the diagonal and is rejected if that does not
+help. The filter update and the backward kernel invert stacks through
+`_inv_log_norm`/`_linear_terms`; the reference ops (`smooth_head`, `smd`,
+`log_gaussian_pdf`) solve through a Cholesky factor instead.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .errors import ContractError, SingularMatrixError
 
 _COND_MAX = 1e12
 _JITTER = 1e-9
+_LOG_2PI = math.log(2.0 * math.pi)
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -125,21 +129,43 @@ def make_cv_model(ts: float, sigma_q: float, ps: float, dims: int = 2) -> Linear
 
 
 def _jittered(a: np.ndarray) -> np.ndarray:
-    """`a` itself when well conditioned, else `a` plus the diagonal jitter.
+    """`a` (d, d) or a stack (..., d, d) with the jitter added to each bad member.
 
-    Raises SingularMatrixError when the jitter does not bring the condition
-    estimate under the limit either.
+    Good members come back unchanged. Raises SingularMatrixError when the
+    jitter does not bring every member under the limit.
     """
-    cond = np.linalg.cond(a)
-    if np.isfinite(cond) and cond <= _COND_MAX:
+    bad = ~(np.linalg.cond(a) <= _COND_MAX)
+    if not bad.any():
         return a
-    a = a + _JITTER * np.eye(a.shape[0])
+    a = np.where(np.asarray(bad)[..., None, None], a + _JITTER * np.eye(a.shape[-1]), a)
     cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > _COND_MAX:
+    if not np.all(cond <= _COND_MAX):
         raise SingularMatrixError(
-            f"matrix numerically singular (condition estimate {cond:.3e})"
+            f"matrix numerically singular (condition estimate {np.max(cond):.3e})"
         )
     return a
+
+
+def _inv_log_norm(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses and log-normalisers -0.5 (d ln 2pi + ln det S) of a jittered stack."""
+    s = _jittered(s)
+    _, logdet = np.linalg.slogdet(s)
+    return np.linalg.inv(s), -0.5 * (s.shape[-1] * _LOG_2PI + logdet)
+
+
+def _linear_terms(densities, a: np.ndarray, n: np.ndarray):
+    """Stacked A x, S^{-1}, log-normaliser of N(., A x, S) and gain P A^T S^{-1}.
+
+    One entry per density N(x, P), with S = A P A^T + N. S and the gain are
+    formed per density; only the inversion is batched.
+    """
+    p, d = a.shape
+    # reshape keeps the stack shapes when `densities` is empty
+    s = np.array([symmetrize(a @ g.cov @ a.T + n) for g in densities]).reshape(-1, p, p)
+    s_inv, log_norm = _inv_log_norm(s)
+    means = np.array([a @ g.mean for g in densities]).reshape(-1, p)
+    gains = np.array([g.cov @ a.T @ si for g, si in zip(densities, s_inv)]).reshape(-1, d, p)
+    return means, s_inv, log_norm, gains
 
 
 def _spd_cho(a: np.ndarray):

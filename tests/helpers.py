@@ -1,13 +1,16 @@
 """Shared toy problems for oracle/backward-simulation tests and acceptance runs."""
 
+import json
 from collections import Counter, defaultdict
+from pathlib import Path
 
 import numpy as np
 
-from trajsmooth.forward import BernoulliComponent, FilterLog, PMBDensity
+from trajsmooth.forward import BernoulliComponent, FilterLog, FilterParams, PMBDensity, run_forward
 from trajsmooth.gaussians import GaussianDensity, GaussianMixture, LinearMotionModel
 from trajsmooth.models import BirthModel
 from trajsmooth.oracle import structure_signature
+from trajsmooth.simulate import load_scenario_config, simulate_scenario
 
 
 def g(mean, var):
@@ -17,6 +20,16 @@ def g(mean, var):
     else:
         cov = np.asarray(var, float)
     return GaussianDensity(mean, cov)
+
+
+def desk_like_problem():
+    """configs/desk_scale.json cut to 12 steps, filtered at M=20."""
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    cfg = json.loads((configs / "desk_scale.json").read_text())
+    cfg["K"] = 12
+    cfg["schedule"]["deaths"] = [12, 12, 12]
+    scenario = simulate_scenario(load_scenario_config(cfg))
+    return run_forward(scenario, FilterParams(m_best=20)), scenario.birth, scenario.motion
 
 
 def make_log(posteriors):

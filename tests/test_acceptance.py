@@ -133,12 +133,11 @@ def test_criterion_03_kernel_normalization():
             for _ in range(rng.integers(1, 4))
         ]
         kernel = build_backward_kernel(pmb, birth, motion, trajs, gate=1e9, k=k)
-        for hyps in kernel.bernoullis:
-            for hyp in hyps:
-                exist_ok = exist_ok and 0.0 <= hyp.existence <= 1.0
-                fd = hyp.density
-                if hasattr(fd, "w_keep"):
-                    worst_split = max(worst_split, abs(fd.w_keep + fd.w_extend - 1.0))
+        for hyp in (*kernel.ended, *kernel.continued.values(), *kernel.first_detected):
+            exist_ok = exist_ok and 0.0 <= hyp.existence <= 1.0
+            fd = hyp.density
+            if hasattr(fd, "w_keep"):
+                worst_split = max(worst_split, abs(fd.w_keep + fd.w_extend - 1.0))
         hyps = murty(kernel.cost, 50)
         log_w = np.array([-h.cost for h in hyps])
         probs = np.exp(log_w - log_w.max())

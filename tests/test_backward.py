@@ -1,11 +1,12 @@
 import hashlib
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import desk_like_problem
 
+from trajsmooth import backward
 from trajsmooth.backward import (
     BackwardKernel,
     ContinuedSmoothed,
@@ -14,7 +15,6 @@ from trajsmooth.backward import (
     LocalHypothesis,
     Particle,
     SmootherParams,
-    Unaltered,
     backward_simulate,
     best_particle,
     build_backward_kernel,
@@ -25,13 +25,7 @@ from trajsmooth.backward import (
     split_y,
 )
 from trajsmooth.errors import ContractError
-from trajsmooth.forward import (
-    BernoulliComponent,
-    FilterLog,
-    FilterParams,
-    PMBDensity,
-    run_forward,
-)
+from trajsmooth.forward import BernoulliComponent, FilterLog, PMBDensity
 from trajsmooth.gaussians import (
     GaussianDensity,
     GaussianMixture,
@@ -40,7 +34,6 @@ from trajsmooth.gaussians import (
     smooth_head,
 )
 from trajsmooth.models import BirthModel
-from trajsmooth.simulate import load_scenario_config, simulate_scenario
 from trajsmooth.trajectory import Trajectory
 
 
@@ -83,7 +76,7 @@ def test_ended_weight_ps_one():
     m = LinearMotionModel([[1.0]], [[1.0]], ps=1.0)
     pmb = PMBDensity(GaussianMixture(), (BernoulliComponent(0.4, g1(0.0, 1.0)),))
     kernel = build_backward_kernel(pmb, BIRTH, m, [], gate=1e9, k=1)
-    ended = kernel.bernoullis[0][0]
+    ended = kernel.ended[0]
     assert math.exp(ended.log_weight) == pytest.approx(0.6)
     assert ended.existence == 0.0
 
@@ -92,7 +85,7 @@ def test_ended_weight_ps_095():
     m = LinearMotionModel([[1.0]], [[1.0]], ps=0.95)
     pmb = PMBDensity(GaussianMixture(), (BernoulliComponent(0.4, g1(0.0, 1.0)),))
     kernel = build_backward_kernel(pmb, BIRTH, m, [], gate=1e9, k=1)
-    ended = kernel.bernoullis[0][0]
+    ended = kernel.ended[0]
     assert math.exp(ended.log_weight) == pytest.approx(0.62)
     assert ended.existence == pytest.approx(0.4 * 0.05 / 0.62)
 
@@ -101,7 +94,7 @@ def test_continued_weight_value():
     # r=0.5, pS=0.9, x=0, P=1, F=1, Q=1, y1=0: w = 0.45 * N(0; 0, 2) = 0.45 / sqrt(4 pi)
     pmb = PMBDensity(GaussianMixture(), (BernoulliComponent(0.5, g1(0.0, 1.0)),))
     kernel = build_backward_kernel(pmb, BIRTH, MOTION, [traj(2, 0.0, 1.0)], gate=1e9, k=1)
-    hyp = kernel._continued[(0, 0)]
+    hyp = kernel.continued[(0, 0)]
     assert math.exp(hyp.log_weight) == pytest.approx(0.45 / math.sqrt(4 * math.pi), rel=1e-12)
     assert math.exp(hyp.log_weight) == pytest.approx(0.1269427, abs=1e-7)
     assert hyp.existence == 1.0
@@ -112,7 +105,7 @@ def test_gated_pair_infinite_cost():
     far = traj(2, 50.0, 50.0)
     kernel = build_backward_kernel(pmb, BIRTH, MOTION, [far], gate=9.0, k=1)
     assert kernel.cost[0, 0] == np.inf
-    assert (0, 0) not in kernel._continued
+    assert (0, 0) not in kernel.continued
     assert np.isfinite(kernel.cost[0, 1])  # own first-detection column stays open
 
 
@@ -124,11 +117,11 @@ def test_cost_entries_are_weight_ratios():
     )
     present = [traj(3, rng.uniform(-2, 2), 0.0), traj(3, rng.uniform(-2, 2), 1.0)]
     kernel = build_backward_kernel(pmb, BIRTH, MOTION, present, gate=1e9, k=2)
-    for (i, j), hyp in kernel._continued.items():
-        ended = kernel.bernoullis[i][0]
+    for (i, j), hyp in kernel.continued.items():
+        ended = kernel.ended[i]
         assert kernel.cost[j, i] == pytest.approx(-(hyp.log_weight - ended.log_weight))
     for j in range(kernel.m):
-        fd = kernel.bernoullis[kernel.n_tracks + j][1]
+        fd = kernel.first_detected[j]
         assert kernel.cost[j, kernel.n_tracks + j] == pytest.approx(-fd.log_weight)
 
 
@@ -136,7 +129,7 @@ def test_smoothed_head_matches_smooth_head_op():
     pmb = PMBDensity(GaussianMixture(), (BernoulliComponent(0.8, g1(1.0, 2.0)),))
     y = traj(5, -0.5, 0.2)
     kernel = build_backward_kernel(pmb, BIRTH, MOTION, [y], gate=1e9, k=4)
-    hyp = kernel._continued[(0, 0)]
+    hyp = kernel.continued[(0, 0)]
     ref = smooth_head(g1(1.0, 2.0), MOTION, y.states[0])
     np.testing.assert_allclose(hyp.density.g.mean, ref.mean, atol=1e-12)
     np.testing.assert_allclose(hyp.density.g.cov, ref.cov, atol=1e-12)
@@ -147,16 +140,14 @@ def test_first_detection_weight_and_split():
     pmb = PMBDensity(ppp, ())
     y = traj(2, 2.5)
     kernel = build_backward_kernel(pmb, BIRTH, MOTION, [y], gate=1e9, k=1)
-    fd = kernel.bernoullis[0][1].density
+    fd = kernel.first_detected[0].density
     assert isinstance(fd, FirstDetected)
     w_birth = 0.1 * math.exp(log_gaussian_pdf(np.array([2.5]), g1(0.0, 25.0)))
     w_ext = 0.9 * 0.3 * math.exp(log_gaussian_pdf(np.array([2.5]), g1(2.0, 2.0)))
     total = w_birth + w_ext
-    assert math.exp(kernel.bernoullis[0][1].log_weight) == pytest.approx(total, rel=1e-9)
+    assert math.exp(kernel.first_detected[0].log_weight) == pytest.approx(total, rel=1e-9)
     assert fd.w_keep == pytest.approx(w_birth / total, rel=1e-9)
     assert fd.w_keep + fd.w_extend == pytest.approx(1.0, abs=1e-12)
-    never = kernel.bernoullis[0][0]
-    assert never.log_weight == 0.0 and never.existence == 0.0
 
 
 def test_first_detection_underflow_floors_with_warning():
@@ -167,23 +158,10 @@ def test_first_detection_underflow_floors_with_warning():
     assert np.isfinite(kernel.cost[0, 0])
 
 
-def test_ppp_dead_scaled():
-    ppp = GaussianMixture(((0.5, g1(0.0, 1.0)),))
-    kernel = build_backward_kernel(PMBDensity(ppp, ()), BIRTH, MOTION, [], gate=1e9, k=1)
-    assert kernel.ppp_dead.total_weight == pytest.approx(0.5 * (1.0 - MOTION.ps))
-
-
 def make_cost_kernel(cost):
     cost = np.asarray(cost, dtype=float)
     return BackwardKernel(
-        k=1,
-        n_tracks=cost.shape[1] - cost.shape[0],
-        m=cost.shape[0],
-        present=(),
-        absent=(),
-        bernoullis=[],
-        ppp_dead=GaussianMixture(),
-        cost=cost,
+        k=1, cost=cost, ended=(), continued={}, first_detected=[], absent=()
     )
 
 
@@ -264,13 +242,6 @@ def test_sample_bernoulli_continued_dirac_uses_mean():
     np.testing.assert_array_equal(out.states[1:], tail.states)
 
 
-def test_sample_bernoulli_unaltered():
-    rng = np.random.default_rng(5)
-    tail = traj(9, 4.0)
-    h = LocalHypothesis(1, 0.0, 1.0, Unaltered(tail))
-    assert sample_bernoulli(h, 6, False, rng) == tail
-
-
 def make_log(posteriors):
     log = FilterLog(k_max=len(posteriors))
     for p in posteriors:
@@ -349,16 +320,6 @@ def test_backward_simulate_trajectories_within_horizon():
     for p in particles:
         for tr in p.trajectories:
             assert 1 <= tr.t and tr.last_time <= 4
-
-
-def desk_like_problem():
-    """configs/desk_scale.json cut to 12 steps, filtered at M=20."""
-    configs = Path(__file__).resolve().parent.parent / "configs"
-    cfg = json.loads((configs / "desk_scale.json").read_text())
-    cfg["K"] = 12
-    cfg["schedule"]["deaths"] = [12, 12, 12]
-    scenario = simulate_scenario(load_scenario_config(cfg))
-    return run_forward(scenario, FilterParams(m_best=20)), scenario.birth, scenario.motion
 
 
 # sha256 of the compact sorted-key particle JSON, recorded with the
@@ -467,22 +428,7 @@ def test_backward_step_preserves_conditioning_set():
     for k in range(k_max - 1, 0, -1):
         kernel = build(pmb, BIRTH, MOTION, current, gate=1e9, k=k)
         assignment, _ = sample_global(kernel, 20, rng)
-        col_to_row = {c: r for r, c in enumerate(assignment.row_to_col)}
-        new_set = list(kernel.absent)
-        for i in range(kernel.n_tracks):
-            hyp = (
-                kernel._continued[(i, col_to_row[i])]
-                if i in col_to_row
-                else kernel.bernoullis[i][0]
-            )
-            sampled = sample_bernoulli(hyp, k, False, rng)
-            if sampled is not None:
-                new_set.append(sampled)
-        for j in range(kernel.m):
-            if assignment.row_to_col[j] == kernel.n_tracks + j:
-                sampled = sample_bernoulli(kernel.bernoullis[kernel.n_tracks + j][1], k, False, rng)
-                if sampled is not None:
-                    new_set.append(sampled)
+        new_set = backward._sample_set(kernel, assignment, k, False, rng)
         restricted = [r for r in (restrict(tr, k) for tr in new_set) if r is not None]
         assert sorted(restricted, key=lambda t: (t.t, t.states[0, 0])) == sorted(
             current, key=lambda t: (t.t, t.states[0, 0])

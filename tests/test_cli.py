@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import trajsmooth
 from trajsmooth.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -148,6 +150,85 @@ def test_malformed_input_file_is_config_error(tmp_path, capsys):
     assert str(bad) in capsys.readouterr().err
 
 
+def test_filter_exact_measurements_and_point_init_ppp(tmp_path):
+    # Q = 0, R = 0 and a zero-covariance initial PPP: every innovation covariance is zero
+    cfg_data = small_config()
+    cfg_data["motion"]["sigma_q"] = 0.0
+    cfg_data["measurement"]["sigma_r"] = 0.0
+    cfg_data["init_ppp"] = {
+        "weights": [0.5], "means": [[0.0] * 4], "covs": [np.zeros((4, 4)).tolist()]
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(cfg_data))
+    scenario = tmp_path / "sc.json"
+    assert main(["simulate", "--config", str(cfg), "--out", str(scenario)]) == 0
+    assert main(["filter", "--scenario", str(scenario), "--out", str(tmp_path / "fl.json")]) == 0
+
+
+def test_smooth_zero_bernoulli_covariances(tmp_path):
+    # Q = 0 and point-mass filtering densities: every predicted covariance is zero
+    cfg_data = small_config()
+    cfg_data["motion"]["sigma_q"] = 0.0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(cfg_data))
+    scenario, filterlog = tmp_path / "sc.json", tmp_path / "fl.json"
+    assert main(["simulate", "--config", str(cfg), "--out", str(scenario)]) == 0
+    assert main(["filter", "--scenario", str(scenario), "--out", str(filterlog)]) == 0
+    data = json.loads(filterlog.read_text())
+    for step in data["steps"]:
+        for b in step["posterior"]["bernoullis"]:
+            b["cov"] = np.zeros((4, 4)).tolist()
+    filterlog.write_text(json.dumps(data))
+    argv = ["smooth", "--scenario", str(scenario), "--filterlog", str(filterlog),
+            "--out", str(tmp_path / "pt.json"), "--particles", "5"]
+    assert main(argv) == 0
+
+
+@pytest.mark.parametrize("role", ["scenario", "filterlog", "best"])
+def test_wrong_structure_is_config_error(workdir, capsys, role):
+    tmp_path, cfg = workdir
+    scenario, filterlog, _, best = run_pipeline(tmp_path, cfg)
+    files = {"scenario": scenario, "filterlog": filterlog, "best": best}
+    files[role].write_text("{}")
+    argv = ["evaluate", "--scenario", str(scenario), "--filterlog", str(filterlog),
+            "--best", str(best), "--out", str(tmp_path / "report.json")]
+    assert main(argv) == 2
+    assert str(files[role]) in capsys.readouterr().err
+
+
+def test_filter_empty_object_scenario_is_config_error(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    assert main(["filter", "--scenario", str(empty), "--out", str(tmp_path / "fl.json")]) == 2
+    assert str(empty) in capsys.readouterr().err
+
+
+def mc_config(tmp_path, **smoother):
+    run_cfg = {
+        "scenario": small_config(k_max=4),
+        "smoother": {"T": 5, "M": 5, **smoother},
+        "mc_runs": 2,
+        "seed": 21,
+    }
+    cfg = tmp_path / "mc.json"
+    cfg.write_text(json.dumps(run_cfg))
+    return cfg
+
+
+def test_mc_non_integer_workers_is_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("TRAJSMOOTH_WORKERS", "two")
+    cfg = mc_config(tmp_path)
+    assert main(["mc", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "TRAJSMOOTH_WORKERS" in capsys.readouterr().err
+
+
+def test_mc_non_numeric_value_is_config_error(tmp_path, capsys):
+    cfg = mc_config(tmp_path, T="many")
+    assert main(["mc", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert str(cfg) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_scenario2_runs_end_to_end(tmp_path):
     scenario = tmp_path / "sc2.json"
     filterlog = tmp_path / "fl2.json"
@@ -280,10 +361,14 @@ def test_mc_reproducible_report(tmp_path):
 
 
 def test_console_entry_point():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(trajsmooth.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "trajsmooth.cli", "--help"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout and "mc" in proc.stdout

@@ -1,7 +1,10 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
+from helpers import desk_like_problem
 from scipy.stats import chi2
 
 from trajsmooth.errors import ContractError
@@ -311,3 +314,14 @@ def test_update_marginals_match_exhaustive_enumeration():
     ]
     for j in range(2):
         assert out.bernoullis[2 + j].r == pytest.approx(p_new[j] * r_new[j], rel=1e-9)
+
+
+# sha256 of the compact sorted-key filter-log JSON, recorded before the
+# measurement update moved onto the batched inversion helpers
+PINNED_FILTERLOG = "47095bf72dbb1ba5bd303c8628497cf698bb00de94f311d4d905615e9269b006"
+
+
+def test_run_forward_pinned_bytes():
+    log, _, _ = desk_like_problem()
+    blob = json.dumps(filterlog_to_jsonable(log), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_FILTERLOG

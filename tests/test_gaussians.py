@@ -6,6 +6,7 @@ import pytest
 from trajsmooth.errors import ContractError, SingularMatrixError
 from trajsmooth.gaussians import (
     GaussianDensity,
+    _jittered,
     GaussianMixture,
     LinearMotionModel,
     log_gaussian_pdf,
@@ -213,6 +214,23 @@ def test_jitter_rescues_zero_predicted_cov():
     m = LinearMotionModel([[1.0]], [[0.0]], ps=1.0)
     out = smooth_head(prior, m, np.array([1.0]))
     assert out.mean == pytest.approx([1.0])
+
+
+def test_jittered_stack_touches_only_bad_members():
+    rng = np.random.default_rng(8)
+    good = [random_spd(rng, 3) for _ in range(2)]
+    stack = np.stack([good[0], np.zeros((3, 3)), good[1]])
+    out = _jittered(stack)
+    assert out[0].tobytes() == good[0].tobytes()
+    assert out[2].tobytes() == good[1].tobytes()
+    np.testing.assert_array_equal(out[1], 1e-9 * np.eye(3))
+    assert _jittered(np.stack(good)).tobytes() == np.stack(good).tobytes()
+
+
+def test_jittered_stack_rejects_member_jitter_cannot_fix():
+    stack = np.stack([np.eye(2), np.diag([1e20, 1e-20])])
+    with pytest.raises(SingularMatrixError):
+        _jittered(stack)
 
 
 def test_mixture_validation_and_helpers():
