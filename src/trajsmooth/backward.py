@@ -35,7 +35,7 @@ import numpy as np
 from scipy.stats import chi2
 
 from .assignment import Assignment, _ranked
-from .errors import ContractError
+from .errors import ContractError, SettingError, check_int, check_real
 from .forward import FilterLog, PMBDensity
 from .gaussians import (
     GaussianDensity,
@@ -49,7 +49,7 @@ from .gaussians import (
     symmetrize,
 )
 from .models import BirthModel
-from .trajectory import Trajectory
+from .trajectory import Trajectory, trajectory_from_jsonable, trajectory_to_jsonable
 
 _LOG_TINY = math.log(np.finfo(float).tiny)
 
@@ -81,7 +81,6 @@ class FirstDetected:
 
 @dataclass(frozen=True, slots=True)
 class LocalHypothesis:
-    assoc: int | None  # conditioning-trajectory index, None for ended
     log_weight: float
     existence: float
     density: EndedAtK | ContinuedSmoothed | FirstDetected
@@ -123,13 +122,23 @@ class Particle:
 
 @dataclass(frozen=True)
 class SmootherParams:
-    num_particles: int = 1000
-    m_best: int = 100
-    gate_prob: float = 0.9999
-    gate_gamma: float | None = None  # explicit squared-distance gate, overrides gate_prob
-    w_hyp_min: float = 1e-4
-    dirac_mode: bool = False
+    """Backward-simulation settings; the CLI flags and `mc` keys take their defaults from here."""
+
+    num_particles: int = 1000  # T, the number of sampled trajectory sets
+    m_best: int = 100  # M, ranked global hypotheses per kernel
+    gate_prob: float = 0.9999  # gate mass of the state chi-square; 1.0 = no gate
+    w_hyp_min: float = 1e-4  # global hypotheses with smaller probability are dropped
+    dirac_mode: bool = False  # heads are smoothed means instead of draws
     seed: int = 0
+
+    def __post_init__(self):
+        check_int("num_particles", self.num_particles, 1)
+        check_int("m_best", self.m_best, 1)
+        check_real("gate_prob", self.gate_prob, "(0, 1]")
+        check_real("w_hyp_min", self.w_hyp_min, "[0, 1)")
+        if not isinstance(self.dirac_mode, bool):
+            raise SettingError(f"dirac_mode must be true or false, got {self.dirac_mode!r}")
+        check_int("seed", self.seed, 0)
 
 
 def split_y(trajectories, k: int) -> tuple[list[Trajectory], list[Trajectory]]:
@@ -177,7 +186,7 @@ class _KernelCache:
             log_w_end = math.log(w_end) if w_end > 0.0 else _LOG_TINY
             exist_end = comp.r * (1.0 - ps) / w_end if w_end > 0.0 else 0.0
             self.log_w_end[i] = log_w_end
-            ended.append(LocalHypothesis(None, log_w_end, exist_end, EndedAtK(comp.density)))
+            ended.append(LocalHypothesis(log_w_end, exist_end, EndedAtK(comp.density)))
         self.ended = tuple(ended)
 
         # tracks that can continue into a conditioning trajectory
@@ -238,7 +247,7 @@ def build_backward_kernel(
             log_w = float(log_const[a] - 0.5 * mahas[a, j])
             smoothed = _gaussian_nocheck(means[a] + gains[a] @ diffs[a, j], cov_smooth[a])
             continued[(i, j)] = LocalHypothesis(
-                j, log_w, 1.0, ContinuedSmoothed(smoothed, present[j])
+                log_w, 1.0, ContinuedSmoothed(smoothed, present[j])
             )
             cost[j, i] = -(log_w - cache.log_w_end[i])
 
@@ -315,7 +324,7 @@ def _first_detected_all(present, heads, cache: _KernelCache, gate: float):
             w_keep = 1.0
         out.append(
             LocalHypothesis(
-                j, float(log_w), 1.0, FirstDetected(w_keep, 1.0 - w_keep, mixture, tr)
+                float(log_w), 1.0, FirstDetected(w_keep, 1.0 - w_keep, mixture, tr)
             )
         )
     return out
@@ -407,14 +416,7 @@ def backward_simulate(
     """
     if log.k_max < 1:
         raise ContractError("backward simulation needs at least one filtered step")
-    if params.num_particles < 1 or params.m_best < 1:
-        raise ContractError("num_particles and m_best must be >= 1")
-    n_x = m.dim
-    gate = (
-        float(params.gate_gamma)
-        if params.gate_gamma is not None
-        else float(chi2.ppf(params.gate_prob, df=n_x))
-    )
+    gate = float(chi2.ppf(params.gate_prob, df=m.dim))
     streams = [
         np.random.default_rng(s)
         for s in np.random.SeedSequence(params.seed).spawn(params.num_particles)
@@ -493,9 +495,7 @@ def particles_to_jsonable(particles: list[Particle]) -> dict:
         "particles": [
             {
                 "c": p.log_weight_acc,
-                "trajectories": [
-                    {"t": tr.t, "states": tr.states.tolist()} for tr in p.trajectories
-                ],
+                "trajectories": [trajectory_to_jsonable(tr) for tr in p.trajectories],
             }
             for p in particles
         ]
@@ -505,11 +505,7 @@ def particles_to_jsonable(particles: list[Particle]) -> dict:
 def particles_from_jsonable(data: dict) -> list[Particle]:
     return [
         Particle(
-            tuple(
-                Trajectory(tr["t"], np.asarray(tr["states"], float))
-                for tr in p["trajectories"]
-            ),
-            float(p["c"]),
+            tuple(trajectory_from_jsonable(tr) for tr in p["trajectories"]), float(p["c"])
         )
         for p in data["particles"]
     ]

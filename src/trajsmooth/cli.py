@@ -12,12 +12,14 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import json
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -30,14 +32,14 @@ from .backward import (
     particles_from_jsonable,
     particles_to_jsonable,
 )
-from .errors import ConfigError, ContractError, SingularMatrixError, SizeCapError
+from .errors import ConfigError, ContractError, SettingError, SingularMatrixError, SizeCapError
 from .forward import (
     FilterParams,
     filterlog_from_jsonable,
     filterlog_to_jsonable,
     run_forward,
 )
-from .metrics import gospa_over_time, particle_stats
+from .metrics import check_gospa_settings, gospa_over_time, particle_stats
 from .oracle import exact_smooth, posterior_to_jsonable
 from .simulate import (
     Scenario,
@@ -69,7 +71,7 @@ def _decode(path: Path, decode):
     data = _read_json(path)
     try:
         return decode(data)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (ConfigError, KeyError, TypeError, ValueError, IndexError) as exc:
         raise ConfigError(f"{path} does not have the expected structure: {exc!r}") from exc
 
 
@@ -89,25 +91,63 @@ def _position_mask(scenario: Scenario):
     return mask
 
 
-def _filter_params(args) -> FilterParams:
-    return FilterParams(
-        m_best=args.filter_m_best,
-        gate_prob=args.gate_prob,
-        prune_r=args.prune_r,
-        prune_w=args.prune_w,
-    )
+# Every filter, smoother and metric setting, once: (field, CLI flag, `mc` config key).
+# Its type, default and range live with the owner: the FilterParams and SmootherParams
+# dataclasses, and gospa_over_time's signature with check_gospa_settings. The flags of
+# `filter`, `smooth` and `evaluate` and the sections of an `mc` config are read from here.
+_SCHEMA = {
+    "filter": (FilterParams, (
+        ("m_best", "--filter-m-best", "M_forward"),
+        ("gate_prob", "--gate-prob", "gate_prob"),
+        ("prune_r", "--prune-r", "prune_r"),
+        ("prune_w", "--prune-w", "prune_w"),
+    )),
+    "smoother": (SmootherParams, (
+        ("num_particles", "--particles", "T"),
+        ("m_best", "--smoother-m-best", "M"),
+        ("gate_prob", "--gate-prob", "gate_prob"),
+        ("w_hyp_min", "--w-hyp-min", "w_hyp_min"),
+        ("dirac_mode", "--dirac-mode", "dirac_mode"),
+    )),
+    "metric": (gospa_over_time, (
+        ("c", "--c", "c"),
+        ("p", "--p", "p"),
+        ("pos_idx", "--pos-idx", "pos_idx"),
+    )),
+}
 
 
-def _smoother_params(args, seed) -> SmootherParams:
-    return SmootherParams(
-        num_particles=args.particles,
-        m_best=args.smoother_m_best,
-        gate_prob=args.gate_prob,
-        gate_gamma=args.gate_gamma,
-        w_hyp_min=args.w_hyp_min,
-        dirac_mode=args.dirac_mode,
-        seed=seed,
-    )
+def _defaults(section: str) -> dict:
+    owner, rows = _SCHEMA[section]
+    params = inspect.signature(owner).parameters
+    return {name: params[name].default for name, _, _ in rows}
+
+
+def _add_flags(parser: argparse.ArgumentParser, section: str) -> None:
+    defaults = _defaults(section)
+    for name, flag, _ in _SCHEMA[section][1]:
+        default = defaults[name]
+        if isinstance(default, bool):
+            kwargs = {"action": "store_true"}
+        elif default is None:  # pos_idx: a list of state indices
+            kwargs = {"type": int, "nargs": "*"}
+        else:
+            kwargs = {"type": type(default)}
+        parser.add_argument(flag, dest=name, default=default, help=name, **kwargs)
+
+
+def _from_args(args, section: str) -> dict:
+    return {name: getattr(args, name) for name, _, _ in _SCHEMA[section][1]}
+
+
+def _from_config(cfg: dict, section: str, path) -> dict:
+    """One section of an `mc` config; an absent key takes the owner's default."""
+    given = cfg.get(section, {})
+    names = {key: name for name, _, key in _SCHEMA[section][1]}
+    for key in given:
+        if key not in names:
+            raise ConfigError(f"{path}: unknown key {section}.{key}")
+    return {**_defaults(section), **{names[key]: value for key, value in given.items()}}
 
 
 def cmd_simulate(args) -> int:
@@ -118,31 +158,23 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_filter(args) -> int:
+    params = FilterParams(**_from_args(args, "filter"))
     scenario = _decode(args.scenario, scenario_from_jsonable)
-    log = run_forward(scenario, _filter_params(args))
+    log = run_forward(scenario, params)
     _write_json(Path(args.out), filterlog_to_jsonable(log))
     return 0
 
 
 def cmd_smooth(args) -> int:
     scenario = _decode(args.scenario, scenario_from_jsonable)
-    log = _decode(args.filterlog, filterlog_from_jsonable)
     seed = args.seed if args.seed is not None else scenario.seed
-    particles = backward_simulate(
-        log, scenario.birth, scenario.motion, _smoother_params(args, seed)
-    )
+    params = SmootherParams(**_from_args(args, "smoother"), seed=seed)
+    log = _decode(args.filterlog, filterlog_from_jsonable)
+    particles = backward_simulate(log, scenario.birth, scenario.motion, params)
     _write_json(Path(args.out), particles_to_jsonable(particles))
     if args.best_out:
-        best = best_particle(particles)
-        _write_json(
-            Path(args.best_out),
-            {
-                "c": best.log_weight_acc,
-                "trajectories": [
-                    {"t": tr.t, "states": tr.states.tolist()} for tr in best.trajectories
-                ],
-            },
-        )
+        best = particles_to_jsonable([best_particle(particles)])["particles"][0]
+        _write_json(Path(args.best_out), best)
     if args.diagnostics:
         # expected cardinality of dead-but-never-detected objects per step
         dead = [
@@ -163,7 +195,9 @@ def cmd_oracle(args) -> int:
 
 def cmd_evaluate(args) -> int:
     scenario = _decode(args.scenario, scenario_from_jsonable)
-    pos_idx = args.pos_idx if args.pos_idx else _position_mask(scenario)
+    metric = _from_args(args, "metric")
+    check_gospa_settings(**metric, dim=scenario.motion.dim)
+    metric["pos_idx"] = metric["pos_idx"] or _position_mask(scenario)
     sources = {}
     if args.filterlog:
         sources["filter"] = _decode(args.filterlog, filterlog_from_jsonable).estimates
@@ -174,10 +208,10 @@ def cmd_evaluate(args) -> int:
         ]
     if not sources:
         raise ConfigError("evaluate needs --filterlog and/or --best")
-    report = {"c": args.c, "p": args.p, "sources": {}}
+    report = {"c": metric["c"], "p": metric["p"], "sources": {}}
     rows = []
     for name, estimates in sources.items():
-        results, summary = gospa_over_time(estimates, scenario.truth, args.c, args.p, pos_idx)
+        results, summary = gospa_over_time(estimates, scenario.truth, **metric)
         report["sources"][name] = summary
         for k, res in enumerate(results, start=1):
             rows.append((k, name, res.total, res.localisation, res.missed, res.false_det))
@@ -200,9 +234,7 @@ class _RunConfig(NamedTuple):
     scenario: ScenarioConfig
     filter: FilterParams
     smoother: SmootherParams
-    c: float
-    p: float
-    pos_idx: list | None
+    metric: dict  # keyword arguments of gospa_over_time
 
 
 def _load_run_config(path) -> _RunConfig:
@@ -219,33 +251,18 @@ def _load_run_config(path) -> _RunConfig:
         scenario_cfg = _read_json(base if base.exists() else scenario_cfg)
     try:
         seed = int(cfg["seed"])
-        fp = cfg.get("filter", {})
-        sp = cfg.get("smoother", {})
-        mp = cfg.get("metric", {})
-        gate_gamma = sp.get("gate_gamma")
+        scenario = load_scenario_config({**scenario_cfg, "seed": seed})
+        metric = _from_config(cfg, "metric", path)
+        check_gospa_settings(**metric, dim=scenario.motion.dim)
         run = _RunConfig(
             runs=int(cfg["mc_runs"]),
             seed=seed,
-            scenario=load_scenario_config({**scenario_cfg, "seed": seed}),
-            filter=FilterParams(
-                m_best=int(fp.get("M_forward", 20)),
-                gate_prob=float(fp.get("gate_prob", 0.9999)),
-                prune_r=float(fp.get("prune_r", 1e-4)),
-                prune_w=float(fp.get("prune_w", 1e-4)),
-            ),
-            smoother=SmootherParams(
-                num_particles=int(sp.get("T", 200)),
-                m_best=int(sp.get("M", 20)),
-                gate_prob=float(sp.get("gate_prob", 0.9999)),
-                gate_gamma=None if gate_gamma is None else float(gate_gamma),
-                w_hyp_min=float(sp.get("w_hyp_min", 1e-4)),
-                dirac_mode=bool(sp.get("dirac_mode", False)),
-            ),
-            c=float(mp.get("c", 20.0)),
-            p=float(mp.get("p", 1.0)),
-            pos_idx=mp.get("pos_idx"),
+            scenario=scenario,
+            filter=FilterParams(**_from_config(cfg, "filter", path)),
+            smoother=SmootherParams(**_from_config(cfg, "smoother", path)),
+            metric=metric,
         )
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, SettingError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: bad value in run config: {exc}") from exc
     if run.runs < 1:
         raise ConfigError("mc_runs must be >= 1")
@@ -260,12 +277,12 @@ def _mc_single(payload) -> dict:
         log, scenario.birth, scenario.motion, replace(run.smoother, seed=seed)
     )
     best = best_particle(particles)
-    pos_idx = run.pos_idx or _position_mask(scenario)
-    _, filt = gospa_over_time(log.estimates, scenario.truth, run.c, run.p, pos_idx)
+    metric = {**run.metric, "pos_idx": run.metric["pos_idx"] or _position_mask(scenario)}
+    _, filt = gospa_over_time(log.estimates, scenario.truth, **metric)
     smoothed_estimates = [
         states_at_time(best.trajectories, k) for k in range(1, scenario.k_max + 1)
     ]
-    _, smoo = gospa_over_time(smoothed_estimates, scenario.truth, run.c, run.p, pos_idx)
+    _, smoo = gospa_over_time(smoothed_estimates, scenario.truth, **metric)
     stats = particle_stats(particles, scenario.k_max)
     return {
         "run": run_index,
@@ -318,55 +335,46 @@ def cmd_mc(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="trajsmooth")
     sub = parser.add_subparsers(dest="command", required=True)
+    add = partial(sub.add_parser, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
 
-    sim = sub.add_parser("simulate", help="draw a scenario from a config")
+    sim = add("simulate", help="draw a scenario from a config")
     sim.add_argument("--config", required=True)
     sim.add_argument("--out", required=True)
     sim.set_defaults(func=cmd_simulate)
 
-    filt = sub.add_parser("filter", help="run the forward filter on a scenario file")
+    filt = add("filter", help="run the forward filter on a scenario file")
     filt.add_argument("--scenario", required=True)
     filt.add_argument("--out", required=True)
-    filt.add_argument("--filter-m-best", type=int, default=100)
-    filt.add_argument("--gate-prob", type=float, default=0.9999)
-    filt.add_argument("--prune-r", type=float, default=1e-4)
-    filt.add_argument("--prune-w", type=float, default=1e-4)
+    _add_flags(filt, "filter")
     filt.set_defaults(func=cmd_filter)
 
-    smo = sub.add_parser("smooth", help="backward-simulate trajectory particles")
+    smo = add("smooth", help="backward-simulate trajectory particles")
     smo.add_argument("--scenario", required=True)
     smo.add_argument("--filterlog", required=True)
     smo.add_argument("--out", required=True)
     smo.add_argument("--best-out", default=None)
     smo.add_argument("--diagnostics", default=None)
-    smo.add_argument("--particles", type=int, default=1000)
-    smo.add_argument("--smoother-m-best", type=int, default=100)
-    smo.add_argument("--gate-prob", type=float, default=0.9999)
-    smo.add_argument("--gate-gamma", type=float, default=None)
-    smo.add_argument("--w-hyp-min", type=float, default=1e-4)
-    smo.add_argument("--dirac-mode", action="store_true")
+    _add_flags(smo, "smoother")
     smo.add_argument("--seed", type=int, default=None)
     smo.set_defaults(func=cmd_smooth)
 
-    orc = sub.add_parser("oracle", help="exact enumeration smoother (desk scale)")
+    orc = add("oracle", help="exact enumeration smoother (desk scale)")
     orc.add_argument("--scenario", required=True)
     orc.add_argument("--filterlog", required=True)
     orc.add_argument("--out", required=True)
     orc.add_argument("--prune", type=float, default=1e-6)
     orc.set_defaults(func=cmd_oracle)
 
-    ev = sub.add_parser("evaluate", help="GOSPA report for filter/smoothed estimates")
+    ev = add("evaluate", help="GOSPA report for filter/smoothed estimates")
     ev.add_argument("--scenario", required=True)
     ev.add_argument("--filterlog", default=None)
     ev.add_argument("--best", default=None, help="best-particle file from smooth")
     ev.add_argument("--out", required=True)
     ev.add_argument("--csv", default=None)
-    ev.add_argument("--c", type=float, default=20.0)
-    ev.add_argument("--p", type=float, default=1.0)
-    ev.add_argument("--pos-idx", type=int, nargs="*", default=None)
+    _add_flags(ev, "metric")
     ev.set_defaults(func=cmd_evaluate)
 
-    mc = sub.add_parser("mc", help="Monte Carlo pipeline: simulate/filter/smooth/evaluate")
+    mc = add("mc", help="Monte Carlo pipeline: simulate/filter/smooth/evaluate")
     mc.add_argument("--config", required=True)
     mc.add_argument("--out", required=True)
     mc.set_defaults(func=cmd_mc)

@@ -17,7 +17,7 @@ from scipy.special import logsumexp
 from scipy.stats import chi2
 
 from .assignment import murty
-from .errors import ContractError
+from .errors import ContractError, check_int, check_real
 from .gaussians import (
     GaussianDensity,
     GaussianMixture,
@@ -28,7 +28,10 @@ from .gaussians import (
     symmetrize,
 )
 from .models import BirthModel, ClutterModel, MeasurementModel
-from .simulate import Scenario
+from .simulate import Scenario, _mixture_from_jsonable, _mixture_to_jsonable
+
+# a Bernoulli with existence probability at least this is reported as an estimate
+ESTIMATE_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -67,11 +70,18 @@ class FilterLog:
 
 @dataclass(frozen=True)
 class FilterParams:
-    m_best: int = 100
-    gate_prob: float = 0.9999
-    prune_r: float = 1e-4
-    prune_w: float = 1e-4
-    estimate_threshold: float = 0.5
+    """Forward-filter settings; the CLI flags and `mc` keys take their defaults from here."""
+
+    m_best: int = 100  # global hypotheses kept per update (Murty)
+    gate_prob: float = 0.9999  # gate mass of the innovation chi-square; 1.0 = no gate
+    prune_r: float = 1e-4  # Bernoullis with smaller existence probability are dropped
+    prune_w: float = 1e-4  # undetected-intensity components with smaller weight are dropped
+
+    def __post_init__(self):
+        check_int("m_best", self.m_best, 1)
+        check_real("gate_prob", self.gate_prob, "(0, 1]")
+        check_real("prune_r", self.prune_r, "[0, 1)")
+        check_real("prune_w", self.prune_w, "[0, 1)")
 
 
 def predict_pmb(pmb: PMBDensity, m: LinearMotionModel, b: BirthModel) -> PMBDensity:
@@ -233,19 +243,19 @@ def run_forward(scenario: Scenario, params: FilterParams = FilterParams()) -> Fi
         )
         pmb = prune_pmb(pmb, params.prune_r, params.prune_w)
         log.posteriors.append(pmb)
-        log.estimates.append(
-            [c.density.mean for c in pmb.bernoullis if c.r >= params.estimate_threshold]
-        )
+        log.estimates.append(extract_estimates(pmb))
     return log
+
+
+def extract_estimates(pmb: PMBDensity, threshold: float = ESTIMATE_THRESHOLD) -> list[np.ndarray]:
+    """Means of Bernoulli components with existence probability >= threshold."""
+    check_real("threshold", threshold, "[0, 1]")
+    return [c.density.mean for c in pmb.bernoullis if c.r >= threshold]
 
 
 def pmb_to_jsonable(pmb: PMBDensity) -> dict:
     return {
-        "ppp": {
-            "weights": [w for w, _ in pmb.ppp],
-            "means": [g.mean.tolist() for _, g in pmb.ppp],
-            "covs": [g.cov.tolist() for _, g in pmb.ppp],
-        },
+        "ppp": _mixture_to_jsonable(pmb.ppp),
         "bernoullis": [
             {"r": c.r, "mean": c.density.mean.tolist(), "cov": c.density.cov.tolist()}
             for c in pmb.bernoullis
@@ -254,14 +264,7 @@ def pmb_to_jsonable(pmb: PMBDensity) -> dict:
 
 
 def pmb_from_jsonable(data: dict) -> PMBDensity:
-    ppp = GaussianMixture(
-        tuple(
-            (float(w), GaussianDensity(np.asarray(m, float), np.asarray(c, float)))
-            for w, m, c in zip(
-                data["ppp"]["weights"], data["ppp"]["means"], data["ppp"]["covs"]
-            )
-        )
-    )
+    ppp = _mixture_from_jsonable(data["ppp"], "ppp")
     bernoullis = tuple(
         BernoulliComponent(
             float(b["r"]),
@@ -278,11 +281,7 @@ def filterlog_to_jsonable(log: FilterLog) -> dict:
         "steps": [
             {
                 "posterior": pmb_to_jsonable(post),
-                "predicted_ppp": {
-                    "weights": [w for w, _ in pred],
-                    "means": [g.mean.tolist() for _, g in pred],
-                    "covs": [g.cov.tolist() for _, g in pred],
-                },
+                "predicted_ppp": _mixture_to_jsonable(pred),
                 "estimates": [e.tolist() for e in est],
             }
             for post, pred, est in zip(log.posteriors, log.predicted_ppps, log.estimates)
@@ -294,14 +293,6 @@ def filterlog_from_jsonable(data: dict) -> FilterLog:
     log = FilterLog(k_max=int(data["k_max"]))
     for step in data["steps"]:
         log.posteriors.append(pmb_from_jsonable(step["posterior"]))
-        pp = step["predicted_ppp"]
-        log.predicted_ppps.append(
-            GaussianMixture(
-                tuple(
-                    (float(w), GaussianDensity(np.asarray(m, float), np.asarray(c, float)))
-                    for w, m, c in zip(pp["weights"], pp["means"], pp["covs"])
-                )
-            )
-        )
+        log.predicted_ppps.append(_mixture_from_jsonable(step["predicted_ppp"], "predicted_ppp"))
         log.estimates.append([np.asarray(e, float) for e in step["estimates"]])
     return log

@@ -1,4 +1,4 @@
-"""GOSPA metric (alpha=2) with decomposition, estimate extraction, particle stats."""
+"""GOSPA metric (alpha=2) with decomposition, and particle statistics."""
 
 from __future__ import annotations
 
@@ -8,8 +8,7 @@ import numpy as np
 
 from .assignment import solve_lap
 from .backward import Particle
-from .errors import ContractError
-from .forward import PMBDensity
+from .errors import ContractError, SettingError, check_real
 from .simulate import GroundTruth
 from .trajectory import states_at_time
 
@@ -46,21 +45,26 @@ def _base_dist(a: np.ndarray, b: np.ndarray, pos_idx) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def gospa(
-    truth_states,
-    estimated_states,
-    c: float = 20.0,
-    p: float = 1.0,
-    pos_idx=None,
-) -> GospaResult:
+def check_gospa_settings(c: float, p: float, pos_idx=None, dim: int | None = None) -> None:
+    """SettingError unless c > 0, p >= 1 and pos_idx is None or a list of indices < dim."""
+    check_real("c", c, "(0, inf)")
+    check_real("p", p, "[1, inf)")
+    if pos_idx is not None and not (
+        isinstance(pos_idx, list) and all(type(i) is int and 0 <= i < dim for i in pos_idx)
+    ):
+        raise SettingError(
+            f"pos_idx must be a list of state indices in [0, {dim}), got {pos_idx!r}"
+        )
+
+
+def gospa(truth_states, estimated_states, c: float, p: float, pos_idx=None) -> GospaResult:
     """GOSPA (alpha=2) between two finite state sets.
 
     Unmatched truth elements count c^p/2 toward `missed`, unmatched estimates
     c^p/2 toward `false_det`; pairs further apart than c are cut. `pos_idx`
     selects the components the base Euclidean distance sees.
     """
-    if c <= 0.0 or p < 1.0:
-        raise ContractError("gospa requires c > 0 and p >= 1")
+    check_gospa_settings(c, p)
     xs = [np.asarray(x, float) for x in truth_states]
     ys = [np.asarray(y, float) for y in estimated_states]
     cp = c**p
@@ -92,13 +96,6 @@ def gospa(
         c=float(c),
         p=float(p),
     )
-
-
-def extract_estimates(pmb: PMBDensity, threshold: float = 0.5) -> list[np.ndarray]:
-    """Means of Bernoulli components with existence probability >= threshold."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ContractError("threshold must lie in [0, 1]")
-    return [c.density.mean for c in pmb.bernoullis if c.r >= threshold]
 
 
 def gospa_over_time(
@@ -153,12 +150,7 @@ def particle_stats(particles: list[Particle], k_max: int) -> ParticleStats:
     return ParticleStats(card_dist, birth_dist, death_dist)
 
 
-def track_switch_count(
-    trajectories,
-    truth: GroundTruth,
-    c: float = 20.0,
-    pos_idx=None,
-) -> int:
+def track_switch_count(trajectories, truth: GroundTruth, c: float, pos_idx=None) -> int:
     """Rough diagnostic: count per-step changes of the truth-to-estimate matching.
 
     Not a trajectory metric; per-step optimal matching under distance cap c,

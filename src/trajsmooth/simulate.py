@@ -6,16 +6,14 @@ downstream code must not depend on the order of elements within a scan.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, ContractError
 from .gaussians import GaussianDensity, GaussianMixture, LinearMotionModel, make_cv_model
 from .models import BirthModel, ClutterModel, MeasurementModel, make_position_measurement
-from .trajectory import Trajectory
+from .trajectory import Trajectory, trajectory_from_jsonable, trajectory_to_jsonable
 
 
 @dataclass(frozen=True)
@@ -72,10 +70,11 @@ def _field(cfg: dict, path: str, key: str, expected=None):
     return value
 
 
-def _mixture(cfg: dict, path: str) -> GaussianMixture:
-    weights = _field(cfg, path, "weights", list)
-    means = _field(cfg, path, "means", list)
-    covs = _field(cfg, path, "covs", list)
+def _mixture_from_jsonable(data: dict, path: str) -> GaussianMixture:
+    """The mixture `{"weights", "means", "covs"}` of a config or an artifact."""
+    weights = _field(data, path, "weights", list)
+    means = _field(data, path, "means", list)
+    covs = _field(data, path, "covs", list)
     if not len(weights) == len(means) == len(covs):
         raise ConfigError(f"{path}: weights/means/covs lengths differ")
     comps = []
@@ -84,14 +83,8 @@ def _mixture(cfg: dict, path: str) -> GaussianMixture:
     return GaussianMixture(tuple(comps))
 
 
-def load_scenario_config(source) -> ScenarioConfig:
-    """Parse a scenario config from a dict, JSON string, or file path."""
-    if isinstance(source, (str, Path)) and Path(source).exists():
-        cfg = json.loads(Path(source).read_text())
-    elif isinstance(source, str):
-        cfg = json.loads(source)
-    else:
-        cfg = source
+def load_scenario_config(cfg: dict) -> ScenarioConfig:
+    """Parse a scenario config from its decoded JSON object."""
     if not isinstance(cfg, dict):
         raise ConfigError("scenario config must be a JSON object")
 
@@ -141,10 +134,10 @@ def load_scenario_config(source) -> ScenarioConfig:
         raise ConfigError("clutter.region dimension must match the measurement dimension")
 
     bi = _field(cfg, "", "birth", dict)
-    birth = BirthModel(_mixture(bi, "birth"), float(bi.get("uniform_density", 0.0)))
-    init_ppp = (
-        _mixture(cfg["init_ppp"], "init_ppp") if "init_ppp" in cfg else birth.intensity
-    )
+    birth = BirthModel(_mixture_from_jsonable(bi, "birth"), float(bi.get("uniform_density", 0.0)))
+    init_ppp = birth.intensity
+    if "init_ppp" in cfg:
+        init_ppp = _mixture_from_jsonable(cfg["init_ppp"], "init_ppp")
 
     sc = _field(cfg, "", "schedule", dict)
     births = tuple(int(b) for b in _field(sc, "schedule", "births", list))
@@ -252,15 +245,6 @@ def _mixture_to_jsonable(mix: GaussianMixture) -> dict:
     }
 
 
-def _mixture_from_jsonable(data: dict) -> GaussianMixture:
-    return GaussianMixture(
-        tuple(
-            (float(w), GaussianDensity(np.asarray(m, float), np.asarray(c, float)))
-            for w, m, c in zip(data["weights"], data["means"], data["covs"])
-        )
-    )
-
-
 def scenario_to_jsonable(sc: Scenario) -> dict:
     return {
         "k_max": sc.k_max,
@@ -280,9 +264,7 @@ def scenario_to_jsonable(sc: Scenario) -> dict:
             "init_ppp": _mixture_to_jsonable(sc.init_ppp),
         },
         "truth": {
-            "trajectories": [
-                {"t": tr.t, "states": tr.states.tolist()} for tr in sc.truth.trajectories
-            ]
+            "trajectories": [trajectory_to_jsonable(tr) for tr in sc.truth.trajectories]
         },
         "measurements": [[z.tolist() for z in scan] for scan in sc.measurements],
     }
@@ -291,10 +273,7 @@ def scenario_to_jsonable(sc: Scenario) -> dict:
 def scenario_from_jsonable(data: dict) -> Scenario:
     models = data["models"]
     truth = GroundTruth(
-        tuple(
-            Trajectory(tr["t"], np.asarray(tr["states"], float))
-            for tr in data["truth"]["trajectories"]
-        ),
+        tuple(trajectory_from_jsonable(tr) for tr in data["truth"]["trajectories"]),
         int(data["k_max"]),
     )
     return Scenario(
@@ -314,9 +293,9 @@ def scenario_from_jsonable(data: dict) -> Scenario:
             float(models["clutter"]["rate"]), np.asarray(models["clutter"]["region"], float)
         ),
         birth=BirthModel(
-            _mixture_from_jsonable(models["birth"]),
+            _mixture_from_jsonable(models["birth"], "models.birth"),
             float(models["birth"].get("uniform_density", 0.0)),
         ),
-        init_ppp=_mixture_from_jsonable(models["init_ppp"]),
+        init_ppp=_mixture_from_jsonable(models["init_ppp"], "models.init_ppp"),
         seed=int(data["seed"]),
     )

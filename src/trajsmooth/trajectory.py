@@ -66,3 +66,11 @@ class Trajectory:
 def states_at_time(trajectories, k: int) -> list[np.ndarray]:
     """Set of object states at step k: tau^k of a set of trajectories."""
     return [tr.state_at(k) for tr in trajectories if tr.alive_at(k)]
+
+
+def trajectory_to_jsonable(tr: Trajectory) -> dict:
+    return {"t": tr.t, "states": tr.states.tolist()}
+
+
+def trajectory_from_jsonable(data: dict) -> Trajectory:
+    return Trajectory(data["t"], np.asarray(data["states"], float))

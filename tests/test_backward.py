@@ -202,21 +202,21 @@ def test_sample_global_prunes_small_hypotheses():
 
 def test_sample_bernoulli_ended_certain():
     rng = np.random.default_rng(1)
-    h = LocalHypothesis(None, 0.0, 1.0, EndedAtK(g1(3.0, 0.5)))
+    h = LocalHypothesis(0.0, 1.0, EndedAtK(g1(3.0, 0.5)))
     tr = sample_bernoulli(h, 4, False, rng)
     assert tr.t == 4 and tr.length == 1
 
 
 def test_sample_bernoulli_ended_nonexistent():
     rng = np.random.default_rng(1)
-    h = LocalHypothesis(None, 0.0, 0.0, EndedAtK(g1(3.0, 0.5)))
+    h = LocalHypothesis(0.0, 0.0, EndedAtK(g1(3.0, 0.5)))
     assert all(sample_bernoulli(h, 4, False, rng) is None for _ in range(100))
 
 
 def test_sample_bernoulli_first_detected_keep():
     rng = np.random.default_rng(2)
     tail = traj(5, 1.0, 2.0)
-    h = LocalHypothesis(0, 0.0, 1.0, FirstDetected(1.0, 0.0, GaussianMixture(), tail))
+    h = LocalHypothesis(0.0, 1.0, FirstDetected(1.0, 0.0, GaussianMixture(), tail))
     out = sample_bernoulli(h, 4, False, rng)
     assert out == tail and out.t == 5
 
@@ -225,7 +225,7 @@ def test_sample_bernoulli_first_detected_extend_prepends():
     rng = np.random.default_rng(3)
     tail = traj(5, 1.0, 2.0)
     heads = GaussianMixture(((1.0, g1(0.25, 1e-4)),))
-    h = LocalHypothesis(0, 0.0, 1.0, FirstDetected(0.0, 1.0, heads, tail))
+    h = LocalHypothesis(0.0, 1.0, FirstDetected(0.0, 1.0, heads, tail))
     out = sample_bernoulli(h, 4, True, rng)
     assert out.t == 4 and out.length == 3
     np.testing.assert_array_equal(out.states[1:], tail.states)
@@ -236,7 +236,7 @@ def test_sample_bernoulli_continued_dirac_uses_mean():
     rng = np.random.default_rng(4)
     tail = traj(7, 0.0)
     smoothed = g1(1.25, 0.3)
-    h = LocalHypothesis(0, 0.0, 1.0, ContinuedSmoothed(smoothed, tail))
+    h = LocalHypothesis(0.0, 1.0, ContinuedSmoothed(smoothed, tail))
     out = sample_bernoulli(h, 6, True, rng)
     np.testing.assert_allclose(out.states[0], [1.25])
     np.testing.assert_array_equal(out.states[1:], tail.states)
@@ -385,26 +385,6 @@ def test_murty_hypotheses_prefix_monotone_in_m():
     for m_best in (1, 2, 3, len(everything)):
         prefix = murty(kernel.cost, m_best)
         assert [a.row_to_col for a in prefix] == [a.row_to_col for a in everything[:m_best]]
-
-
-def test_gate_gamma_overrides_gate_prob():
-    pmb = PMBDensity(
-        GaussianMixture(((0.2, g1(0.0, 4.0)),)),
-        (BernoulliComponent(0.7, g1(0.0, 0.5)), BernoulliComponent(0.6, g1(3.0, 0.5))),
-    )
-    log = make_log([pmb, pmb, pmb])
-    a = backward_simulate(
-        log, BIRTH, MOTION, SmootherParams(num_particles=10, gate_prob=1.0, seed=5)
-    )
-    b = backward_simulate(
-        log,
-        BIRTH,
-        MOTION,
-        SmootherParams(num_particles=10, gate_prob=0.1, gate_gamma=np.inf, seed=5),
-    )
-    for pa, pb in zip(a, b):
-        assert pa.trajectories == pb.trajectories
-        assert pa.log_weight_acc == pb.log_weight_acc
 
 
 def test_backward_step_preserves_conditioning_set():

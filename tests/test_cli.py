@@ -1,14 +1,19 @@
+import inspect
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import trajsmooth
-from trajsmooth.cli import main
+from trajsmooth.backward import SmootherParams
+from trajsmooth.cli import _SCHEMA, _load_run_config, build_parser, main
+from trajsmooth.forward import FilterParams
+from trajsmooth.metrics import gospa_over_time
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -196,6 +201,19 @@ def test_wrong_structure_is_config_error(workdir, capsys, role):
     assert str(files[role]) in capsys.readouterr().err
 
 
+def test_filterlog_mixture_without_covs_is_config_error(workdir, capsys):
+    tmp_path, cfg = workdir
+    scenario, filterlog, _, _ = run_pipeline(tmp_path, cfg)
+    data = json.loads(filterlog.read_text())
+    del data["steps"][0]["predicted_ppp"]["covs"]
+    filterlog.write_text(json.dumps(data))
+    argv = ["evaluate", "--scenario", str(scenario), "--filterlog", str(filterlog),
+            "--out", str(tmp_path / "report.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(filterlog) in err and "predicted_ppp.covs" in err
+
+
 def test_filter_empty_object_scenario_is_config_error(tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text("{}")
@@ -203,13 +221,14 @@ def test_filter_empty_object_scenario_is_config_error(tmp_path, capsys):
     assert str(empty) in capsys.readouterr().err
 
 
-def mc_config(tmp_path, **smoother):
+def mc_config(tmp_path, section="smoother", **values):
     run_cfg = {
         "scenario": small_config(k_max=4),
-        "smoother": {"T": 5, "M": 5, **smoother},
+        "smoother": {"T": 5, "M": 5},
         "mc_runs": 2,
         "seed": 21,
     }
+    run_cfg.setdefault(section, {}).update(values)
     cfg = tmp_path / "mc.json"
     cfg.write_text(json.dumps(run_cfg))
     return cfg
@@ -227,6 +246,81 @@ def test_mc_non_numeric_value_is_config_error(tmp_path, capsys):
     assert main(["mc", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert str(cfg) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, value, field",
+    [
+        ("smoother", "T", 0, "num_particles"),
+        ("smoother", "T", 2.7, "num_particles"),
+        ("filter", "M_forward", 0, "m_best"),
+        ("filter", "prune_r", 1.5, "prune_r"),
+        ("smoother", "dirac_mode", "false", "dirac_mode"),
+        ("smoother", "gate_gamma", 1.0, "gate_gamma"),
+        ("metric", "pos_idx", [7], "pos_idx"),
+    ],
+)
+def test_mc_bad_setting_exits_2_before_any_run(tmp_path, capsys, section, key, value, field):
+    cfg = mc_config(tmp_path, section, **{key: value})
+    assert main(["mc", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags, field",
+    [
+        ("filter", ["--filter-m-best", "0"], "m_best"),
+        ("filter", ["--prune-r", "1.5"], "prune_r"),
+        ("filter", ["--gate-prob", "1.5"], "gate_prob"),
+        ("smooth", ["--particles", "0"], "num_particles"),
+        ("smooth", ["--gate-prob", "1.5"], "gate_prob"),
+        ("smooth", ["--w-hyp-min", "2"], "w_hyp_min"),
+        ("smooth", ["--seed", "-1"], "seed"),
+        ("evaluate", ["--pos-idx", "9"], "pos_idx"),
+    ],
+)
+def test_cli_bad_setting_exits_2_before_any_work(tmp_path, capsys, command, flags, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(small_config(k_max=4)))
+    scenario, filterlog = tmp_path / "sc.json", tmp_path / "fl.json"
+    assert main(["simulate", "--config", str(cfg), "--out", str(scenario)]) == 0
+    assert main(["filter", "--scenario", str(scenario), "--out", str(filterlog)]) == 0
+    inputs = ["--scenario", str(scenario)] + (
+        [] if command == "filter" else ["--filterlog", str(filterlog)]
+    )
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert main([command, *inputs, "--out", str(out), *flags]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_parameter_schema_one_default_per_field(tmp_path):
+    cfg = tmp_path / "mc.json"
+    cfg.write_text(json.dumps({"scenario": small_config(k_max=4), "mc_runs": 1, "seed": 1}))
+    run = _load_run_config(cfg)
+    owners = {
+        "filter": (FilterParams(), run.filter, ["filter"]),
+        "smoother": (SmootherParams(), run.smoother, ["smooth", "--filterlog", "fl"]),
+    }
+    metric = inspect.signature(gospa_over_time).parameters
+    parser = build_parser()
+    for section, (_, rows) in _SCHEMA.items():
+        names, flags, keys = (list(column) for column in zip(*rows))
+        assert len(set(names)) == len(set(flags)) == len(set(keys)) == len(rows)
+        if section == "metric":
+            assert set(names) == set(metric) - {"estimates_per_step", "truth"}
+            defaults = {name: metric[name].default for name in names}
+            from_mc, argv = run.metric, ["evaluate"]
+        else:
+            default_params, mc_params, argv = owners[section]
+            assert set(names) == {f.name for f in fields(default_params)} - {"seed"}
+            defaults = {name: getattr(default_params, name) for name in names}
+            from_mc = {name: getattr(mc_params, name) for name in names}
+        args = parser.parse_args([*argv, "--scenario", "sc", "--out", "out"])
+        assert {name: getattr(args, name) for name in names} == defaults
+        assert from_mc == defaults
 
 
 def test_scenario2_runs_end_to_end(tmp_path):

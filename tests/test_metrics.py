@@ -3,10 +3,9 @@ import pytest
 
 from trajsmooth.backward import Particle
 from trajsmooth.errors import ContractError
-from trajsmooth.forward import BernoulliComponent, PMBDensity
+from trajsmooth.forward import BernoulliComponent, PMBDensity, extract_estimates
 from trajsmooth.gaussians import GaussianDensity, GaussianMixture
 from trajsmooth.metrics import (
-    extract_estimates,
     gospa,
     gospa_over_time,
     particle_stats,
