@@ -10,6 +10,7 @@ lexicographic row_to_col.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,48 +77,57 @@ def murty(cost: np.ndarray, m_best: int) -> list[Assignment]:
 
 def _ranked(cost: np.ndarray, m_best: int) -> list[Assignment]:
     """murty body for already-validated matrices (internal hot path)."""
-    m = cost.shape[0]
-    if m == 0:
-        return [Assignment((), 0.0)]
+    cols, totals = _ranked_stack(cost[None], m_best)
+    return [Assignment(tuple(c), t) for c, t in zip(cols[0].tolist(), totals[0].tolist())]
 
-    candidate_counts = np.isfinite(cost).sum(axis=1)
-    if candidate_counts.min() == 0:
+
+def _ranked_stack(costs: np.ndarray, m_best: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ranked assignments of each matrix in a (G, m, n) stack sharing one +inf pattern.
+
+    Returns row_to_col as a (G, M, m) array and costs as (G, M), M =
+    min(m_best, #feasible), cheapest first with exact ties broken by
+    lexicographic row_to_col. Small problems are enumerated once for the
+    shared pattern and scored for the whole stack; larger ones run Murty per
+    matrix.
+    """
+    g, m, n = costs.shape
+    finite = np.isfinite(costs[0])
+    candidate_counts = finite.sum(axis=1)
+    if m and candidate_counts.min() == 0:
         raise InfeasibleAssignmentError("a row has no finite-cost column")
     if np.prod(candidate_counts, dtype=float) <= _ENUM_CAP:
-        pairs = _enumerate_all(cost)
-        if not pairs:
+        cols = _feasible_tuples(finite)
+        if not len(cols):
             raise InfeasibleAssignmentError("no feasible assignment")
-        pairs.sort()
-        return [Assignment(cols, total) for total, cols in pairs[:m_best]]
-    out = _murty_queue(cost, m_best)
-    out.sort(key=lambda a: (a.cost, a.row_to_col))
-    return out[:m_best]
+        # row-sequential accumulation, bitwise equal to _entry_cost
+        total = np.zeros((g, len(cols)))
+        for r in range(m):
+            total = total + costs[:, r, cols[:, r]]
+        # cols is in lexicographic order, so a stable sort by total breaks ties by row_to_col
+        order = np.argsort(total, axis=1, kind="stable")[:, :m_best]
+        return cols[order], np.take_along_axis(total, order, axis=1)
+    ranked = []
+    for cost in costs:
+        out = _murty_queue(cost, m_best)
+        out.sort(key=lambda a: (a.cost, a.row_to_col))
+        ranked.append(out[:m_best])
+    # one pattern has one feasible count, so every matrix ranks the same number
+    return (
+        np.array([[a.row_to_col for a in r] for r in ranked], dtype=np.intp).reshape(g, -1, m),
+        np.array([[a.cost for a in r] for r in ranked]).reshape(g, -1),
+    )
 
 
-def _enumerate_all(cost: np.ndarray) -> list[tuple[float, tuple[int, ...]]]:
-    m, n = cost.shape
-    rows = cost.tolist()
-    finite_cols = [
-        [j for j in range(n) if rows[i][j] != np.inf] for i in range(m)
-    ]
-    out: list[tuple[float, tuple[int, ...]]] = []
-    chosen: list[int] = []
+def _feasible_tuples(finite: np.ndarray) -> np.ndarray:
+    """Every row-to-distinct-column tuple avoiding +inf, as a (count, m) array.
 
-    def recurse(row: int, total: float, used: set[int]):
-        if row == m:
-            out.append((total, tuple(chosen)))
-            return
-        entries = rows[row]
-        for c in finite_cols[row]:
-            if c not in used:
-                chosen.append(c)
-                used.add(c)
-                recurse(row + 1, total + entries[c], used)
-                used.discard(c)
-                chosen.pop()
-
-    recurse(0, 0.0, set())
-    return out
+    `finite` is the m x n mask of allowed entries; tuples come in
+    lexicographic order.
+    """
+    m = finite.shape[0]
+    finite_cols = [np.flatnonzero(row).tolist() for row in finite]
+    out = [c for c in itertools.product(*finite_cols) if len(set(c)) == m]
+    return np.array(out, dtype=np.intp).reshape(len(out), m)
 
 
 def _murty_queue(cost: np.ndarray, m_best: int) -> list[Assignment]:

@@ -32,7 +32,14 @@ from .backward import (
     particles_from_jsonable,
     particles_to_jsonable,
 )
-from .errors import ConfigError, ContractError, SettingError, SingularMatrixError, SizeCapError
+from .errors import (
+    ConfigError,
+    ContractError,
+    SettingError,
+    SingularMatrixError,
+    SizeCapError,
+    check_int,
+)
 from .forward import (
     FilterParams,
     filterlog_from_jsonable,
@@ -250,12 +257,14 @@ def _load_run_config(path) -> _RunConfig:
         base = Path(path).parent / scenario_cfg
         scenario_cfg = _read_json(base if base.exists() else scenario_cfg)
     try:
-        seed = int(cfg["seed"])
+        check_int("mc_runs", cfg["mc_runs"], 1)
+        check_int("seed", cfg["seed"], 0)
+        seed = cfg["seed"]
         scenario = load_scenario_config({**scenario_cfg, "seed": seed})
         metric = _from_config(cfg, "metric", path)
         check_gospa_settings(**metric, dim=scenario.motion.dim)
         run = _RunConfig(
-            runs=int(cfg["mc_runs"]),
+            runs=cfg["mc_runs"],
             seed=seed,
             scenario=scenario,
             filter=FilterParams(**_from_config(cfg, "filter", path)),
@@ -264,8 +273,6 @@ def _load_run_config(path) -> _RunConfig:
         )
     except (AttributeError, SettingError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: bad value in run config: {exc}") from exc
-    if run.runs < 1:
-        raise ConfigError("mc_runs must be >= 1")
     return run
 
 
@@ -362,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--scenario", required=True)
     orc.add_argument("--filterlog", required=True)
     orc.add_argument("--out", required=True)
-    orc.add_argument("--prune", type=float, default=1e-6)
+    prune = inspect.signature(exact_smooth).parameters["prune"].default
+    orc.add_argument("--prune", type=float, default=prune)
     orc.set_defaults(func=cmd_oracle)
 
     ev = add("evaluate", help="GOSPA report for filter/smoothed estimates")

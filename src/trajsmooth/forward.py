@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
-from scipy.stats import chi2
+from scipy.special import chdtri, logsumexp
 
 from .assignment import murty
 from .errors import ContractError, check_int, check_real
@@ -227,7 +226,7 @@ def update_pmb(
 
 def run_forward(scenario: Scenario, params: FilterParams = FilterParams()) -> FilterLog:
     """Predict/update/prune over the full scan sequence, logging every posterior."""
-    gate = float(chi2.ppf(params.gate_prob, df=scenario.measurement.dim_z))
+    gate = float(chdtri(scenario.measurement.dim_z, 1.0 - params.gate_prob))  # chi-square quantile
     log = FilterLog(k_max=scenario.k_max)
     pmb = PMBDensity(scenario.init_ppp, ())
     for k in range(1, scenario.k_max + 1):

@@ -6,7 +6,9 @@ covariance the package inverts: a matrix whose condition estimate exceeds 1e12
 gets a single 1e-9 jitter on the diagonal and is rejected if that does not
 help. The filter update and the backward kernel invert stacks through
 `_inv_log_norm`/`_linear_terms`; the reference ops (`smooth_head`, `smd`,
-`log_gaussian_pdf`) solve through a Cholesky factor instead.
+`log_gaussian_pdf`) solve through a Cholesky factor instead. Sampling splits
+into `_sampling_root`, which the backward kernel caches once per step and
+covariance, and `_draw`.
 """
 
 from __future__ import annotations
@@ -48,21 +50,6 @@ class GaussianDensity:
     @property
     def dim(self) -> int:
         return self.mean.size
-
-
-def _gaussian_nocheck(mean: np.ndarray, cov: np.ndarray) -> GaussianDensity:
-    """Intra-package fast constructor; arguments must be validated float arrays."""
-    g = object.__new__(GaussianDensity)
-    object.__setattr__(g, "mean", mean)
-    object.__setattr__(g, "cov", cov)
-    return g
-
-
-def _mixture_nocheck(components: tuple) -> "GaussianMixture":
-    """Intra-package fast constructor; weights must already be nonnegative."""
-    mix = object.__new__(GaussianMixture)
-    object.__setattr__(mix, "components", components)
-    return mix
 
 
 @dataclass(frozen=True)
@@ -244,16 +231,31 @@ def moment_match(weights, densities) -> GaussianDensity:
 
 def sample_gaussian(g: GaussianDensity, rng: np.random.Generator) -> np.ndarray:
     """Draw one sample; tolerates PSD (including exactly singular) covariances."""
-    if g.dim == 1:
-        var = g.cov[0, 0]
-        if var <= 0.0:
-            return g.mean.copy()
-        return np.array([g.mean[0] + math.sqrt(var) * rng.standard_normal()])
-    if not np.any(g.cov):
-        return g.mean.copy()
+    return _draw(g.mean, _sampling_root(g.cov), rng)
+
+
+def _sampling_root(cov: np.ndarray):
+    """The factor `_draw` samples a covariance with.
+
+    None for a point mass, the standard deviation in 1-d, else a matrix root
+    (Cholesky, or eigen-based when not positive definite).
+    """
+    if cov.shape[0] == 1:
+        var = cov[0, 0]
+        return None if var <= 0.0 else math.sqrt(var)
+    if not np.any(cov):
+        return None
     try:
-        root = np.linalg.cholesky(g.cov)
+        return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(symmetrize(g.cov))
-        root = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    return g.mean + root @ rng.standard_normal(g.dim)
+        vals, vecs = np.linalg.eigh(symmetrize(cov))
+        return vecs * np.sqrt(np.clip(vals, 0.0, None))
+
+
+def _draw(mean: np.ndarray, root, rng: np.random.Generator) -> np.ndarray:
+    """One sample of N(mean, cov) given the covariance's `_sampling_root`."""
+    if root is None:
+        return mean.copy()
+    if isinstance(root, float):
+        return np.array([mean[0] + root * rng.standard_normal()])
+    return mean + root @ rng.standard_normal(mean.size)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import SizeCapError
+from .errors import SizeCapError, check_real
 from .forward import FilterLog
 from .gaussians import LinearMotionModel
 from .models import BirthModel
@@ -126,6 +126,7 @@ def exact_smooth(
     cap: int = _DEFAULT_CAP,
 ) -> ExactPosterior:
     """Enumerate the full smoothing mixture over trajectory-set structures."""
+    check_real("prune", prune, "[0, 1)")
     sizes = [len(p.bernoullis) + 1 for p in log.posteriors]
     if np.prod(sizes, dtype=float) > cap:
         raise SizeCapError(

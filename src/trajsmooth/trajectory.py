@@ -48,7 +48,7 @@ class Trajectory:
         """New trajectory born one step earlier with `head` as its first state."""
         tr = object.__new__(Trajectory)
         object.__setattr__(tr, "t", self.t - 1)
-        object.__setattr__(tr, "states", np.vstack([head, self.states]))
+        object.__setattr__(tr, "states", np.concatenate((head[None, :], self.states)))
         return tr
 
     def __eq__(self, other) -> bool:

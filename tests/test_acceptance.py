@@ -133,7 +133,9 @@ def test_criterion_03_kernel_normalization():
             for _ in range(rng.integers(1, 4))
         ]
         kernel = build_backward_kernel(pmb, birth, motion, trajs, gate=1e9, k=k)
-        for hyp in (*kernel.ended, *kernel.continued.values(), *kernel.first_detected):
+        pairs = zip(*np.nonzero(np.isfinite(kernel.cost[:, :kernel.n_tracks])))
+        continued = [kernel.continued(i, j) for j, i in pairs]
+        for hyp in (*kernel.ended, *continued, *kernel.first_detected):
             exist_ok = exist_ok and 0.0 <= hyp.existence <= 1.0
             fd = hyp.density
             if hasattr(fd, "w_keep"):

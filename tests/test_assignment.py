@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajsmooth.assignment import Assignment, murty, solve_lap
 from trajsmooth.errors import ContractError, InfeasibleAssignmentError
@@ -169,3 +171,33 @@ def test_murty_empty_and_bad_m():
     assert murty(np.zeros((0, 2)), 3) == [Assignment((), 0.0)]
     with pytest.raises(ContractError):
         murty(np.array([[1.0]]), 0)
+
+
+@st.composite
+def masked_matrices(draw):
+    """An m x n +inf mask and several small-integer value sets under it, so ties are common."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(m, 6))
+    mask = draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=m, max_size=m))
+    values = draw(st.lists(
+        st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=m, max_size=m),
+        min_size=1, max_size=3,
+    ))
+    return [np.where(mask, np.inf, np.array(v, dtype=float)) for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(masked_matrices(), st.integers(1, 40))
+def test_ranked_order_matches_brute_force_with_ties(costs, m_best):
+    # the same mask with different values hits the per-pattern enumeration again;
+    # row_to_col order, not only the costs, fixes which hypothesis a draw picks
+    for cost in costs:
+        expected = brute_force_ranked(cost)
+        if not expected:
+            with pytest.raises(InfeasibleAssignmentError):
+                murty(cost, m_best)
+            continue
+        got = murty(cost, m_best)
+        assert [(a.row_to_col, a.cost) for a in got] == [
+            (a.row_to_col, a.cost) for a in expected[:m_best]
+        ]

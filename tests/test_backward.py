@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import desk_like_problem
+from helpers import desk_like_problem, tv_toy
 
 from trajsmooth import backward
 from trajsmooth.backward import (
@@ -30,6 +30,7 @@ from trajsmooth.gaussians import (
     GaussianDensity,
     GaussianMixture,
     LinearMotionModel,
+    _sampling_root,
     log_gaussian_pdf,
     smooth_head,
 )
@@ -94,7 +95,7 @@ def test_continued_weight_value():
     # r=0.5, pS=0.9, x=0, P=1, F=1, Q=1, y1=0: w = 0.45 * N(0; 0, 2) = 0.45 / sqrt(4 pi)
     pmb = PMBDensity(GaussianMixture(), (BernoulliComponent(0.5, g1(0.0, 1.0)),))
     kernel = build_backward_kernel(pmb, BIRTH, MOTION, [traj(2, 0.0, 1.0)], gate=1e9, k=1)
-    hyp = kernel.continued[(0, 0)]
+    hyp = kernel.continued(0, 0)
     assert math.exp(hyp.log_weight) == pytest.approx(0.45 / math.sqrt(4 * math.pi), rel=1e-12)
     assert math.exp(hyp.log_weight) == pytest.approx(0.1269427, abs=1e-7)
     assert hyp.existence == 1.0
@@ -104,8 +105,7 @@ def test_gated_pair_infinite_cost():
     pmb = PMBDensity(GaussianMixture(), (BernoulliComponent(0.5, g1(0.0, 0.01)),))
     far = traj(2, 50.0, 50.0)
     kernel = build_backward_kernel(pmb, BIRTH, MOTION, [far], gate=9.0, k=1)
-    assert kernel.cost[0, 0] == np.inf
-    assert (0, 0) not in kernel.continued
+    assert kernel.cost[0, 0] == np.inf  # the only record of a gated-out continuation
     assert np.isfinite(kernel.cost[0, 1])  # own first-detection column stays open
 
 
@@ -117,7 +117,10 @@ def test_cost_entries_are_weight_ratios():
     )
     present = [traj(3, rng.uniform(-2, 2), 0.0), traj(3, rng.uniform(-2, 2), 1.0)]
     kernel = build_backward_kernel(pmb, BIRTH, MOTION, present, gate=1e9, k=2)
-    for (i, j), hyp in kernel.continued.items():
+    pairs = list(zip(*np.nonzero(np.isfinite(kernel.cost[:, :kernel.n_tracks]))))
+    assert len(pairs) == 6  # the gate at 1e9 keeps every pair
+    for j, i in pairs:
+        hyp = kernel.continued(i, j)
         ended = kernel.ended[i]
         assert kernel.cost[j, i] == pytest.approx(-(hyp.log_weight - ended.log_weight))
     for j in range(kernel.m):
@@ -129,10 +132,11 @@ def test_smoothed_head_matches_smooth_head_op():
     pmb = PMBDensity(GaussianMixture(), (BernoulliComponent(0.8, g1(1.0, 2.0)),))
     y = traj(5, -0.5, 0.2)
     kernel = build_backward_kernel(pmb, BIRTH, MOTION, [y], gate=1e9, k=4)
-    hyp = kernel.continued[(0, 0)]
+    hyp = kernel.continued(0, 0)
     ref = smooth_head(g1(1.0, 2.0), MOTION, y.states[0])
-    np.testing.assert_allclose(hyp.density.g.mean, ref.mean, atol=1e-12)
-    np.testing.assert_allclose(hyp.density.g.cov, ref.cov, atol=1e-12)
+    np.testing.assert_allclose(hyp.density.mean, ref.mean, atol=1e-12)
+    # a 1-d sampling root is the standard deviation
+    np.testing.assert_allclose(hyp.density.root**2, ref.cov[0, 0], atol=1e-12)
 
 
 def test_first_detection_weight_and_split():
@@ -160,8 +164,10 @@ def test_first_detection_underflow_floors_with_warning():
 
 def make_cost_kernel(cost):
     cost = np.asarray(cost, dtype=float)
+    m = cost.shape[0]
     return BackwardKernel(
-        k=1, cost=cost, ended=(), continued={}, first_detected=[], absent=()
+        k=1, cost=cost, step=None, present=(), diffs=np.empty((0, m, 1)),
+        log_w=np.empty((0, m)), first_detected=[], absent=(),
     )
 
 
@@ -200,23 +206,29 @@ def test_sample_global_prunes_small_hypotheses():
         assert assignment.row_to_col == (0,)
 
 
+def head(mean, var):
+    """Mean and sampling root of a scalar Gaussian, as a hypothesis stores them."""
+    g = g1(mean, var)
+    return g.mean, _sampling_root(g.cov)
+
+
 def test_sample_bernoulli_ended_certain():
     rng = np.random.default_rng(1)
-    h = LocalHypothesis(0.0, 1.0, EndedAtK(g1(3.0, 0.5)))
+    h = LocalHypothesis(0.0, 1.0, EndedAtK(*head(3.0, 0.5)))
     tr = sample_bernoulli(h, 4, False, rng)
     assert tr.t == 4 and tr.length == 1
 
 
 def test_sample_bernoulli_ended_nonexistent():
     rng = np.random.default_rng(1)
-    h = LocalHypothesis(0.0, 0.0, EndedAtK(g1(3.0, 0.5)))
+    h = LocalHypothesis(0.0, 0.0, EndedAtK(*head(3.0, 0.5)))
     assert all(sample_bernoulli(h, 4, False, rng) is None for _ in range(100))
 
 
 def test_sample_bernoulli_first_detected_keep():
     rng = np.random.default_rng(2)
     tail = traj(5, 1.0, 2.0)
-    h = LocalHypothesis(0.0, 1.0, FirstDetected(1.0, 0.0, GaussianMixture(), tail))
+    h = LocalHypothesis(0.0, 1.0, FirstDetected(1.0, 0.0, [], [], np.empty((0, 1)), [], tail))
     out = sample_bernoulli(h, 4, False, rng)
     assert out == tail and out.t == 5
 
@@ -224,8 +236,9 @@ def test_sample_bernoulli_first_detected_keep():
 def test_sample_bernoulli_first_detected_extend_prepends():
     rng = np.random.default_rng(3)
     tail = traj(5, 1.0, 2.0)
-    heads = GaussianMixture(((1.0, g1(0.25, 1e-4)),))
-    h = LocalHypothesis(0.0, 1.0, FirstDetected(0.0, 1.0, heads, tail))
+    mean, root = head(0.25, 1e-4)
+    fd = FirstDetected(0.0, 1.0, [0.0], [0], mean[None, :], [root], tail)
+    h = LocalHypothesis(0.0, 1.0, fd)
     out = sample_bernoulli(h, 4, True, rng)
     assert out.t == 4 and out.length == 3
     np.testing.assert_array_equal(out.states[1:], tail.states)
@@ -235,8 +248,7 @@ def test_sample_bernoulli_first_detected_extend_prepends():
 def test_sample_bernoulli_continued_dirac_uses_mean():
     rng = np.random.default_rng(4)
     tail = traj(7, 0.0)
-    smoothed = g1(1.25, 0.3)
-    h = LocalHypothesis(0.0, 1.0, ContinuedSmoothed(smoothed, tail))
+    h = LocalHypothesis(0.0, 1.0, ContinuedSmoothed(*head(1.25, 0.3), tail))
     out = sample_bernoulli(h, 6, True, rng)
     np.testing.assert_allclose(out.states[0], [1.25])
     np.testing.assert_array_equal(out.states[1:], tail.states)
@@ -339,6 +351,19 @@ def test_backward_simulate_pinned_bytes(dirac_mode):
     assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_PARTICLES[dirac_mode]
 
 
+# criterion 04's toy: 1-2 row kernels with every hypothesis family, a distinct
+# conditioning set per particle; recorded with the kernel built once per set
+PINNED_TOY = "4d550bf3eea012dc8b041bb25a2813da780db8e1c9e2fd67ee3637e475e38f0d"
+
+
+def test_backward_simulate_pinned_bytes_toy():
+    log, birth, motion = tv_toy()
+    params = SmootherParams(num_particles=3000, m_best=64, gate_prob=1.0, w_hyp_min=0.0, seed=5)
+    particles = backward_simulate(log, birth, motion, params)
+    blob = json.dumps(particles_to_jsonable(particles), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_TOY
+
+
 @pytest.mark.parametrize("dirac_mode", [True, False])
 def test_backward_simulate_particles_independent_of_count(dirac_mode):
     # particle i's stream is keyed by i alone, so grouping never couples particles
@@ -408,7 +433,7 @@ def test_backward_step_preserves_conditioning_set():
     for k in range(k_max - 1, 0, -1):
         kernel = build(pmb, BIRTH, MOTION, current, gate=1e9, k=k)
         assignment, _ = sample_global(kernel, 20, rng)
-        new_set = backward._sample_set(kernel, assignment, k, False, rng)
+        new_set = backward._sample_set(kernel, assignment.row_to_col, k, False, rng)
         restricted = [r for r in (restrict(tr, k) for tr in new_set) if r is not None]
         assert sorted(restricted, key=lambda t: (t.t, t.states[0, 0])) == sorted(
             current, key=lambda t: (t.t, t.states[0, 0])

@@ -14,6 +14,7 @@ from trajsmooth.backward import SmootherParams
 from trajsmooth.cli import _SCHEMA, _load_run_config, build_parser, main
 from trajsmooth.forward import FilterParams
 from trajsmooth.metrics import gospa_over_time
+from trajsmooth.oracle import exact_smooth
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -228,7 +229,7 @@ def mc_config(tmp_path, section="smoother", **values):
         "mc_runs": 2,
         "seed": 21,
     }
-    run_cfg.setdefault(section, {}).update(values)
+    (run_cfg if section is None else run_cfg.setdefault(section, {})).update(values)
     cfg = tmp_path / "mc.json"
     cfg.write_text(json.dumps(run_cfg))
     return cfg
@@ -258,6 +259,8 @@ def test_mc_non_numeric_value_is_config_error(tmp_path, capsys):
         ("smoother", "dirac_mode", "false", "dirac_mode"),
         ("smoother", "gate_gamma", 1.0, "gate_gamma"),
         ("metric", "pos_idx", [7], "pos_idx"),
+        (None, "mc_runs", 2.7, "mc_runs"),
+        (None, "seed", 2.5, "seed"),
     ],
 )
 def test_mc_bad_setting_exits_2_before_any_run(tmp_path, capsys, section, key, value, field):
@@ -278,6 +281,8 @@ def test_mc_bad_setting_exits_2_before_any_run(tmp_path, capsys, section, key, v
         ("smooth", ["--w-hyp-min", "2"], "w_hyp_min"),
         ("smooth", ["--seed", "-1"], "seed"),
         ("evaluate", ["--pos-idx", "9"], "pos_idx"),
+        ("oracle", ["--prune", "-1"], "prune"),
+        ("oracle", ["--prune", "2"], "prune"),
     ],
 )
 def test_cli_bad_setting_exits_2_before_any_work(tmp_path, capsys, command, flags, field):
@@ -321,6 +326,11 @@ def test_parameter_schema_one_default_per_field(tmp_path):
         args = parser.parse_args([*argv, "--scenario", "sc", "--out", "out"])
         assert {name: getattr(args, name) for name in names} == defaults
         assert from_mc == defaults
+    # the oracle's one setting lives outside the table, with the same owner rule
+    args = parser.parse_args(
+        ["oracle", "--scenario", "sc", "--filterlog", "fl", "--out", "out"]
+    )
+    assert args.prune == inspect.signature(exact_smooth).parameters["prune"].default
 
 
 def test_scenario2_runs_end_to_end(tmp_path):
