@@ -2,15 +2,27 @@
 
 Cost matrices are m x n with m <= n; +inf marks a forbidden pairing and is
 never selected. Column indices are exclusive: a feasible assignment maps every
-row to a distinct column. `murty` returns the min(M, #feasible) cheapest
-assignments in nondecreasing cost order, breaking exact cost ties by
-lexicographic row_to_col.
+row to a distinct column. An assignment's cost is the row-sequential float
+sum of its entries, so an independent oracle can match it bit for bit.
+`murty` returns the min(M, #feasible) cheapest assignments in nondecreasing
+cost order, breaking exact cost ties by lexicographic row_to_col.
+
+Ranking picks its route from the +inf pattern, and every route gives the same
+output. A pattern whose product of per-row candidate counts is at most
+`_ENUM_CAP` is enumerated. A larger one is split into connected components
+(rows joined when they share a finite column): each component is enumerated
+or, when it is itself too large, ranked by Murty's method (Operations
+Research 1968), and a best-first search over the product of the sorted
+per-component lists merges them. No list, merge or Murty queue stops while a
+candidate could tie or undercut the M-th cost within the rounding of the
+partial sums; only the final sort by (cost, row_to_col) cuts.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +30,8 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import ContractError, InfeasibleAssignmentError
 
-# switch to exhaustive enumeration when the product of per-row candidate
-# counts is small; both paths produce identical ranked output
+# enumerate a pattern or component whose product of per-row candidate counts
+# is at most this; enumeration and Murty produce identical ranked output
 _ENUM_CAP = 512
 
 
@@ -29,11 +41,11 @@ class Assignment:
     cost: float
 
 
-def _entry_cost(cost: np.ndarray, cols) -> float:
+def _entry_cost(cost: np.ndarray, cols: np.ndarray) -> float:
     # sequential accumulation so brute-force oracles can match bit-exactly
     total = 0.0
-    for i, j in enumerate(cols):
-        total += float(cost[i, j])
+    for v in cost[np.arange(len(cols)), cols].tolist():
+        total += v
     return total
 
 
@@ -55,16 +67,19 @@ def solve_lap(cost: np.ndarray) -> Assignment:
     Raises InfeasibleAssignmentError when no complete assignment avoids the
     +inf entries.
     """
-    cost = _validate(cost)
-    m = cost.shape[0]
-    if m == 0:
+    return _lap(_validate(cost))
+
+
+def _lap(cost: np.ndarray) -> Assignment:
+    """solve_lap body for already-validated matrices (Murty's children)."""
+    if cost.shape[0] == 0:
         return Assignment((), 0.0)
     try:
-        rows, cols = linear_sum_assignment(cost)
+        # with m <= n every row is assigned and rows come back in order
+        _, cols = linear_sum_assignment(cost)
     except ValueError as exc:
         raise InfeasibleAssignmentError(str(exc)) from exc
-    row_to_col = tuple(int(c) for c in cols[np.argsort(rows)])
-    return Assignment(row_to_col, _entry_cost(cost, row_to_col))
+    return Assignment(tuple(cols.tolist()), _entry_cost(cost, cols))
 
 
 def murty(cost: np.ndarray, m_best: int) -> list[Assignment]:
@@ -86,9 +101,18 @@ def _ranked_stack(costs: np.ndarray, m_best: int) -> tuple[np.ndarray, np.ndarra
 
     Returns row_to_col as a (G, M, m) array and costs as (G, M), M =
     min(m_best, #feasible), cheapest first with exact ties broken by
-    lexicographic row_to_col. Small problems are enumerated once for the
-    shared pattern and scored for the whole stack; larger ones run Murty per
-    matrix.
+    lexicographic row_to_col. A small pattern is enumerated once and scored
+    for the whole stack. A larger one is split into its connected components,
+    rows joined when they share a finite column. Each component is ranked on
+    its columns in ascending order, so its local lexicographic order is the
+    global one restricted to its rows: by enumeration when small, else by
+    Murty per matrix. A best-first search merges the per-component lists of
+    each matrix; the global top-M of a sum over independent blocks lies in the
+    product of each block's top-M. Lists, merge and Murty are cut only past
+    the M-th cost plus a bound on the rounding of the partial sums, and the
+    merged candidates are re-scored row-sequentially and sorted by
+    (cost, row_to_col) before the final cut at M, so a tie is never lost to
+    rounding or to the order of a search.
     """
     g, m, n = costs.shape
     finite = np.isfinite(costs[0])
@@ -99,23 +123,121 @@ def _ranked_stack(costs: np.ndarray, m_best: int) -> tuple[np.ndarray, np.ndarra
         cols = _feasible_tuples(finite)
         if not len(cols):
             raise InfeasibleAssignmentError("no feasible assignment")
-        # row-sequential accumulation, bitwise equal to _entry_cost
-        total = np.zeros((g, len(cols)))
-        for r in range(m):
-            total = total + costs[:, r, cols[:, r]]
+        total = _scores(costs, cols)
         # cols is in lexicographic order, so a stable sort by total breaks ties by row_to_col
         order = np.argsort(total, axis=1, kind="stable")[:, :m_best]
         return cols[order], np.take_along_axis(total, order, axis=1)
-    ranked = []
-    for cost in costs:
-        out = _murty_queue(cost, m_best)
-        out.sort(key=lambda a: (a.cost, a.row_to_col))
-        ranked.append(out[:m_best])
+    # sums of the same m entries in two orders differ by at most about
+    # m * eps * scale; a cut is safe at twice that, and twice again covers
+    # the rounding of LAP's own optimum
+    scale = np.where(finite, np.abs(costs), 0.0).max(axis=2).sum(axis=1)
+    slack = (4 * m * np.finfo(float).eps) * scale
+    # a row alone in its component with one finite entry is fixed to it
+    fixed_cols = finite.argmax(axis=1)
+    components = [
+        rows for rows in _components(finite) if len(rows) > 1 or candidate_counts[rows[0]] > 1
+    ]
+    blocks = [_ranked_block(costs, finite, rows, m_best, slack) for rows in components]
+    ranked_cols, ranked_costs = [], []
+    for i in range(g):
+        lists = [block[i] for block in blocks]
+        picks = np.array(_best_first([c for _, c in lists], m_best, slack[i]), dtype=np.intp)
+        row_to_col = np.tile(fixed_cols, (len(picks), 1))
+        for rows, (tuples, _), p in zip(components, lists, picks.T):
+            row_to_col[:, rows] = tuples[p]
+        total = _scores(costs[i:i + 1], row_to_col)[0]
+        order = np.lexsort((*row_to_col.T[::-1], total))[:m_best]
+        ranked_cols.append(row_to_col[order])
+        ranked_costs.append(total[order])
     # one pattern has one feasible count, so every matrix ranks the same number
-    return (
-        np.array([[a.row_to_col for a in r] for r in ranked], dtype=np.intp).reshape(g, -1, m),
-        np.array([[a.cost for a in r] for r in ranked]).reshape(g, -1),
-    )
+    return np.stack(ranked_cols), np.stack(ranked_costs)
+
+
+def _scores(costs: np.ndarray, tuples: np.ndarray) -> np.ndarray:
+    """(G, count) totals of each row_to_col tuple under each matrix of the stack.
+
+    Row-sequential accumulation, bitwise equal to `_entry_cost`.
+    """
+    total = np.zeros((costs.shape[0], len(tuples)))
+    for r in range(tuples.shape[1]):
+        total = total + costs[:, r, tuples[:, r]]
+    return total
+
+
+def _components(finite: np.ndarray) -> list[np.ndarray]:
+    """Row sets, ascending, of the components of the graph joining rows that share a finite column."""
+    parent = list(range(finite.shape[0]))
+
+    def root(r: int) -> int:
+        while parent[r] != r:
+            parent[r] = parent[parent[r]]
+            r = parent[r]
+        return r
+
+    first_row: dict[int, int] = {}
+    for r, c in zip(*(idx.tolist() for idx in np.nonzero(finite))):
+        if c in first_row:
+            parent[root(r)] = root(first_row[c])
+        else:
+            first_row[c] = r
+    groups: dict[int, list[int]] = {}
+    for r in range(len(parent)):
+        groups.setdefault(root(r), []).append(r)
+    return [np.array(rows, dtype=np.intp) for rows in groups.values()]
+
+
+def _ranked_block(
+    costs: np.ndarray, finite: np.ndarray, rows: np.ndarray, m_best: int, slack: np.ndarray
+) -> list[tuple[np.ndarray, list[float]]]:
+    """Per matrix: one component's assignments and their costs, cheapest first.
+
+    Assignments are (L, len(rows)) arrays of global columns. Each list runs to
+    the M-th cost plus that matrix's slack.
+    """
+    cols = np.flatnonzero(finite[rows].any(axis=0))
+    local = finite[np.ix_(rows, cols)]
+    if np.prod(local.sum(axis=1), dtype=float) <= _ENUM_CAP:
+        tuples = _feasible_tuples(local)
+        if not len(tuples):
+            raise InfeasibleAssignmentError("no feasible assignment")
+        total = _scores(costs[:, rows][:, :, cols], tuples)
+        order = np.argsort(total, axis=1, kind="stable")
+        tuples = cols[tuples]
+        out = []
+        for ranked, idx, s in zip(np.take_along_axis(total, order, axis=1), order, slack):
+            keep = np.searchsorted(ranked, ranked[min(m_best, len(ranked)) - 1] + s, side="right")
+            out.append((tuples[idx[:keep]], ranked[:keep].tolist()))
+        return out
+    if len(rows) > len(cols):
+        raise InfeasibleAssignmentError("no feasible assignment")
+    out = []
+    for cost, s in zip(costs[:, rows][:, :, cols], slack):
+        ranked = _murty_queue(cost, m_best, s)
+        out.append((cols[np.array([a.row_to_col for a in ranked])], [a.cost for a in ranked]))
+    return out
+
+
+def _best_first(lists: list[list[float]], m_best: int, slack: float) -> list[tuple[int, ...]]:
+    """Index tuples into ascending cost lists, by increasing sum, up to the M-th sum plus slack.
+
+    Each tuple is pushed once, when the tuple with its last nonzero index one
+    lower is popped. That parent's sum is no larger: `math.fsum` is correctly
+    rounded and so monotone in every term, which keeps the popped sums in
+    nondecreasing order.
+    """
+    heap = [(math.fsum(c[0] for c in lists), (0,) * len(lists), 0)]
+    picked: list[tuple[int, ...]] = []
+    bound = math.inf
+    while heap and heap[0][0] <= bound:
+        total, idx, low = heapq.heappop(heap)
+        picked.append(idx)
+        if len(picked) == m_best:
+            bound = total + slack
+        for k in range(low, len(lists)):
+            if idx[k] + 1 < len(lists[k]):
+                child = idx[:k] + (idx[k] + 1,) + idx[k + 1:]
+                heapq.heappush(heap, (math.fsum(c[j] for c, j in zip(lists, child)), child, k))
+    return picked
 
 
 def _feasible_tuples(finite: np.ndarray) -> np.ndarray:
@@ -130,32 +252,43 @@ def _feasible_tuples(finite: np.ndarray) -> np.ndarray:
     return np.array(out, dtype=np.intp).reshape(len(out), m)
 
 
-def _murty_queue(cost: np.ndarray, m_best: int) -> list[Assignment]:
-    m = cost.shape[0]
-    first = solve_lap(cost)
-    counter = 0
-    heap = [(first.cost, first.row_to_col, counter, cost, first)]
+def _murty_queue(cost: np.ndarray, m_best: int, slack: float) -> list[Assignment]:
+    """Murty's ranked assignments of one validated matrix, sorted by (cost, row_to_col).
+
+    LAP returns one optimum of a node, not the lexicographically first, so a
+    solution tying the M-th can sit in a node not yet expanded. Nodes are
+    therefore expanded until the cheapest left costs more than the M-th cost
+    found plus `slack`; the caller cuts at M.
+    """
+    below = np.tri(cost.shape[0], k=-1, dtype=bool)
+    first = _lap(cost)
+    heap = [(first.cost, first.row_to_col, cost)]  # (cost, row_to_col) is unique per node
     out: list[Assignment] = []
-    while heap and len(out) < m_best:
-        _, _, _, problem, solution = heapq.heappop(heap)
-        out.append(solution)
-        # partition the remaining solution space of this node
+    bound = math.inf
+    while heap and heap[0][0] <= bound:
+        total, row_to_col, problem = heapq.heappop(heap)
+        out.append(Assignment(row_to_col, total))
+        if len(out) == m_best:
+            bound = max(a.cost for a in out) + slack
+        # partition the remaining solution space of this node; row r may use
+        # its finite columns except those enforced for the rows before it
+        finite = np.isfinite(problem)
+        left = finite.sum(axis=1) - (finite[:, list(row_to_col)] & below).sum(axis=1)
         node = problem.copy()
-        for r in range(m):
-            c = solution.row_to_col[r]
-            if np.isfinite(node[r]).sum() > 1:  # else forbidding (r, c) is trivially infeasible
+        for r, c in enumerate(row_to_col):
+            if left[r] > 1:  # else forbidding (r, c) is trivially infeasible
                 child = node.copy()
                 child[r, c] = np.inf
                 try:
-                    sub = solve_lap(child)
+                    sub = _lap(child)
                 except InfeasibleAssignmentError:
-                    sub = None
-                if sub is not None:
-                    counter += 1
-                    heapq.heappush(heap, (sub.cost, sub.row_to_col, counter, child, sub))
+                    pass
+                else:
+                    heapq.heappush(heap, (sub.cost, sub.row_to_col, child))
             # enforce (r, c) for the remaining children of this node
             keep = node[r, c]
             node[r, :] = np.inf
             node[:, c] = np.inf
             node[r, c] = keep
+    out.sort(key=lambda a: (a.cost, a.row_to_col))
     return out

@@ -149,43 +149,3 @@ def particle_stats(particles: list[Particle], k_max: int) -> ParticleStats:
         death_dist.append(np.bincount(deaths, minlength=max(deaths) + 1) / t)
     return ParticleStats(card_dist, birth_dist, death_dist)
 
-
-def track_switch_count(trajectories, truth: GroundTruth, c: float, pos_idx=None) -> int:
-    """Rough diagnostic: count per-step changes of the truth-to-estimate matching.
-
-    Not a trajectory metric; per-step optimal matching under distance cap c,
-    counting steps where a truth object's matched trajectory index changes.
-    """
-    est_list = list(trajectories)
-    switches = 0
-    prev: dict[int, int] = {}
-    for k in range(1, truth.k_max + 1):
-        truth_states = [
-            (i, tr.state_at(k))
-            for i, tr in enumerate(truth.trajectories)
-            if tr.alive_at(k)
-        ]
-        est_states = [
-            (j, tr.state_at(k)) for j, tr in enumerate(est_list) if tr.alive_at(k)
-        ]
-        current: dict[int, int] = {}
-        if truth_states and est_states:
-            cost = np.empty((len(truth_states), len(est_states)))
-            for a, (_, x) in enumerate(truth_states):
-                for b, (_, y) in enumerate(est_states):
-                    cost[a, b] = min(_base_dist(x, y, pos_idx), c)
-            flip = len(truth_states) > len(est_states)
-            assignment = solve_lap(cost.T if flip else cost)
-            pairs = (
-                ((j, i) for i, j in enumerate(assignment.row_to_col))
-                if flip
-                else enumerate(assignment.row_to_col)
-            )
-            for a, b in pairs:
-                if cost[a, b] < c:
-                    current[truth_states[a][0]] = est_states[b][0]
-        for truth_idx, est_idx in current.items():
-            if truth_idx in prev and prev[truth_idx] != est_idx:
-                switches += 1
-        prev = current
-    return switches

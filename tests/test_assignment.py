@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajsmooth.assignment import Assignment, murty, solve_lap
+from trajsmooth.assignment import _ENUM_CAP, Assignment, _components, _ranked_stack, murty, solve_lap
 from trajsmooth.errors import ContractError, InfeasibleAssignmentError
 
 
@@ -201,3 +201,83 @@ def test_ranked_order_matches_brute_force_with_ties(costs, m_best):
         assert [(a.row_to_col, a.cost) for a in got] == [
             (a.row_to_col, a.cost) for a in expected[:m_best]
         ]
+
+
+@pytest.mark.parametrize("seed, m_best", [(0, 1), (4, 3), (5, 7), (21, 15), (7, 30), (23, 1)])
+def test_murty_path_breaks_ties_by_row_to_col(seed, m_best):
+    # one dense component too large to enumerate: LAP returns some optimum of
+    # a node, and a lexicographically smaller tie may still sit unexpanded
+    rng = np.random.default_rng(5000 + seed)
+    cost = rng.integers(0, 4, size=(5, 7)).astype(float)
+    cost[rng.random((5, 7)) < 0.1] = np.inf
+    finite = np.isfinite(cost)
+    assert np.prod(finite.sum(axis=1)) > _ENUM_CAP and len(_components(finite)) == 1
+    expected = brute_force_ranked(cost)[:m_best]
+    assert [(a.row_to_col, a.cost) for a in murty(cost, m_best)] == [
+        (a.row_to_col, a.cost) for a in expected
+    ]
+
+
+@st.composite
+def block_matrices(draw):
+    """2-3 independent blocks of small-integer costs, rows and columns shuffled.
+
+    Too many candidates to enumerate whole, so ranking goes through the
+    per-component lists and their merge.
+    """
+    n_blocks = draw(st.integers(2, 3))
+    rows = draw(st.lists(st.integers(1, 4), min_size=n_blocks, max_size=n_blocks)
+                .filter(lambda r: sum(r) <= 6))
+    cols = [draw(st.integers(r, r + 2)) for r in rows]
+    if sum(cols) > 8:
+        cols = [max(1, c - 1) for c in cols]
+    cost = np.full((sum(rows), max(sum(cols), sum(rows))), np.inf)
+    r0 = c0 = 0
+    for r, c in zip(rows, cols):
+        values = draw(st.lists(st.integers(-1, 3), min_size=r * c, max_size=r * c))
+        block = np.array(values, dtype=float).reshape(r, c)
+        block[block < 0] = np.inf
+        cost[r0:r0 + r, c0:c0 + c] = block
+        r0, c0 = r0 + r, c0 + c
+    row_order = draw(st.permutations(range(cost.shape[0])))
+    col_order = draw(st.permutations(range(cost.shape[1])))
+    cost = cost[list(row_order)][:, list(col_order)]
+    return cost
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_matrices().filter(lambda c: np.prod(np.isfinite(c).sum(axis=1)) > _ENUM_CAP),
+       st.integers(1, 40))
+def test_clustered_ranking_matches_brute_force(cost, m_best):
+    # shuffled blocks interleave components in row_to_col, so the merge must
+    # keep every tie until the final sort
+    finite = np.isfinite(cost)
+    assert np.prod(finite.sum(axis=1)) > _ENUM_CAP and len(_components(finite)) >= 2
+    expected = brute_force_ranked(cost)
+    if not expected:
+        with pytest.raises(InfeasibleAssignmentError):
+            murty(cost, m_best)
+        return
+    assert [(a.row_to_col, a.cost) for a in murty(cost, m_best)] == [
+        (a.row_to_col, a.cost) for a in expected[:m_best]
+    ]
+
+
+@pytest.mark.parametrize("integer", [False, True])
+def test_ranked_stack_equals_murty_per_matrix(integer):
+    # one +inf pattern with a component too large to enumerate, an enumerated
+    # one, a single row and a fixed row, so every route of the clustered path
+    # runs once per matrix of the stack
+    rng = np.random.default_rng(6000 + integer)
+    pattern = np.full((9, 12), False)
+    pattern[:5, :6] = True
+    pattern[5:7, 6:9] = True
+    pattern[7, 9:11] = True
+    pattern[8, 11] = True
+    pattern = pattern[rng.permutation(9)][:, rng.permutation(12)]
+    values = rng.integers(0, 4, size=(3, 9, 12)) if integer else rng.normal(0.0, 5.0, (3, 9, 12))
+    costs = np.where(pattern, values.astype(float), np.inf)
+    rows, totals = _ranked_stack(costs, 30)
+    assert rows.shape == (3, 30, 9)
+    for cost, r, t in zip(costs, rows.tolist(), totals.tolist()):
+        assert [(a.row_to_col, a.cost) for a in murty(cost, 30)] == list(zip(map(tuple, r), t))

@@ -9,7 +9,6 @@ from trajsmooth.metrics import (
     gospa,
     gospa_over_time,
     particle_stats,
-    track_switch_count,
 )
 from trajsmooth.simulate import GroundTruth
 from trajsmooth.trajectory import Trajectory
@@ -189,13 +188,3 @@ def test_gospa_over_time_horizon_mismatch():
     with pytest.raises(ContractError):
         gospa_over_time([[]], truth)
 
-
-def test_track_switch_count_detects_swap():
-    # two parallel truths; estimate trajectories swap identity mid-way
-    t1 = Trajectory(1, np.array([[0.0], [0.0], [0.0], [0.0]]))
-    t2 = Trajectory(1, np.array([[10.0], [10.0], [10.0], [10.0]]))
-    truth = GroundTruth((t1, t2), 4)
-    e1 = Trajectory(1, np.array([[0.0], [0.0], [10.0], [10.0]]))
-    e2 = Trajectory(1, np.array([[10.0], [10.0], [0.0], [0.0]]))
-    assert track_switch_count([e1, e2], truth, c=20.0) == 2
-    assert track_switch_count([t1, t2], truth, c=20.0) == 0
