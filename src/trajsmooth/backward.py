@@ -56,6 +56,7 @@ from .gaussians import (
     _inv_log_norm,
     _linear_terms,
     _sampling_root,
+    _stack,
     sample_gaussian,
     symmetrize,
 )
@@ -211,9 +212,9 @@ class _Smoothing(NamedTuple):
 
 def _smoothing_terms(weighted, m: LinearMotionModel) -> _Smoothing:
     densities = [g for _, g in weighted]
-    mean_pred, inv_pred, log_norm, gains = _linear_terms(densities, m.F, m.Q)
+    means, covs = _stack(densities, m.dim)
+    mean_pred, inv_pred, log_norm, gains = _linear_terms(means, covs, m.F, m.Q)
     log_const = np.array([lw + ln for (lw, _), ln in zip(weighted, log_norm)])
-    means = np.array([g.mean for g in densities]).reshape(-1, m.dim)
     roots = [
         _sampling_root(symmetrize(g.cov - gain @ m.F @ g.cov))
         for g, gain in zip(densities, gains)

@@ -31,17 +31,22 @@ class SettingError(ContractError, ConfigError):
     """A filter, smoother or metric setting has the wrong type or lies outside its range."""
 
 
-def check_int(name: str, value, low: int) -> None:
-    """SettingError unless `value` is an int (not a bool or a float) >= `low`."""
+def check_int(name: str, value, low: int):
+    """`value`, or SettingError unless it is an int (not a bool or a float) >= `low`."""
     if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
         raise SettingError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
 
 
-def check_real(name: str, value, interval: str) -> None:
-    """SettingError unless `value` is a real number (not a bool) in `interval`, e.g. "(0, 1]"."""
+def check_real(name: str, value, interval: str):
+    """`value`, or SettingError unless it is a real number (not a bool) in `interval`.
+
+    `interval` is written like "(0, 1]" or "[0, inf)".
+    """
     low, high = (float(x) for x in interval[1:-1].split(","))
     if isinstance(value, bool) or not isinstance(value, Real) or not (
         (low < value if interval[0] == "(" else low <= value)
         and (value < high if interval[-1] == ")" else value <= high)
     ):
         raise SettingError(f"{name} must be a number in {interval}, got {value!r}")
+    return value

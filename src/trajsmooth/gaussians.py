@@ -6,9 +6,11 @@ covariance the package inverts: a matrix whose condition estimate exceeds 1e12
 gets a single 1e-9 jitter on the diagonal and is rejected if that does not
 help. The filter update and the backward kernel invert stacks through
 `_inv_log_norm`/`_linear_terms`; the reference ops (`smooth_head`, `smd`,
-`log_gaussian_pdf`) solve through a Cholesky factor instead. Sampling splits
-into `_sampling_root`, which the backward kernel caches once per step and
-covariance, and `_draw`.
+`log_gaussian_pdf`) solve through a Cholesky factor instead. Prediction
+(`_predict`) and moment matching (`_collapse`) also work on stacks (`_stack`);
+`predict_gaussian` and `moment_match` are their one-density cases, so each
+operation has one arithmetic path. Sampling splits into `_sampling_root`,
+which the backward kernel caches once per step and covariance, and `_draw`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    """(A + A^T)/2 of a matrix or of each matrix of a stack (..., d, d)."""
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,19 +143,68 @@ def _inv_log_norm(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.inv(s), -0.5 * (s.shape[-1] * _LOG_2PI + logdet)
 
 
-def _linear_terms(densities, a: np.ndarray, n: np.ndarray):
+def _stack(densities, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Means (k, dim) and covariances (k, dim, dim) of k densities of dimension `dim`."""
+    for g in densities:
+        if g.dim != dim:
+            raise ContractError(f"state dim {g.dim} does not match model dim {dim}")
+    means = np.array([g.mean for g in densities]).reshape(-1, dim)
+    return means, np.array([g.cov for g in densities]).reshape(-1, dim, dim)
+
+
+def _linear_terms(means: np.ndarray, covs: np.ndarray, a: np.ndarray, n: np.ndarray):
     """Stacked A x, S^{-1}, log-normaliser of N(., A x, S) and gain P A^T S^{-1}.
 
-    One entry per density N(x, P), with S = A P A^T + N. S and the gain are
-    formed per density; only the inversion is batched.
+    One entry per density N(x, P) of the stacks `means` (k, d) and `covs`
+    (k, d, d), with S = A P A^T + N. Each stacked product runs the same BLAS
+    call per member as the product of one density, so every entry equals the
+    single-density result bit for bit.
     """
-    p, d = a.shape
-    # reshape keeps the stack shapes when `densities` is empty
-    s = np.array([symmetrize(a @ g.cov @ a.T + n) for g in densities]).reshape(-1, p, p)
-    s_inv, log_norm = _inv_log_norm(s)
-    means = np.array([a @ g.mean for g in densities]).reshape(-1, p)
-    gains = np.array([g.cov @ a.T @ si for g, si in zip(densities, s_inv)]).reshape(-1, d, p)
-    return means, s_inv, log_norm, gains
+    s_inv, log_norm = _inv_log_norm(symmetrize(a @ covs @ a.T + n))
+    return (a @ means[..., None])[..., 0], s_inv, log_norm, covs @ a.T @ s_inv
+
+
+def _predict(means: np.ndarray, covs: np.ndarray, m: LinearMotionModel):
+    """Stacked one-step prediction: N(x, P) -> N(F x, F P F^T + Q) per member."""
+    return (m.F @ means[..., None])[..., 0], symmetrize(m.F @ covs @ m.F.T + m.Q)
+
+
+def _groups(counts):
+    """Per distinct count c > 0: the items k with c parts and their (len(k), c) part rows.
+
+    Item k owns the next counts[k] rows of a back-to-back layout. A row sum or
+    `np.vecdot` over a (g, c) array equals the same reduction of each row
+    alone bit for bit; a ragged, zero-padded layout would not (numpy's sum
+    switches to pairwise blocks at 8 terms, BLAS dot at 32).
+    """
+    counts = np.asarray(counts, dtype=int)
+    starts = np.cumsum(counts) - counts
+    for c in np.unique(counts[counts > 0]):
+        k = np.flatnonzero(counts == c)
+        yield k, starts[k, None] + np.arange(c)
+
+
+def _collapse(w: np.ndarray, means: np.ndarray, covs: np.ndarray, counts):
+    """Moment-matched means and covariances of mixtures stored back to back.
+
+    Mixture k owns the next counts[k] rows of `w` (positive total), `means`
+    and `covs`. Mixtures with equal counts are matched as one stack in the
+    arithmetic of a single mixture: weights over their sum, then the mean and
+    the covariance accumulated component by component.
+    """
+    dim = means.shape[1]
+    out_means, out_covs = np.empty((len(counts), dim)), np.empty((len(counts), dim, dim))
+    for k, rows in _groups(counts):
+        wk = w[rows] / w[rows].sum(axis=1, keepdims=True)
+        mean = np.zeros((len(k), dim))
+        for c in range(rows.shape[1]):
+            mean = mean + wk[:, c, None] * means[rows[:, c]]
+        cov = np.zeros((len(k), dim, dim))
+        for c in range(rows.shape[1]):
+            d = means[rows[:, c]] - mean
+            cov += wk[:, c, None, None] * (covs[rows[:, c]] + d[:, :, None] * d[:, None, :])
+        out_means[k], out_covs[k] = mean, symmetrize(cov)
+    return out_means, out_covs
 
 
 def _spd_cho(a: np.ndarray):
@@ -166,11 +218,8 @@ def _spd_cho(a: np.ndarray):
 
 def predict_gaussian(g: GaussianDensity, m: LinearMotionModel) -> GaussianDensity:
     """One-step prediction: N(x, P) -> N(F x, F P F^T + Q)."""
-    if g.dim != m.dim:
-        raise ContractError(f"state dim {g.dim} does not match model dim {m.dim}")
-    mean = m.F @ g.mean
-    cov = symmetrize(m.F @ g.cov @ m.F.T + m.Q)
-    return GaussianDensity(mean, cov)
+    mean, cov = _predict(*_stack([g], m.dim), m)
+    return GaussianDensity(mean[0], cov[0])
 
 
 def smooth_head(prior: GaussianDensity, m: LinearMotionModel, y1: np.ndarray) -> GaussianDensity:
@@ -218,15 +267,13 @@ def log_gaussian_pdf(y: np.ndarray, g: GaussianDensity) -> float:
 def moment_match(weights, densities) -> GaussianDensity:
     """Single Gaussian matching the first two moments of a weighted mixture."""
     w = np.asarray(weights, dtype=float)
+    densities = list(densities)
     if w.size == 0 or w.sum() <= 0.0:
         raise ContractError("moment_match needs positive total weight")
-    w = w / w.sum()
-    mean = sum(wi * g.mean for wi, g in zip(w, densities))
-    cov = np.zeros((mean.size, mean.size))
-    for wi, g in zip(w, densities):
-        d = g.mean - mean
-        cov += wi * (g.cov + np.outer(d, d))
-    return GaussianDensity(mean, symmetrize(cov))
+    if len(densities) != w.size:
+        raise ContractError(f"{w.size} weights for {len(densities)} densities")
+    mean, cov = _collapse(w, *_stack(densities, densities[0].dim), [w.size])
+    return GaussianDensity(mean[0], cov[0])
 
 
 def sample_gaussian(g: GaussianDensity, rng: np.random.Generator) -> np.ndarray:

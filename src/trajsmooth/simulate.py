@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, check_int, check_real
 from .gaussians import GaussianDensity, GaussianMixture, LinearMotionModel, make_cv_model
 from .models import BirthModel, ClutterModel, MeasurementModel, make_position_measurement
 from .trajectory import Trajectory, trajectory_from_jsonable, trajectory_to_jsonable
@@ -78,8 +78,9 @@ def _mixture_from_jsonable(data: dict, path: str) -> GaussianMixture:
     if not len(weights) == len(means) == len(covs):
         raise ConfigError(f"{path}: weights/means/covs lengths differ")
     comps = []
-    for w, m, c in zip(weights, means, covs):
-        comps.append((float(w), GaussianDensity(np.asarray(m, float), np.asarray(c, float))))
+    for k, (w, m, c) in enumerate(zip(weights, means, covs)):
+        w = float(check_real(f"{path}.weights[{k}]", w, "[0, inf)"))
+        comps.append((w, GaussianDensity(np.asarray(m, float), np.asarray(c, float))))
     return GaussianMixture(tuple(comps))
 
 
@@ -88,18 +89,17 @@ def load_scenario_config(cfg: dict) -> ScenarioConfig:
     if not isinstance(cfg, dict):
         raise ConfigError("scenario config must be a JSON object")
 
-    k_max = int(_field(cfg, "", "K"))
-    if k_max < 1:
-        raise ConfigError("K must be >= 1")
+    k_max = check_int("K", _field(cfg, "", "K"), 1)
+    seed = check_int("seed", _field(cfg, "", "seed"), 0)
 
     mo = _field(cfg, "", "motion", dict)
-    ps = float(_field(mo, "motion", "pS"))
+    ps = check_real("motion.pS", _field(mo, "motion", "pS"), "[0, 1]")
     if mo.get("model") == "cv":
         motion = make_cv_model(
             float(_field(mo, "motion", "Ts")),
             float(_field(mo, "motion", "sigma_q")),
             ps,
-            dims=int(mo.get("dims", 2)),
+            dims=check_int("motion.dims", mo.get("dims", 2), 1),
         )
     else:
         motion = LinearMotionModel(
@@ -109,7 +109,7 @@ def load_scenario_config(cfg: dict) -> ScenarioConfig:
         )
 
     me = _field(cfg, "", "measurement", dict)
-    pd = float(_field(me, "measurement", "pD"))
+    pd = check_real("measurement.pD", _field(me, "measurement", "pD"), "[0, 1]")
     if me.get("model") == "position":
         if motion.dim % 2 != 0:
             raise ConfigError("measurement.model=position needs (pos, vel) state pairs")
@@ -127,7 +127,7 @@ def load_scenario_config(cfg: dict) -> ScenarioConfig:
 
     cl = _field(cfg, "", "clutter", dict)
     clutter = ClutterModel(
-        float(_field(cl, "clutter", "rate")),
+        float(check_real("clutter.rate", _field(cl, "clutter", "rate"), "[0, inf)")),
         np.asarray(_field(cl, "clutter", "region", list), float),
     )
     if clutter.region.shape[0] != measurement.dim_z:
@@ -140,8 +140,14 @@ def load_scenario_config(cfg: dict) -> ScenarioConfig:
         init_ppp = _mixture_from_jsonable(cfg["init_ppp"], "init_ppp")
 
     sc = _field(cfg, "", "schedule", dict)
-    births = tuple(int(b) for b in _field(sc, "schedule", "births", list))
-    deaths = tuple(int(d) for d in _field(sc, "schedule", "deaths", list))
+    births = tuple(
+        check_int(f"schedule.births[{i}]", b, 1)
+        for i, b in enumerate(_field(sc, "schedule", "births", list))
+    )
+    deaths = tuple(
+        check_int(f"schedule.deaths[{i}]", d, 1)
+        for i, d in enumerate(_field(sc, "schedule", "deaths", list))
+    )
     init_means = tuple(
         np.asarray(m, float) for m in _field(sc, "schedule", "init_means", list)
     )
@@ -173,7 +179,7 @@ def load_scenario_config(cfg: dict) -> ScenarioConfig:
         deaths=deaths,
         init_means=init_means,
         init_cov=init_cov,
-        seed=int(_field(cfg, "", "seed")),
+        seed=seed,
     )
 
 

@@ -94,6 +94,36 @@ def test_simulate_k_zero_exit_code(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "path, value, field",
+    [
+        (("K",), 12.7, "K"),
+        (("K",), "12", "K"),
+        (("K",), True, "K"),
+        (("seed",), 2.5, "seed"),
+        (("schedule", "births", 0), 1.9, "schedule.births[0]"),
+        (("schedule", "deaths", 1), 5.5, "schedule.deaths[1]"),
+        (("motion", "dims"), 2.0, "motion.dims"),
+        (("motion", "pS"), 1.5, "motion.pS"),
+        (("measurement", "pD"), 2.0, "measurement.pD"),
+        (("clutter", "rate"), -1.0, "clutter.rate"),
+        (("birth", "weights", 0), float("nan"), "birth.weights[0]"),
+        (("birth", "weights", 0), float("inf"), "birth.weights[0]"),
+        (("birth", "weights", 0), -0.1, "birth.weights[0]"),
+    ],
+)
+def test_simulate_bad_scenario_setting_exits_2(tmp_path, capsys, path, value, field):
+    cfg = small_config()
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "x.json")]) == 2
+    assert f"{field} must be" in capsys.readouterr().err
+
+
 def test_full_pipeline_and_reproducibility(workdir):
     tmp_path, cfg = workdir
     scenario, filterlog, particles, best = run_pipeline(tmp_path, cfg)

@@ -1,19 +1,26 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import desk_like_problem
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import chdtri, logsumexp
 from scipy.stats import chi2
 
 from trajsmooth.errors import ContractError
 from trajsmooth.forward import (
     BernoulliComponent,
+    _lse_rows,
+    FilterLog,
     FilterParams,
     PMBDensity,
     filterlog_from_jsonable,
     filterlog_to_jsonable,
+    pmb_to_jsonable,
     predict_pmb,
     prune_pmb,
     run_forward,
@@ -26,8 +33,10 @@ from trajsmooth.gaussians import (
     log_gaussian_pdf,
 )
 from trajsmooth.models import BirthModel, ClutterModel, MeasurementModel
-from trajsmooth.simulate import GroundTruth, Scenario
+from trajsmooth.simulate import GroundTruth, Scenario, load_scenario_config, simulate_scenario
 from trajsmooth.trajectory import Trajectory
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def g1(mean, var):
@@ -181,6 +190,16 @@ def test_prune_never_increases_mass():
     assert len(out.bernoullis) == 0
 
 
+
+def test_lse_rows_equals_scipy_logsumexp_bitwise():
+    rng = np.random.default_rng(3)
+    for c in range(1, 14):
+        x = rng.normal(0.0, 30.0, (50, c))
+        x[::7, 0] = x[::7].max(axis=1)  # exact ties with the row maximum
+        lse, top = _lse_rows(x)
+        np.testing.assert_array_equal(lse, [logsumexp(row) for row in x])
+        np.testing.assert_array_equal(top[:, 0], x.max(axis=1))
+
 def make_static_scenario(k_max, zs):
     """Stationary 1-D object at x=5; birth far away so it never gates after init."""
     motion = LinearMotionModel([[1.0]], [[0.01]], ps=1.0)
@@ -325,3 +344,125 @@ def test_run_forward_pinned_bytes():
     log, _, _ = desk_like_problem()
     blob = json.dumps(filterlog_to_jsonable(log), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_FILTERLOG
+
+
+def _sha(pmb_or_log) -> str:
+    data = (
+        filterlog_to_jsonable(pmb_or_log)
+        if isinstance(pmb_or_log, FilterLog)
+        else pmb_to_jsonable(pmb_or_log)
+    )
+    blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def scenario1_cut_log():
+    """configs/scenario1.json cut to 30 steps, filtered at M=100 (many PPP components, ~35 z)."""
+    cfg = json.loads((CONFIGS / "scenario1.json").read_text())
+    cfg["K"] = 30
+    cfg["schedule"]["deaths"] = [min(d, 30) for d in cfg["schedule"]["deaths"]]
+    return run_forward(simulate_scenario(load_scenario_config(cfg)), FilterParams(m_best=100))
+
+
+def _random_pmb(rng, n, n_ppp, dim, r_zero=False):
+    def density():
+        a = rng.normal(size=(dim, dim))
+        return GaussianDensity(rng.normal(0.0, 3.0, dim), a @ a.T + 0.5 * np.eye(dim))
+
+    rs = rng.uniform(0.05, 1.0, n)
+    if r_zero:
+        rs[1] = 0.0
+    return PMBDensity(
+        GaussianMixture(tuple((rng.uniform(0.01, 0.5), density()) for _ in range(n_ppp))),
+        tuple(BernoulliComponent(r, density()) for r in rs),
+    )
+
+
+def edge_updates():
+    """update_pmb on edge shapes, keyed by case name."""
+    rng = np.random.default_rng(8)
+    mm = MeasurementModel(np.eye(2, 4), 0.5 * np.eye(2), 0.8)
+    cm = ClutterModel(4.0, [[-10.0, 10.0], [-10.0, 10.0]])
+    scan = [rng.normal(0.0, 3.0, 2) for _ in range(7)]
+    base = _random_pmb(rng, 5, 3, 4)
+    gate = float(chdtri(2, 1e-4))
+    mm_1d = MeasurementModel([[1.0, 0.0]], [[0.3]], 0.9)
+    cm_1d = ClutterModel(2.0, [[-10.0, 10.0]])
+    pmb_1d = _random_pmb(rng, 6, 10, 2)
+    scan_1d = [rng.normal(0.0, 3.0, 1) for _ in range(9)]
+    return {
+        "empty_scan": update_pmb(base, [], mm, cm, gate, 20),
+        "empty_ppp": update_pmb(PMBDensity((), base.bernoullis), scan, mm, cm, gate, 20),
+        "pd_zero": update_pmb(base, scan, MeasurementModel(mm.H, mm.R, 0.0), cm, gate, 20),
+        "r_zero_track": update_pmb(_random_pmb(rng, 4, 2, 4, r_zero=True), scan, mm, cm, gate, 20),
+        "one_d_measurement": update_pmb(pmb_1d, scan_1d, mm_1d, cm_1d, float(chdtri(1, 1e-4)), 50),
+    }
+
+
+# sha256 of the compact sorted-key JSON, recorded before the measurement update
+# was batched over tracks x measurements
+PINNED_SCENARIO1_K30 = "d790f6535a59b1099fc701d009a9a471e85bb6ec45cba2e83e200c3f9cfa7162"
+PINNED_EDGE_UPDATES = {
+    "empty_scan": "2075d608bd59899b52a621fb8c1906bde7015a29463e2359ed1f6150f2c1714d",
+    "empty_ppp": "89015cf63fbf2d60062372a01e0564f93d60dd62e193a155878d4b9fd57fe800",
+    "pd_zero": "1ad6ee5b41a60dd0b43160fd06c208fdc373d032fc93cc3ddbc86ad37434bb6b",
+    "r_zero_track": "1cd928729c2a6c207bf02aebe9e1040575aa0088303d195e34bbeb73cd028600",
+    "one_d_measurement": "7bb66979085e14c6efe1708fd895b55f150768162efb7adaaefa8abdaec02a48",
+}
+
+
+def test_scenario1_filterlog_pinned_bytes():
+    assert _sha(scenario1_cut_log()) == PINNED_SCENARIO1_K30
+
+
+def test_update_edge_shapes_pinned_bytes():
+    assert {name: _sha(out) for name, out in edge_updates().items()} == PINNED_EDGE_UPDATES
+
+
+_point = st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+_gaussian = st.tuples(_point, st.floats(0.2, 3.0), st.floats(0.2, 3.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tracks=st.lists(st.tuples(st.floats(0.05, 1.0), _gaussian), max_size=3),
+    ppp=st.lists(st.tuples(st.floats(0.01, 1.0), _gaussian), max_size=3),
+    grid=st.lists(
+        st.tuples(st.integers(-12, 12), st.integers(-12, 12)), min_size=1, max_size=4, unique=True
+    ),
+    pd=st.floats(0.3, 1.0),
+    data=st.data(),
+)
+def test_update_posterior_independent_of_scan_order(tracks, ppp, grid, pd, data):
+    def density(g):
+        mean, var_x, var_y = g
+        return GaussianDensity(mean, np.diag([var_x, var_y]))
+
+    pmb = PMBDensity(
+        GaussianMixture(tuple((w, density(g)) for w, g in ppp)),
+        tuple(BernoulliComponent(r, density(g)) for r, g in tracks),
+    )
+    mm = MeasurementModel(np.eye(2), 0.25 * np.eye(2), pd)
+    cm = ClutterModel(2.0, [[-10.0, 10.0], [-10.0, 10.0]])
+    scan = [0.5 * np.array(p, dtype=float) for p in grid]
+    order = data.draw(st.permutations(range(len(scan))))
+    # at least every injective measurement-to-track map, so no M-best truncation binds
+    n, mz = len(tracks), len(scan)
+    m_best = sum(math.comb(mz, k) * math.perm(n, k) for k in range(min(n, mz) + 1))
+    a = update_pmb(pmb, scan, mm, cm, 16.0, m_best)
+    b = update_pmb(pmb, [scan[k] for k in order], mm, cm, 16.0, m_best)
+
+    def same(ca, cb):
+        np.testing.assert_allclose(ca.r, cb.r, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(ca.density.mean, cb.density.mean, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(ca.density.cov, cb.density.cov, rtol=1e-9, atol=1e-12)
+
+    def by_mean(bernoullis):
+        return sorted(bernoullis, key=lambda c: tuple(c.density.mean))
+
+    # track Bernoullis keep their order; new tracks follow the scan, so compare them as a multiset
+    assert len(a.bernoullis) == len(b.bernoullis)
+    for ca, cb in zip(a.bernoullis[:n], b.bernoullis[:n]):
+        same(ca, cb)
+    for ca, cb in zip(by_mean(a.bernoullis[n:]), by_mean(b.bernoullis[n:])):
+        same(ca, cb)

@@ -6,7 +6,11 @@ import pytest
 from trajsmooth.errors import ContractError, SingularMatrixError
 from trajsmooth.gaussians import (
     GaussianDensity,
+    _collapse,
     _jittered,
+    _linear_terms,
+    _predict,
+    _stack,
     GaussianMixture,
     LinearMotionModel,
     log_gaussian_pdf,
@@ -269,3 +273,51 @@ def test_symmetrize():
     a = np.array([[1.0, 2.0], [0.0, 1.0]])
     s = symmetrize(a)
     np.testing.assert_allclose(s, s.T)
+
+
+# Per-item loops as the batched helpers replaced them; the stacks must
+# reproduce them bit for bit, because the filter output is pinned by sha256.
+def _moment_match_loop(weights, densities):
+    w = np.asarray(weights, dtype=float)
+    w = w / w.sum()
+    mean = sum(wi * g.mean for wi, g in zip(w, densities))
+    cov = np.zeros((mean.size, mean.size))
+    for wi, g in zip(w, densities):
+        d = g.mean - mean
+        cov += wi * (g.cov + np.outer(d, d))
+    return mean, symmetrize(cov)
+
+
+def test_collapse_equals_per_mixture_loop_bitwise():
+    rng = np.random.default_rng(4)
+    # 1..12 components: numpy's sum changes its summation order at 8 terms
+    mixtures = [
+        (rng.uniform(0.0, 1.0, c) * 10.0 ** rng.uniform(-5, 0, c),
+         [GaussianDensity(rng.normal(0, 3, 3), random_spd(rng, 3)) for _ in range(c)])
+        for c in rng.integers(1, 13, size=40)
+    ]
+    w = np.concatenate([wk for wk, _ in mixtures])
+    means, covs = _stack([g for _, dens in mixtures for g in dens], 3)
+    out_means, out_covs = _collapse(w, means, covs, [len(wk) for wk, _ in mixtures])
+    for k, (wk, dens) in enumerate(mixtures):
+        ref_mean, ref_cov = _moment_match_loop(wk, dens)
+        np.testing.assert_array_equal(out_means[k], ref_mean)
+        np.testing.assert_array_equal(out_covs[k], ref_cov)
+
+
+@pytest.mark.parametrize("d, p", [(1, 1), (2, 1), (4, 2), (6, 3)])
+def test_stacked_terms_equal_per_density_loop_bitwise(d, p):
+    rng = np.random.default_rng(d)
+    dens = [GaussianDensity(rng.normal(0, 3, d), random_spd(rng, d)) for _ in range(7)]
+    m = LinearMotionModel(rng.normal(size=(d, d)), random_spd(rng, d, 0.1), 0.9)
+    a, n = rng.normal(size=(p, d)), random_spd(rng, p)
+    means, covs = _stack(dens, d)
+    pred_means, pred_covs = _predict(means, covs, m)
+    a_means, s_inv, _, gains = _linear_terms(means, covs, a, n)
+    for k, g in enumerate(dens):
+        np.testing.assert_array_equal(pred_means[k], m.F @ g.mean)
+        np.testing.assert_array_equal(pred_covs[k], symmetrize(m.F @ g.cov @ m.F.T + m.Q))
+        np.testing.assert_array_equal(a_means[k], a @ g.mean)
+        np.testing.assert_array_equal(gains[k], g.cov @ a.T @ s_inv[k])
+    with pytest.raises(ContractError):
+        _stack(dens + [GaussianDensity(np.zeros(d + 1), np.eye(d + 1))], d)
