@@ -64,6 +64,29 @@ def tv_toy(sigma2=1e-8):
     return make_log([f1, f2, f3]), birth, motion
 
 
+def gating_problem(uniform_density):
+    """K=6 scalar log whose first-detection columns take every gating path at gate_prob 0.99.
+
+    Three undetected components sit at 0, 2 and 4, so a head near 1 is gated
+    into only some of them. Without a uniform birth level, the track near 9 is
+    gated out of the birth and every undetected component (the ungated
+    fallback), and the track near 60 is too far for any term to stay above
+    the underflow floor.
+    """
+    motion = LinearMotionModel([[1.0]], [[0.25]], ps=0.9)
+    birth = BirthModel(GaussianMixture(((0.1, g(0.0, 1.0)),)), uniform_density=uniform_density)
+    posteriors = []
+    for k in range(6):
+        shift = 0.1 * k
+        ppp = GaussianMixture(tuple((w, g(c + shift, 0.05)) for w, c in ((0.2, 0.0), (0.3, 2.0), (0.1, 4.0))))
+        tracks = tuple(
+            BernoulliComponent(r, g(c + shift, var))
+            for r, c, var in ((0.8, 1.0, 0.1), (0.6, 3.0, 0.1), (0.7, 9.0, 0.05), (0.9, 60.0, 0.01))
+        )
+        posteriors.append(PMBDensity(ppp, tracks))
+    return make_log(posteriors), birth, motion
+
+
 def crossing_example(seed=12345):
     """Two objects crossing on a line, K=8, Dirac filtering densities.
 

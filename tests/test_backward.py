@@ -1,10 +1,12 @@
+import gc
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
-from helpers import desk_like_problem, tv_toy
+from helpers import desk_like_problem, gating_problem, tv_toy
 
 from trajsmooth import backward
 from trajsmooth.backward import (
@@ -362,6 +364,33 @@ def test_backward_simulate_pinned_bytes_toy():
     particles = backward_simulate(log, birth, motion, params)
     blob = json.dumps(particles_to_jsonable(particles), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_TOY
+
+
+# the gating toy's first-detection paths: a uniform birth level, heads gated
+# into some undetected components, the ungated fallback and the underflow
+# floor (without the uniform level), with w_hyp_min > 0; recorded with the
+# per-head first-detection loop
+PINNED_GATING = {
+    (0.0, True): "15c407b618e2f2ed694891cd3958e31a02eb91b9495894a928ef0d3b88a197ac",
+    (0.0, False): "a21d09c848367109eec9cfada2c9ae5bd6aff8c1e7d06021072e9a67c7233d11",
+    (0.02, True): "5f8155e3d8cb5ff559d82405244fe7e085d51c36004bd5a545e773ffa53c4ba3",
+    (0.02, False): "f5aaabb97970bb006af9944d49368e75338fc8305d4b2d47be6b5e3f4b70f47f",
+}
+
+
+@pytest.mark.parametrize("uniform_density, dirac_mode", list(PINNED_GATING))
+def test_backward_simulate_pinned_bytes_gating(uniform_density, dirac_mode):
+    log, birth, motion = gating_problem(uniform_density)
+    params = SmootherParams(
+        num_particles=60, m_best=16, gate_prob=0.99, w_hyp_min=1e-3, dirac_mode=dirac_mode, seed=21
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        particles = backward_simulate(log, birth, motion, params)
+    # the track near 60 floors its first-detection weight only without the uniform level
+    assert any("underflow" in str(w.message) for w in caught) == (uniform_density == 0.0)
+    blob = json.dumps(particles_to_jsonable(particles), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_GATING[uniform_density, dirac_mode]
 
 
 @pytest.mark.parametrize("dirac_mode", [True, False])
