@@ -96,8 +96,8 @@ def load_scenario_config(cfg: dict) -> ScenarioConfig:
     ps = check_real("motion.pS", _field(mo, "motion", "pS"), "[0, 1]")
     if mo.get("model") == "cv":
         motion = make_cv_model(
-            float(_field(mo, "motion", "Ts")),
-            float(_field(mo, "motion", "sigma_q")),
+            float(check_real("motion.Ts", _field(mo, "motion", "Ts"), "(0, inf)")),
+            float(check_real("motion.sigma_q", _field(mo, "motion", "sigma_q"), "[0, inf)")),
             ps,
             dims=check_int("motion.dims", mo.get("dims", 2), 1),
         )
@@ -114,7 +114,11 @@ def load_scenario_config(cfg: dict) -> ScenarioConfig:
         if motion.dim % 2 != 0:
             raise ConfigError("measurement.model=position needs (pos, vel) state pairs")
         measurement = make_position_measurement(
-            motion.dim // 2, float(_field(me, "measurement", "sigma_r")), pd
+            motion.dim // 2,
+            float(check_real(
+                "measurement.sigma_r", _field(me, "measurement", "sigma_r"), "[0, inf)"
+            )),
+            pd,
         )
     else:
         measurement = MeasurementModel(
@@ -134,7 +138,8 @@ def load_scenario_config(cfg: dict) -> ScenarioConfig:
         raise ConfigError("clutter.region dimension must match the measurement dimension")
 
     bi = _field(cfg, "", "birth", dict)
-    birth = BirthModel(_mixture_from_jsonable(bi, "birth"), float(bi.get("uniform_density", 0.0)))
+    uniform = check_real("birth.uniform_density", bi.get("uniform_density", 0.0), "[0, inf)")
+    birth = BirthModel(_mixture_from_jsonable(bi, "birth"), float(uniform))
     init_ppp = birth.intensity
     if "init_ppp" in cfg:
         init_ppp = _mixture_from_jsonable(cfg["init_ppp"], "init_ppp")
@@ -163,6 +168,8 @@ def load_scenario_config(cfg: dict) -> ScenarioConfig:
             raise ConfigError(f"schedule.init_means[{i}] has wrong dimension")
     if "init_cov" in sc:
         init_cov = np.asarray(sc["init_cov"], float)
+        if not np.all(np.isfinite(init_cov)):
+            raise ConfigError(f"schedule.init_cov must be finite, got {sc['init_cov']!r}")
     elif len(birth.intensity) > 0:
         init_cov = birth.intensity.components[0][1].cov
     else:
@@ -280,28 +287,32 @@ def scenario_from_jsonable(data: dict) -> Scenario:
     models = data["models"]
     truth = GroundTruth(
         tuple(trajectory_from_jsonable(tr) for tr in data["truth"]["trajectories"]),
-        int(data["k_max"]),
+        check_int("k_max", data["k_max"], 1),
     )
+    birth = models["birth"]
     return Scenario(
         truth=truth,
         measurements=[[np.asarray(z, float) for z in scan] for scan in data["measurements"]],
         motion=LinearMotionModel(
             np.asarray(models["motion"]["F"], float),
             np.asarray(models["motion"]["Q"], float),
-            float(models["motion"]["ps"]),
+            float(check_real("models.motion.ps", models["motion"]["ps"], "[0, 1]")),
         ),
         measurement=MeasurementModel(
             np.asarray(models["measurement"]["H"], float),
             np.asarray(models["measurement"]["R"], float),
-            float(models["measurement"]["pd"]),
+            float(check_real("models.measurement.pd", models["measurement"]["pd"], "[0, 1]")),
         ),
         clutter=ClutterModel(
-            float(models["clutter"]["rate"]), np.asarray(models["clutter"]["region"], float)
+            float(check_real("models.clutter.rate", models["clutter"]["rate"], "[0, inf)")),
+            np.asarray(models["clutter"]["region"], float),
         ),
         birth=BirthModel(
-            _mixture_from_jsonable(models["birth"], "models.birth"),
-            float(models["birth"].get("uniform_density", 0.0)),
+            _mixture_from_jsonable(birth, "models.birth"),
+            float(check_real(
+                "models.birth.uniform_density", birth.get("uniform_density", 0.0), "[0, inf)"
+            )),
         ),
         init_ppp=_mixture_from_jsonable(models["init_ppp"], "models.init_ppp"),
-        seed=int(data["seed"]),
+        seed=check_int("seed", data["seed"], 0),
     )

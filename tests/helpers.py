@@ -78,7 +78,9 @@ def gating_problem(uniform_density):
     posteriors = []
     for k in range(6):
         shift = 0.1 * k
-        ppp = GaussianMixture(tuple((w, g(c + shift, 0.05)) for w, c in ((0.2, 0.0), (0.3, 2.0), (0.1, 4.0))))
+        ppp = GaussianMixture(
+            tuple((w, g(c + shift, 0.05)) for w, c in ((0.2, 0.0), (0.3, 2.0), (0.1, 4.0)))
+        )
         tracks = tuple(
             BernoulliComponent(r, g(c + shift, var))
             for r, c, var in ((0.8, 1.0, 0.1), (0.6, 3.0, 0.1), (0.7, 9.0, 0.05), (0.9, 60.0, 0.01))

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import desk_like_problem, gating_problem, tv_toy
 
 from trajsmooth import backward
@@ -169,7 +171,7 @@ def make_cost_kernel(cost):
     m = cost.shape[0]
     return BackwardKernel(
         k=1, cost=cost, step=None, present=(), diffs=np.empty((0, m, 1)),
-        log_w=np.empty((0, m)), first_detected=[], absent=(),
+        log_w=np.empty((0, m)), first=None, start=0, absent=(),
     )
 
 
@@ -468,3 +470,69 @@ def test_backward_step_preserves_conditioning_set():
             current, key=lambda t: (t.t, t.states[0, 0])
         )
         current = new_set
+
+
+def scalar_lse(values) -> float:
+    """The per-head log-sum-exp the first-detection weights were computed with."""
+    top = max(values)
+    if top == -math.inf:
+        return -math.inf
+    return float(top + math.log(sum(math.exp(v - top) for v in values)))
+
+
+_TERM = st.one_of(
+    st.just(-math.inf),
+    st.floats(min_value=-800.0, max_value=50.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_TERM, min_size=1, max_size=12), min_size=1, max_size=6))
+def test_lse_columns_bit_equal_to_scalar_lse(columns):
+    # each column's terms in order, padded with -inf (absent) to a common length
+    n = max(len(c) for c in columns)
+    columns = columns + [[-math.inf] * n]  # an all-absent column
+    rows = np.array([c + [-math.inf] * (n - len(c)) for c in columns]).T
+    expected = [scalar_lse(c) for c in columns]
+    assert backward._lse_columns(rows).tolist() == expected
+    # one column alone reduces along the only axis it has: still summed in row order
+    assert [backward._lse_columns(rows[:, [h]])[0] for h in range(len(columns))] == expected
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_backward_simulate_restores_collector_state(enabled):
+    log, birth, motion = tv_toy()
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        backward_simulate(log, birth, motion, SmootherParams(num_particles=20, seed=1))
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_backward_simulate_restores_collector_state_on_error(monkeypatch, enabled):
+    def fail(*args, **kwargs):
+        raise RuntimeError("kernel build failed")
+
+    monkeypatch.setattr(backward, "_kernels", fail)
+    log, birth, motion = tv_toy()
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(RuntimeError, match="kernel build failed"):
+            backward_simulate(log, birth, motion, SmootherParams(num_particles=20, seed=1))
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_backward_simulate_leaves_no_reference_cycles():
+    # the collector is paused during a run, so a cycle made there would outlive it
+    log, birth, motion = tv_toy()
+    params = SmootherParams(num_particles=200, m_best=64, gate_prob=1.0, w_hyp_min=0.0, seed=5)
+    gc.collect()
+    particles = backward_simulate(log, birth, motion, params)
+    assert gc.collect() == 0
+    assert len(particles) == 200

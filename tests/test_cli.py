@@ -124,6 +124,60 @@ def test_simulate_bad_scenario_setting_exits_2(tmp_path, capsys, path, value, fi
     assert f"{field} must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "path, value, field",
+    [
+        (("motion", "Ts"), 0.0, "motion.Ts"),
+        (("motion", "Ts"), float("inf"), "motion.Ts"),
+        (("motion", "sigma_q"), -0.1, "motion.sigma_q"),
+        (("motion", "sigma_q"), float("nan"), "motion.sigma_q"),
+        (("measurement", "sigma_r"), float("nan"), "measurement.sigma_r"),
+        (("measurement", "sigma_r"), -1.0, "measurement.sigma_r"),
+        (("measurement", "sigma_r"), "1.0", "measurement.sigma_r"),
+        (("birth", "uniform_density"), -0.5, "birth.uniform_density"),
+        (("birth", "uniform_density"), float("nan"), "birth.uniform_density"),
+        (("schedule", "init_cov", 0, 0), float("nan"), "schedule.init_cov"),
+        (("schedule", "init_cov", 1, 1), float("inf"), "schedule.init_cov"),
+    ],
+)
+def test_simulate_bad_model_real_exits_2(tmp_path, capsys, path, value, field):
+    cfg = small_config()
+    cfg["birth"]["uniform_density"] = 0.0
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "x.json")]) == 2
+    assert f"{field} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path, value, field",
+    [
+        (("k_max",), 2.5, "k_max"),
+        (("seed",), -1, "seed"),
+        (("models", "motion", "ps"), 1.5, "models.motion.ps"),
+        (("models", "measurement", "pd"), 2.0, "models.measurement.pd"),
+        (("models", "clutter", "rate"), -1.0, "models.clutter.rate"),
+        (("models", "birth", "uniform_density"), -0.5, "models.birth.uniform_density"),
+    ],
+)
+def test_filter_bad_scenario_artifact_exits_2(workdir, capsys, path, value, field):
+    tmp_path, cfg = workdir
+    scenario = tmp_path / "scenario.json"
+    assert main(["simulate", "--config", str(cfg), "--out", str(scenario)]) == 0
+    data = json.loads(scenario.read_text())
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    scenario.write_text(json.dumps(data))
+    assert main(["filter", "--scenario", str(scenario), "--out", str(tmp_path / "fl.json")]) == 2
+    assert f"{field} must be" in capsys.readouterr().err
+
+
 def test_full_pipeline_and_reproducibility(workdir):
     tmp_path, cfg = workdir
     scenario, filterlog, particles, best = run_pipeline(tmp_path, cfg)
