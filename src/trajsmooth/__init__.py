@@ -45,13 +45,10 @@ from .gaussians import (
     GaussianDensity,
     GaussianMixture,
     LinearMotionModel,
-    log_gaussian_pdf,
     make_cv_model,
     moment_match,
     predict_gaussian,
     sample_gaussian,
-    smd,
-    smooth_head,
 )
 from .metrics import (
     GospaResult,
@@ -114,13 +111,10 @@ __all__ = [
     "GaussianDensity",
     "GaussianMixture",
     "LinearMotionModel",
-    "log_gaussian_pdf",
     "make_cv_model",
     "moment_match",
     "predict_gaussian",
     "sample_gaussian",
-    "smd",
-    "smooth_head",
     "GospaResult",
     "ParticleStats",
     "extract_estimates",

@@ -262,26 +262,31 @@ def _lse_columns(rows: np.ndarray) -> np.ndarray:
 
 
 class _Smoothing(NamedTuple):
-    """Stacked one-step terms of weighted densities (ln w, N(x, P)) under x' ~ N(F x, Q)."""
+    """Stacked one-step terms of weighted densities (ln w, N(x, P)) under x' ~ N(F x, Q).
+
+    Conditioning a density on a successor state y is the one-step RTS update
+    against a fixed state: mean x + G (y - F x) and covariance P - G F P,
+    with weight ln w + ln N(y; F x, P_pred).
+    """
 
     log_const: np.ndarray  # ln w plus the log-normaliser of N(., F x, P_pred)
     mean_pred: np.ndarray  # F x
     inv_pred: np.ndarray  # P_pred^{-1}
     means: np.ndarray  # x
     gains: np.ndarray  # G = P F^T P_pred^{-1}
-    roots: list  # sampling roots of the smoothed covariances P - G F P
+    covs: np.ndarray  # smoothed covariances P - G F P
+    roots: list  # sampling roots of `covs`
 
 
 def _smoothing_terms(weighted, m: LinearMotionModel) -> _Smoothing:
-    densities = [g for _, g in weighted]
-    means, covs = _stack(densities, m.dim)
+    means, covs = _stack([g for _, g in weighted], m.dim)
     mean_pred, inv_pred, log_norm, gains = _linear_terms(means, covs, m.F, m.Q)
     log_const = np.array([lw + ln for (lw, _), ln in zip(weighted, log_norm)])
-    roots = [
-        _sampling_root(symmetrize(g.cov - gain @ m.F @ g.cov))
-        for g, gain in zip(densities, gains)
-    ]
-    return _Smoothing(log_const, mean_pred, inv_pred, means, gains, roots)
+    smoothed = np.array(
+        [symmetrize(c - gain @ m.F @ c) for c, gain in zip(covs, gains)]
+    ).reshape(covs.shape)
+    roots = [_sampling_root(c) for c in smoothed]
+    return _Smoothing(log_const, mean_pred, inv_pred, means, gains, smoothed, roots)
 
 
 class _KernelCache:
@@ -313,12 +318,11 @@ class _KernelCache:
             [(math.log(ps) + math.log(w), g) for w, g in pmb.ppp if w > 0.0 and ps > 0.0], m
         )
 
+        # birth components: (ln w plus log-normaliser, means, inverse covariances)
         births = [(w, g) for w, g in birth.intensity if w > 0.0]
-        covs = np.array([g.cov for _, g in births]).reshape(-1, m.dim, m.dim)
+        means, covs = _stack([g for _, g in births], m.dim)
         inv, log_norm = _inv_log_norm(covs)
-        self.birth_comps = [
-            (math.log(w) + ln, g.mean, i) for (w, g), i, ln in zip(births, inv, log_norm)
-        ]
+        self.birth_comps = (np.array([math.log(w) for w, _ in births]) + log_norm, means, inv)
         self.log_uniform = (
             math.log(birth.uniform_density) if birth.uniform_density > 0.0 else -math.inf
         )
@@ -331,26 +335,21 @@ def build_backward_kernel(
     trajectories,
     gate: float,
     k: int = 0,
-    cache: _KernelCache | None = None,
 ) -> BackwardKernel:
     """Kernel of the trajectory set over k:K conditioned on the set over k+1:K.
 
-    `cache` carries the conditioning-set-independent quantities; callers that
-    evaluate many conditioning sets against the same posterior build it once
-    per step. This is the batched build of `_kernels` with one set.
+    This is the batched build of `_kernels` with one set.
     """
-    if cache is None:
-        cache = _KernelCache(pmb, birth, m)
-    return _kernels(cache, [trajectories], gate, k)[0]
+    return _kernels(_KernelCache(pmb, birth, m), [trajectories], gate, k)[0]
 
 
 def _kernels(cache: _KernelCache, sets, gate: float, k: int) -> list[BackwardKernel]:
     """Kernels of many conditioning sets from one pass over their stacked heads.
 
     Every present head of every set is gated against every active track and
-    every birth and undetected component at once. Sets with the same number of
-    present trajectories then get their cost matrices and smoothed extension
-    means as one stack each.
+    every birth and undetected component at once (`_gated`). Sets with the
+    same number of present trajectories then get their cost matrices and
+    smoothed extension means as one stack each.
     """
     splits = [split_y(trajectories, k) for trajectories in sets]
     present = [tr for p, _ in splits for tr in p]
@@ -365,23 +364,21 @@ def _kernels(cache: _KernelCache, sets, gate: float, k: int) -> list[BackwardKer
               for size, members in by_size.items()]
 
     t = cache.tracks
-    diffs = heads[None, :, :] - t.mean_pred[:, None, :]
-    mahas = np.einsum("amj,ajk,amk->am", diffs, t.inv_pred, diffs)
-    log_w = t.log_const[:, None] - 0.5 * mahas
-    continued = np.where(
-        mahas <= gate, -(log_w - cache.log_w_end[cache.active_idx, None]), np.inf
-    )
+    diffs, log_w, gated = _gated(heads, t.log_const, t.mean_pred, t.inv_pred, gate)
+    continued = np.where(gated, -(log_w - cache.log_w_end[cache.active_idx, None]), np.inf)
 
     # a (size, d) @ (d, d) product per set and component, as one broadcast matmul
     # per block: stacking the sets into one taller product would round differently
     ppp = cache.ppp
-    ext_means = np.empty((len(ppp.means), len(heads), cache.dim))
+    ext_diffs, ext_lp, ext_ok = _gated(heads, ppp.log_const, ppp.mean_pred, ppp.inv_pred, gate)
+    ext_means = np.empty(ext_diffs.shape)
+    gains_t = ppp.gains.transpose(0, 2, 1)[:, None]
     for _, idx in blocks:
-        d = heads[idx][None] - ppp.mean_pred[:, None, None, :]
-        block = ppp.means[:, None, None, :] + d @ ppp.gains.transpose(0, 2, 1)[:, None]
+        block = ppp.means[:, None, None, :] + ext_diffs[:, idx] @ gains_t
         ext_means[:, idx.ravel()] = block.reshape(len(ppp.means), idx.size, cache.dim)
+    _, birth_lp, birth_ok = _gated(heads, *cache.birth_comps, gate)
     local = [j for p, _ in splits for j in range(len(p))]
-    first = _first_detected_all(heads, local, ext_means, cache, gate)
+    first = _first_detected_all(birth_lp, birth_ok, ext_lp, ext_ok, ext_means, local, cache)
     first_cost = -first.log_w
 
     kernels: list[BackwardKernel] = [None] * len(sets)
@@ -401,22 +398,20 @@ def _kernels(cache: _KernelCache, sets, gate: float, k: int) -> list[BackwardKer
     return kernels
 
 
-def _first_detected_all(heads, local, ext_means, cache: _KernelCache, gate: float):
+def _first_detected_all(birth_lp, birth_ok, ext_lp, ext_ok, ext_means, local, cache):
     """First-detection terms of every stacked head, as `_FirstDetections` arrays.
 
     Birth-at-k+1 versus one-step backward extension through the undetected
-    intensity; birth/intensity components are gated individually, falling back
-    to ungated evaluation when nothing survives so the column stays feasible.
+    intensity. The (components, heads) log-terms and gate masks of the birth
+    and undetected components come from `_gated`; when no term of a head
+    survives its gate, all are used ungated so the column stays feasible.
     The log-weights are column log-sum-exps over (terms x heads) arrays in
     which a gated-out term is -inf: the uniform birth level, then each birth
     component, then each extension. `local` is each head's index within its
     own conditioning set and `ext_means` its smoothed mean under every
     undetected component.
     """
-    n_heads = len(heads)
-    birth_lp, birth_ok = _gated_terms(heads, cache.birth_comps, gate)
-    p = cache.ppp
-    ext_lp, ext_ok = _gated_terms(heads, list(zip(p.log_const, p.mean_pred, p.inv_pred)), gate)
+    n_heads = len(local)
     has_uniform = cache.log_uniform > -math.inf
     fallback = ~(has_uniform | birth_ok.any(axis=0) | ext_ok.any(axis=0))
     birth_ok |= fallback
@@ -442,16 +437,15 @@ def _first_detected_all(heads, local, ext_means, cache: _KernelCache, gate: floa
     return _FirstDetections(log_w, w_keep.tolist(), ext_lp, ext_ok, ext_means)
 
 
-def _gated_terms(heads, comps, gate: float) -> tuple[np.ndarray, np.ndarray]:
-    """(components, heads) log-terms and gate masks of (log-weight, mean, inverse cov) comps."""
-    lp = np.empty((len(comps), len(heads)))
-    ok = np.empty(lp.shape, dtype=bool)
-    for c, (log_const, mean, inv) in enumerate(comps):
-        d = heads - mean
-        maha = np.einsum("ij,jk,ik->i", d, inv, d)
-        lp[c] = log_const - 0.5 * maha
-        ok[c] = maha <= gate
-    return lp, ok
+def _gated(heads, log_const, means, invs, gate: float):
+    """(components, heads) differences, log-terms and gate masks of Gaussian terms.
+
+    Component c has log-terms log_const[c] - 0.5 (h - means[c])^T invs[c] (h - means[c])
+    for each head h, gated by that Mahalanobis distance being at most `gate`.
+    """
+    diffs = heads[None, :, :] - means[:, None, :]
+    mahas = np.einsum("amj,ajk,amk->am", diffs, invs, diffs)
+    return diffs, log_const[:, None] - 0.5 * mahas, mahas <= gate
 
 
 def _global_distributions(

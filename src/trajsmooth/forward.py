@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import chdtri
 
 from .assignment import murty
-from .errors import ContractError, check_int, check_real
+from .errors import ConfigError, ContractError, check_int, check_real
 from .gaussians import (
     GaussianDensity,
     GaussianMixture,
@@ -328,14 +328,14 @@ def pmb_to_jsonable(pmb: PMBDensity) -> dict:
     }
 
 
-def pmb_from_jsonable(data: dict) -> PMBDensity:
-    ppp = _mixture_from_jsonable(data["ppp"], "ppp")
+def pmb_from_jsonable(data: dict, path: str) -> PMBDensity:
+    ppp = _mixture_from_jsonable(data["ppp"], f"{path}.ppp")
     bernoullis = tuple(
         BernoulliComponent(
-            float(b["r"]),
+            float(check_real(f"{path}.bernoullis[{i}].r", b["r"], "[0, 1]")),
             GaussianDensity(np.asarray(b["mean"], float), np.asarray(b["cov"], float)),
         )
-        for b in data["bernoullis"]
+        for i, b in enumerate(data["bernoullis"])
     )
     return PMBDensity(ppp, bernoullis)
 
@@ -355,9 +355,14 @@ def filterlog_to_jsonable(log: FilterLog) -> dict:
 
 
 def filterlog_from_jsonable(data: dict) -> FilterLog:
-    log = FilterLog(k_max=int(data["k_max"]))
-    for step in data["steps"]:
-        log.posteriors.append(pmb_from_jsonable(step["posterior"]))
-        log.predicted_ppps.append(_mixture_from_jsonable(step["predicted_ppp"], "predicted_ppp"))
+    """Decode a filter log; `k_max` must be an integer equal to the number of steps."""
+    log = FilterLog(k_max=check_int("k_max", data["k_max"], 1))
+    if len(data["steps"]) != log.k_max:
+        raise ConfigError(f"k_max {log.k_max} does not match the {len(data['steps'])} steps")
+    for k, step in enumerate(data["steps"]):
+        log.posteriors.append(pmb_from_jsonable(step["posterior"], f"steps[{k}].posterior"))
+        log.predicted_ppps.append(
+            _mixture_from_jsonable(step["predicted_ppp"], f"steps[{k}].predicted_ppp")
+        )
         log.estimates.append([np.asarray(e, float) for e in step["estimates"]])
     return log

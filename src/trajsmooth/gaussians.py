@@ -1,16 +1,17 @@
-"""Linear-Gaussian primitives: densities, prediction, one-step backward smoothing.
+"""Linear-Gaussian primitives: densities, prediction, moment matching, sampling.
 
 All covariance-producing operations symmetrize their output as (A + A^T)/2 to
 bound floating-point drift. One inversion policy, `_jittered`, covers every
 covariance the package inverts: a matrix whose condition estimate exceeds 1e12
 gets a single 1e-9 jitter on the diagonal and is rejected if that does not
 help. The filter update and the backward kernel invert stacks through
-`_inv_log_norm`/`_linear_terms`; the reference ops (`smooth_head`, `smd`,
-`log_gaussian_pdf`) solve through a Cholesky factor instead. Prediction
-(`_predict`) and moment matching (`_collapse`) also work on stacks (`_stack`);
-`predict_gaussian` and `moment_match` are their one-density cases, so each
-operation has one arithmetic path. Sampling splits into `_sampling_root`,
-which the backward kernel caches once per step and covariance, and `_draw`.
+`_inv_log_norm`/`_linear_terms`, the one path for innovation terms, gains and
+the one-step smoothing update. Prediction (`_predict`) and moment matching
+(`_collapse`) also work on stacks (`_stack`); `predict_gaussian` and
+`moment_match` are their one-density cases, so each operation has one
+arithmetic path. Sampling splits into `_sampling_root`, which the backward
+kernel caches once per step and covariance, and `_draw`; `_psd_root` is the
+eigen-based root of a PSD matrix that is not positive definite.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ContractError, SingularMatrixError
 
@@ -207,61 +207,10 @@ def _collapse(w: np.ndarray, means: np.ndarray, covs: np.ndarray, counts):
     return out_means, out_covs
 
 
-def _spd_cho(a: np.ndarray):
-    """Cholesky factor of a symmetric matrix, applying the jitter policy."""
-    a = _jittered(symmetrize(np.asarray(a, dtype=float)))
-    try:
-        return cho_factor(a, lower=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - cond check is primary
-        raise SingularMatrixError(str(exc)) from exc
-
-
 def predict_gaussian(g: GaussianDensity, m: LinearMotionModel) -> GaussianDensity:
     """One-step prediction: N(x, P) -> N(F x, F P F^T + Q)."""
     mean, cov = _predict(*_stack([g], m.dim), m)
     return GaussianDensity(mean[0], cov[0])
-
-
-def smooth_head(prior: GaussianDensity, m: LinearMotionModel, y1: np.ndarray) -> GaussianDensity:
-    """Condition N(x, P) on a known successor state y1 under x' ~ N(F x, Q).
-
-    Gain G = P F^T (F P F^T + Q)^{-1}; returns N(x + G (y1 - F x), P - G F P).
-    This equals a one-step RTS backward update against a degenerate (zero
-    covariance) smoothed successor.
-    """
-    y1 = np.asarray(y1, dtype=float)
-    if y1.shape != (prior.dim,) or prior.dim != m.dim:
-        raise ContractError("smooth_head dimension mismatch")
-    p_pred = symmetrize(m.F @ prior.cov @ m.F.T + m.Q)
-    cho = _spd_cho(p_pred)
-    # G = P F^T P_pred^{-1}, computed as solve(P_pred, F P)^T
-    gain = cho_solve(cho, m.F @ prior.cov).T
-    mean = prior.mean + gain @ (y1 - m.F @ prior.mean)
-    cov = symmetrize(prior.cov - gain @ m.F @ prior.cov)
-    return GaussianDensity(mean, cov)
-
-
-def smd(y1: np.ndarray, prior: GaussianDensity, m: LinearMotionModel) -> float:
-    """Squared Mahalanobis distance of y1 from the predicted density N(F x, F P F^T + Q)."""
-    y1 = np.asarray(y1, dtype=float)
-    if y1.shape != (prior.dim,) or prior.dim != m.dim:
-        raise ContractError("smd dimension mismatch")
-    p_pred = m.F @ prior.cov @ m.F.T + m.Q
-    resid = y1 - m.F @ prior.mean
-    cho = _spd_cho(p_pred)
-    return float(resid @ cho_solve(cho, resid))
-
-
-def log_gaussian_pdf(y: np.ndarray, g: GaussianDensity) -> float:
-    """Natural log of N(y; mean, cov); cov must be positive definite."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (g.dim,):
-        raise ContractError(f"point shape {y.shape} does not match density dim {g.dim}")
-    cho = _spd_cho(g.cov)
-    resid = y - g.mean
-    maha = float(resid @ cho_solve(cho, resid))
-    logdet = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
-    return -0.5 * (g.dim * math.log(2.0 * math.pi) + logdet + maha)
 
 
 def moment_match(weights, densities) -> GaussianDensity:
@@ -295,8 +244,13 @@ def _sampling_root(cov: np.ndarray):
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(symmetrize(cov))
-        return vecs * np.sqrt(np.clip(vals, 0.0, None))
+        return _psd_root(cov)
+
+
+def _psd_root(cov: np.ndarray) -> np.ndarray:
+    """A root R with R R^T = cov of a PSD matrix, from its eigendecomposition."""
+    vals, vecs = np.linalg.eigh(symmetrize(cov))
+    return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
 def _draw(mean: np.ndarray, root, rng: np.random.Generator) -> np.ndarray:

@@ -11,7 +11,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, check_int, check_real
-from .gaussians import GaussianDensity, GaussianMixture, LinearMotionModel, make_cv_model
+from .gaussians import (
+    GaussianDensity,
+    GaussianMixture,
+    LinearMotionModel,
+    _psd_root,
+    make_cv_model,
+)
 from .models import BirthModel, ClutterModel, MeasurementModel, make_position_measurement
 from .trajectory import Trajectory, trajectory_from_jsonable, trajectory_to_jsonable
 
@@ -70,6 +76,14 @@ def _field(cfg: dict, path: str, key: str, expected=None):
     return value
 
 
+def _matrix(path: str, value) -> np.ndarray:
+    """`value` as a float array, or ConfigError naming `path` unless every entry is finite."""
+    a = np.asarray(value, float)
+    if not np.all(np.isfinite(a)):
+        raise ConfigError(f"{path} must be finite, got {value!r}")
+    return a
+
+
 def _mixture_from_jsonable(data: dict, path: str) -> GaussianMixture:
     """The mixture `{"weights", "means", "covs"}` of a config or an artifact."""
     weights = _field(data, path, "weights", list)
@@ -103,8 +117,8 @@ def load_scenario_config(cfg: dict) -> ScenarioConfig:
         )
     else:
         motion = LinearMotionModel(
-            np.asarray(_field(mo, "motion", "F", list), float),
-            np.asarray(_field(mo, "motion", "Q", list), float),
+            _matrix("motion.F", _field(mo, "motion", "F", list)),
+            _matrix("motion.Q", _field(mo, "motion", "Q", list)),
             ps,
         )
 
@@ -122,8 +136,8 @@ def load_scenario_config(cfg: dict) -> ScenarioConfig:
         )
     else:
         measurement = MeasurementModel(
-            np.asarray(_field(me, "measurement", "H", list), float),
-            np.asarray(_field(me, "measurement", "R", list), float),
+            _matrix("measurement.H", _field(me, "measurement", "H", list)),
+            _matrix("measurement.R", _field(me, "measurement", "R", list)),
             pd,
         )
     if measurement.dim_x != motion.dim:
@@ -132,7 +146,7 @@ def load_scenario_config(cfg: dict) -> ScenarioConfig:
     cl = _field(cfg, "", "clutter", dict)
     clutter = ClutterModel(
         float(check_real("clutter.rate", _field(cl, "clutter", "rate"), "[0, inf)")),
-        np.asarray(_field(cl, "clutter", "region", list), float),
+        _matrix("clutter.region", _field(cl, "clutter", "region", list)),
     )
     if clutter.region.shape[0] != measurement.dim_z:
         raise ConfigError("clutter.region dimension must match the measurement dimension")
@@ -167,9 +181,7 @@ def load_scenario_config(cfg: dict) -> ScenarioConfig:
         if m.shape != (motion.dim,):
             raise ConfigError(f"schedule.init_means[{i}] has wrong dimension")
     if "init_cov" in sc:
-        init_cov = np.asarray(sc["init_cov"], float)
-        if not np.all(np.isfinite(init_cov)):
-            raise ConfigError(f"schedule.init_cov must be finite, got {sc['init_cov']!r}")
+        init_cov = _matrix("schedule.init_cov", sc["init_cov"])
     elif len(birth.intensity) > 0:
         init_cov = birth.intensity.components[0][1].cov
     else:
@@ -190,19 +202,14 @@ def load_scenario_config(cfg: dict) -> ScenarioConfig:
     )
 
 
-def _chol_psd(cov: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
-    return vecs * np.sqrt(np.clip(vals, 0.0, None))
-
-
 def generate_truth(config: ScenarioConfig, rng: np.random.Generator) -> GroundTruth:
     """Sample object trajectories on the configured birth/death schedule.
 
     Initial states are N(init_mean, init_cov) draws; subsequent states follow
     x_{k+1} ~ N(F x_k, Q) until the scheduled death.
     """
-    root_f = _chol_psd(config.init_cov)
-    root_q = _chol_psd(config.motion.Q)
+    root_f = _psd_root(config.init_cov)
+    root_q = _psd_root(config.motion.Q)
     trajectories = []
     for b, d, mean in zip(config.births, config.deaths, config.init_means):
         x = mean + root_f @ rng.standard_normal(config.motion.dim)
@@ -221,7 +228,7 @@ def generate_measurements(
     rng: np.random.Generator,
 ) -> list[list[np.ndarray]]:
     """Detections (probability pd, noise R) plus Poisson-uniform clutter per scan."""
-    root_r = _chol_psd(mm.R)
+    root_r = _psd_root(mm.R)
     scans = []
     for k in range(1, truth.k_max + 1):
         scan = []
@@ -285,6 +292,7 @@ def scenario_to_jsonable(sc: Scenario) -> dict:
 
 def scenario_from_jsonable(data: dict) -> Scenario:
     models = data["models"]
+    motion, measurement = models["motion"], models["measurement"]
     truth = GroundTruth(
         tuple(trajectory_from_jsonable(tr) for tr in data["truth"]["trajectories"]),
         check_int("k_max", data["k_max"], 1),
@@ -294,18 +302,18 @@ def scenario_from_jsonable(data: dict) -> Scenario:
         truth=truth,
         measurements=[[np.asarray(z, float) for z in scan] for scan in data["measurements"]],
         motion=LinearMotionModel(
-            np.asarray(models["motion"]["F"], float),
-            np.asarray(models["motion"]["Q"], float),
-            float(check_real("models.motion.ps", models["motion"]["ps"], "[0, 1]")),
+            _matrix("models.motion.F", motion["F"]),
+            _matrix("models.motion.Q", motion["Q"]),
+            float(check_real("models.motion.ps", motion["ps"], "[0, 1]")),
         ),
         measurement=MeasurementModel(
-            np.asarray(models["measurement"]["H"], float),
-            np.asarray(models["measurement"]["R"], float),
-            float(check_real("models.measurement.pd", models["measurement"]["pd"], "[0, 1]")),
+            _matrix("models.measurement.H", measurement["H"]),
+            _matrix("models.measurement.R", measurement["R"]),
+            float(check_real("models.measurement.pd", measurement["pd"], "[0, 1]")),
         ),
         clutter=ClutterModel(
             float(check_real("models.clutter.rate", models["clutter"]["rate"], "[0, inf)")),
-            np.asarray(models["clutter"]["region"], float),
+            _matrix("models.clutter.region", models["clutter"]["region"]),
         ),
         birth=BirthModel(
             _mixture_from_jsonable(birth, "models.birth"),

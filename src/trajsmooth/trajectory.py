@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, check_int
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -73,4 +73,5 @@ def trajectory_to_jsonable(tr: Trajectory) -> dict:
 
 
 def trajectory_from_jsonable(data: dict) -> Trajectory:
-    return Trajectory(data["t"], np.asarray(data["states"], float))
+    """Decode a trajectory; its birth time `t` must be an integer >= 1."""
+    return Trajectory(check_int("t", data["t"], 1), np.asarray(data["states"], float))

@@ -23,12 +23,7 @@ from trajsmooth.backward import (
 from trajsmooth.cli import main
 from trajsmooth.errors import InfeasibleAssignmentError
 from trajsmooth.forward import BernoulliComponent, PMBDensity
-from trajsmooth.gaussians import (
-    GaussianDensity,
-    GaussianMixture,
-    LinearMotionModel,
-    smooth_head,
-)
+from trajsmooth.gaussians import GaussianDensity, GaussianMixture, LinearMotionModel
 from trajsmooth.metrics import gospa, particle_stats
 from trajsmooth.models import BirthModel
 from trajsmooth.oracle import exact_smooth
@@ -79,6 +74,8 @@ def test_criterion_01_assignment_exactness():
 
 
 def test_criterion_02_smoothing_algebra():
+    # the backward kernel's own smoothing of a track N(x, P) against one successor y1
+    birth = BirthModel(GaussianMixture(), uniform_density=1.0)
     rng = np.random.default_rng(202)
     max_dev = 0.0
     min_eig = np.inf
@@ -92,9 +89,12 @@ def test_criterion_02_smoothing_algebra():
         f_mat = rng.standard_normal((nx, nx))
         x = rng.standard_normal(nx)
         y1 = rng.standard_normal(nx)
-        out = smooth_head(
-            GaussianDensity(x, p_mat), LinearMotionModel(f_mat, q_mat, ps=1.0), y1
+        pmb = PMBDensity(GaussianMixture(), (BernoulliComponent(1.0, GaussianDensity(x, p_mat)),))
+        kernel = build_backward_kernel(
+            pmb, birth, LinearMotionModel(f_mat, q_mat, ps=1.0), [Trajectory(2, y1[None])],
+            gate=np.inf, k=1,
         )
+        mean, cov = kernel.smoothed_head(0, 0)[0], kernel.step.tracks.covs[0]
         # independent one-step RTS update against a zero-covariance successor
         p_pred = f_mat @ p_mat @ f_mat.T + q_mat
         gain = p_mat @ f_mat.T @ np.linalg.inv(p_pred)
@@ -102,11 +102,11 @@ def test_criterion_02_smoothing_algebra():
         p_ref = p_mat + gain @ (np.zeros((nx, nx)) - p_pred) @ gain.T
         max_dev = max(
             max_dev,
-            float(np.abs(out.mean - x_ref).max()),
-            float(np.abs(out.cov - p_ref).max()),
+            float(np.abs(mean - x_ref).max()),
+            float(np.abs(cov - p_ref).max()),
         )
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(out.cov).min()))
-        trace_ok = trace_ok and np.trace(out.cov) <= np.trace(p_mat) + 1e-10
+        min_eig = min(min_eig, float(np.linalg.eigvalsh(cov).min()))
+        trace_ok = trace_ok and np.trace(cov) <= np.trace(p_mat) + 1e-10
     ok = max_dev < 1e-10 and min_eig > -1e-9 and trace_ok
     report(2, ok, f"max dev {max_dev:.2e} < 1e-10, min eig {min_eig:.2e} > -1e-9, traces nonincreasing")
 

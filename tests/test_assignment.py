@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -218,6 +219,26 @@ def test_murty_path_breaks_ties_by_row_to_col(seed, m_best):
     ]
 
 
+def _block_layouts():
+    """(rows, columns) per block of each 2-3 block layout the strategy below can reach.
+
+    Rows are 1-4 per block and at most 6 in all; a block of r rows has r to r + 2
+    columns, one fewer each when they sum above 8. Only layouts with more than
+    _ENUM_CAP candidates when every entry is finite are kept: no other can pass
+    the precondition of the clustered-ranking test.
+    """
+    layouts = set()
+    for n_blocks in (2, 3):
+        for rows in itertools.product(range(1, 5), repeat=n_blocks):
+            for extra in itertools.product(range(3), repeat=n_blocks):
+                cols = [r + e for r, e in zip(rows, extra)]
+                if sum(cols) > 8:
+                    cols = [max(1, c - 1) for c in cols]
+                if sum(rows) <= 6 and math.prod(c**r for r, c in zip(rows, cols)) > _ENUM_CAP:
+                    layouts.add((rows, tuple(cols)))
+    return sorted(layouts)
+
+
 @st.composite
 def block_matrices(draw):
     """2-3 independent blocks of small-integer costs, rows and columns shuffled.
@@ -225,12 +246,7 @@ def block_matrices(draw):
     Too many candidates to enumerate whole, so ranking goes through the
     per-component lists and their merge.
     """
-    n_blocks = draw(st.integers(2, 3))
-    rows = draw(st.lists(st.integers(1, 4), min_size=n_blocks, max_size=n_blocks)
-                .filter(lambda r: sum(r) <= 6))
-    cols = [draw(st.integers(r, r + 2)) for r in rows]
-    if sum(cols) > 8:
-        cols = [max(1, c - 1) for c in cols]
+    rows, cols = draw(st.sampled_from(_block_layouts()))
     cost = np.full((sum(rows), max(sum(cols), sum(rows))), np.inf)
     r0 = c0 = 0
     for r, c in zip(rows, cols):

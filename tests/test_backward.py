@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import desk_like_problem, gating_problem, tv_toy
+from helpers import desk_like_problem, gating_problem, make_log, tv_toy
+from scipy.stats import norm
 
 from trajsmooth import backward
 from trajsmooth.backward import (
@@ -29,14 +30,12 @@ from trajsmooth.backward import (
     split_y,
 )
 from trajsmooth.errors import ContractError
-from trajsmooth.forward import BernoulliComponent, FilterLog, PMBDensity
+from trajsmooth.forward import BernoulliComponent, PMBDensity
 from trajsmooth.gaussians import (
     GaussianDensity,
     GaussianMixture,
     LinearMotionModel,
     _sampling_root,
-    log_gaussian_pdf,
-    smooth_head,
 )
 from trajsmooth.models import BirthModel
 from trajsmooth.trajectory import Trajectory
@@ -103,6 +102,10 @@ def test_continued_weight_value():
     assert math.exp(hyp.log_weight) == pytest.approx(0.45 / math.sqrt(4 * math.pi), rel=1e-12)
     assert math.exp(hyp.log_weight) == pytest.approx(0.1269427, abs=1e-7)
     assert hyp.existence == 1.0
+    # smoothed head: mean x + G (y1 - F x) = 0, variance P - G F P = 0.5 with G = 0.5;
+    # a 1-d sampling root is the standard deviation
+    np.testing.assert_allclose(hyp.density.mean, [0.0], atol=1e-15)
+    assert hyp.density.root == pytest.approx(math.sqrt(0.5), rel=1e-12)
 
 
 def test_gated_pair_infinite_cost():
@@ -132,17 +135,6 @@ def test_cost_entries_are_weight_ratios():
         assert kernel.cost[j, kernel.n_tracks + j] == pytest.approx(-fd.log_weight)
 
 
-def test_smoothed_head_matches_smooth_head_op():
-    pmb = PMBDensity(GaussianMixture(), (BernoulliComponent(0.8, g1(1.0, 2.0)),))
-    y = traj(5, -0.5, 0.2)
-    kernel = build_backward_kernel(pmb, BIRTH, MOTION, [y], gate=1e9, k=4)
-    hyp = kernel.continued(0, 0)
-    ref = smooth_head(g1(1.0, 2.0), MOTION, y.states[0])
-    np.testing.assert_allclose(hyp.density.mean, ref.mean, atol=1e-12)
-    # a 1-d sampling root is the standard deviation
-    np.testing.assert_allclose(hyp.density.root**2, ref.cov[0, 0], atol=1e-12)
-
-
 def test_first_detection_weight_and_split():
     ppp = GaussianMixture(((0.3, g1(2.0, 1.0)),))
     pmb = PMBDensity(ppp, ())
@@ -150,8 +142,8 @@ def test_first_detection_weight_and_split():
     kernel = build_backward_kernel(pmb, BIRTH, MOTION, [y], gate=1e9, k=1)
     fd = kernel.first_detected[0].density
     assert isinstance(fd, FirstDetected)
-    w_birth = 0.1 * math.exp(log_gaussian_pdf(np.array([2.5]), g1(0.0, 25.0)))
-    w_ext = 0.9 * 0.3 * math.exp(log_gaussian_pdf(np.array([2.5]), g1(2.0, 2.0)))
+    w_birth = 0.1 * norm.pdf(2.5, 0.0, 5.0)
+    w_ext = 0.9 * 0.3 * norm.pdf(2.5, 2.0, math.sqrt(2.0))
     total = w_birth + w_ext
     assert math.exp(kernel.first_detected[0].log_weight) == pytest.approx(total, rel=1e-9)
     assert fd.w_keep == pytest.approx(w_birth / total, rel=1e-9)
@@ -256,15 +248,6 @@ def test_sample_bernoulli_continued_dirac_uses_mean():
     out = sample_bernoulli(h, 6, True, rng)
     np.testing.assert_allclose(out.states[0], [1.25])
     np.testing.assert_array_equal(out.states[1:], tail.states)
-
-
-def make_log(posteriors):
-    log = FilterLog(k_max=len(posteriors))
-    for p in posteriors:
-        log.posteriors.append(p)
-        log.predicted_ppps.append(p.ppp)
-        log.estimates.append([])
-    return log
 
 
 def test_backward_simulate_k1():
@@ -497,6 +480,26 @@ def test_lse_columns_bit_equal_to_scalar_lse(columns):
     assert backward._lse_columns(rows).tolist() == expected
     # one column alone reduces along the only axis it has: still summed in row order
     assert [backward._lse_columns(rows[:, [h]])[0] for h in range(len(columns))] == expected
+
+
+def test_gated_equals_per_component_loop_bitwise():
+    # the per-component loop the stacked gating replaced is the reference: one
+    # "ij,jk,ik->i" einsum per component; the kernels are pinned by sha256
+    rng = np.random.default_rng(10)
+    for _ in range(100):
+        n_comps, n_heads, d = rng.integers(1, 6), rng.integers(1, 300), rng.choice([1, 2, 4])
+        heads = rng.normal(0.0, 3.0, (n_heads, d))
+        means = rng.normal(0.0, 3.0, (n_comps, d))
+        a = rng.normal(size=(n_comps, d, d))
+        invs = np.linalg.inv(a @ a.transpose(0, 2, 1) + d * np.eye(d))
+        log_const = rng.normal(size=n_comps)
+        diffs, log_terms, ok = backward._gated(heads, log_const, means, invs, 4.0)
+        for c in range(n_comps):
+            diff = heads - means[c]
+            maha = np.einsum("ij,jk,ik->i", diff, invs[c], diff)
+            assert diffs[c].tobytes() == diff.tobytes()
+            assert log_terms[c].tobytes() == (log_const[c] - 0.5 * maha).tobytes()
+            np.testing.assert_array_equal(ok[c], maha <= 4.0)
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -13,7 +13,9 @@ import trajsmooth
 from trajsmooth.backward import SmootherParams
 from trajsmooth.cli import _SCHEMA, _load_run_config, build_parser, main
 from trajsmooth.forward import FilterParams
+from trajsmooth.gaussians import make_cv_model
 from trajsmooth.metrics import gospa_over_time
+from trajsmooth.models import make_position_measurement
 from trajsmooth.oracle import exact_smooth
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -38,6 +40,13 @@ def small_config(k_max=6, seed=11):
         },
         "seed": seed,
     }
+
+
+def set_at(data, path, value):
+    """Set the entry of nested JSON `data` at the key/index sequence `path`."""
+    for key in path[:-1]:
+        data = data[key]
+    data[path[-1]] = value
 
 
 @pytest.fixture
@@ -114,10 +123,7 @@ def test_simulate_k_zero_exit_code(tmp_path):
 )
 def test_simulate_bad_scenario_setting_exits_2(tmp_path, capsys, path, value, field):
     cfg = small_config()
-    node = cfg
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+    set_at(cfg, path, value)
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "x.json")]) == 2
@@ -143,10 +149,7 @@ def test_simulate_bad_scenario_setting_exits_2(tmp_path, capsys, path, value, fi
 def test_simulate_bad_model_real_exits_2(tmp_path, capsys, path, value, field):
     cfg = small_config()
     cfg["birth"]["uniform_density"] = 0.0
-    node = cfg
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+    set_at(cfg, path, value)
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "x.json")]) == 2
@@ -169,13 +172,100 @@ def test_filter_bad_scenario_artifact_exits_2(workdir, capsys, path, value, fiel
     scenario = tmp_path / "scenario.json"
     assert main(["simulate", "--config", str(cfg), "--out", str(scenario)]) == 0
     data = json.loads(scenario.read_text())
-    node = data
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+    set_at(data, path, value)
     scenario.write_text(json.dumps(data))
     assert main(["filter", "--scenario", str(scenario), "--out", str(tmp_path / "fl.json")]) == 2
     assert f"{field} must be" in capsys.readouterr().err
+
+
+def matrix_config():
+    """small_config with its motion and measurement models written out as matrices."""
+    cfg = small_config()
+    motion, measurement = make_cv_model(1.0, 0.1, 0.98), make_position_measurement(2, 1.0, 0.8)
+    cfg["motion"] = {"F": motion.F.tolist(), "Q": motion.Q.tolist(), "pS": 0.98}
+    cfg["measurement"] = {"H": measurement.H.tolist(), "R": measurement.R.tolist(), "pD": 0.8}
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "command, path",
+    [
+        ("simulate", ("motion", "F", 0, 1)),
+        ("simulate", ("motion", "Q", 1, 1)),
+        ("simulate", ("measurement", "H", 0, 0)),
+        ("simulate", ("measurement", "R", 1, 1)),
+        ("simulate", ("clutter", "region", 0, 1)),
+        ("filter", ("models", "motion", "F", 0, 1)),
+        ("filter", ("models", "motion", "Q", 1, 1)),
+        ("filter", ("models", "measurement", "H", 0, 0)),
+        ("filter", ("models", "measurement", "R", 0, 0)),
+        ("filter", ("models", "clutter", "region", 0, 1)),
+    ],
+)
+def test_nan_model_matrix_exits_2(tmp_path, capsys, command, path):
+    cfg, scenario = tmp_path / "cfg.json", tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(matrix_config()))
+    simulate = ["simulate", "--config", str(cfg), "--out", str(scenario)]
+    if command == "filter":
+        assert main(simulate) == 0
+    edited = cfg if command == "simulate" else scenario
+    data = json.loads(edited.read_text())
+    set_at(data, path, float("nan"))
+    edited.write_text(json.dumps(data))
+    argv = simulate if command == "simulate" else [
+        "filter", "--scenario", str(scenario), "--out", str(tmp_path / "fl.json")
+    ]
+    assert main(argv) == 2
+    field = ".".join(key for key in path if isinstance(key, str))
+    assert f"{field} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("k_max",), 9, "k_max 9 does not match the 6 steps"),
+        (("k_max",), 5.7, "k_max must be an integer"),
+        (("k_max",), 0, "k_max must be an integer"),
+        (
+            ("steps", 5, "posterior", "bernoullis", 0, "r"), 1.5,
+            "steps[5].posterior.bernoullis[0].r must be a number in [0, 1]",
+        ),
+    ],
+    ids=["k_max_above_steps", "k_max_fraction", "k_max_zero", "existence_above_one"],
+)
+def test_smooth_bad_filter_log_exits_2(workdir, capsys, path, value, message):
+    tmp_path, cfg = workdir
+    scenario, filterlog = tmp_path / "scenario.json", tmp_path / "filterlog.json"
+    assert main(["simulate", "--config", str(cfg), "--out", str(scenario)]) == 0
+    assert main(["filter", "--scenario", str(scenario), "--out", str(filterlog)]) == 0
+    data = json.loads(filterlog.read_text())
+    set_at(data, path, value)
+    filterlog.write_text(json.dumps(data))
+    argv = ["smooth", "--scenario", str(scenario), "--filterlog", str(filterlog),
+            "--out", str(tmp_path / "pt.json"), "--particles", "5"]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "role, path, value",
+    [
+        ("scenario", ("truth", "trajectories", 0, "t"), 1.9),
+        ("scenario", ("truth", "trajectories", 1, "t"), 0),
+        ("best", ("trajectories", 0, "t"), 2.5),
+    ],
+)
+def test_evaluate_bad_birth_time_exits_2(workdir, capsys, role, path, value):
+    tmp_path, cfg = workdir
+    scenario, filterlog, _, best = run_pipeline(tmp_path, cfg)
+    edited = {"scenario": scenario, "best": best}[role]
+    data = json.loads(edited.read_text())
+    set_at(data, path, value)
+    edited.write_text(json.dumps(data))
+    argv = ["evaluate", "--scenario", str(scenario), "--filterlog", str(filterlog),
+            "--best", str(best), "--out", str(tmp_path / "report.json")]
+    assert main(argv) == 2
+    assert f"t must be an integer >= 1, got {value!r}" in capsys.readouterr().err
 
 
 def test_full_pipeline_and_reproducibility(workdir):

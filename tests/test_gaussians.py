@@ -2,25 +2,28 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import multivariate_normal
 
+from trajsmooth.backward import build_backward_kernel
 from trajsmooth.errors import ContractError, SingularMatrixError
+from trajsmooth.forward import BernoulliComponent, PMBDensity
 from trajsmooth.gaussians import (
     GaussianDensity,
     _collapse,
+    _inv_log_norm,
     _jittered,
     _linear_terms,
     _predict,
     _stack,
     GaussianMixture,
     LinearMotionModel,
-    log_gaussian_pdf,
     make_cv_model,
     predict_gaussian,
     sample_gaussian,
-    smd,
-    smooth_head,
     symmetrize,
 )
+from trajsmooth.models import BirthModel
+from trajsmooth.trajectory import Trajectory
 
 
 def rts_one_step(x, P, F, Q, xs_next, Ps_next):
@@ -30,6 +33,29 @@ def rts_one_step(x, P, F, Q, xs_next, Ps_next):
     x_s = x + G @ (xs_next - F @ x)
     P_s = P + G @ (Ps_next - P_pred) @ G.T
     return x_s, P_s
+
+
+def continued_kernel(x, P, F, Q, y1, r=1.0):
+    """Backward kernel of one track N(x, P) (existence r, pS = 1) against one successor y1."""
+    pmb = PMBDensity(GaussianMixture(), (BernoulliComponent(r, GaussianDensity(x, P)),))
+    birth = BirthModel(GaussianMixture(), uniform_density=1.0)
+    present = [Trajectory(2, np.atleast_2d(np.asarray(y1, dtype=float)))]
+    return build_backward_kernel(pmb, birth, LinearMotionModel(F, Q, ps=1.0), present, np.inf, 1)
+
+
+def smoothed_head(x, P, F, Q, y1):
+    """The kernel's smoothed mean and covariance of N(x, P) given the successor state y1."""
+    kernel = continued_kernel(x, P, F, Q, y1)
+    return kernel.smoothed_head(0, 0)[0], kernel.step.tracks.covs[0]
+
+
+def smd(x, P, F, Q, y1):
+    """Squared Mahalanobis distance of y1 from N(F x, F P F^T + Q), read off the kernel.
+
+    The continued log-weight is its log-constant minus half the distance.
+    """
+    kernel = continued_kernel(x, P, F, Q, y1)
+    return -2.0 * (kernel.log_w[0, 0] - kernel.step.tracks.log_const[0])
 
 
 def random_spd(rng, n, scale=1.0):
@@ -80,20 +106,16 @@ def test_predict_dimension_mismatch():
 
 
 def test_smooth_head_1d():
-    prior = GaussianDensity([0.0], [[1.0]])
-    m = LinearMotionModel([[1.0]], [[1.0]], ps=1.0)
-    out = smooth_head(prior, m, np.array([2.0]))
-    np.testing.assert_allclose(out.mean, [1.0])
-    np.testing.assert_allclose(out.cov, [[0.5]])
+    mean, cov = smoothed_head([0.0], [[1.0]], [[1.0]], [[1.0]], [2.0])
+    np.testing.assert_allclose(mean, [1.0])
+    np.testing.assert_allclose(cov, [[0.5]])
 
 
 def test_smooth_head_deterministic_transition():
-    prior = GaussianDensity([1.0, 2.0], np.diag([3.0, 4.0]))
-    m = LinearMotionModel(np.eye(2), np.zeros((2, 2)), ps=1.0)
     y1 = np.array([5.0, -1.0])
-    out = smooth_head(prior, m, y1)
-    np.testing.assert_allclose(out.mean, y1)
-    np.testing.assert_allclose(out.cov, 0.0, atol=1e-12)
+    mean, cov = smoothed_head([1.0, 2.0], np.diag([3.0, 4.0]), np.eye(2), np.zeros((2, 2)), y1)
+    np.testing.assert_allclose(mean, y1)
+    np.testing.assert_allclose(cov, 0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -105,10 +127,10 @@ def test_smooth_head_matches_rts(seed):
     Q = random_spd(rng, n, scale=0.5)
     x = rng.standard_normal(n)
     y1 = rng.standard_normal(n)
-    out = smooth_head(GaussianDensity(x, P), LinearMotionModel(F, Q, ps=1.0), y1)
+    mean, cov = smoothed_head(x, P, F, Q, y1)
     x_s, P_s = rts_one_step(x, P, F, Q, y1, np.zeros((n, n)))
-    np.testing.assert_allclose(out.mean, x_s, atol=1e-10)
-    np.testing.assert_allclose(out.cov, P_s, atol=1e-10)
+    np.testing.assert_allclose(mean, x_s, atol=1e-10)
+    np.testing.assert_allclose(cov, P_s, atol=1e-10)
 
 
 def test_smooth_head_trace_nonincreasing_and_psd():
@@ -118,34 +140,28 @@ def test_smooth_head_trace_nonincreasing_and_psd():
         P = random_spd(rng, n)
         F = rng.standard_normal((n, n))
         Q = random_spd(rng, n, scale=0.1)
-        prior = GaussianDensity(rng.standard_normal(n), P)
-        out = smooth_head(prior, LinearMotionModel(F, Q, ps=1.0), rng.standard_normal(n))
-        assert np.trace(out.cov) <= np.trace(P) + 1e-10
-        assert np.max(np.abs(out.cov - out.cov.T)) < 1e-12
-        assert np.linalg.eigvalsh(out.cov).min() > -1e-9
+        _, cov = smoothed_head(rng.standard_normal(n), P, F, Q, rng.standard_normal(n))
+        assert np.trace(cov) <= np.trace(P) + 1e-10
+        assert np.max(np.abs(cov - cov.T)) < 1e-12
+        assert np.linalg.eigvalsh(cov).min() > -1e-9
 
 
 def test_smooth_head_q_to_zero_monotone():
-    prior = GaussianDensity([0.0], [[1.0]])
-    y1 = np.array([2.0])
     gaps = []
     for q in (1.0, 1e-2, 1e-6):
-        m = LinearMotionModel([[1.0]], [[q]], ps=1.0)
-        out = smooth_head(prior, m, y1)
-        gaps.append(abs(out.mean[0] - y1[0]))
+        mean, _ = smoothed_head([0.0], [[1.0]], [[1.0]], [[q]], [2.0])
+        gaps.append(abs(mean[0] - 2.0))
     assert gaps[0] > gaps[1] > gaps[2]
 
 
 def test_smd_zero_residual():
-    prior = GaussianDensity([1.5, -0.5], np.diag([2.0, 3.0]))
-    m = LinearMotionModel(2.0 * np.eye(2), np.eye(2), ps=1.0)
-    assert smd(m.F @ prior.mean, prior, m) == pytest.approx(0.0)
+    F = 2.0 * np.eye(2)
+    x = np.array([1.5, -0.5])
+    assert smd(x, np.diag([2.0, 3.0]), F, np.eye(2), F @ x) == pytest.approx(0.0)
 
 
 def test_smd_1d():
-    prior = GaussianDensity([0.0], [[1.0]])
-    m = LinearMotionModel([[1.0]], [[1.0]], ps=1.0)
-    assert smd(np.array([2.0]), prior, m) == pytest.approx(2.0)
+    assert smd([0.0], [[1.0]], [[1.0]], [[1.0]], [2.0]) == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -159,8 +175,11 @@ def test_smd_matches_explicit_inverse(seed):
     y1 = rng.standard_normal(n)
     resid = y1 - F @ x
     expected = resid @ np.linalg.inv(F @ P @ F.T + Q) @ resid
-    got = smd(y1, GaussianDensity(x, P), LinearMotionModel(F, Q, ps=1.0))
-    assert got == pytest.approx(expected, rel=1e-9)
+    assert smd(x, P, F, Q, y1) == pytest.approx(expected, rel=1e-9)
+    # the whole continued log-weight, ln r + ln pS + ln N(y1; F x, F P F^T + Q)
+    kernel = continued_kernel(x, P, F, Q, y1, r=0.7)
+    ref = math.log(0.7) + multivariate_normal.logpdf(y1, F @ x, F @ P @ F.T + Q)
+    assert kernel.log_w[0, 0] == pytest.approx(ref, rel=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -172,25 +191,21 @@ def test_smd_rotation_invariant(seed):
     Q = random_spd(rng, n)
     x = rng.standard_normal(n)
     y1 = rng.standard_normal(n)
-    base = smd(y1, GaussianDensity(x, P), LinearMotionModel(F, Q, ps=1.0))
+    base = smd(x, P, F, Q, y1)
     # random orthogonal rotation applied jointly
     R, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    rot = smd(
-        R @ y1,
-        GaussianDensity(R @ x, R @ P @ R.T),
-        LinearMotionModel(R @ F @ R.T, R @ Q @ R.T, ps=1.0),
-    )
+    rot = smd(R @ x, R @ P @ R.T, R @ F @ R.T, R @ Q @ R.T, R @ y1)
     assert rot == pytest.approx(base, abs=1e-9, rel=1e-9)
 
 
 def test_log_pdf_standard_normal():
-    g = GaussianDensity([0.0], [[1.0]])
-    assert log_gaussian_pdf(np.array([0.0]), g) == pytest.approx(-0.5 * math.log(2 * math.pi))
+    _, log_norm = _inv_log_norm(np.ones((1, 1, 1)))
+    assert log_norm[0] == pytest.approx(-0.5 * math.log(2 * math.pi))
 
 
 def test_log_pdf_variance_two():
-    g = GaussianDensity([0.0], [[2.0]])
-    assert log_gaussian_pdf(np.array([0.0]), g) == pytest.approx(-0.5 * math.log(4 * math.pi))
+    _, log_norm = _inv_log_norm(np.full((1, 1, 1), 2.0))
+    assert log_norm[0] == pytest.approx(-0.5 * math.log(4 * math.pi))
 
 
 def test_log_pdf_matches_naive_formula():
@@ -203,21 +218,14 @@ def test_log_pdf_matches_naive_formula():
         math.exp(-0.5 * resid @ np.linalg.inv(cov) @ resid)
         / math.sqrt((2 * math.pi) ** 2 * np.linalg.det(cov))
     )
-    assert log_gaussian_pdf(y, GaussianDensity(mean, cov)) == pytest.approx(naive, rel=1e-9)
-
-
-def test_singular_covariance_rejected():
-    g = GaussianDensity([0.0, 0.0], np.diag([1e20, 1e-20]))
-    with pytest.raises(SingularMatrixError):
-        log_gaussian_pdf(np.zeros(2), g)
+    inv, log_norm = _inv_log_norm(cov[None])
+    assert log_norm[0] - 0.5 * resid @ inv[0] @ resid == pytest.approx(naive, rel=1e-9)
 
 
 def test_jitter_rescues_zero_predicted_cov():
     # P = 0, Q = 0: predicted covariance is exactly zero; jitter makes it usable
-    prior = GaussianDensity([1.0], [[0.0]])
-    m = LinearMotionModel([[1.0]], [[0.0]], ps=1.0)
-    out = smooth_head(prior, m, np.array([1.0]))
-    assert out.mean == pytest.approx([1.0])
+    mean, _ = smoothed_head([1.0], [[0.0]], [[1.0]], [[0.0]], [1.0])
+    assert mean == pytest.approx([1.0])
 
 
 def test_jittered_stack_touches_only_bad_members():
