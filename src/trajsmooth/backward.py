@@ -18,8 +18,11 @@ its rows of the batch's first-detection arrays (`_FirstDetections`). What
 does not depend on the conditioning set (the ended-track existences and
 heads, the smoothing terms of every track and undetected component, and the
 sampling roots of their covariances) lives in the step's `_KernelCache`,
-shared by all kernels of the step. The hypothesis records (`LocalHypothesis`
-and its densities) are built only on read, for tests and `sample_bernoulli`;
+shared by all kernels of the step. The step computes only what its draws
+read: a sampling root the first time a draw or a record reads it (dirac mode
+reads none), and an ended track's length-1 trajectory the first time a dirac
+particle keeps it. The hypothesis records (`LocalHypothesis` and its
+densities) are built only on read, for tests and `sample_bernoulli`;
 building and sampling a kernel creates none.
 
 Backward simulation runs step-outer, particle-inner. At each step the
@@ -37,9 +40,10 @@ its own seeded stream in the same order as a particle simulated alone, so
 grouping and batching change no output; in dirac mode a particle's ended-track
 uniforms are one block draw, which leaves its stream where the scalar draws
 would. Batched arithmetic is kept bitwise equal to the per-set form: stacked
-products use `einsum` or one (size, d) @ (d, d) matmul per set, and each
-column log-sum-exp (`_lse_columns`) applies `math.exp`/`math.log` elementwise
-and sums its rows in order, which is bit-equal to the scalar `math` form.
+products use `einsum`, one (size, d) @ (d, d) matmul per set, or a stacked
+matmul that runs one product per member, and each column log-sum-exp
+(`_lse_columns`) applies `math.exp`/`math.log` elementwise and sums its rows
+in order, which is bit-equal to the scalar `math` form.
 """
 
 from __future__ import annotations
@@ -107,7 +111,7 @@ class FirstDetected:
     log_terms: list[float]
     comps: list[int]
     means: np.ndarray  # (components, d): smoothed means given this trajectory's head
-    roots: list  # sampling root of each component's smoothed covariance
+    roots: _Roots  # sampling root of each component's smoothed covariance, on first read
     tail: Trajectory
 
 
@@ -162,8 +166,8 @@ class BackwardKernel:
         """Per track; the same for every kernel of the step."""
         s = self.step
         return tuple(
-            LocalHypothesis(float(lw), e, EndedAtK(mean, root))
-            for lw, e, mean, root in zip(s.log_w_end, s.exist_end, s.end_means, s.end_roots)
+            LocalHypothesis(float(s.log_w_end[i]), e, EndedAtK(s.end_means[i], s.end_roots[i]))
+            for i, e in enumerate(s.exist_end)
         )
 
     def smoothed_head(self, i: int, j: int) -> tuple[np.ndarray, object]:
@@ -261,6 +265,26 @@ def _lse_columns(rows: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Roots:
+    """Sampling roots of a covariance stack, each computed on first read and then kept.
+
+    `roots[i]` is `_sampling_root(covs[i])`: a 1-d float, None for a point
+    mass, else a matrix root. Dirac mode reads none of them.
+    """
+
+    __slots__ = ("covs", "_got")
+
+    def __init__(self, covs):
+        self.covs = covs
+        self._got: dict[int, object] = {}
+
+    def __getitem__(self, i):
+        got = self._got
+        if i not in got:
+            got[i] = _sampling_root(self.covs[i])
+        return got[i]
+
+
 class _Smoothing(NamedTuple):
     """Stacked one-step terms of weighted densities (ln w, N(x, P)) under x' ~ N(F x, Q).
 
@@ -275,22 +299,25 @@ class _Smoothing(NamedTuple):
     means: np.ndarray  # x
     gains: np.ndarray  # G = P F^T P_pred^{-1}
     covs: np.ndarray  # smoothed covariances P - G F P
-    roots: list  # sampling roots of `covs`
+    roots: _Roots  # sampling roots of `covs`, on first read
 
 
 def _smoothing_terms(weighted, m: LinearMotionModel) -> _Smoothing:
     means, covs = _stack([g for _, g in weighted], m.dim)
     mean_pred, inv_pred, log_norm, gains = _linear_terms(means, covs, m.F, m.Q)
     log_const = np.array([lw + ln for (lw, _), ln in zip(weighted, log_norm)])
-    smoothed = np.array(
-        [symmetrize(c - gain @ m.F @ c) for c, gain in zip(covs, gains)]
-    ).reshape(covs.shape)
-    roots = [_sampling_root(c) for c in smoothed]
-    return _Smoothing(log_const, mean_pred, inv_pred, means, gains, smoothed, roots)
+    # one (d, d) product per member, as the loop over members computes it
+    smoothed = symmetrize(covs - gains @ m.F @ covs)
+    return _Smoothing(log_const, mean_pred, inv_pred, means, gains, smoothed, _Roots(smoothed))
 
 
 class _KernelCache:
-    """Conditioning-set-independent quantities of one step, shared across particles."""
+    """Conditioning-set-independent quantities of one step, shared across particles.
+
+    Sampling roots (`end_roots`, `tracks.roots`, `ppp.roots`) are computed on
+    first read, and an ended track's length-1 trajectory (`ended_trajectory`)
+    when a particle first keeps it, so a step builds only what its draws read.
+    """
 
     def __init__(self, pmb: PMBDensity, birth: BirthModel, m: LinearMotionModel):
         ps = m.ps
@@ -304,7 +331,8 @@ class _KernelCache:
             self.log_w_end[i] = math.log(w_end) if w_end > 0.0 else _LOG_TINY
             self.exist_end.append(comp.r * (1.0 - ps) / w_end if w_end > 0.0 else 0.0)
         self.end_means = [comp.density.mean for comp in pmb.bernoullis]
-        self.end_roots = [_sampling_root(comp.density.cov) for comp in pmb.bernoullis]
+        self.end_roots = _Roots([comp.density.cov for comp in pmb.bernoullis])
+        self._ended: dict[int, Trajectory] = {}
 
         # tracks that can continue into a conditioning trajectory
         active = [(i, c) for i, c in enumerate(pmb.bernoullis) if c.r > 0.0 and ps > 0.0]
@@ -326,6 +354,13 @@ class _KernelCache:
         self.log_uniform = (
             math.log(birth.uniform_density) if birth.uniform_density > 0.0 else -math.inf
         )
+
+    def ended_trajectory(self, i: int, k: int) -> Trajectory:
+        """Dirac mode: track i's length-1 trajectory at k, built once per step."""
+        tr = self._ended.get(i)
+        if tr is None:
+            tr = self._ended[i] = _trajectory_at(k, self.end_means[i])
+        return tr
 
 
 def build_backward_kernel(
@@ -508,7 +543,7 @@ def sample_bernoulli(
     """Draw the trajectory (or nothing) described by one local hypothesis.
 
     `_sample_set` draws from a kernel's arrays through the same helpers
-    (`_head`, `_trajectory_at`, `_extend`), consuming the stream in the same order.
+    (`_draw`, `_trajectory_at`, `_extend`), consuming the stream in the same order.
     """
     d = h.density
     if isinstance(d, EndedAtK):
@@ -540,13 +575,14 @@ def _extend(tail: Trajectory, log_terms: np.ndarray, comps, means, roots, dirac_
     """`tail` extended one step backward through comps[c], c drawn in proportion to exp(log_terms).
 
     A single component is certain and, as in `_draw_index`, consumes no uniform.
+    In dirac mode the head is the mean and `roots` is not read.
     """
     c = comps[0]
     if len(comps) > 1:
         head_w = np.exp(log_terms - log_terms.max())
         weights = head_w / head_w.sum()
         c = comps[_draw_index(np.cumsum(weights / weights.sum()).tolist(), rng)]
-    return tail.prepend(_head(means[c], roots[c], dirac_mode, rng))
+    return tail.prepend(means[c] if dirac_mode else _draw(means[c], roots[c], rng))
 
 
 def backward_simulate(
@@ -570,8 +606,9 @@ def backward_simulate(
     i-th stream spawned from `params.seed` and consumes it in the same order
     whatever the grouping, so each particle depends only on the seed and its
     index: the first n particles of a larger run equal an n-particle run. In
-    dirac mode the track trajectories under a hypothesis are built once per
-    group and drawn hypothesis (`_dirac_plan`) and shared by the members.
+    dirac mode the continued tracks' trajectories under a hypothesis are built
+    once per group and drawn hypothesis (`_dirac_plan`) and shared by the
+    members, and a kept ended track's trajectory once per step.
 
     The cyclic garbage collector is paused for the run, which creates no
     reference cycles, and left as the caller had it.
@@ -636,23 +673,24 @@ def _initial_set(pmb: PMBDensity, k_max: int, dirac_mode: bool, rng) -> list[Tra
 
 
 def _dirac_plan(kernel: BackwardKernel, row_to_col, k: int):
-    """Dirac mode: every track's trajectory under one hypothesis, and the ended tracks' existences.
+    """Dirac mode: the continued tracks' trajectories under one hypothesis, and the ended tracks.
 
-    A continued track's trajectory is certain. The e-th ended track's exists
-    when the e-th uniform of the particle's block falls below `existence[e]`.
-    Returns ([(trajectory, e or -1 if continued)] in track order, existence).
+    A continued track's trajectory is certain; its head is the smoothed mean,
+    all heads of the plan computed as one stacked product. Returns the
+    continued (track, trajectory) pairs in track order, the ended tracks as
+    an index array in track order, and their existences.
     """
-    col_to_row = {c: r for r, c in enumerate(row_to_col)}
     step = kernel.step
-    tracks, existence = [], []
-    for i, exist in enumerate(step.exist_end):
-        j = col_to_row.get(i)
-        if j is None:
-            tracks.append((_trajectory_at(k, step.end_means[i]), len(existence)))
-            existence.append(exist)
-        else:
-            tracks.append((kernel.present[j].prepend(kernel.smoothed_head(i, j)[0]), -1))
-    return tracks, np.array(existence)
+    pairs = sorted((c, j) for j, c in enumerate(row_to_col) if c < kernel.n_tracks)
+    tracks, rows = [i for i, _ in pairs], [j for _, j in pairs]
+    a = [step.active_pos[i] for i in tracks]
+    t = step.tracks
+    heads = t.means[a] + np.matmul(t.gains[a], kernel.diffs[a, rows][..., None])[..., 0]
+    continued = [(i, kernel.present[j].prepend(h)) for i, j, h in zip(tracks, rows, heads)]
+    ended = np.ones(kernel.n_tracks, dtype=bool)
+    ended[tracks] = False
+    ended = np.flatnonzero(ended)
+    return continued, ended, np.array(step.exist_end)[ended]
 
 
 def _sample_set(
@@ -666,28 +704,35 @@ def _sample_set(
     """Draw the trajectory set over k:K given one global hypothesis of the kernel.
 
     Tracks draw in track order, then first detections in row order. In dirac
-    mode only an ended track's existence is random, so the track trajectories
-    come from `plan` (`_dirac_plan` of this kernel and hypothesis, built here
-    when not given) and their existence uniforms are one `rng.random(n)`
-    block, which leaves the stream where n scalar draws would.
+    mode only an ended track's existence is random: the continued tracks come
+    from `plan` (`_dirac_plan` of this kernel and hypothesis, built here when
+    not given), the ended tracks' existence uniforms are one `rng.random(n)`
+    block, which leaves the stream where n scalar draws would, and a kept
+    ended track's trajectory is the step's shared one (`ended_trajectory`),
+    merged into the continued ones by track index.
     """
     new_set: list[Trajectory] = list(kernel.absent)
+    step = kernel.step
     if dirac_mode:
-        tracks, existence = plan or _dirac_plan(kernel, row_to_col, k)
-        kept = (rng.random(len(existence)) < existence).tolist() if len(existence) else []
-        new_set += [tr for tr, e in tracks if e < 0 or kept[e]]
+        continued, ended, existence = plan or _dirac_plan(kernel, row_to_col, k)
+        kept = ended[rng.random(len(ended)) < existence].tolist() if len(ended) else []
+        if kept:
+            continued = sorted(
+                continued + [(i, step.ended_trajectory(i, k)) for i in kept],
+                key=lambda pair: pair[0],
+            )
+        new_set += [tr for _, tr in continued]
     else:
-        step = kernel.step
         col_to_row = {c: r for r, c in enumerate(row_to_col)}
         for i, existence in enumerate(step.exist_end):
             j = col_to_row.get(i)
             if j is None:
                 if rng.random() < existence:
-                    head = _head(step.end_means[i], step.end_roots[i], dirac_mode, rng)
+                    head = _draw(step.end_means[i], step.end_roots[i], rng)
                     new_set.append(_trajectory_at(k, head))
             else:
                 mean, root = kernel.smoothed_head(i, j)
-                new_set.append(kernel.present[j].prepend(_head(mean, root, dirac_mode, rng)))
+                new_set.append(kernel.present[j].prepend(_draw(mean, root, rng)))
     first = kernel.first
     n_tracks = kernel.n_tracks
     for j, c in enumerate(row_to_col):
@@ -701,7 +746,7 @@ def _sample_set(
             comps = first.ext_ok[:, h].nonzero()[0]
             new_set.append(_extend(
                 tail, first.ext_terms[comps, h], comps, first.ext_means[:, h],
-                kernel.step.ppp.roots, dirac_mode, rng,
+                step.ppp.roots, dirac_mode, rng,
             ))
     return new_set
 

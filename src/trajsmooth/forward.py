@@ -45,7 +45,7 @@ from .gaussians import (
     symmetrize,
 )
 from .models import BirthModel, ClutterModel, MeasurementModel
-from .simulate import Scenario, _mixture_from_jsonable, _mixture_to_jsonable
+from .simulate import Scenario, _members, _mixture_from_jsonable, _mixture_to_jsonable
 
 # a Bernoulli with existence probability at least this is reported as an estimate
 ESTIMATE_THRESHOLD = 0.5
@@ -330,12 +330,15 @@ def pmb_to_jsonable(pmb: PMBDensity) -> dict:
 
 def pmb_from_jsonable(data: dict, path: str) -> PMBDensity:
     ppp = _mixture_from_jsonable(data["ppp"], f"{path}.ppp")
+    bs = data["bernoullis"]
+    means = _members(f"{path}.bernoullis[{{}}].mean", [b["mean"] for b in bs], (None,))
+    covs = _members(f"{path}.bernoullis[{{}}].cov", [b["cov"] for b in bs], means.shape[1:] * 2)
     bernoullis = tuple(
         BernoulliComponent(
             float(check_real(f"{path}.bernoullis[{i}].r", b["r"], "[0, 1]")),
-            GaussianDensity(np.asarray(b["mean"], float), np.asarray(b["cov"], float)),
+            GaussianDensity(mean, cov),
         )
-        for i, b in enumerate(data["bernoullis"])
+        for i, (b, mean, cov) in enumerate(zip(bs, means, covs))
     )
     return PMBDensity(ppp, bernoullis)
 

@@ -10,8 +10,9 @@ the one-step smoothing update. Prediction (`_predict`) and moment matching
 (`_collapse`) also work on stacks (`_stack`); `predict_gaussian` and
 `moment_match` are their one-density cases, so each operation has one
 arithmetic path. Sampling splits into `_sampling_root`, which the backward
-kernel caches once per step and covariance, and `_draw`; `_psd_root` is the
-eigen-based root of a PSD matrix that is not positive definite.
+kernel computes for a covariance on first read and then keeps for the step,
+and `_draw`; `_psd_root` is the eigen-based root of a PSD matrix that is not
+positive definite.
 """
 
 from __future__ import annotations

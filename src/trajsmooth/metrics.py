@@ -134,18 +134,31 @@ def gospa_over_time(
 
 
 def particle_stats(particles: list[Particle], k_max: int) -> ParticleStats:
-    """Cardinality, birth-time and death-time distributions under uniform weights."""
+    """Cardinality, birth-time and death-time distributions under uniform weights.
+
+    The births and deaths at each step are counted per particle in one pass
+    over all trajectories, as (k_max, particles) integer arrays.
+    """
     if not particles:
         raise ContractError("particle_stats requires a nonempty particle list")
     t = len(particles)
     cards = [len(p.trajectories) for p in particles]
     card_dist = np.bincount(cards, minlength=max(cards) + 1) / t
-    birth_dist = []
-    death_dist = []
-    for k in range(1, k_max + 1):
-        births = [sum(tr.t == k for tr in p.trajectories) for p in particles]
-        deaths = [sum(tr.last_time == k for tr in p.trajectories) for p in particles]
-        birth_dist.append(np.bincount(births, minlength=max(births) + 1) / t)
-        death_dist.append(np.bincount(deaths, minlength=max(deaths) + 1) / t)
+    owner = np.repeat(np.arange(t), cards)
+    births = _counts([tr.t for p in particles for tr in p.trajectories], owner, k_max, t)
+    deaths = _counts([tr.last_time for p in particles for tr in p.trajectories], owner, k_max, t)
+    birth_dist = [np.bincount(row, minlength=row.max() + 1) / t for row in births]
+    death_dist = [np.bincount(row, minlength=row.max() + 1) / t for row in deaths]
     return ParticleStats(card_dist, birth_dist, death_dist)
 
+
+def _counts(times, owner: np.ndarray, k_max: int, t: int) -> np.ndarray:
+    """(k_max, t) counts: entry (k, p) is how many times k + 1 particle p owns.
+
+    `times` holds one time per trajectory and `owner` its particle; times
+    outside 1..k_max are not counted.
+    """
+    times = np.asarray(times, dtype=int)
+    inside = (times >= 1) & (times <= k_max)
+    cells = (times[inside] - 1) * t + owner[inside]
+    return np.bincount(cells, minlength=k_max * t).reshape(k_max, t)

@@ -6,6 +6,7 @@ downstream code must not depend on the order of elements within a scan.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,25 +77,70 @@ def _field(cfg: dict, path: str, key: str, expected=None):
     return value
 
 
-def _matrix(path: str, value) -> np.ndarray:
-    """`value` as a float array, or ConfigError naming `path` unless every entry is finite."""
+def _matrix(path: str, value, shape: tuple) -> np.ndarray:
+    """`value` as a finite float array of `shape`, or ConfigError naming `path`.
+
+    A None entry of `shape` matches any length. The model matrices, Gaussian
+    densities and measurements of every input file are decoded here.
+    """
     a = np.asarray(value, float)
-    if not np.all(np.isfinite(a)):
+    if a.ndim != len(shape) or any(n is not None and n != got for n, got in zip(shape, a.shape)):
+        want = ", ".join("n" if n is None else str(n) for n in shape)
+        want += "," * (len(shape) == 1)
+        raise ConfigError(f"{path} must have shape ({want}), got {a.shape}")
+    # a finite sum has finite terms; only an overflowing sum needs the entrywise check
+    if not (math.isfinite(a.sum()) or np.isfinite(a).all()):
         raise ConfigError(f"{path} must be finite, got {value!r}")
     return a
 
 
-def _mixture_from_jsonable(data: dict, path: str) -> GaussianMixture:
-    """The mixture `{"weights", "means", "covs"}` of a config or an artifact."""
+def _members(path: str, values: list, shape: tuple) -> np.ndarray:
+    """`values`, a list of arrays of `shape`, decoded as one (len(values), *shape) `_matrix`.
+
+    `path` formats member i's field name. A None entry of `shape` matches any
+    length shared by every member. When the stack is rejected, the first
+    member that `_matrix` rejects on its own is named.
+    """
+    if not values:
+        return np.empty((0, *(n or 0 for n in shape)))
+    try:
+        return _matrix(path.format("*"), values, (len(values), *shape))
+    except (ConfigError, ValueError):
+        for i, value in enumerate(values):
+            _matrix(path.format(i), value, shape)
+        raise
+
+
+def _motion(path: str, f, q, ps: float) -> LinearMotionModel:
+    """x' ~ N(F x, Q) with F and Q (d, d), d the number of rows of F."""
+    dim = len(f)
+    return LinearMotionModel(
+        _matrix(f"{path}.F", f, (dim, dim)), _matrix(f"{path}.Q", q, (dim, dim)), ps
+    )
+
+
+def _measurement(path: str, h, r, pd: float, dim_x: int) -> MeasurementModel:
+    """z ~ N(H x, R) with H (n_z, dim_x) and R (n_z, n_z)."""
+    h = _matrix(f"{path}.H", h, (None, dim_x))
+    return MeasurementModel(h, _matrix(f"{path}.R", r, (len(h), len(h))), pd)
+
+
+def _mixture_from_jsonable(data: dict, path: str, dim: int | None = None) -> GaussianMixture:
+    """The mixture `{"weights", "means", "covs"}` of a config or an artifact.
+
+    Means are (dim,), of any length when dim is None, and each covariance matches its mean.
+    """
     weights = _field(data, path, "weights", list)
     means = _field(data, path, "means", list)
     covs = _field(data, path, "covs", list)
     if not len(weights) == len(means) == len(covs):
         raise ConfigError(f"{path}: weights/means/covs lengths differ")
+    means = _members(f"{path}.means[{{}}]", means, (dim,))
+    covs = _members(f"{path}.covs[{{}}]", covs, means.shape[1:] * 2)
     comps = []
     for k, (w, m, c) in enumerate(zip(weights, means, covs)):
         w = float(check_real(f"{path}.weights[{k}]", w, "[0, inf)"))
-        comps.append((w, GaussianDensity(np.asarray(m, float), np.asarray(c, float))))
+        comps.append((w, GaussianDensity(m, c)))
     return GaussianMixture(tuple(comps))
 
 
@@ -116,10 +162,8 @@ def load_scenario_config(cfg: dict) -> ScenarioConfig:
             dims=check_int("motion.dims", mo.get("dims", 2), 1),
         )
     else:
-        motion = LinearMotionModel(
-            _matrix("motion.F", _field(mo, "motion", "F", list)),
-            _matrix("motion.Q", _field(mo, "motion", "Q", list)),
-            ps,
+        motion = _motion(
+            "motion", _field(mo, "motion", "F", list), _field(mo, "motion", "Q", list), ps
         )
 
     me = _field(cfg, "", "measurement", dict)
@@ -135,28 +179,26 @@ def load_scenario_config(cfg: dict) -> ScenarioConfig:
             pd,
         )
     else:
-        measurement = MeasurementModel(
-            _matrix("measurement.H", _field(me, "measurement", "H", list)),
-            _matrix("measurement.R", _field(me, "measurement", "R", list)),
+        measurement = _measurement(
+            "measurement",
+            _field(me, "measurement", "H", list),
+            _field(me, "measurement", "R", list),
             pd,
+            motion.dim,
         )
-    if measurement.dim_x != motion.dim:
-        raise ConfigError("measurement.H columns must match the motion state dimension")
 
     cl = _field(cfg, "", "clutter", dict)
     clutter = ClutterModel(
         float(check_real("clutter.rate", _field(cl, "clutter", "rate"), "[0, inf)")),
-        _matrix("clutter.region", _field(cl, "clutter", "region", list)),
+        _matrix("clutter.region", _field(cl, "clutter", "region", list), (measurement.dim_z, 2)),
     )
-    if clutter.region.shape[0] != measurement.dim_z:
-        raise ConfigError("clutter.region dimension must match the measurement dimension")
 
     bi = _field(cfg, "", "birth", dict)
     uniform = check_real("birth.uniform_density", bi.get("uniform_density", 0.0), "[0, inf)")
-    birth = BirthModel(_mixture_from_jsonable(bi, "birth"), float(uniform))
+    birth = BirthModel(_mixture_from_jsonable(bi, "birth", motion.dim), float(uniform))
     init_ppp = birth.intensity
     if "init_ppp" in cfg:
-        init_ppp = _mixture_from_jsonable(cfg["init_ppp"], "init_ppp")
+        init_ppp = _mixture_from_jsonable(cfg["init_ppp"], "init_ppp", motion.dim)
 
     sc = _field(cfg, "", "schedule", dict)
     births = tuple(
@@ -167,9 +209,9 @@ def load_scenario_config(cfg: dict) -> ScenarioConfig:
         check_int(f"schedule.deaths[{i}]", d, 1)
         for i, d in enumerate(_field(sc, "schedule", "deaths", list))
     )
-    init_means = tuple(
-        np.asarray(m, float) for m in _field(sc, "schedule", "init_means", list)
-    )
+    init_means = tuple(_members(
+        "schedule.init_means[{}]", _field(sc, "schedule", "init_means", list), (motion.dim,)
+    ))
     if not len(births) == len(deaths) == len(init_means):
         raise ConfigError("schedule: births/deaths/init_means lengths differ")
     for i, (b, d) in enumerate(zip(births, deaths)):
@@ -177,11 +219,8 @@ def load_scenario_config(cfg: dict) -> ScenarioConfig:
             raise ConfigError(f"schedule: object {i} dies at {d} before birth {b}")
         if b < 1 or d > k_max:
             raise ConfigError(f"schedule: object {i} interval {b}:{d} outside 1:{k_max}")
-    for i, m in enumerate(init_means):
-        if m.shape != (motion.dim,):
-            raise ConfigError(f"schedule.init_means[{i}] has wrong dimension")
     if "init_cov" in sc:
-        init_cov = _matrix("schedule.init_cov", sc["init_cov"])
+        init_cov = _matrix("schedule.init_cov", sc["init_cov"], (motion.dim, motion.dim))
     elif len(birth.intensity) > 0:
         init_cov = birth.intensity.components[0][1].cov
     else:
@@ -292,35 +331,35 @@ def scenario_to_jsonable(sc: Scenario) -> dict:
 
 def scenario_from_jsonable(data: dict) -> Scenario:
     models = data["models"]
-    motion, measurement = models["motion"], models["measurement"]
+    mo, me, cl, birth = models["motion"], models["measurement"], models["clutter"], models["birth"]
     truth = GroundTruth(
         tuple(trajectory_from_jsonable(tr) for tr in data["truth"]["trajectories"]),
         check_int("k_max", data["k_max"], 1),
     )
-    birth = models["birth"]
+    ps = float(check_real("models.motion.ps", mo["ps"], "[0, 1]"))
+    motion = _motion("models.motion", mo["F"], mo["Q"], ps)
+    measurement = _measurement(
+        "models.measurement", me["H"], me["R"],
+        float(check_real("models.measurement.pd", me["pd"], "[0, 1]")), motion.dim,
+    )
     return Scenario(
         truth=truth,
-        measurements=[[np.asarray(z, float) for z in scan] for scan in data["measurements"]],
-        motion=LinearMotionModel(
-            _matrix("models.motion.F", motion["F"]),
-            _matrix("models.motion.Q", motion["Q"]),
-            float(check_real("models.motion.ps", motion["ps"], "[0, 1]")),
-        ),
-        measurement=MeasurementModel(
-            _matrix("models.measurement.H", measurement["H"]),
-            _matrix("models.measurement.R", measurement["R"]),
-            float(check_real("models.measurement.pd", measurement["pd"], "[0, 1]")),
-        ),
+        measurements=[
+            list(_members(f"measurements[{k}][{{}}]", scan, (measurement.dim_z,)))
+            for k, scan in enumerate(data["measurements"])
+        ],
+        motion=motion,
+        measurement=measurement,
         clutter=ClutterModel(
-            float(check_real("models.clutter.rate", models["clutter"]["rate"], "[0, inf)")),
-            _matrix("models.clutter.region", models["clutter"]["region"]),
+            float(check_real("models.clutter.rate", cl["rate"], "[0, inf)")),
+            _matrix("models.clutter.region", cl["region"], (measurement.dim_z, 2)),
         ),
         birth=BirthModel(
-            _mixture_from_jsonable(birth, "models.birth"),
+            _mixture_from_jsonable(birth, "models.birth", motion.dim),
             float(check_real(
                 "models.birth.uniform_density", birth.get("uniform_density", 0.0), "[0, inf)"
             )),
         ),
-        init_ppp=_mixture_from_jsonable(models["init_ppp"], "models.init_ppp"),
+        init_ppp=_mixture_from_jsonable(models["init_ppp"], "models.init_ppp", motion.dim),
         seed=check_int("seed", data["seed"], 0),
     )

@@ -35,7 +35,9 @@ from trajsmooth.gaussians import (
     GaussianDensity,
     GaussianMixture,
     LinearMotionModel,
+    _psd_root,
     _sampling_root,
+    symmetrize,
 )
 from trajsmooth.models import BirthModel
 from trajsmooth.trajectory import Trajectory
@@ -338,6 +340,90 @@ def test_backward_simulate_pinned_bytes(dirac_mode):
     assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_PARTICLES[dirac_mode]
 
 
+def test_dirac_simulation_computes_no_sampling_root(monkeypatch):
+    # dirac heads are smoothed means, so no draw reads a root and none is computed
+    def fail(cov):
+        raise AssertionError("a dirac step computed a sampling root")
+
+    monkeypatch.setattr(backward, "_sampling_root", fail)
+    log, birth, motion = desk_like_problem()
+    params = SmootherParams(num_particles=40, m_best=20, dirac_mode=True, seed=7)
+    particles = backward_simulate(log, birth, motion, params)
+    blob = json.dumps(particles_to_jsonable(particles), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_PARTICLES[True]
+
+
+def assert_same_root(got, expected):
+    assert type(got) is type(expected)
+    if isinstance(expected, np.ndarray):
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    else:
+        assert got == expected
+
+
+@pytest.mark.parametrize(
+    "covs, kinds",
+    [
+        ([[[2.0]], [[0.0]]], [float, type(None)]),
+        (
+            [np.diag([2.0, 0.5]), np.zeros((2, 2)), [[1.0, 1.0], [1.0, 1.0]]],
+            [np.ndarray, type(None), np.ndarray],
+        ),
+    ],
+    ids=["1d", "2d"],
+)
+def test_sampling_roots_on_read_equal_sampling_root(monkeypatch, covs, kinds):
+    covs = [np.asarray(c, float) for c in covs]
+    d = covs[0].shape[0]
+    pmb = PMBDensity(
+        GaussianMixture(((0.2, GaussianDensity(np.zeros(d), np.eye(d))),)),
+        tuple(BernoulliComponent(0.7, GaussianDensity(np.ones(d), c)) for c in covs),
+    )
+    motion = LinearMotionModel(np.eye(d), 0.5 * np.eye(d), ps=0.9)
+    birth = BirthModel(GaussianMixture(((0.1, GaussianDensity(np.zeros(d), np.eye(d))),)))
+    calls = []
+
+    def counted(cov):
+        calls.append(cov)
+        return _sampling_root(cov)
+
+    monkeypatch.setattr(backward, "_sampling_root", counted)
+    step = backward._KernelCache(pmb, birth, motion)
+    assert calls == []  # building the step computes no root
+    for i, (cov, kind) in enumerate(zip(covs, kinds)):
+        root = step.end_roots[i]
+        assert type(root) is kind
+        assert_same_root(root, _sampling_root(cov))
+        assert step.end_roots[i] is root  # computed once, then kept
+    for terms in (step.tracks, step.ppp):
+        for a in range(len(terms.covs)):
+            assert_same_root(terms.roots[a], _sampling_root(terms.covs[a]))
+    if d == 2:  # the singular member takes the eigen fallback
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(covs[2])
+        assert_same_root(step.end_roots[2], _psd_root(covs[2]))
+    assert len(calls) == len(covs) + len(step.tracks.covs) + len(step.ppp.covs)
+
+
+def test_kernel_records_carry_sampling_roots():
+    pmb = PMBDensity(
+        GaussianMixture(((0.3, g1(1.0, 2.0)), (0.2, g1(-1.0, 0.5)))),
+        (BernoulliComponent(0.8, g1(0.0, 0.5)), BernoulliComponent(0.6, g1(2.0, 0.0))),
+    )
+    kernel = build_backward_kernel(pmb, BIRTH, MOTION, [traj(3, 0.4), traj(3, 1.8)], 1e9, k=2)
+    step = kernel.step
+    for i, ended in enumerate(kernel.ended):
+        assert_same_root(ended.density.root, _sampling_root(pmb.bernoullis[i].density.cov))
+    for i in range(kernel.n_tracks):
+        for j in range(kernel.m):
+            root = kernel.continued(i, j).density.root
+            assert_same_root(root, _sampling_root(step.tracks.covs[step.active_pos[i]]))
+    assert len(step.ppp.covs) == 2
+    for fd in kernel.first_detected:
+        for c in range(2):
+            assert_same_root(fd.density.roots[c], _sampling_root(step.ppp.covs[c]))
+
+
 # criterion 04's toy: 1-2 row kernels with every hypothesis family, a distinct
 # conditioning set per particle; recorded with the kernel built once per set
 PINNED_TOY = "4d550bf3eea012dc8b041bb25a2813da780db8e1c9e2fd67ee3637e475e38f0d"
@@ -500,6 +586,22 @@ def test_gated_equals_per_component_loop_bitwise():
             assert diffs[c].tobytes() == diff.tobytes()
             assert log_terms[c].tobytes() == (log_const[c] - 0.5 * maha).tobytes()
             np.testing.assert_array_equal(ok[c], maha <= 4.0)
+
+
+def test_smoothed_covs_equal_per_density_loop_bitwise():
+    # the per-density loop the stacked smoothed covariance replaced is the reference
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        n, d = rng.integers(1, 200), rng.choice([1, 2, 4, 6])
+        f = rng.normal(size=(d, d))
+        q = rng.normal(size=(d, d))
+        motion = LinearMotionModel(f, q @ q.T + np.eye(d), ps=0.9)
+        a = rng.normal(size=(n, d, d))
+        covs = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(d)
+        weighted = [(0.0, GaussianDensity(rng.normal(size=d), c)) for c in covs]
+        terms = backward._smoothing_terms(weighted, motion)
+        expected = [symmetrize(c - gain @ motion.F @ c) for c, gain in zip(covs, terms.gains)]
+        assert terms.covs.tobytes() == np.array(expected).tobytes()
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -220,6 +220,57 @@ def test_nan_model_matrix_exits_2(tmp_path, capsys, command, path):
     assert f"{field} must be finite" in capsys.readouterr().err
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "command, path, value, field",
+    [
+        # a non-finite Gaussian density or measurement
+        ("simulate", ("birth", "means", 0, 2), NAN, "birth.means[0]"),
+        ("simulate", ("schedule", "init_means", 1, 0), NAN, "schedule.init_means[1]"),
+        ("filter", ("models", "birth", "means", 0, 0), NAN, "models.birth.means[0]"),
+        ("filter", ("models", "birth", "covs", 0, 0, 0), NAN, "models.birth.covs[0]"),
+        ("filter", ("measurements", 0), [[NAN, 0.0]], "measurements[0][0]"),
+        ("smooth", ("steps", 5, "posterior", "bernoullis", 0, "mean", 0), NAN,
+         "steps[5].posterior.bernoullis[0].mean"),
+        ("smooth", ("steps", 5, "posterior", "bernoullis", 0, "cov", 1, 1), NAN,
+         "steps[5].posterior.bernoullis[0].cov"),
+        ("smooth", ("steps", 2, "predicted_ppp", "means", 0, 0), NAN,
+         "steps[2].predicted_ppp.means[0]"),
+        # an array of the wrong shape
+        ("simulate", ("schedule", "init_cov"), [1.0, 2.0], "schedule.init_cov"),
+        ("simulate", ("motion", "F"), np.eye(4)[:, :3].tolist(), "motion.F"),
+        ("simulate", ("motion", "Q"), np.eye(2).tolist(), "motion.Q"),
+        ("simulate", ("measurement", "R"), np.eye(3).tolist(), "measurement.R"),
+        ("simulate", ("birth", "covs", 0), np.eye(2).tolist(), "birth.covs[0]"),
+        ("filter", ("models", "motion", "Q"), np.eye(3).tolist(), "models.motion.Q"),
+        ("filter", ("models", "measurement", "R"), [[1.0]], "models.measurement.R"),
+        ("filter", ("models", "birth", "covs", 0), np.eye(2).tolist(), "models.birth.covs[0]"),
+        ("smooth", ("steps", 5, "posterior", "bernoullis", 0, "cov"), np.eye(2).tolist(),
+         "steps[5].posterior.bernoullis[0].cov"),
+    ],
+)
+def test_bad_input_array_exits_2(tmp_path, capsys, command, path, value, field):
+    cfg, scenario, filterlog = (tmp_path / name for name in ("cfg.json", "sc.json", "fl.json"))
+    cfg.write_text(json.dumps(matrix_config()))
+    argv = {
+        "simulate": ["simulate", "--config", str(cfg), "--out", str(scenario)],
+        "filter": ["filter", "--scenario", str(scenario), "--out", str(filterlog)],
+        "smooth": ["smooth", "--scenario", str(scenario), "--filterlog", str(filterlog),
+                   "--out", str(tmp_path / "pt.json"), "--particles", "5"],
+    }
+    commands = list(argv)[:list(argv).index(command)]
+    for earlier in commands:
+        assert main(argv[earlier]) == 0
+    edited = {"simulate": cfg, "filter": scenario, "smooth": filterlog}[command]
+    data = json.loads(edited.read_text())
+    set_at(data, path, value)
+    edited.write_text(json.dumps(data))
+    assert main(argv[command]) == 2
+    assert f"{field} must " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "path, value, message",
     [

@@ -146,6 +146,37 @@ def test_particle_stats_mixed_cardinality():
         assert dist.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def per_step_stats(particles, k_max):
+    """The per-step loop particle_stats replaced: K passes over every particle."""
+    t = len(particles)
+    births, deaths = [], []
+    for k in range(1, k_max + 1):
+        b = [sum(tr.t == k for tr in p.trajectories) for p in particles]
+        d = [sum(tr.last_time == k for tr in p.trajectories) for p in particles]
+        births.append(np.bincount(b, minlength=max(b) + 1) / t)
+        deaths.append(np.bincount(d, minlength=max(d) + 1) / t)
+    return births, deaths
+
+
+def test_particle_stats_equals_per_step_loop_bitwise():
+    # births and deaths after k_max are ignored, as the loop ignores them
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        k_max = int(rng.integers(1, 9))
+        particles = [
+            Particle(tuple(
+                make_traj(int(rng.integers(1, k_max + 3)), int(rng.integers(1, k_max + 2)))
+                for _ in range(rng.integers(0, 7))
+            ), 0.0)
+            for _ in range(rng.integers(1, 15))
+        ]
+        stats = particle_stats(particles, k_max)
+        births, deaths = per_step_stats(particles, k_max)
+        for got, expected in zip(stats.birth_dist + stats.death_dist, births + deaths):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        assert len(stats.birth_dist) == len(stats.death_dist) == k_max
+
+
 def test_gospa_over_time_perfect_and_empty():
     states = np.array([[0.0, 0.0], [1.0, 0.0]])
     truth = GroundTruth((Trajectory(1, states), Trajectory(1, states + 5.0)), 2)
