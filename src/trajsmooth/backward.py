@@ -35,20 +35,45 @@ every active track, birth and undetected component at once, and each group's
 cost matrix is sliced out. The first-detection weights of all heads come from
 (terms x heads) arrays with -inf for gated-out terms. Cost matrices that
 share a +inf pattern are ranked as one stack, and each group's cumulative
-hypothesis probabilities are computed once. Every particle then draws from
-its own seeded stream in the same order as a particle simulated alone, so
-grouping and batching change no output; in dirac mode a particle's ended-track
-uniforms are one block draw, which leaves its stream where the scalar draws
-would. Batched arithmetic is kept bitwise equal to the per-set form: stacked
-products use `einsum`, one (size, d) @ (d, d) matmul per set, or a stacked
-matmul that runs one product per member, and each column log-sum-exp
-(`_lse_columns`) applies `math.exp`/`math.log` elementwise and sums its rows
-in order, which is bit-equal to the scalar `math` form.
+hypothesis probabilities are computed once. Batched arithmetic is kept
+bitwise equal to the per-set form: stacked products use `einsum`, one
+(size, d) @ (d, d) matmul per set, or a stacked matmul that runs one product
+per member, and each column log-sum-exp (`_lse_columns`) applies
+`math.exp`/`math.log` elementwise and sums its rows in order, which is
+bit-equal to the scalar `math` form.
+
+Every random number is a pure function of its counter, drawn with the
+counter-based generator Philox4x64-10 (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC 2011) under the key
+`SeedSequence(seed).generate_state(2, uint64)`, the key `np.random.Philox`
+derives from the same seed. The counter is (particle, step, role + 256 *
+block, slot), with step K for the initial set and k for the step that draws
+the set over k:K. A counter gives four 64-bit words; a slot of more than four
+words reads blocks 0, 1, ... in order. The roles and their slots:
+
+  - `_HYP`, slot 0: word 0 is the hypothesis uniform;
+  - `_EXIST`, slot 0: word i is track i's existence uniform (an ended track
+    at k, every track at K);
+  - `_HEAD`, slot i: the first d words are the normals of track i's head (an
+    ended or continued track at k, a track at K);
+  - `_FIRST`, slot j: words 0 and 1 are the keep and extension-choice
+    uniforms of present trajectory j, read when its first-detection column
+    is drawn;
+  - `_EXT`, slot j: the first d words are the normals of that trajectory's
+    extension head.
+
+A uniform is (w >> 11) 2^-53, as `Generator.random` forms it, and a normal is
+ndtri(((w >> 12) + 1/2) 2^-52), whose argument lies strictly inside (0, 1).
+A particle's numbers therefore depend on neither the number of particles, nor
+the grouping, nor `_BATCH`. A batch of a step computes its uniforms in one
+Philox pass (each particle's hypothesis and existence blocks and one
+first-detection block per present trajectory) and, without dirac mode, the
+normals of exactly the heads it draws in a second pass; the draws are array
+operations over the batch.
 """
 
 from __future__ import annotations
 
-import bisect
 import gc
 import math
 import warnings
@@ -56,9 +81,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import chdtri
+from scipy.special import chdtri, ndtri
 
-# _ranked stays importable from here: perfbench's tracer patches it in this module
+# _ranked and sample_gaussian stay importable from here: perfbench's tracer patches them
+# in this module
 from .assignment import Assignment, _ranked, _ranked_stack  # noqa: F401
 from .errors import ContractError, SettingError, check_int, check_real
 from .forward import FilterLog, PMBDensity
@@ -67,9 +93,10 @@ from .gaussians import (
     _draw,
     _inv_log_norm,
     _linear_terms,
+    _root_matrix,
     _sampling_root,
     _stack,
-    sample_gaussian,
+    sample_gaussian,  # noqa: F401
     symmetrize,
 )
 from .models import BirthModel
@@ -126,7 +153,7 @@ class _FirstDetections(NamedTuple):
     """First-detection terms of a batch's stacked heads; column h is head h."""
 
     log_w: np.ndarray  # (heads,) log-weight of the first-detection column, floored
-    w_keep: list[float]  # (heads,) probability of keeping the trajectory as born at k+1
+    w_keep: np.ndarray  # (heads,) probability of keeping the trajectory as born at k+1
     ext_terms: np.ndarray  # (components, heads) log-weight of each backward extension
     ext_ok: np.ndarray  # (components, heads) extensions the head may draw (gated, or all)
     ext_means: np.ndarray  # (components, heads, d) smoothed extension means
@@ -137,17 +164,18 @@ class BackwardKernel:
     """What the sampler reads to draw the trajectory set over k:K from that over k+1:K.
 
     Row j of `cost` is trajectory j present at k+1; column i < n_tracks pairs
-    it with forward track i, column n_tracks + j is its first detection, whose
-    terms are head `start + j` of `first`.
+    it with forward track i, column n_tracks + j is its first detection. The
+    head arrays `diffs`, `log_w` and `first` cover every head of the batch the
+    kernel was built in; trajectory j is head `start + j`.
     """
 
     k: int
     cost: np.ndarray  # m x (n_tracks + m)
     step: _KernelCache | None  # the step's shared terms; None for a bare cost matrix
     present: tuple[Trajectory, ...]  # the m trajectories present at k+1
-    diffs: np.ndarray  # (active tracks, m, d): head at k+1 minus each track's prediction
-    log_w: np.ndarray  # (active tracks, m): continued log-weights
-    first: _FirstDetections | None  # of the batch this kernel was built in
+    diffs: np.ndarray  # (active tracks, heads, d): head at k+1 minus each track's prediction
+    log_w: np.ndarray  # (active tracks, heads): continued log-weights
+    first: _FirstDetections | None  # (heads,) first-detection terms
     start: int  # column of present trajectory 0 in `first`
     absent: tuple[Trajectory, ...]  # born after k+1; passed through
 
@@ -166,19 +194,19 @@ class BackwardKernel:
         """Per track; the same for every kernel of the step."""
         s = self.step
         return tuple(
-            LocalHypothesis(float(s.log_w_end[i]), e, EndedAtK(s.end_means[i], s.end_roots[i]))
-            for i, e in enumerate(s.exist_end)
+            LocalHypothesis(float(lw), float(e), EndedAtK(s.end_means[i], s.end_roots[i]))
+            for i, (lw, e) in enumerate(zip(s.log_w_end, s.exist_end))
         )
 
     def smoothed_head(self, i: int, j: int) -> tuple[np.ndarray, object]:
         """Mean and sampling root of track i's head at k given present trajectory j."""
         a = self.step.active_pos[i]
         t = self.step.tracks
-        return t.means[a] + t.gains[a] @ self.diffs[a, j], t.roots[a]
+        return t.means[a] + t.gains[a] @ self.diffs[a, self.start + j], t.roots[a]
 
     def continued(self, i: int, j: int) -> LocalHypothesis:
         """Track i continued into present trajectory j; (j, i) must be finite in `cost`."""
-        log_w = float(self.log_w[self.step.active_pos[i], j])
+        log_w = float(self.log_w[self.step.active_pos[i], self.start + j])
         head = ContinuedSmoothed(*self.smoothed_head(i, j), self.present[j])
         return LocalHypothesis(log_w, 1.0, head)
 
@@ -190,7 +218,7 @@ class BackwardKernel:
         for j, tail in enumerate(self.present):
             h = self.start + j
             comps = np.flatnonzero(f.ext_ok[:, h])
-            w_keep = f.w_keep[h]
+            w_keep = float(f.w_keep[h])
             fd = FirstDetected(
                 w_keep, 1.0 - w_keep, f.ext_terms[comps, h].tolist(), comps.tolist(),
                 f.ext_means[:, h], self.step.ppp.roots, tail,
@@ -266,23 +294,35 @@ def _lse_columns(rows: np.ndarray) -> np.ndarray:
 
 
 class _Roots:
-    """Sampling roots of a covariance stack, each computed on first read and then kept.
+    """Sampling roots of a covariance stack (n, d, d), each computed on first read and then kept.
 
     `roots[i]` is `_sampling_root(covs[i])`: a 1-d float, None for a point
-    mass, else a matrix root. Dirac mode reads none of them.
+    mass, else a matrix root. `matrices(idx)` gathers the roots of members
+    `idx` as `_root_matrix` matrices for a stacked draw. Dirac mode reads
+    none of them.
     """
 
-    __slots__ = ("covs", "_got")
+    __slots__ = ("covs", "_got", "_mats", "_done")
 
-    def __init__(self, covs):
+    def __init__(self, covs: np.ndarray):
         self.covs = covs
         self._got: dict[int, object] = {}
+        self._mats = np.zeros(covs.shape)
+        self._done = np.zeros(len(covs), dtype=bool)
 
     def __getitem__(self, i):
         got = self._got
         if i not in got:
             got[i] = _sampling_root(self.covs[i])
         return got[i]
+
+    def matrices(self, idx: np.ndarray) -> np.ndarray:
+        """(len(idx), d, d) root matrices of members `idx`; a point mass's is zero."""
+        new = np.unique(idx[~self._done[idx]])
+        for i in new.tolist():
+            self._mats[i] = _root_matrix(self[i], self.covs.shape[-1])
+        self._done[new] = True
+        return self._mats[idx]
 
 
 class _Smoothing(NamedTuple):
@@ -324,14 +364,14 @@ class _KernelCache:
         self.dim = m.dim
         # per track, ended at k: its log-weight, existence and filtering head
         self.log_w_end = np.empty(len(pmb.bernoullis))
-        self.exist_end: list[float] = []
+        self.exist_end = np.empty(len(pmb.bernoullis))
         for i, comp in enumerate(pmb.bernoullis):
             w_end = 1.0 - comp.r + comp.r * (1.0 - ps)
             # floored so W1 ratios stay finite when r=1 and pS=1 (track cannot end)
             self.log_w_end[i] = math.log(w_end) if w_end > 0.0 else _LOG_TINY
-            self.exist_end.append(comp.r * (1.0 - ps) / w_end if w_end > 0.0 else 0.0)
-        self.end_means = [comp.density.mean for comp in pmb.bernoullis]
-        self.end_roots = _Roots([comp.density.cov for comp in pmb.bernoullis])
+            self.exist_end[i] = comp.r * (1.0 - ps) / w_end if w_end > 0.0 else 0.0
+        self.end_means, end_covs = _stack([comp.density for comp in pmb.bernoullis], m.dim)
+        self.end_roots = _Roots(end_covs)
         self._ended: dict[int, Trajectory] = {}
 
         # tracks that can continue into a conditioning trajectory
@@ -425,10 +465,8 @@ def _kernels(cache: _KernelCache, sets, gate: float, k: int) -> list[BackwardKer
         cost[:, rows, n_tracks + rows] = first_cost[idx]
         for g, s in enumerate(members):
             p, absent = splits[s]
-            start = int(starts[s])
             kernels[s] = BackwardKernel(
-                k, cost[g], cache, tuple(p), diffs[:, start:start + size],
-                log_w[:, start:start + size], first, start, tuple(absent),
+                k, cost[g], cache, tuple(p), diffs, log_w, first, int(starts[s]), tuple(absent)
             )
     return kernels
 
@@ -469,7 +507,7 @@ def _first_detected_all(birth_lp, birth_ok, ext_lp, ext_ok, ext_means, local, ca
     w_keep[born] = _EXP(log_birth[born] - log_w[born]).astype(float)
     # keep for certain when there is no extension to draw
     w_keep = np.where(ext_ok.any(axis=0), np.minimum(w_keep, 1.0), 1.0)
-    return _FirstDetections(log_w, w_keep.tolist(), ext_lp, ext_ok, ext_means)
+    return _FirstDetections(log_w, w_keep, ext_lp, ext_ok, ext_means)
 
 
 def _gated(heads, log_const, means, invs, gate: float):
@@ -485,7 +523,7 @@ def _gated(heads, log_const, means, invs, gate: float):
 
 def _global_distributions(
     kernels: list[BackwardKernel], m_best: int, w_hyp_min: float
-) -> list[tuple[np.ndarray, list[float], list[float]]]:
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Per kernel: ranked top-M row_to_col rows, their ln w_hat and cumulative draw probabilities.
 
     Kernels whose cost matrices share a shape and +inf pattern are ranked as
@@ -507,10 +545,9 @@ def _global_distributions(
             keep[np.arange(len(members)), probs.argmax(axis=1)] = True  # the best always survives
             for g, r, lw, pr, kp in zip(members, rows, log_w, probs, keep):
                 pr = pr[kp]
-                tables[g] = (r[kp], lw[kp].tolist(), np.cumsum(pr / pr.sum()).tolist())
+                tables[g] = (r[kp], lw[kp], np.cumsum(pr / pr.sum()))
         else:
-            cum = np.cumsum(probs, axis=1)
-            for g, r, lw, c in zip(members, rows, log_w.tolist(), cum.tolist()):
+            for g, r, lw, c in zip(members, rows, log_w, np.cumsum(probs, axis=1)):
                 tables[g] = (r, lw, c)
     return tables
 
@@ -523,15 +560,17 @@ def sample_global(
 ) -> tuple[Assignment, float]:
     """Draw one global hypothesis from the ranked top-M; returns it with ln w_hat."""
     rows, log_w, cum = _global_distributions([kernel], m_best, w_hyp_min)[0]
-    idx = _draw_index(cum, rng)
-    return Assignment(tuple(rows[idx].tolist()), -log_w[idx]), log_w[idx]
+    idx = int(_draw_index(cum, rng.random()))
+    return Assignment(tuple(rows[idx].tolist()), -float(log_w[idx])), float(log_w[idx])
 
 
-def _draw_index(cum: list[float], rng: np.random.Generator) -> int:
-    """Categorical draw from cumulative probabilities; one outcome consumes no uniform."""
-    if len(cum) == 1:
-        return 0
-    return bisect.bisect_left(cum, rng.random())
+def _draw_index(cum: np.ndarray, u):
+    """Categorical draws: per uniform in `u`, the first index whose entry of `cum` reaches it.
+
+    A normalised table can end a few ulps below 1, so a uniform above its
+    last entry takes the last outcome.
+    """
+    return np.minimum(np.searchsorted(cum, u), len(cum) - 1)
 
 
 def sample_bernoulli(
@@ -542,8 +581,7 @@ def sample_bernoulli(
 ) -> Trajectory | None:
     """Draw the trajectory (or nothing) described by one local hypothesis.
 
-    `_sample_set` draws from a kernel's arrays through the same helpers
-    (`_draw`, `_trajectory_at`, `_extend`), consuming the stream in the same order.
+    The same arithmetic as the batched sampler, with the numbers from `rng`.
     """
     d = h.density
     if isinstance(d, EndedAtK):
@@ -555,12 +593,17 @@ def sample_bernoulli(
     # FirstDetected: keep the trajectory as born at k+1, or extend it backward
     if rng.random() < d.w_keep:
         return d.tail
-    return _extend(d.tail, np.asarray(d.log_terms), d.comps, d.means, d.roots, dirac_mode, rng)
+    terms = np.asarray(d.log_terms)[:, None]
+    c = d.comps[int(_extension_draw(terms, np.ones(terms.shape, dtype=bool), rng.random())[0])]
+    return d.tail.prepend(_head(d.means[c], d.roots[c], dirac_mode, rng))
 
 
 def _head(mean: np.ndarray, root, dirac_mode: bool, rng) -> np.ndarray:
     """The state at k: the mean itself in dirac mode, else one draw of N(mean, root root^T)."""
-    return mean if dirac_mode else _draw(mean, root, rng)
+    if dirac_mode:
+        return mean
+    z = rng.standard_normal((1, mean.size))
+    return _draw(mean[None], _root_matrix(root, mean.size)[None], z)[0]
 
 
 def _trajectory_at(k: int, head: np.ndarray) -> Trajectory:
@@ -571,18 +614,85 @@ def _trajectory_at(k: int, head: np.ndarray) -> Trajectory:
     return tr
 
 
-def _extend(tail: Trajectory, log_terms: np.ndarray, comps, means, roots, dirac_mode, rng):
-    """`tail` extended one step backward through comps[c], c drawn in proportion to exp(log_terms).
+# Philox4x64-10 constants (Salmon et al. 2011): round multipliers and key increments
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_LO32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_M_LO, _M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _32
+# counter roles (module docstring)
+_HYP, _EXIST, _HEAD, _FIRST, _EXT = range(5)
 
-    A single component is certain and, as in `_draw_index`, consumes no uniform.
-    In dirac mode the head is the mean and `roots` is not read.
+
+def _philox(c0, c1, c2, c3, key: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 of the counters (c0, c1, c2, c3) under a 2-word key: (4, n) uint64 words.
+
+    The counter words broadcast together and are flattened. Counter (n + 1,
+    0, 0, 0) gives words 4n .. 4n + 3 of `np.random.Philox(key=key)`, whose
+    counter is incremented before its first use.
     """
-    c = comps[0]
-    if len(comps) > 1:
-        head_w = np.exp(log_terms - log_terms.max())
-        weights = head_w / head_w.sum()
-        c = comps[_draw_index(np.cumsum(weights / weights.sum()).tolist(), rng)]
-    return tail.prepend(means[c] if dirac_mode else _draw(means[c], roots[c], rng))
+    c = np.broadcast_arrays(*(np.asarray(x, dtype=np.uint64) for x in (c0, c1, c2, c3)))
+    left = np.stack((c[0].ravel(), c[2].ravel()))  # the words each round multiplies
+    right = np.stack((c[1].ravel(), c[3].ravel()))
+    k = np.asarray(key, dtype=np.uint64).reshape(2, 1)
+    lo, hi, mid, top = (np.empty_like(left) for _ in range(4))
+    for r in range(10):
+        if r:
+            k = k + _PHILOX_W
+        # the high word of each 64x64 -> 128-bit product M * left, from 32-bit halves
+        np.bitwise_and(left, _LO32, out=lo)
+        np.right_shift(left, _32, out=hi)
+        np.multiply(_M_LO, lo, out=mid)
+        np.right_shift(mid, _32, out=mid)
+        np.multiply(_M_LO, hi, out=top)
+        top += mid  # M_lo * hi + carry of M_lo * lo: below 2**64
+        np.multiply(_M_HI, lo, out=mid)
+        np.bitwise_and(top, _LO32, out=lo)
+        mid += lo  # M_hi * lo + low half of the above: below 2**64
+        np.right_shift(top, _32, out=top)
+        np.right_shift(mid, _32, out=mid)
+        np.multiply(_M_HI, hi, out=hi)
+        hi += top
+        hi += mid
+        np.multiply(_PHILOX_M, left, out=left)  # the low words
+        mixed = np.bitwise_xor(hi[::-1], right)
+        mixed ^= k
+        left, right = mixed, left[::-1].copy()
+    return np.stack((left[0], right[0], left[1], right[1]))
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """Uniforms on [0, 1) from 64-bit words, as `Generator.random` forms them."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def _normals(words: np.ndarray) -> np.ndarray:
+    """Standard normals from 64-bit words by inversion; the argument of ndtri is never 0 or 1."""
+    return ndtri(((words >> np.uint64(12)) + 0.5) * 2.0**-52)
+
+
+def _counters(particles, role: int, slots, n_words: int = 1):
+    """Counter words (c0, c2, c3) of each (particle, slot) pair's blocks.
+
+    `particles` and `slots` broadcast together to the pairs' shape S. A slot
+    of `n_words` words spans ceil(n_words / 4) blocks; the result has shape
+    (*S, blocks).
+    """
+    blocks = role + (np.arange(-(-n_words // 4)) << 8)
+    return np.broadcast_arrays(
+        np.asarray(particles)[..., None], blocks, np.asarray(slots)[..., None]
+    )
+
+
+def _words(key: np.ndarray, step: int, requests) -> list[np.ndarray]:
+    """Each `_counters` request's slot words (*S, 4 * blocks) at `step`, from one Philox pass."""
+    flat = [np.concatenate([r[i].ravel() for r in requests]) for i in range(3)]
+    words = _philox(flat[0], step, flat[1], flat[2], key)
+    out, lo = [], 0
+    for r in requests:
+        block = words[:, lo:lo + r[0].size].reshape(4, *r[0].shape)
+        out.append(np.moveaxis(block, 0, -1).reshape(*r[0].shape[:-1], 4 * r[0].shape[-1]))
+        lo += r[0].size
+    return out
 
 
 def backward_simulate(
@@ -599,16 +709,19 @@ def backward_simulate(
     come from batched passes over their stacked heads (`_kernels`, up to
     `_BATCH` sets per pass), and their ranked-hypothesis tables with
     cumulative probabilities from one pass per cost-matrix pattern
-    (`_global_distributions`); each member then draws from its group's table
-    with its own stream. The key is ordered,
-    not a set, because trajectory order fixes the cost-matrix rows (hence
-    ranking tie-breaks) and the order of the sampled set. Particle i owns the
-    i-th stream spawned from `params.seed` and consumes it in the same order
-    whatever the grouping, so each particle depends only on the seed and its
-    index: the first n particles of a larger run equal an n-particle run. In
-    dirac mode the continued tracks' trajectories under a hypothesis are built
-    once per group and drawn hypothesis (`_dirac_plan`) and shared by the
-    members, and a kept ended track's trajectory once per step.
+    (`_global_distributions`). The key is ordered, not a set, because
+    trajectory order fixes the cost-matrix rows (hence ranking tie-breaks)
+    and the order of the sampled set.
+
+    Every random number is a Philox word at a counter fixed by the particle,
+    the step and the number's role (module docstring), so each particle
+    depends only on the seed and its index: the first n particles of a larger
+    run equal an n-particle run, whatever the grouping and batching. A
+    batch's particles draw as arrays (`_sample_set`): the hypotheses by one
+    `searchsorted` per table, the existences and first-detection choices by
+    comparisons, and the Gaussian heads by one stacked `_draw`. In dirac mode
+    a continued trajectory is built once per group, drawn hypothesis and
+    track, and a kept ended track's trajectory once per step.
 
     The cyclic garbage collector is paused for the run, which creates no
     reference cycles, and left as the caller had it.
@@ -626,129 +739,183 @@ def backward_simulate(
 
 
 def _simulate(log, birth, m, params: SmootherParams, gate: float) -> list[Particle]:
-    streams = [
-        np.random.default_rng(s)
-        for s in np.random.SeedSequence(params.seed).spawn(params.num_particles)
-    ]
+    key = np.random.SeedSequence(params.seed).generate_state(2, np.uint64)
     k_max = int(log.k_max)
-    sets = [
-        _initial_set(log.posteriors[k_max - 1], k_max, params.dirac_mode, rng)
-        for rng in streams
-    ]
-    accs = [0.0] * len(streams)
+    sets = _initial_set(
+        log.posteriors[k_max - 1], k_max, params.dirac_mode, key, params.num_particles
+    )
+    accs = np.zeros(params.num_particles)
     for k in range(k_max - 1, 0, -1):
         cache = _KernelCache(log.posteriors[k - 1], birth, m)
         groups: dict[tuple, list[int]] = {}
         for p, trajectories in enumerate(sets):
-            key = tuple((tr.t, tr.states.tobytes()) for tr in trajectories)
-            groups.setdefault(key, []).append(p)
+            set_key = tuple((tr.t, tr.states.tobytes()) for tr in trajectories)
+            groups.setdefault(set_key, []).append(p)
         members_of = list(groups.values())
         for lo in range(0, len(members_of), _BATCH):
             batch = members_of[lo:lo + _BATCH]
             kernels = _kernels(cache, [sets[members[0]] for members in batch], gate, k)
             tables = _global_distributions(kernels, params.m_best, params.w_hyp_min)
-            for members, kernel, (rows, log_w, cum) in zip(batch, kernels, tables):
-                plans: dict[int, tuple] = {}  # dirac: drawn hypothesis -> its _dirac_plan
-                for p in members:
-                    rng = streams[p]
-                    idx = _draw_index(cum, rng)
-                    accs[p] += log_w[idx]
-                    row_to_col = rows[idx].tolist()
-                    if params.dirac_mode and idx not in plans:
-                        plans[idx] = _dirac_plan(kernel, row_to_col, k)
-                    sets[p] = _sample_set(
-                        kernel, row_to_col, k, params.dirac_mode, rng, plans.get(idx)
-                    )
-    return [Particle(tuple(s), acc) for s, acc in zip(sets, accs)]
+            particles = [p for members in batch for p in members]
+            drawn, log_w = _sample_set(kernels, tables, batch, k, params.dirac_mode, key)
+            accs[particles] += log_w
+            for p, new_set in zip(particles, drawn):
+                sets[p] = new_set
+    return [Particle(tuple(s), acc) for s, acc in zip(sets, accs.tolist())]
 
 
-def _initial_set(pmb: PMBDensity, k_max: int, dirac_mode: bool, rng) -> list[Trajectory]:
-    """Draw the length-1 trajectory set at K from the filtering posterior."""
-    trajectories = []
-    for comp in pmb.bernoullis:
-        if rng.random() < comp.r:
-            head = comp.density.mean if dirac_mode else sample_gaussian(comp.density, rng)
-            trajectories.append(_trajectory_at(k_max, head))
-    return trajectories
-
-
-def _dirac_plan(kernel: BackwardKernel, row_to_col, k: int):
-    """Dirac mode: the continued tracks' trajectories under one hypothesis, and the ended tracks.
-
-    A continued track's trajectory is certain; its head is the smoothed mean,
-    all heads of the plan computed as one stacked product. Returns the
-    continued (track, trajectory) pairs in track order, the ended tracks as
-    an index array in track order, and their existences.
-    """
-    step = kernel.step
-    pairs = sorted((c, j) for j, c in enumerate(row_to_col) if c < kernel.n_tracks)
-    tracks, rows = [i for i, _ in pairs], [j for _, j in pairs]
-    a = [step.active_pos[i] for i in tracks]
-    t = step.tracks
-    heads = t.means[a] + np.matmul(t.gains[a], kernel.diffs[a, rows][..., None])[..., 0]
-    continued = [(i, kernel.present[j].prepend(h)) for i, j, h in zip(tracks, rows, heads)]
-    ended = np.ones(kernel.n_tracks, dtype=bool)
-    ended[tracks] = False
-    ended = np.flatnonzero(ended)
-    return continued, ended, np.array(step.exist_end)[ended]
-
-
-def _sample_set(
-    kernel: BackwardKernel,
-    row_to_col,
-    k: int,
-    dirac_mode: bool,
-    rng,
-    plan: tuple | None = None,
-) -> list[Trajectory]:
-    """Draw the trajectory set over k:K given one global hypothesis of the kernel.
-
-    Tracks draw in track order, then first detections in row order. In dirac
-    mode only an ended track's existence is random: the continued tracks come
-    from `plan` (`_dirac_plan` of this kernel and hypothesis, built here when
-    not given), the ended tracks' existence uniforms are one `rng.random(n)`
-    block, which leaves the stream where n scalar draws would, and a kept
-    ended track's trajectory is the step's shared one (`ended_trajectory`),
-    merged into the continued ones by track index.
-    """
-    new_set: list[Trajectory] = list(kernel.absent)
-    step = kernel.step
+def _initial_set(pmb: PMBDensity, k_max: int, dirac_mode: bool, key, n: int):
+    """The length-1 trajectory sets at K of particles 0 .. n-1, drawn from the posterior at K."""
+    sets: list[list[Trajectory]] = [[] for _ in range(n)]
+    if not pmb.bernoullis:
+        return sets
+    dim = pmb.bernoullis[0].density.dim
+    means, covs = _stack([c.density for c in pmb.bernoullis], dim)
+    r = np.array([c.r for c in pmb.bernoullis])
+    (exist,) = _words(key, k_max, [_counters(np.arange(n), _EXIST, 0, len(r))])
+    owners, tracks = np.nonzero(_uniforms(exist[:, :len(r)]) < r)
     if dirac_mode:
-        continued, ended, existence = plan or _dirac_plan(kernel, row_to_col, k)
-        kept = ended[rng.random(len(ended)) < existence].tolist() if len(ended) else []
-        if kept:
-            continued = sorted(
-                continued + [(i, step.ended_trajectory(i, k)) for i in kept],
-                key=lambda pair: pair[0],
-            )
-        new_set += [tr for _, tr in continued]
+        shared = [_trajectory_at(k_max, mean) for mean in means]
+        trajectories = [shared[i] for i in tracks.tolist()]
     else:
-        col_to_row = {c: r for r, c in enumerate(row_to_col)}
-        for i, existence in enumerate(step.exist_end):
-            j = col_to_row.get(i)
-            if j is None:
-                if rng.random() < existence:
-                    head = _draw(step.end_means[i], step.end_roots[i], rng)
-                    new_set.append(_trajectory_at(k, head))
-            else:
-                mean, root = kernel.smoothed_head(i, j)
-                new_set.append(kernel.present[j].prepend(_draw(mean, root, rng)))
-    first = kernel.first
-    n_tracks = kernel.n_tracks
-    for j, c in enumerate(row_to_col):
-        if c != n_tracks + j:
-            continue
-        h = kernel.start + j
-        tail = kernel.present[j]
-        if rng.random() < first.w_keep[h]:
-            new_set.append(tail)
-        else:
-            comps = first.ext_ok[:, h].nonzero()[0]
-            new_set.append(_extend(
-                tail, first.ext_terms[comps, h], comps, first.ext_means[:, h],
-                step.ppp.roots, dirac_mode, rng,
-            ))
-    return new_set
+        (words,) = _words(key, k_max, [_counters(owners, _HEAD, tracks, dim)])
+        heads = _draw(means[tracks], _Roots(covs).matrices(tracks), _normals(words[:, :dim]))
+        trajectories = [_trajectory_at(k_max, head) for head in heads]
+    for p, tr in zip(owners.tolist(), trajectories):
+        sets[p].append(tr)
+    return sets
+
+
+def _extension_draw(terms: np.ndarray, ok: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per column of (components, n) log-terms, the component drawn among the `ok` rows.
+
+    Component c is drawn with probability exp(terms[c]) over the sum of the
+    column's `ok` terms: the first row whose running weight, accumulated in
+    row order, reaches u times the total. The draw is clamped to the column's
+    `ok` rows, and does not depend on the other columns.
+    """
+    if not ok.size:
+        return np.zeros(ok.shape[1], dtype=int)
+    top = np.where(ok, terms, -math.inf).max(axis=0)
+    running = np.cumsum(np.where(ok, np.exp(terms - top), 0.0), axis=0)
+    idx = (running < u * running[-1]).sum(axis=0)
+    return np.clip(idx, ok.argmax(axis=0), len(ok) - 1 - ok[::-1].argmax(axis=0))
+
+
+def _sample_set(kernels, tables, batch, k: int, dirac_mode: bool, key):
+    """Draw the trajectory sets over k:K of a batch's particles; returns the sets and ln w_hat.
+
+    `batch[g]` lists the particles whose conditioning set has kernel
+    `kernels[g]` and ranked table `tables[g]` (`_global_distributions`); the
+    kernels share the batch's head arrays. The sets and the log-weights of
+    the drawn hypotheses come in the order of the particles in `batch`. A set
+    holds the trajectories absent at k+1, then the tracks in track order
+    (continued ones and kept ended ones), then the first detections in row
+    order.
+
+    Every draw is an array operation over the batch. One Philox pass gives
+    every particle's hypothesis uniform, its existence uniforms and a
+    first-detection block per present trajectory (read when its column is
+    drawn); the hypotheses are one `searchsorted` per table. Without dirac
+    mode a second pass gives the normals of exactly the heads drawn, which
+    are one stacked `_draw`. In dirac mode a head is its mean: a continued
+    trajectory is built once per group, hypothesis and track, and a kept
+    ended track's once per step.
+    """
+    step, diffs, first = kernels[0].step, kernels[0].diffs, kernels[0].first
+    n_tracks = kernels[0].n_tracks
+    members = np.array([len(ps) for ps in batch])
+    particles = np.array([p for ps in batch for p in ps])
+    group = np.repeat(np.arange(len(batch)), members)
+    # one entry per particle q and present trajectory j, with its batch head
+    sizes = np.array([kernel.m for kernel in kernels], dtype=int)[group]
+    q = np.repeat(np.arange(len(particles)), sizes)
+    j = np.arange(len(q)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    head = np.array([kernel.start for kernel in kernels], dtype=int)[group][q] + j
+    hyp_w, exist_w, first_w = _words(key, k, [
+        _counters(particles, _HYP, 0),
+        _counters(particles, _EXIST, 0, n_tracks),
+        _counters(particles[q], _FIRST, j),
+    ])
+    u = _uniforms(hyp_w[:, 0])
+    hyps = np.concatenate([
+        _draw_index(cum, u[lo:hi])
+        for (_, _, cum), lo, hi in zip(tables, np.cumsum(members) - members, np.cumsum(members))
+    ]).astype(int)
+    table_start = np.cumsum([0] + [len(lw) for _, lw, _ in tables])[:-1]
+    log_w = np.concatenate([lw for _, lw, _ in tables])[table_start[group] + hyps]
+    row_start = np.cumsum([0] + [rows.size for rows, _, _ in tables])[:-1]
+    col = np.concatenate([rows.ravel() for rows, _, _ in tables]).astype(int)[
+        np.repeat(row_start[group] + hyps * sizes, sizes) + j
+    ]
+
+    cont = col < n_tracks
+    qc, tc, jc, hc = q[cont], col[cont], j[cont], head[cont]
+    is_ended = np.ones((len(particles), n_tracks), dtype=bool)
+    is_ended[qc, tc] = False
+    qe, te = np.nonzero(is_ended & (_uniforms(exist_w[:, :n_tracks]) < step.exist_end))
+    fd = col == n_tracks + j
+    qf, jf, hf = q[fd], j[fd], head[fd]
+    extend = _uniforms(first_w[fd, 0]) >= first.w_keep[hf]
+    qx, jx, hx = qf[extend], jf[extend], hf[extend]
+    comps = _extension_draw(
+        first.ext_terms[:, hx], first.ext_ok[:, hx], _uniforms(first_w[fd, 1][extend])
+    )
+
+    t = step.tracks
+    a = np.zeros(n_tracks, dtype=int)
+    a[step.active_idx] = np.arange(len(step.active_idx))
+    a = a[tc]
+    # continued heads' means: a stacked matmul runs one product per entry
+    heads = [
+        t.means[a] + np.matmul(t.gains[a], diffs[a, hc][..., None])[..., 0],
+        step.end_means[te],
+        first.ext_means[comps, hx],
+    ]
+    if not dirac_mode:
+        d = step.dim
+        words = _words(key, k, [
+            _counters(particles[qc], _HEAD, tc, d),
+            _counters(particles[qe], _HEAD, te, d),
+            _counters(particles[qx], _EXT, jx, d),
+        ])
+        roots = [t.roots.matrices(a), step.end_roots.matrices(te), step.ppp.roots.matrices(comps)]
+        drawn = _draw(
+            np.concatenate(heads), np.concatenate(roots),
+            _normals(np.concatenate([w[:, :d] for w in words])),
+        )
+        heads = np.split(drawn, np.cumsum([len(h) for h in heads])[:-1])
+
+    g_of, qc_list = group.tolist(), qc.tolist()
+    present = [kernel.present for kernel in kernels]
+    if dirac_mode:
+        shared: dict[tuple, Trajectory] = {}  # (group, hypothesis, track) -> trajectory
+        hyp_of = hyps.tolist()
+        continued = []
+        for p, i, jj, h in zip(qc_list, tc.tolist(), jc.tolist(), heads[0]):
+            at = (g_of[p], hyp_of[p], i)
+            tr = shared.get(at)
+            if tr is None:
+                tr = shared[at] = present[g_of[p]][jj].prepend(h)
+            continued.append(tr)
+        ended = [step.ended_trajectory(i, k) for i in te.tolist()]
+    else:
+        continued = [
+            present[g_of[p]][jj].prepend(h) for p, jj, h in zip(qc_list, jc.tolist(), heads[0])
+        ]
+        ended = [_trajectory_at(k, h) for h in heads[1]]
+
+    sets = [list(kernels[g].absent) for g in g_of]
+    owners = qc_list + qe.tolist()
+    tracks = continued + ended
+    order = np.argsort(np.concatenate((qc, qe)) * n_tracks + np.concatenate((tc, te)))
+    for e in order.tolist():
+        sets[owners[e]].append(tracks[e])
+    extended = iter(heads[2])
+    for p, jj, ext in zip(qf.tolist(), jf.tolist(), extend.tolist()):
+        tail = present[g_of[p]][jj]
+        sets[p].append(tail.prepend(next(extended)) if ext else tail)
+    return sets, log_w
 
 
 def best_particle(particles: list[Particle]) -> Particle:
@@ -774,10 +941,15 @@ def particles_to_jsonable(particles: list[Particle]) -> dict:
     }
 
 
-def particles_from_jsonable(data: dict) -> list[Particle]:
+def particles_from_jsonable(data: dict, dim: int | None = None) -> list[Particle]:
+    """Decode particles; every trajectory's states are checked as (n, dim) finite arrays."""
     return [
         Particle(
-            tuple(trajectory_from_jsonable(tr) for tr in p["trajectories"]), float(p["c"])
+            tuple(
+                trajectory_from_jsonable(tr, f"particles[{n}].trajectories[{i}]", dim)
+                for i, tr in enumerate(p["trajectories"])
+            ),
+            float(p["c"]),
         )
-        for p in data["particles"]
+        for n, p in enumerate(data["particles"])
     ]

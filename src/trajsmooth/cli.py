@@ -209,7 +209,8 @@ def cmd_evaluate(args) -> int:
     if args.filterlog:
         sources["filter"] = _decode(args.filterlog, filterlog_from_jsonable).estimates
     if args.best:
-        best = _decode(args.best, lambda d: particles_from_jsonable({"particles": [d]})[0])
+        dim = scenario.motion.dim
+        best = _decode(args.best, lambda d: particles_from_jsonable({"particles": [d]}, dim)[0])
         sources["smoothed"] = [
             states_at_time(best.trajectories, k) for k in range(1, scenario.k_max + 1)
         ]

@@ -1,6 +1,10 @@
-"""Exception types shared across the package, and the range checks of settings."""
+"""Exception types shared across the package, the range checks of settings, and the
+checked decoding of arrays read from input files."""
 
+import math
 from numbers import Integral, Real
+
+import numpy as np
 
 
 class TrajsmoothError(Exception):
@@ -50,3 +54,37 @@ def check_real(name: str, value, interval: str):
     ):
         raise SettingError(f"{name} must be a number in {interval}, got {value!r}")
     return value
+
+
+def _matrix(path: str, value, shape: tuple) -> np.ndarray:
+    """`value` as a finite float array of `shape`, or ConfigError naming `path`.
+
+    A None entry of `shape` matches any length. The model matrices, Gaussian
+    densities and measurements of every input file are decoded here.
+    """
+    a = np.asarray(value, float)
+    if a.ndim != len(shape) or any(n is not None and n != got for n, got in zip(shape, a.shape)):
+        want = ", ".join("n" if n is None else str(n) for n in shape)
+        want += "," * (len(shape) == 1)
+        raise ConfigError(f"{path} must have shape ({want}), got {a.shape}")
+    # a finite sum has finite terms; only an overflowing sum needs the entrywise check
+    if not (math.isfinite(a.sum()) or np.isfinite(a).all()):
+        raise ConfigError(f"{path} must be finite, got {value!r}")
+    return a
+
+
+def _members(path: str, values: list, shape: tuple) -> np.ndarray:
+    """`values`, a list of arrays of `shape`, decoded as one (len(values), *shape) `_matrix`.
+
+    `path` formats member i's field name. A None entry of `shape` matches any
+    length shared by every member. When the stack is rejected, the first
+    member that `_matrix` rejects on its own is named.
+    """
+    if not values:
+        return np.empty((0, *(n or 0 for n in shape)))
+    try:
+        return _matrix(path.format("*"), values, (len(values), *shape))
+    except (ConfigError, ValueError):
+        for i, value in enumerate(values):
+            _matrix(path.format(i), value, shape)
+        raise

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import chdtri
 
 from .assignment import murty
-from .errors import ConfigError, ContractError, check_int, check_real
+from .errors import ConfigError, ContractError, _members, check_int, check_real
 from .gaussians import (
     GaussianDensity,
     GaussianMixture,
@@ -45,7 +45,7 @@ from .gaussians import (
     symmetrize,
 )
 from .models import BirthModel, ClutterModel, MeasurementModel
-from .simulate import Scenario, _members, _mixture_from_jsonable, _mixture_to_jsonable
+from .simulate import Scenario, _mixture_from_jsonable, _mixture_to_jsonable
 
 # a Bernoulli with existence probability at least this is reported as an estimate
 ESTIMATE_THRESHOLD = 0.5
@@ -358,14 +358,23 @@ def filterlog_to_jsonable(log: FilterLog) -> dict:
 
 
 def filterlog_from_jsonable(data: dict) -> FilterLog:
-    """Decode a filter log; `k_max` must be an integer equal to the number of steps."""
+    """Decode a filter log; `k_max` must be an integer equal to the number of steps.
+
+    Every density and estimate is a checked array; an estimate has the
+    dimension of its step's Bernoulli means.
+    """
     log = FilterLog(k_max=check_int("k_max", data["k_max"], 1))
     if len(data["steps"]) != log.k_max:
         raise ConfigError(f"k_max {log.k_max} does not match the {len(data['steps'])} steps")
     for k, step in enumerate(data["steps"]):
-        log.posteriors.append(pmb_from_jsonable(step["posterior"], f"steps[{k}].posterior"))
+        post = pmb_from_jsonable(step["posterior"], f"steps[{k}].posterior")
+        log.posteriors.append(post)
         log.predicted_ppps.append(
             _mixture_from_jsonable(step["predicted_ppp"], f"steps[{k}].predicted_ppp")
         )
-        log.estimates.append([np.asarray(e, float) for e in step["estimates"]])
+        # an estimate is the mean of one of the step's Bernoulli components
+        dim = post.bernoullis[0].density.dim if post.bernoullis else None
+        log.estimates.append(
+            list(_members(f"steps[{k}].estimates[{{}}]", step["estimates"], (dim,)))
+        )
     return log

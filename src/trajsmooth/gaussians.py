@@ -11,8 +11,9 @@ the one-step smoothing update. Prediction (`_predict`) and moment matching
 `moment_match` are their one-density cases, so each operation has one
 arithmetic path. Sampling splits into `_sampling_root`, which the backward
 kernel computes for a covariance on first read and then keeps for the step,
-and `_draw`; `_psd_root` is the eigen-based root of a PSD matrix that is not
-positive definite.
+and `_draw`, which turns given standard normals into samples of a stack;
+`_psd_root` is the eigen-based root of a PSD matrix that is not positive
+definite.
 """
 
 from __future__ import annotations
@@ -228,7 +229,8 @@ def moment_match(weights, densities) -> GaussianDensity:
 
 def sample_gaussian(g: GaussianDensity, rng: np.random.Generator) -> np.ndarray:
     """Draw one sample; tolerates PSD (including exactly singular) covariances."""
-    return _draw(g.mean, _sampling_root(g.cov), rng)
+    root = _root_matrix(_sampling_root(g.cov), g.dim)
+    return _draw(g.mean[None], root[None], rng.standard_normal((1, g.dim)))[0]
 
 
 def _sampling_root(cov: np.ndarray):
@@ -254,10 +256,19 @@ def _psd_root(cov: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
-def _draw(mean: np.ndarray, root, rng: np.random.Generator) -> np.ndarray:
-    """One sample of N(mean, cov) given the covariance's `_sampling_root`."""
-    if root is None:
-        return mean.copy()
-    if isinstance(root, float):
-        return np.array([mean[0] + root * rng.standard_normal()])
-    return mean + root @ rng.standard_normal(mean.size)
+def _root_matrix(root, dim: int) -> np.ndarray:
+    """A `_sampling_root` as a (dim, dim) matrix; a point mass's is zero."""
+    out = np.zeros((dim, dim))
+    if root is not None:
+        out[...] = root
+    return out
+
+
+def _draw(means: np.ndarray, roots: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Samples means[i] + roots[i] @ z[i] of N(means[i], roots[i] roots[i]^T), one per row.
+
+    `z` (n, d) holds standard normals and `roots` (n, d, d) `_root_matrix`
+    roots. The stacked matmul runs one product per row, so a row's sample does
+    not depend on the other rows of the stack.
+    """
+    return means + np.matmul(roots, z[..., None])[..., 0]

@@ -6,12 +6,11 @@ downstream code must not depend on the order of elements within a scan.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, check_int, check_real
+from .errors import ConfigError, ContractError, _matrix, _members, check_int, check_real
 from .gaussians import (
     GaussianDensity,
     GaussianMixture,
@@ -77,38 +76,12 @@ def _field(cfg: dict, path: str, key: str, expected=None):
     return value
 
 
-def _matrix(path: str, value, shape: tuple) -> np.ndarray:
-    """`value` as a finite float array of `shape`, or ConfigError naming `path`.
-
-    A None entry of `shape` matches any length. The model matrices, Gaussian
-    densities and measurements of every input file are decoded here.
-    """
-    a = np.asarray(value, float)
-    if a.ndim != len(shape) or any(n is not None and n != got for n, got in zip(shape, a.shape)):
-        want = ", ".join("n" if n is None else str(n) for n in shape)
-        want += "," * (len(shape) == 1)
-        raise ConfigError(f"{path} must have shape ({want}), got {a.shape}")
-    # a finite sum has finite terms; only an overflowing sum needs the entrywise check
-    if not (math.isfinite(a.sum()) or np.isfinite(a).all()):
-        raise ConfigError(f"{path} must be finite, got {value!r}")
-    return a
-
-
-def _members(path: str, values: list, shape: tuple) -> np.ndarray:
-    """`values`, a list of arrays of `shape`, decoded as one (len(values), *shape) `_matrix`.
-
-    `path` formats member i's field name. A None entry of `shape` matches any
-    length shared by every member. When the stack is rejected, the first
-    member that `_matrix` rejects on its own is named.
-    """
-    if not values:
-        return np.empty((0, *(n or 0 for n in shape)))
-    try:
-        return _matrix(path.format("*"), values, (len(values), *shape))
-    except (ConfigError, ValueError):
-        for i, value in enumerate(values):
-            _matrix(path.format(i), value, shape)
-        raise
+def _region(path: str, value, dim_z: int) -> np.ndarray:
+    """A clutter region: (dim_z, 2) rows of [low, high] with low < high on every axis."""
+    region = _matrix(path, value, (dim_z, 2))
+    if not np.all(region[:, 0] < region[:, 1]):
+        raise ConfigError(f"{path} must have low < high on every axis, got {value!r}")
+    return region
 
 
 def _motion(path: str, f, q, ps: float) -> LinearMotionModel:
@@ -190,7 +163,7 @@ def load_scenario_config(cfg: dict) -> ScenarioConfig:
     cl = _field(cfg, "", "clutter", dict)
     clutter = ClutterModel(
         float(check_real("clutter.rate", _field(cl, "clutter", "rate"), "[0, inf)")),
-        _matrix("clutter.region", _field(cl, "clutter", "region", list), (measurement.dim_z, 2)),
+        _region("clutter.region", _field(cl, "clutter", "region", list), measurement.dim_z),
     )
 
     bi = _field(cfg, "", "birth", dict)
@@ -332,12 +305,15 @@ def scenario_to_jsonable(sc: Scenario) -> dict:
 def scenario_from_jsonable(data: dict) -> Scenario:
     models = data["models"]
     mo, me, cl, birth = models["motion"], models["measurement"], models["clutter"], models["birth"]
-    truth = GroundTruth(
-        tuple(trajectory_from_jsonable(tr) for tr in data["truth"]["trajectories"]),
-        check_int("k_max", data["k_max"], 1),
-    )
     ps = float(check_real("models.motion.ps", mo["ps"], "[0, 1]"))
     motion = _motion("models.motion", mo["F"], mo["Q"], ps)
+    truth = GroundTruth(
+        tuple(
+            trajectory_from_jsonable(tr, f"truth.trajectories[{i}]", motion.dim)
+            for i, tr in enumerate(data["truth"]["trajectories"])
+        ),
+        check_int("k_max", data["k_max"], 1),
+    )
     measurement = _measurement(
         "models.measurement", me["H"], me["R"],
         float(check_real("models.measurement.pd", me["pd"], "[0, 1]")), motion.dim,
@@ -352,7 +328,7 @@ def scenario_from_jsonable(data: dict) -> Scenario:
         measurement=measurement,
         clutter=ClutterModel(
             float(check_real("models.clutter.rate", cl["rate"], "[0, inf)")),
-            _matrix("models.clutter.region", cl["region"], (measurement.dim_z, 2)),
+            _region("models.clutter.region", cl["region"], measurement.dim_z),
         ),
         birth=BirthModel(
             _mixture_from_jsonable(birth, "models.birth", motion.dim),

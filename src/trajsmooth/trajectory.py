@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, check_int
+from .errors import ContractError, _matrix, check_int
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -72,6 +72,12 @@ def trajectory_to_jsonable(tr: Trajectory) -> dict:
     return {"t": tr.t, "states": tr.states.tolist()}
 
 
-def trajectory_from_jsonable(data: dict) -> Trajectory:
-    """Decode a trajectory; its birth time `t` must be an integer >= 1."""
-    return Trajectory(check_int("t", data["t"], 1), np.asarray(data["states"], float))
+def trajectory_from_jsonable(
+    data: dict, path: str = "trajectory", dim: int | None = None
+) -> Trajectory:
+    """Decode a trajectory named `path`: birth time `t` an integer >= 1, finite (n, dim) states.
+
+    A None `dim` matches any state dimension.
+    """
+    states = _matrix(f"{path}.states", data["states"], (None, dim))
+    return Trajectory(check_int("t", data["t"], 1), states)

@@ -323,11 +323,11 @@ def test_backward_simulate_trajectories_within_horizon():
             assert 1 <= tr.t and tr.last_time <= 4
 
 
-# sha256 of the compact sorted-key particle JSON, recorded with the
-# particle-by-particle loop that preceded the grouped one
+# sha256 of the compact sorted-key particle JSON, recorded when the random
+# numbers became Philox words at fixed counters
 PINNED_PARTICLES = {
-    True: "85e23dce026e2cab2f77d95fb1bd7ccb57e2e582c62d5ac1add52b6b00f73fa5",
-    False: "a7bb2dbcee9f2406c6e7977e280fed2b219f4b7c8e48dbac5c573bdab2f81323",
+    True: "bddf849d60f878b5260271d89bc70b2a0d4a90add15242f487b0841e89164465",
+    False: "191b57244e83b6f5ec403cfd458793fb9365a050b25fd39a26779fe0de59693c",
 }
 
 
@@ -425,8 +425,8 @@ def test_kernel_records_carry_sampling_roots():
 
 
 # criterion 04's toy: 1-2 row kernels with every hypothesis family, a distinct
-# conditioning set per particle; recorded with the kernel built once per set
-PINNED_TOY = "4d550bf3eea012dc8b041bb25a2813da780db8e1c9e2fd67ee3637e475e38f0d"
+# conditioning set per particle; recorded with the counter-based numbers
+PINNED_TOY = "24356f813a67d12e1908f6c99328fc6ebdaebb626855debb17ebe73a788aa506"
 
 
 def test_backward_simulate_pinned_bytes_toy():
@@ -440,12 +440,12 @@ def test_backward_simulate_pinned_bytes_toy():
 # the gating toy's first-detection paths: a uniform birth level, heads gated
 # into some undetected components, the ungated fallback and the underflow
 # floor (without the uniform level), with w_hyp_min > 0; recorded with the
-# per-head first-detection loop
+# counter-based numbers
 PINNED_GATING = {
-    (0.0, True): "15c407b618e2f2ed694891cd3958e31a02eb91b9495894a928ef0d3b88a197ac",
-    (0.0, False): "a21d09c848367109eec9cfada2c9ae5bd6aff8c1e7d06021072e9a67c7233d11",
-    (0.02, True): "5f8155e3d8cb5ff559d82405244fe7e085d51c36004bd5a545e773ffa53c4ba3",
-    (0.02, False): "f5aaabb97970bb006af9944d49368e75338fc8305d4b2d47be6b5e3f4b70f47f",
+    (0.0, True): "40f28d92cff1ac1de1986e6803bee972b1b3f2bb90639fd0e4f56ec4dc682ac7",
+    (0.0, False): "8de44c90ffd2590aab5fad36fd96e3722c4277794ff546f43cf43acc85af5881",
+    (0.02, True): "6f6a671f5f37f6822bb3d234a0417b2f274592172648a355b8e81a44f6e4b2f2",
+    (0.02, False): "df6d1937c79dbbd7a45528e994eb83cae0cc5426c101988ff53b349e1f1e5a23",
 }
 
 
@@ -476,6 +476,82 @@ def test_backward_simulate_particles_independent_of_count(dirac_mode):
         for n in (40, 10)
     ]
     assert particles_to_jsonable(runs[0][:10]) == particles_to_jsonable(runs[1])
+
+
+@pytest.mark.parametrize("dirac_mode", [True, False])
+@pytest.mark.parametrize("problem", ["desk", "toy"])
+def test_backward_simulate_particles_independent_of_batch(monkeypatch, problem, dirac_mode):
+    # every number is a function of its counter, so one set per kernel batch changes nothing
+    if problem == "desk":
+        log, birth, motion = desk_like_problem()
+        params = SmootherParams(num_particles=40, m_best=20, dirac_mode=dirac_mode, seed=7)
+    else:
+        log, birth, motion = tv_toy()
+        params = SmootherParams(
+            num_particles=300, m_best=64, gate_prob=1.0, w_hyp_min=0.0, dirac_mode=dirac_mode,
+            seed=5,
+        )
+    default = particles_to_jsonable(backward_simulate(log, birth, motion, params))
+    monkeypatch.setattr(backward, "_BATCH", 1)
+    assert particles_to_jsonable(backward_simulate(log, birth, motion, params)) == default
+
+
+def philox_key(seed):
+    return np.random.SeedSequence(seed).generate_state(2, np.uint64)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 404, 2**40 + 3])
+def test_philox_equals_numpy_philox(seed):
+    # numpy increments its counter before the first block: counter n + 1 gives block n
+    key = philox_key(seed)
+    words = backward._philox(np.arange(1, 9), 0, 0, 0, key)
+    np.testing.assert_array_equal(words.T.ravel(), np.random.Philox(seed).random_raw(32))
+    # every counter word, and a carry out of the first one into the second
+    for start, ours in (
+        ([5, 7, 9, 11], ([6], [7], [9], [11])),
+        ([2**64 - 2, 3, 0, 2**63], ([2**64 - 1, 0], [3, 4], [0, 0], [2**63, 2**63])),
+    ):
+        counter = np.array(start, dtype=np.uint64)
+        raw = np.random.Philox(key=key, counter=counter).random_raw(4 * len(ours[0]))
+        c = [np.array(w, dtype=np.uint64) for w in ours]
+        np.testing.assert_array_equal(backward._philox(*c, key).T.ravel(), raw)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 404])
+def test_uniforms_equal_generator_random(seed):
+    words = backward._philox(np.arange(1, 251), 0, 0, 0, philox_key(seed))
+    expected = np.random.Generator(np.random.Philox(seed)).random(1000)
+    assert backward._uniforms(words.T.ravel()).tobytes() == expected.tobytes()
+
+
+def test_normals_are_finite_and_standard():
+    words = backward._philox(np.arange(25_000), 3, backward._EXT, 0, philox_key(11)).ravel()
+    z = backward._normals(words)
+    n = z.size
+    assert n == 100_000 and np.isfinite(z).all()
+    assert abs(z.mean()) < 5.0 / math.sqrt(n)
+    assert abs(z.var() - 1.0) < 5.0 * math.sqrt(2.0 / n)
+    # the extreme words stay strictly inside (0, 1) before the inversion
+    extremes = backward._normals(np.array([0, 2**64 - 1], dtype=np.uint64))
+    assert np.isfinite(extremes).all() and extremes[0] == -extremes[1]
+
+
+def test_draw_index_clamps_a_table_ending_below_one():
+    # normalised cumulative tables can end a few ulps below 1
+    cum = np.array([0.25, 0.5, 0.9999999999999991])
+    assert backward._draw_index(cum, 1.0 - 2.0**-53) == 2
+    u = np.array([0.0, 0.25, 0.3, 0.9999999999999991, 1.0 - 2.0**-53])
+    assert backward._draw_index(cum, u).tolist() == [0, 0, 1, 2, 2]
+
+
+def test_extension_draw_stays_on_gated_components():
+    # column 0 may draw components 1 and 2 (0.6 / 0.4), column 1 components 0 and 1 (0.4 / 0.6)
+    terms = np.log(np.array([[0.5, 0.2], [0.3, 0.3], [0.2, 0.5]]))
+    ok = np.array([[False, True], [True, True], [True, False]])
+    for u, expected in ((0.0, [1, 0]), (0.39, [1, 0]), (0.41, [1, 1]), (0.61, [2, 1]),
+                        (1.0 - 2.0**-53, [2, 1])):
+        got = backward._extension_draw(terms, ok, np.array([u, u]))
+        assert got.tolist() == expected
 
 
 def test_best_particle():
@@ -524,6 +600,7 @@ def test_backward_step_preserves_conditioning_set():
         return Trajectory(k + 1, tr.states[k + 1 - tr.t:])
 
     rng = np.random.default_rng(31)
+    key = np.random.SeedSequence(31).generate_state(2, np.uint64)
     pmb = PMBDensity(
         GaussianMixture(((0.3, g1(1.0, 2.0)),)),
         (BernoulliComponent(0.8, g1(0.0, 0.5)), BernoulliComponent(0.6, g1(2.0, 0.5))),
@@ -532,8 +609,10 @@ def test_backward_step_preserves_conditioning_set():
     current = [traj(k_max, 0.1), traj(k_max, 2.2)]
     for k in range(k_max - 1, 0, -1):
         kernel = build(pmb, BIRTH, MOTION, current, gate=1e9, k=k)
-        assignment, _ = sample_global(kernel, 20, rng)
-        new_set = backward._sample_set(kernel, assignment.row_to_col, k, False, rng)
+        assignment, log_w = sample_global(kernel, 20, rng)
+        # a table holding only the drawn hypothesis, for particle 0
+        table = (np.array([assignment.row_to_col]), np.array([log_w]), np.array([1.0]))
+        (new_set,), _ = backward._sample_set([kernel], [table], [[0]], k, False, key)
         restricted = [r for r in (restrict(tr, k) for tr in new_set) if r is not None]
         assert sorted(restricted, key=lambda t: (t.t, t.states[0, 0])) == sorted(
             current, key=lambda t: (t.t, t.states[0, 0])

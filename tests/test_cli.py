@@ -272,6 +272,61 @@ def test_bad_input_array_exits_2(tmp_path, capsys, command, path, value, field):
 
 
 @pytest.mark.parametrize(
+    "command, path, value",
+    [
+        ("simulate", ("clutter", "region"), [[-10.0, -10.0], [0.0, 10.0]]),
+        ("simulate", ("clutter", "region"), [[-40.0, 40.0], [5.0, 5.0]]),
+        ("filter", ("models", "clutter", "region"), [[40.0, -40.0], [-40.0, 40.0]]),
+    ],
+)
+def test_empty_clutter_region_exits_2(tmp_path, capsys, command, path, value):
+    cfg, scenario = tmp_path / "cfg.json", tmp_path / "sc.json"
+    cfg.write_text(json.dumps(small_config()))
+    simulate = ["simulate", "--config", str(cfg), "--out", str(scenario)]
+    if command == "filter":
+        assert main(simulate) == 0
+    edited = cfg if command == "simulate" else scenario
+    data = json.loads(edited.read_text())
+    set_at(data, path, value)
+    edited.write_text(json.dumps(data))
+    argv = simulate if command == "simulate" else [
+        "filter", "--scenario", str(scenario), "--out", str(tmp_path / "fl.json")
+    ]
+    assert main(argv) == 2
+    field = ".".join(path)
+    assert f"{field} must have low < high on every axis" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "role, path, value, message",
+    [
+        ("scenario", ("truth", "trajectories", 0, "states", 2, 0), NAN,
+         "truth.trajectories[0].states must be finite"),
+        ("scenario", ("truth", "trajectories", 1, "states"), [[0.0, 1.0, 2.0]],
+         "truth.trajectories[1].states must have shape (n, 4)"),
+        ("best", ("trajectories", 0, "states", 0, 2), NAN,
+         "particles[0].trajectories[0].states must be finite"),
+        ("best", ("trajectories", 0, "states"), [[0.0, 1.0]],
+         "particles[0].trajectories[0].states must have shape (n, 4)"),
+        ("filterlog", ("steps", 5, "estimates", 0, 1), NAN, "steps[5].estimates[0] must be finite"),
+        ("filterlog", ("steps", 5, "estimates", 0), [1.0, 2.0, 3.0],
+         "steps[5].estimates[0] must have shape (4,)"),
+    ],
+)
+def test_evaluate_bad_state_exits_2(workdir, capsys, role, path, value, message):
+    tmp_path, cfg = workdir
+    scenario, filterlog, _, best = run_pipeline(tmp_path, cfg)
+    edited = {"scenario": scenario, "best": best, "filterlog": filterlog}[role]
+    data = json.loads(edited.read_text())
+    set_at(data, path, value)
+    edited.write_text(json.dumps(data))
+    argv = ["evaluate", "--scenario", str(scenario), "--filterlog", str(filterlog),
+            "--best", str(best), "--out", str(tmp_path / "report.json")]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "path, value, message",
     [
         (("k_max",), 9, "k_max 9 does not match the 6 steps"),
