@@ -10,12 +10,23 @@ cost order, breaking exact cost ties by lexicographic row_to_col.
 Ranking picks its route from the +inf pattern, and every route gives the same
 output. A pattern whose product of per-row candidate counts is at most
 `_ENUM_CAP` is enumerated. A larger one is split into connected components
-(rows joined when they share a finite column): each component is enumerated
-or, when it is itself too large, ranked by Murty's method (Operations
-Research 1968), and a best-first search over the product of the sorted
-per-component lists merges them. No list, merge or Murty queue stops while a
-candidate could tie or undercut the M-th cost within the rounding of the
-partial sums; only the final sort by (cost, row_to_col) cuts.
+(rows joined when they share a finite column), and a best-first search over
+the product of the sorted per-component lists merges them. A component is
+ranked by one of three routes:
+
+- enumeration, when its own candidate product is at most `_ENUM_CAP`;
+- else a pruned row-by-row merge (`_merge_ranked`): the K cheapest prefixes
+  of distinct columns are extended one row at a time, and the list is exact
+  once the M-th cost lies below the least total any dropped prefix could
+  reach, K doubling from M until it does;
+- else, past `_MERGE_CAP * M` kept prefixes, Murty's method (Operations
+  Research 1968), whose work grows with the assignments tied near the M-th
+  cost rather than with the prefixes that such ties keep the merge from
+  ruling out.
+
+No list, merge or Murty queue stops while a candidate could tie or undercut
+the M-th cost within the rounding of the partial sums; only the final sort by
+(cost, row_to_col) cuts.
 """
 
 from __future__ import annotations
@@ -28,11 +39,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import ContractError, InfeasibleAssignmentError
+from .errors import ContractError, InfeasibleAssignmentError, check_int
 
 # enumerate a pattern or component whose product of per-row candidate counts
-# is at most this; enumeration and Murty produce identical ranked output
+# is at most this; enumeration, the merge and Murty produce identical ranked output
 _ENUM_CAP = 512
+# the row-by-row merge keeps at most this many prefixes per requested
+# assignment before a component falls back to Murty's method
+_MERGE_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -85,9 +99,7 @@ def _lap(cost: np.ndarray) -> Assignment:
 def murty(cost: np.ndarray, m_best: int) -> list[Assignment]:
     """The min(m_best, #feasible) cheapest assignments, cheapest first."""
     cost = _validate(cost)
-    if m_best < 1:
-        raise ContractError(f"m_best must be >= 1, got {m_best}")
-    return _ranked(cost, m_best)
+    return _ranked(cost, check_int("m_best", m_best, 1))
 
 
 def _ranked(cost: np.ndarray, m_best: int) -> list[Assignment]:
@@ -105,10 +117,11 @@ def _ranked_stack(costs: np.ndarray, m_best: int) -> tuple[np.ndarray, np.ndarra
     for the whole stack. A larger one is split into its connected components,
     rows joined when they share a finite column. Each component is ranked on
     its columns in ascending order, so its local lexicographic order is the
-    global one restricted to its rows: by enumeration when small, else by
-    Murty per matrix. A best-first search merges the per-component lists of
-    each matrix; the global top-M of a sum over independent blocks lies in the
-    product of each block's top-M. Lists, merge and Murty are cut only past
+    global one restricted to its rows: by enumeration when small, else per
+    matrix by the row-by-row merge or, past its cap, Murty. A best-first
+    search merges the per-component lists of each matrix; the global top-M of
+    a sum over independent blocks lies in the product of each block's top-M.
+    Lists, merges and Murty are cut only past
     the M-th cost plus a bound on the rounding of the partial sums, and the
     merged candidates are re-scored row-sequentially and sorted by
     (cost, row_to_col) before the final cut at M, so a tie is never lost to
@@ -212,9 +225,62 @@ def _ranked_block(
         raise InfeasibleAssignmentError("no feasible assignment")
     out = []
     for cost, s in zip(costs[:, rows][:, :, cols], slack):
-        ranked = _murty_queue(cost, m_best, s)
+        ranked = _merge_ranked(cost, m_best, s)
+        if ranked is None:
+            ranked = _murty_queue(cost, m_best, s)
         out.append((cols[np.array([a.row_to_col for a in ranked])], [a.cost for a in ranked]))
     return out
+
+
+def _merge_ranked(cost: np.ndarray, m_best: int, slack: float) -> list[Assignment] | None:
+    """Ranked assignments of one validated matrix by a pruned row-by-row merge.
+
+    Returns every assignment costing at most the M-th cost plus `slack`,
+    sorted by (cost, row_to_col): the list `_murty_queue` returns. Returns
+    None when more than `_MERGE_CAP * m_best` prefixes would have to be kept.
+
+    Stage r extends each kept prefix by every finite column of row r that it
+    does not use yet, so the sums are row-sequential and bit-equal to
+    `_entry_cost`; only the K cheapest prefixes are kept. `floor` is the least
+    total a dropped prefix could still reach: its sum plus the minima of the
+    rows after it, less `slack` for the rounding of both. The kept list is
+    exact when nothing was dropped or when the M-th cost plus `slack` lies
+    below `floor`; otherwise K doubles, from M.
+    """
+    m, n = cost.shape
+    finite = np.isfinite(cost)
+    row_cols = [np.flatnonzero(row) for row in finite]
+    row_vals = [cost[r, c] for r, c in enumerate(row_cols)]
+    rest = np.zeros(m + 1)  # rest[r]: sum of the minima of rows r..m-1
+    for r in range(m - 1, -1, -1):
+        rest[r] = rest[r + 1] + row_vals[r].min()
+    k = m_best
+    while k <= _MERGE_CAP * m_best:
+        sums = np.zeros(1)
+        tuples = np.zeros((1, 0), dtype=np.intp)
+        used = np.zeros((1, n), dtype=bool)
+        floor = math.inf
+        for r, (cols, vals) in enumerate(zip(row_cols, row_vals)):
+            parent, j = np.nonzero(~used[:, cols])
+            total = sums[parent] + vals[j]
+            if len(total) > k:
+                part = np.argpartition(total, k)
+                floor = min(floor, total[part[k:]].min() + rest[r + 1] - slack)
+                parent, j, total = parent[part[:k]], j[part[:k]], total[part[:k]]
+            tuples = np.column_stack((tuples[parent], cols[j]))
+            used = used[parent]
+            used[np.arange(len(parent)), cols[j]] = True
+            sums = total
+        order = np.lexsort((*tuples.T[::-1], sums))
+        sums, tuples = sums[order], tuples[order]
+        if floor == math.inf and not len(sums):
+            raise InfeasibleAssignmentError("no feasible assignment")
+        if floor == math.inf or (len(sums) >= m_best and sums[m_best - 1] + slack < floor):
+            keep = np.searchsorted(sums, sums[min(m_best, len(sums)) - 1] + slack, side="right")
+            ranked = zip(tuples[:keep].tolist(), sums[:keep].tolist())
+            return [Assignment(tuple(c), t) for c, t in ranked]
+        k *= 2
+    return None
 
 
 def _best_first(lists: list[list[float]], m_best: int, slack: float) -> list[tuple[int, ...]]:

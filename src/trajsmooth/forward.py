@@ -13,8 +13,8 @@ on stacked arrays, one pass per step rather than one per track, component or
 - weigh: the updated means of the gated pairs and the Joseph covariances are
   one stacked product each, the new-track likelihoods stay arrays and are
   summed per measurement with a row-wise log-sum-exp;
-- rank: Murty's algorithm enumerates the best global association hypotheses
-  of the (measurement x track+new) cost matrix, and the marginal association
+- rank: `murty` ranks the best global association hypotheses of the
+  (measurement x track+new) cost matrix, and the marginal association
   probabilities are accumulated across them;
 - collapse: every track and every new-track hypothesis is moment matched back
   to a single Bernoulli (track-oriented marginalization) in one batched pass.
@@ -184,8 +184,9 @@ def update_pmb(
     m_best: int,
 ) -> PMBDensity:
     """Point-object PMB measurement update with track-oriented marginalization."""
-    if gate <= 0.0 or m_best < 1:
-        raise ContractError("gate must be positive and m_best >= 1")
+    check_int("m_best", m_best, 1)
+    if gate <= 0.0:
+        raise ContractError("gate must be positive")
     n, mz, pd = len(pmb.bernoullis), len(scan), mm.pd
     log_pd = math.log(pd) if pd > 0.0 else -math.inf
     z = np.array(scan, dtype=float).reshape(mz, mm.dim_z)

@@ -3,11 +3,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from trajsmooth.assignment import _ENUM_CAP, Assignment, _components, _ranked_stack, murty, solve_lap
-from trajsmooth.errors import ContractError, InfeasibleAssignmentError
+from trajsmooth import assignment
+from trajsmooth.assignment import (
+    _ENUM_CAP,
+    Assignment,
+    _components,
+    _merge_ranked,
+    _murty_queue,
+    _ranked_stack,
+    murty,
+    solve_lap,
+)
+from trajsmooth.errors import ContractError, InfeasibleAssignmentError, SettingError
 
 
 def brute_force_ranked(cost):
@@ -174,6 +184,12 @@ def test_murty_empty_and_bad_m():
         murty(np.array([[1.0]]), 0)
 
 
+@pytest.mark.parametrize("m_best", [2.5, "3", True, 0])
+def test_murty_rejects_non_integer_m_best(m_best):
+    with pytest.raises(SettingError, match="m_best"):
+        murty(np.array([[1.0, 2.0]]), m_best)
+
+
 @st.composite
 def masked_matrices(draw):
     """An m x n +inf mask and several small-integer value sets under it, so ties are common."""
@@ -297,3 +313,73 @@ def test_ranked_stack_equals_murty_per_matrix(integer):
     assert rows.shape == (3, 30, 9)
     for cost, r, t in zip(costs, rows.tolist(), totals.tolist()):
         assert [(a.row_to_col, a.cost) for a in murty(cost, 30)] == list(zip(map(tuple, r), t))
+
+
+def _slack(cost):
+    """The rounding slack `_ranked_stack` gives a matrix."""
+    scale = np.where(np.isfinite(cost), np.abs(cost), 0.0).max(axis=1).sum()
+    return 4 * cost.shape[0] * np.finfo(float).eps * scale
+
+
+@st.composite
+def forward_shaped(draw):
+    """Measurement rows, each with its own private new-track column after the
+    shared track columns, and float costs of either sign."""
+    m = draw(st.integers(2, 7))
+    tracks = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cost = np.full((m, tracks + m), np.inf)
+    shared = rng.random((m, tracks)) < draw(st.floats(0.3, 1.0))
+    cost[:, :tracks][shared] = rng.normal(0.0, 3.0, shared.sum())
+    cost[np.arange(m), tracks + np.arange(m)] = rng.normal(2.0, 3.0, m)
+    return cost
+
+
+@st.composite
+def small_integer(draw):
+    """Small-integer costs with many exact ties under a +inf mask; every row keeps a finite entry."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(m, 7))
+    values = draw(st.lists(st.integers(-1, 4), min_size=m * n, max_size=m * n))
+    cost = np.array(values, dtype=float).reshape(m, n)
+    cost[cost < 0] = np.inf
+    for r in np.flatnonzero(~np.isfinite(cost).any(axis=1)):
+        cost[r, r] = 1.0
+    return cost
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(forward_shaped(), small_integer()), st.integers(1, 120))
+def test_merge_equals_murty_queue(cost, m_best):
+    slack = _slack(cost)
+    try:
+        expected = _murty_queue(cost, m_best, slack)
+    except InfeasibleAssignmentError:
+        # the merge proves infeasibility when it drops nothing, else it gives up
+        try:
+            assert _merge_ranked(cost, m_best, slack) is None
+        except InfeasibleAssignmentError:
+            pass
+        return
+    got = _merge_ranked(cost, m_best, slack)
+    assume(got is not None)
+    assert got == expected
+
+
+@pytest.mark.parametrize("m_best", [1, 3, 10])
+def test_all_equal_component_takes_murty_fallback(monkeypatch, m_best):
+    # every one of the 2520 assignments ties, so no prefix can be ruled out
+    # before the merge keeps them all; Murty ranks the component instead
+    cost = np.ones((5, 7))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _murty_queue(*args)
+
+    monkeypatch.setattr(assignment, "_murty_queue", counted)
+    assert _merge_ranked(cost, m_best, _slack(cost)) is None
+    assert [(a.row_to_col, a.cost) for a in murty(cost, m_best)] == [
+        (a.row_to_col, a.cost) for a in brute_force_ranked(cost)[:m_best]
+    ]
+    assert len(calls) == 1

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from scipy.special import chdtri, logsumexp
 from scipy.stats import chi2, norm
 
-from trajsmooth.errors import ContractError
+from trajsmooth import assignment
+from trajsmooth.errors import ContractError, SettingError
 from trajsmooth.forward import (
     BernoulliComponent,
     _lse_rows,
@@ -414,6 +415,36 @@ def test_scenario1_filterlog_pinned_bytes():
 
 def test_update_edge_shapes_pinned_bytes():
     assert {name: _sha(out) for name, out in edge_updates().items()} == PINNED_EDGE_UPDATES
+
+
+def test_workload_shaped_updates_never_fall_back_to_murty(monkeypatch):
+    # scenario1's large components are ranked by the row-by-row merge alone;
+    # the 12-step desk cut's M=20 components are all enumerated
+    merges = []
+
+    def counted(*args):
+        merges.append(args)
+        return merge(*args)
+
+    def refuse(*args):
+        raise AssertionError("ranked assignment fell back to _murty_queue")
+
+    merge = assignment._merge_ranked
+    monkeypatch.setattr(assignment, "_merge_ranked", counted)
+    monkeypatch.setattr(assignment, "_murty_queue", refuse)
+    assert _sha(scenario1_cut_log()) == PINNED_SCENARIO1_K30
+    assert merges
+    log, _, _ = desk_like_problem()
+    assert _sha(log) == PINNED_FILTERLOG
+
+
+@pytest.mark.parametrize("m_best", [2.5, "3", True, 0])
+def test_update_rejects_non_integer_m_best(m_best):
+    pmb = PMBDensity(bernoullis=(BernoulliComponent(0.9, GaussianDensity(np.zeros(2), np.eye(2))),))
+    mm = MeasurementModel([[1.0, 0.0]], [[0.5]], 0.9)
+    cm = ClutterModel(2.0, [[-10.0, 10.0]])
+    with pytest.raises(SettingError, match="m_best"):
+        update_pmb(pmb, [np.array([0.1])], mm, cm, 9.0, m_best)
 
 
 _point = st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
