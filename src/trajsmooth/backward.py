@@ -20,22 +20,30 @@ heads, the smoothing terms of every track and undetected component, and the
 sampling roots of their covariances) lives in the step's `_KernelCache`,
 shared by all kernels of the step. The step computes only what its draws
 read: a sampling root the first time a draw or a record reads it (dirac mode
-reads none), and an ended track's length-1 trajectory the first time a dirac
-particle keeps it. The hypothesis records (`LocalHypothesis` and its
-densities) are built only on read, for tests and `sample_bernoulli`;
-building and sampling a kernel creates none.
+reads none). The hypothesis records (`BackwardKernel`, `LocalHypothesis` and
+its densities) are built only by `build_backward_kernel` and on read, for
+tests and `sample_bernoulli`; the sampler creates none.
 
-Backward simulation runs step-outer, particle-inner. At each step the
-particles are grouped by conditioning set, keyed by the ordered tuple of
-(birth time, state bytes): identical ordered sets give identical kernels,
-while a reordered set permutes the cost-matrix rows (and with them the
-ranking's tie-breaks) and the order of the sampled set. The kernels of many
-groups are built in one batched pass: their heads are stacked, gated against
-every active track, birth and undetected component at once, and each group's
-cost matrix is sliced out. The first-detection weights of all heads come from
+Backward simulation runs step-outer, over arrays of particles. A trajectory
+is a row of a node table (`_Nodes`): its birth time, its head state and the
+row of its tail, as a persistent list (Okasaki, "Purely Functional Data
+Structures", 1998). Prepending a head appends a row and copies no state, and
+`Trajectory` objects are built once, at the end. A particle's set is a row
+of node ids in set order. A kernel depends only on the trajectories present
+at k+1, in their order (a reordered set permutes the cost-matrix rows, with
+them the ranking's tie-breaks, and the order of the sampled set), so at each
+step the particles are grouped by the ids of their present trajectories. In
+dirac mode the nodes born at a step are shared by tail and head bytes, so
+equal trajectories have equal ids and equal sets are grouped together; with
+sampled heads two draws almost never agree. The kernels of many groups are
+built in one batched pass: their heads are stacked, gated against every
+active track, birth and undetected component at once, and the cost matrices
+of the groups with the same number of present trajectories are cut out as
+one (groups, m, n) stack. The first-detection weights of all heads come from
 (terms x heads) arrays with -inf for gated-out terms. Cost matrices that
-share a +inf pattern are ranked as one stack, and each group's cumulative
-hypothesis probabilities are computed once. Batched arithmetic is kept
+share a +inf pattern are ranked as one stack, and the ranked tables of a
+stack are padded arrays: row_to_col rows, log-weights and cumulative
+probabilities, +inf past each table's kept count. Batched arithmetic is kept
 bitwise equal to the per-set form: stacked products use `einsum`, one
 (size, d) @ (d, d) matmul per set, or a stacked matmul that runs one product
 per member, and each column log-sum-exp (`_lse_columns`) applies
@@ -69,7 +77,8 @@ the grouping, nor `_BATCH`. A batch of a step computes its uniforms in one
 Philox pass (each particle's hypothesis and existence blocks and one
 first-detection block per present trajectory) and, without dirac mode, the
 normals of exactly the heads it draws in a second pass; the draws are array
-operations over the batch.
+operations over the batch, and a hypothesis is the count of a table's
+cumulative probabilities below its uniform.
 """
 
 from __future__ import annotations
@@ -355,8 +364,7 @@ class _KernelCache:
     """Conditioning-set-independent quantities of one step, shared across particles.
 
     Sampling roots (`end_roots`, `tracks.roots`, `ppp.roots`) are computed on
-    first read, and an ended track's length-1 trajectory (`ended_trajectory`)
-    when a particle first keeps it, so a step builds only what its draws read.
+    first read, so a step builds only what its draws read.
     """
 
     def __init__(self, pmb: PMBDensity, birth: BirthModel, m: LinearMotionModel):
@@ -372,7 +380,6 @@ class _KernelCache:
             self.exist_end[i] = comp.r * (1.0 - ps) / w_end if w_end > 0.0 else 0.0
         self.end_means, end_covs = _stack([comp.density for comp in pmb.bernoullis], m.dim)
         self.end_roots = _Roots(end_covs)
-        self._ended: dict[int, Trajectory] = {}
 
         # tracks that can continue into a conditioning trajectory
         active = [(i, c) for i, c in enumerate(pmb.bernoullis) if c.r > 0.0 and ps > 0.0]
@@ -395,13 +402,6 @@ class _KernelCache:
             math.log(birth.uniform_density) if birth.uniform_density > 0.0 else -math.inf
         )
 
-    def ended_trajectory(self, i: int, k: int) -> Trajectory:
-        """Dirac mode: track i's length-1 trajectory at k, built once per step."""
-        tr = self._ended.get(i)
-        if tr is None:
-            tr = self._ended[i] = _trajectory_at(k, self.end_means[i])
-        return tr
-
 
 def build_backward_kernel(
     pmb: PMBDensity,
@@ -413,37 +413,61 @@ def build_backward_kernel(
 ) -> BackwardKernel:
     """Kernel of the trajectory set over k:K conditioned on the set over k+1:K.
 
-    This is the batched build of `_kernels` with one set.
+    This is the batched build of `_kernels` with one set, as a record.
     """
-    return _kernels(_KernelCache(pmb, birth, m), [trajectories], gate, k)[0]
+    present, absent = split_y(trajectories, k)
+    cache = _KernelCache(pmb, birth, m)
+    heads = np.array([tr.states[0] for tr in present]).reshape(-1, m.dim)
+    batch = _kernels(cache, heads, np.array([len(present)]), gate)
+    (block,) = batch.blocks
+    return BackwardKernel(
+        k, block.cost[0], cache, tuple(present), batch.diffs, batch.log_w, batch.first, 0,
+        tuple(absent),
+    )
 
 
-def _kernels(cache: _KernelCache, sets, gate: float, k: int) -> list[BackwardKernel]:
+class _Block(NamedTuple):
+    """The conditioning sets of a batch with `size` present trajectories, as one stack."""
+
+    sets: np.ndarray  # (G,) the sets' indices in the batch
+    heads: np.ndarray  # (G, size) their present trajectories' columns in the batch's head arrays
+    cost: np.ndarray  # (G, size, n_tracks + size) their cost matrices
+
+
+class _Batch(NamedTuple):
+    """The kernels of a batch of conditioning sets: head arrays and cost stacks per size."""
+
+    diffs: np.ndarray  # (active tracks, heads, d): head at k+1 minus each track's prediction
+    log_w: np.ndarray  # (active tracks, heads): continued log-weights
+    first: _FirstDetections
+    blocks: list[_Block]
+
+
+def _kernels(cache: _KernelCache, heads: np.ndarray, sizes: np.ndarray, gate: float) -> _Batch:
     """Kernels of many conditioning sets from one pass over their stacked heads.
 
-    Every present head of every set is gated against every active track and
-    every birth and undetected component at once (`_gated`). Sets with the
-    same number of present trajectories then get their cost matrices and
-    smoothed extension means as one stack each.
+    `heads` stacks the heads at k+1 of every set's present trajectories, set
+    after set in set order; set s has `sizes[s]` of them. Every head is gated
+    against every active track and every birth and undetected component at
+    once (`_gated`). Sets with the same number of present trajectories then
+    get their cost matrices and smoothed extension means as one stack each.
     """
-    splits = [split_y(trajectories, k) for trajectories in sets]
-    present = [tr for p, _ in splits for tr in p]
-    heads = np.array([tr.states[0] for tr in present]).reshape(-1, cache.dim)
     n_tracks = len(cache.exist_end)
-    starts = np.cumsum([0] + [len(p) for p, _ in splits])
-    by_size: dict[int, list[int]] = {}
-    for s, (p, _) in enumerate(splits):
-        by_size.setdefault(len(p), []).append(s)
+    starts = np.cumsum(sizes) - sizes
     # (sets, size) head indices per number of present trajectories
-    blocks = [(members, starts[members][:, None] + np.arange(size))
-              for size, members in by_size.items()]
+    blocks = [
+        (members, starts[members][:, None] + np.arange(size))
+        for size in np.unique(sizes).tolist()
+        for members in (np.flatnonzero(sizes == size),)
+    ]
 
     t = cache.tracks
     diffs, log_w, gated = _gated(heads, t.log_const, t.mean_pred, t.inv_pred, gate)
     continued = np.where(gated, -(log_w - cache.log_w_end[cache.active_idx, None]), np.inf)
 
     # a (size, d) @ (d, d) product per set and component, as one broadcast matmul
-    # per block: stacking the sets into one taller product would round differently
+    # per block: stacking the sets into one taller product would round differently,
+    # and so does a set of one (a matrix-vector product) against a larger set
     ppp = cache.ppp
     ext_diffs, ext_lp, ext_ok = _gated(heads, ppp.log_const, ppp.mean_pred, ppp.inv_pred, gate)
     ext_means = np.empty(ext_diffs.shape)
@@ -452,23 +476,19 @@ def _kernels(cache: _KernelCache, sets, gate: float, k: int) -> list[BackwardKer
         block = ppp.means[:, None, None, :] + ext_diffs[:, idx] @ gains_t
         ext_means[:, idx.ravel()] = block.reshape(len(ppp.means), idx.size, cache.dim)
     _, birth_lp, birth_ok = _gated(heads, *cache.birth_comps, gate)
-    local = [j for p, _ in splits for j in range(len(p))]
+    local = np.arange(len(heads)) - np.repeat(starts, sizes)
     first = _first_detected_all(birth_lp, birth_ok, ext_lp, ext_ok, ext_means, local, cache)
     first_cost = -first.log_w
 
-    kernels: list[BackwardKernel] = [None] * len(sets)
+    stacks = []
     for members, idx in blocks:
         size = idx.shape[1]
         rows = np.arange(size)
         cost = np.full((len(members), size, n_tracks + size), np.inf)
         cost[:, :, cache.active_idx] = continued[:, idx].transpose(1, 2, 0)
         cost[:, rows, n_tracks + rows] = first_cost[idx]
-        for g, s in enumerate(members):
-            p, absent = splits[s]
-            kernels[s] = BackwardKernel(
-                k, cost[g], cache, tuple(p), diffs, log_w, first, int(starts[s]), tuple(absent)
-            )
-    return kernels
+        stacks.append(_Block(members, idx, cost))
+    return _Batch(diffs, log_w, first, stacks)
 
 
 def _first_detected_all(birth_lp, birth_ok, ext_lp, ext_ok, ext_means, local, cache):
@@ -521,35 +541,58 @@ def _gated(heads, log_const, means, invs, gate: float):
     return diffs, log_const[:, None] - 0.5 * mahas, mahas <= gate
 
 
-def _global_distributions(
-    kernels: list[BackwardKernel], m_best: int, w_hyp_min: float
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per kernel: ranked top-M row_to_col rows, their ln w_hat and cumulative draw probabilities.
+class _Table(NamedTuple):
+    """Ranked global hypotheses of each matrix of a cost stack, padded to a common length."""
 
-    Kernels whose cost matrices share a shape and +inf pattern are ranked as
-    one stack. Hypotheses whose probability falls below `w_hyp_min` are
-    dropped and the rest renormalized.
+    rows: np.ndarray  # (G, M, m) row_to_col of each ranked hypothesis
+    log_w: np.ndarray  # (G, M) ln w_hat; +inf past the table's kept count
+    cum: np.ndarray  # (G, M) cumulative draw probabilities; +inf past the kept count
+    kept: np.ndarray  # (G,) hypotheses kept after w_hyp_min
+
+
+def _global_distributions(cost: np.ndarray, m_best: int, w_hyp_min: float) -> _Table:
+    """Ranked top-M tables of a (G, m, n) cost stack, with cumulative draw probabilities.
+
+    Matrices that share a +inf pattern (found from their stacked `isfinite`
+    masks) are ranked as one stack. Hypotheses whose probability falls below
+    `w_hyp_min` are dropped and the rest renormalized; the kept ones stay in
+    rank order at the front of a table.
     """
-    patterns: dict[tuple, list[int]] = {}
-    for g, kernel in enumerate(kernels):
-        patterns.setdefault((kernel.cost.shape, np.isfinite(kernel.cost).tobytes()), []).append(g)
-    tables = [None] * len(kernels)
-    for (shape, _), members in patterns.items():
-        costs = np.array([kernels[g].cost for g in members]).reshape(len(members), *shape)
-        rows, totals = _ranked_stack(costs, m_best)  # kernel matrices are valid by construction
+    g, m, n = cost.shape
+    first, pattern = _unique_rows(np.packbits(np.isfinite(cost).reshape(g, -1), axis=1))
+    ranked = []
+    for p in range(len(first)):
+        members = np.flatnonzero(pattern == p)
+        rows, totals = _ranked_stack(cost[members], m_best)  # kernel matrices are valid by construction
         log_w = -totals
         shifted = np.exp(log_w - log_w.max(axis=1, keepdims=True))
         probs = shifted / shifted.sum(axis=1, keepdims=True)
-        if w_hyp_min > 0.0:
-            keep = probs >= w_hyp_min
-            keep[np.arange(len(members)), probs.argmax(axis=1)] = True  # the best always survives
-            for g, r, lw, pr, kp in zip(members, rows, log_w, probs, keep):
-                pr = pr[kp]
-                tables[g] = (r[kp], lw[kp], np.cumsum(pr / pr.sum()))
-        else:
-            for g, r, lw, c in zip(members, rows, log_w, np.cumsum(probs, axis=1)):
-                tables[g] = (r, lw, c)
-    return tables
+        keep = probs >= w_hyp_min
+        keep[np.arange(len(members)), probs.argmax(axis=1)] = True  # the best always survives
+        ranked.append((members, rows, log_w, probs, keep))
+    width = max(len(keep.T) for *_, keep in ranked)
+    table = _Table(
+        np.zeros((g, width, m), dtype=int), np.full((g, width), np.inf),
+        np.full((g, width), np.inf), np.empty(g, dtype=int),
+    )
+    kept_probs = np.zeros((g, width))
+    for members, rows, log_w, probs, keep in ranked:
+        r, c = np.nonzero(keep)
+        at = np.cumsum(keep, axis=1)[r, c] - 1  # a kept hypothesis's place among the kept
+        table.rows[members[r], at] = rows[r, c]
+        table.log_w[members[r], at] = log_w[r, c]
+        kept_probs[members[r], at] = probs[r, c]
+        table.kept[members] = keep.sum(axis=1)
+    if w_hyp_min > 0.0:
+        # one row-wise sum per kept count: each row sums its kept entries as a 1-d array does
+        for c in np.unique(table.kept).tolist():
+            sel = np.flatnonzero(table.kept == c)
+            pr = kept_probs[sel, :c]
+            table.cum[sel, :c] = np.cumsum(pr / pr.sum(axis=1, keepdims=True), axis=1)
+    else:
+        np.cumsum(kept_probs, axis=1, out=table.cum)
+        table.cum[np.arange(width) >= table.kept[:, None]] = np.inf
+    return table
 
 
 def sample_global(
@@ -559,9 +602,10 @@ def sample_global(
     w_hyp_min: float = 0.0,
 ) -> tuple[Assignment, float]:
     """Draw one global hypothesis from the ranked top-M; returns it with ln w_hat."""
-    rows, log_w, cum = _global_distributions([kernel], m_best, w_hyp_min)[0]
-    idx = int(_draw_index(cum, rng.random()))
-    return Assignment(tuple(rows[idx].tolist()), -float(log_w[idx])), float(log_w[idx])
+    table = _global_distributions(kernel.cost[None], m_best, w_hyp_min)
+    idx = int(_draw_index(table.cum[0, :table.kept[0]], rng.random()))
+    log_w = float(table.log_w[0, idx])
+    return Assignment(tuple(table.rows[0, idx].tolist()), -log_w), log_w
 
 
 def _draw_index(cum: np.ndarray, u):
@@ -571,6 +615,15 @@ def _draw_index(cum: np.ndarray, u):
     last entry takes the last outcome.
     """
     return np.minimum(np.searchsorted(cum, u), len(cum) - 1)
+
+
+def _draw_rows(cum: np.ndarray, kept: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """`_draw_index` of each row of a padded (n, M) table stack, one uniform per row.
+
+    Counting a row's entries below its uniform is `searchsorted` on a
+    non-decreasing row, and the +inf padding is never below it.
+    """
+    return np.minimum((cum < u[:, None]).sum(axis=1), kept - 1)
 
 
 def sample_bernoulli(
@@ -586,7 +639,7 @@ def sample_bernoulli(
     d = h.density
     if isinstance(d, EndedAtK):
         if rng.random() < h.existence:
-            return _trajectory_at(k, _head(d.mean, d.root, dirac_mode, rng))
+            return _trajectory(k, _head(d.mean, d.root, dirac_mode, rng)[None, :])
         return None
     if isinstance(d, ContinuedSmoothed):
         return d.tail.prepend(_head(d.mean, d.root, dirac_mode, rng))
@@ -606,11 +659,11 @@ def _head(mean: np.ndarray, root, dirac_mode: bool, rng) -> np.ndarray:
     return _draw(mean[None], _root_matrix(root, mean.size)[None], z)[0]
 
 
-def _trajectory_at(k: int, head: np.ndarray) -> Trajectory:
-    """The length-1 trajectory at k with state `head`, a float (d,) array."""
+def _trajectory(t: int, states: np.ndarray) -> Trajectory:
+    """The trajectory born at t with `states`, a float (length, d) array, unchecked."""
     tr = object.__new__(Trajectory)
-    object.__setattr__(tr, "t", k)
-    object.__setattr__(tr, "states", head[None, :])
+    object.__setattr__(tr, "t", t)
+    object.__setattr__(tr, "states", states)
     return tr
 
 
@@ -695,6 +748,108 @@ def _words(key: np.ndarray, step: int, requests) -> list[np.ndarray]:
     return out
 
 
+class _Nodes:
+    """The trajectories of a run as a growing table of persistent nodes (Okasaki 1998).
+
+    Node i is the trajectory born at `birth[i]` whose state there is
+    `heads[i]` and whose states after it are node `tail[i]`'s (-1: none).
+    Prepending a head to a trajectory appends one row and copies no state, so
+    a step's cost does not grow with the trajectories' lengths. The arrays
+    are buffers of which the first `size` rows are nodes.
+    """
+
+    __slots__ = ("birth", "tail", "heads", "size")
+
+    def __init__(self, dim: int):
+        self.birth = np.empty(0, dtype=int)
+        self.tail = np.empty(0, dtype=int)
+        self.heads = np.empty((0, dim))
+        self.size = 0
+
+    def add(self, birth: int, heads: np.ndarray, tails: np.ndarray, share: bool) -> np.ndarray:
+        """Append the nodes born at `birth` with these heads and tails; returns their ids.
+
+        With `share`, entries with the same tail and the same head bytes get
+        one node. Nodes born at one time are all added by one call, so two
+        trajectories with the same states then have the same id.
+        """
+        ids = np.arange(self.size, self.size + len(tails))
+        if share:
+            heads = np.ascontiguousarray(heads)
+            first, ids = _unique_rows(np.column_stack((tails, heads.view(np.int64))))
+            heads, tails, ids = heads[first], tails[first], ids + self.size
+        lo, hi = self.size, self.size + len(tails)
+        if hi > len(self.tail):
+            cap = max(2 * len(self.tail), hi)
+            self.birth, self.tail, self.heads = (
+                np.concatenate((a[:lo], np.empty((cap - lo, *a.shape[1:]), a.dtype)))
+                for a in (self.birth, self.tail, self.heads)
+            )
+        self.birth[lo:hi] = birth
+        self.tail[lo:hi] = tails
+        self.heads[lo:hi] = heads
+        self.size = hi
+        return ids
+
+    def trajectories(self, ids: np.ndarray) -> list[Trajectory]:
+        """The trajectory of each node in `ids`; equal ids give one shared object.
+
+        Every distinct node's states are gathered by one walk up the tail
+        pointers, one level per step of its length, into one array.
+        """
+        nodes, where = np.unique(ids, return_inverse=True)
+        length = np.zeros(len(nodes), dtype=int)
+        levels, live, at = [], np.arange(len(nodes)), nodes
+        while at.size:
+            levels.append((live, at))
+            length[live] += 1
+            at = self.tail[at]
+            live, at = live[at >= 0], at[at >= 0]
+        start = np.cumsum(length) - length
+        states = np.empty((int(length.sum()), self.heads.shape[1]))
+        for depth, (live, at) in enumerate(levels):
+            states[start[live] + depth] = self.heads[at]
+        built = [
+            _trajectory(t, states[a:a + n])
+            for t, a, n in zip(self.birth[nodes].tolist(), start.tolist(), length.tolist())
+        ]
+        return [built[i] for i in where.tolist()]
+
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a 2-d array in order of first appearance.
+
+    Returns the index of each distinct row's first appearance and, per row,
+    the number of its distinct row in that order.
+    """
+    n = len(rows)
+    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(n)
+    ranked = rows[order]
+    new = np.ones(n, dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    first = order[new]  # a stable sort keeps equal rows in index order
+    by_first = np.argsort(first)
+    number = np.empty(len(first), dtype=int)
+    number[by_first] = np.arange(len(first))
+    of = np.empty(n, dtype=int)
+    of[order] = number[np.cumsum(new) - 1]
+    return first[by_first], of
+
+
+def _rows(owner: np.ndarray, slot: np.ndarray, node: np.ndarray, n: int) -> np.ndarray:
+    """(n, width) node-id rows padded with -1: row p holds the nodes owned by p in slot order.
+
+    An owner holds a slot at most once, so one sort by (owner, slot) orders them.
+    """
+    lo = slot.min(initial=0)
+    order = np.argsort(owner * (slot.max(initial=0) - lo + 1) + (slot - lo))
+    owner, node = owner[order], node[order]
+    counts = np.bincount(owner, minlength=n)
+    rows = np.full((n, counts.max(initial=0)), -1)
+    rows[owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]] = node
+    return rows
+
+
 def backward_simulate(
     log: FilterLog,
     birth: BirthModel,
@@ -703,25 +858,31 @@ def backward_simulate(
 ) -> list[Particle]:
     """Algorithm: initialize at K from f_{K|K}, then sample the kernel down to k=1.
 
-    All particles advance together, one step at a time. At step k they are
-    grouped by their conditioning set, keyed by the ordered tuple of
-    (birth time, state bytes) of its trajectories. The kernels of the groups
-    come from batched passes over their stacked heads (`_kernels`, up to
-    `_BATCH` sets per pass), and their ranked-hypothesis tables with
+    All particles advance together, one step at a time. A trajectory is a
+    node of a table (`_Nodes`): birth time, head state and the node of its
+    tail. A particle's set is a row of node ids in set order, and prepending
+    a head appends a node. At step k the particles are grouped by the ids of
+    their trajectories present at k+1, in set order: the kernel depends on
+    nothing else, and the trajectories born later pass through. The order
+    matters because it fixes the cost-matrix rows (hence ranking tie-breaks)
+    and the order of the sampled set. In dirac mode the nodes drawn at a step
+    are shared by tail and head bytes, so equal trajectories have one id. The
+    kernels of the groups come from batched passes over their stacked heads
+    (`_kernels`, up to `_BATCH` groups per pass), as one cost stack per
+    number of present trajectories, and their ranked-hypothesis tables with
     cumulative probabilities from one pass per cost-matrix pattern
-    (`_global_distributions`). The key is ordered, not a set, because
-    trajectory order fixes the cost-matrix rows (hence ranking tie-breaks)
-    and the order of the sampled set.
+    (`_global_distributions`), as padded arrays.
 
     Every random number is a Philox word at a counter fixed by the particle,
     the step and the number's role (module docstring), so each particle
     depends only on the seed and its index: the first n particles of a larger
     run equal an n-particle run, whatever the grouping and batching. A
     batch's particles draw as arrays (`_sample_set`): the hypotheses by one
-    `searchsorted` per table, the existences and first-detection choices by
-    comparisons, and the Gaussian heads by one stacked `_draw`. In dirac mode
-    a continued trajectory is built once per group, drawn hypothesis and
-    track, and a kept ended track's trajectory once per step.
+    comparison per table stack, the existences and first-detection choices by
+    comparisons, and the Gaussian heads by one stacked `_draw`. The new sets
+    are one lexsort of every particle's absent trajectories, tracks and first
+    detections (`_next_sets`). `Trajectory` objects are built once, at the
+    end, one per distinct node.
 
     The cyclic garbage collector is paused for the run, which creates no
     reference cycles, and left as the caller had it.
@@ -741,49 +902,62 @@ def backward_simulate(
 def _simulate(log, birth, m, params: SmootherParams, gate: float) -> list[Particle]:
     key = np.random.SeedSequence(params.seed).generate_state(2, np.uint64)
     k_max = int(log.k_max)
+    nodes = _Nodes(m.dim)
     sets = _initial_set(
-        log.posteriors[k_max - 1], k_max, params.dirac_mode, key, params.num_particles
+        nodes, log.posteriors[k_max - 1], k_max, params.dirac_mode, key, params.num_particles
     )
     accs = np.zeros(params.num_particles)
     for k in range(k_max - 1, 0, -1):
         cache = _KernelCache(log.posteriors[k - 1], birth, m)
-        groups: dict[tuple, list[int]] = {}
-        for p, trajectories in enumerate(sets):
-            set_key = tuple((tr.t, tr.states.tobytes()) for tr in trajectories)
-            groups.setdefault(set_key, []).append(p)
-        members_of = list(groups.values())
-        for lo in range(0, len(members_of), _BATCH):
-            batch = members_of[lo:lo + _BATCH]
-            kernels = _kernels(cache, [sets[members[0]] for members in batch], gate, k)
-            tables = _global_distributions(kernels, params.m_best, params.w_hyp_min)
-            particles = [p for members in batch for p in members]
-            drawn, log_w = _sample_set(kernels, tables, batch, k, params.dirac_mode, key)
+        owner, at = np.nonzero((sets >= 0) & (nodes.birth[sets] == k + 1))
+        present_rows = _rows(owner, at, sets[owner, at], len(sets))
+        first, group = _unique_rows(present_rows)
+        drawn = []
+        for lo in range(0, len(first), _BATCH):
+            rows = present_rows[first[lo:lo + _BATCH]]
+            present, sizes = rows[rows >= 0], (rows >= 0).sum(axis=1)
+            batch = _kernels(cache, nodes.heads[present], sizes, gate)
+            tables = [
+                _global_distributions(b.cost, params.m_best, params.w_hyp_min)
+                for b in batch.blocks
+            ]
+            particles = np.flatnonzero((group >= lo) & (group < lo + _BATCH))
+            members, log_w = _sample_set(
+                cache, batch, tables, present, group[particles] - lo, particles, k,
+                params.dirac_mode, key,
+            )
             accs[particles] += log_w
-            for p, new_set in zip(particles, drawn):
-                sets[p] = new_set
-    return [Particle(tuple(s), acc) for s, acc in zip(sets, accs.tolist())]
+            drawn.append(members)
+        sets = _next_sets(nodes, sets, drawn, k, params.dirac_mode)
+    owned = sets >= 0
+    trajectories = nodes.trajectories(sets[owned])
+    ends = np.cumsum(owned.sum(axis=1)).tolist()
+    return [
+        Particle(tuple(trajectories[lo:hi]), acc)
+        for lo, hi, acc in zip([0] + ends, ends, accs.tolist())
+    ]
 
 
-def _initial_set(pmb: PMBDensity, k_max: int, dirac_mode: bool, key, n: int):
-    """The length-1 trajectory sets at K of particles 0 .. n-1, drawn from the posterior at K."""
-    sets: list[list[Trajectory]] = [[] for _ in range(n)]
+def _initial_set(nodes: _Nodes, pmb: PMBDensity, k_max: int, dirac_mode: bool, key, n: int):
+    """Node-id rows of the length-1 trajectory sets at K of particles 0 .. n-1.
+
+    The sets are drawn from the posterior at K; in dirac mode a track's
+    node is shared by every particle that keeps it.
+    """
     if not pmb.bernoullis:
-        return sets
-    dim = pmb.bernoullis[0].density.dim
-    means, covs = _stack([c.density for c in pmb.bernoullis], dim)
+        return np.empty((n, 0), dtype=int)
+    means, covs = _stack([c.density for c in pmb.bernoullis], nodes.heads.shape[1])
     r = np.array([c.r for c in pmb.bernoullis])
     (exist,) = _words(key, k_max, [_counters(np.arange(n), _EXIST, 0, len(r))])
     owners, tracks = np.nonzero(_uniforms(exist[:, :len(r)]) < r)
     if dirac_mode:
-        shared = [_trajectory_at(k_max, mean) for mean in means]
-        trajectories = [shared[i] for i in tracks.tolist()]
+        heads = means[tracks]
     else:
+        dim = means.shape[1]
         (words,) = _words(key, k_max, [_counters(owners, _HEAD, tracks, dim)])
         heads = _draw(means[tracks], _Roots(covs).matrices(tracks), _normals(words[:, :dim]))
-        trajectories = [_trajectory_at(k_max, head) for head in heads]
-    for p, tr in zip(owners.tolist(), trajectories):
-        sets[p].append(tr)
-    return sets
+    ids = nodes.add(k_max, heads, np.full(len(tracks), -1), dirac_mode)
+    return _rows(owners, tracks, ids, n)
 
 
 def _extension_draw(terms: np.ndarray, ok: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -802,55 +976,71 @@ def _extension_draw(terms: np.ndarray, ok: np.ndarray, u: np.ndarray) -> np.ndar
     return np.clip(idx, ok.argmax(axis=0), len(ok) - 1 - ok[::-1].argmax(axis=0))
 
 
-def _sample_set(kernels, tables, batch, k: int, dirac_mode: bool, key):
-    """Draw the trajectory sets over k:K of a batch's particles; returns the sets and ln w_hat.
+class _Drawn(NamedTuple):
+    """A batch's drawn set members other than the absent trajectories.
 
-    `batch[g]` lists the particles whose conditioning set has kernel
-    `kernels[g]` and ranked table `tables[g]` (`_global_distributions`); the
-    kernels share the batch's head arrays. The sets and the log-weights of
-    the drawn hypotheses come in the order of the particles in `batch`. A set
-    holds the trajectories absent at k+1, then the tracks in track order
-    (continued ones and kept ended ones), then the first detections in row
-    order.
+    Slot i holds track i (continued or ended) and slot n_tracks + j present
+    trajectory j's first detection; a set is in slot order.
+    """
+
+    owner: np.ndarray  # (E,) particle of each member
+    slot: np.ndarray  # (E,)
+    node: np.ndarray  # (E,) a first detection kept as born at k+1; -1 for a new node
+    tail: np.ndarray  # (new,) tail of each new node in member order; -1 for an ended track
+    heads: np.ndarray  # (new, d) head of each new node
+
+
+def _sample_set(
+    step: _KernelCache, batch: _Batch, tables, present, group, particles, k: int,
+    dirac_mode: bool, key,
+) -> tuple[_Drawn, np.ndarray]:
+    """Draw the members of the sets over k:K of a batch's particles; returns them and ln w_hat.
+
+    `batch` holds the kernels of the batch's conditioning sets (`_kernels`)
+    and `tables[b]` the ranked table of block b (`_global_distributions`).
+    `present` holds the node ids of the sets' present trajectories, in the
+    order of the batch's heads; particle `particles[q]` has set `group[q]`.
+    The log-weights of the drawn hypotheses come in the order of `particles`.
 
     Every draw is an array operation over the batch. One Philox pass gives
     every particle's hypothesis uniform, its existence uniforms and a
     first-detection block per present trajectory (read when its column is
-    drawn); the hypotheses are one `searchsorted` per table. Without dirac
-    mode a second pass gives the normals of exactly the heads drawn, which
-    are one stacked `_draw`. In dirac mode a head is its mean: a continued
-    trajectory is built once per group, hypothesis and track, and a kept
-    ended track's once per step.
+    drawn); the hypotheses are one comparison per block's table stack
+    (`_draw_rows`). Without dirac mode a second pass gives the normals of
+    exactly the heads drawn, which are one stacked `_draw`. In dirac mode a
+    head is its mean.
     """
-    step, diffs, first = kernels[0].step, kernels[0].diffs, kernels[0].first
-    n_tracks = kernels[0].n_tracks
-    members = np.array([len(ps) for ps in batch])
-    particles = np.array([p for ps in batch for p in ps])
-    group = np.repeat(np.arange(len(batch)), members)
+    first, n_tracks = batch.first, len(step.exist_end)
+    # each set's block, row in its block and number of present trajectories
+    block_of, row_of, sizes = (
+        np.empty(sum(len(b.sets) for b in batch.blocks), dtype=int) for _ in range(3)
+    )
+    for b, block in enumerate(batch.blocks):
+        block_of[block.sets], row_of[block.sets] = b, np.arange(len(block.sets))
+        sizes[block.sets] = block.heads.shape[1]
     # one entry per particle q and present trajectory j, with its batch head
-    sizes = np.array([kernel.m for kernel in kernels], dtype=int)[group]
-    q = np.repeat(np.arange(len(particles)), sizes)
-    j = np.arange(len(q)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    head = np.array([kernel.start for kernel in kernels], dtype=int)[group][q] + j
+    counts = sizes[group]
+    q = np.repeat(np.arange(len(particles)), counts)
+    entry_start = np.cumsum(counts) - counts
+    j = np.arange(len(q)) - entry_start[q]
+    head = (np.cumsum(sizes) - sizes)[group][q] + j
     hyp_w, exist_w, first_w = _words(key, k, [
         _counters(particles, _HYP, 0),
         _counters(particles, _EXIST, 0, n_tracks),
         _counters(particles[q], _FIRST, j),
     ])
     u = _uniforms(hyp_w[:, 0])
-    hyps = np.concatenate([
-        _draw_index(cum, u[lo:hi])
-        for (_, _, cum), lo, hi in zip(tables, np.cumsum(members) - members, np.cumsum(members))
-    ]).astype(int)
-    table_start = np.cumsum([0] + [len(lw) for _, lw, _ in tables])[:-1]
-    log_w = np.concatenate([lw for _, lw, _ in tables])[table_start[group] + hyps]
-    row_start = np.cumsum([0] + [rows.size for rows, _, _ in tables])[:-1]
-    col = np.concatenate([rows.ravel() for rows, _, _ in tables]).astype(int)[
-        np.repeat(row_start[group] + hyps * sizes, sizes) + j
-    ]
+    log_w = np.empty(len(particles))
+    col = np.empty(len(q), dtype=int)
+    for b, (block, table) in enumerate(zip(batch.blocks, tables)):
+        qb = np.flatnonzero(block_of[group] == b)
+        r = row_of[group[qb]]
+        hyps = _draw_rows(table.cum[r], table.kept[r], u[qb])
+        log_w[qb] = table.log_w[r, hyps]
+        col[entry_start[qb][:, None] + np.arange(block.heads.shape[1])] = table.rows[r, hyps]
 
     cont = col < n_tracks
-    qc, tc, jc, hc = q[cont], col[cont], j[cont], head[cont]
+    qc, tc, hc = q[cont], col[cont], head[cont]
     is_ended = np.ones((len(particles), n_tracks), dtype=bool)
     is_ended[qc, tc] = False
     qe, te = np.nonzero(is_ended & (_uniforms(exist_w[:, :n_tracks]) < step.exist_end))
@@ -868,7 +1058,7 @@ def _sample_set(kernels, tables, batch, k: int, dirac_mode: bool, key):
     a = a[tc]
     # continued heads' means: a stacked matmul runs one product per entry
     heads = [
-        t.means[a] + np.matmul(t.gains[a], diffs[a, hc][..., None])[..., 0],
+        t.means[a] + np.matmul(t.gains[a], batch.diffs[a, hc][..., None])[..., 0],
         step.end_means[te],
         first.ext_means[comps, hx],
     ]
@@ -880,42 +1070,37 @@ def _sample_set(kernels, tables, batch, k: int, dirac_mode: bool, key):
             _counters(particles[qx], _EXT, jx, d),
         ])
         roots = [t.roots.matrices(a), step.end_roots.matrices(te), step.ppp.roots.matrices(comps)]
-        drawn = _draw(
+        heads = [_draw(
             np.concatenate(heads), np.concatenate(roots),
             _normals(np.concatenate([w[:, :d] for w in words])),
-        )
-        heads = np.split(drawn, np.cumsum([len(h) for h in heads])[:-1])
+        )]
 
-    g_of, qc_list = group.tolist(), qc.tolist()
-    present = [kernel.present for kernel in kernels]
-    if dirac_mode:
-        shared: dict[tuple, Trajectory] = {}  # (group, hypothesis, track) -> trajectory
-        hyp_of = hyps.tolist()
-        continued = []
-        for p, i, jj, h in zip(qc_list, tc.tolist(), jc.tolist(), heads[0]):
-            at = (g_of[p], hyp_of[p], i)
-            tr = shared.get(at)
-            if tr is None:
-                tr = shared[at] = present[g_of[p]][jj].prepend(h)
-            continued.append(tr)
-        ended = [step.ended_trajectory(i, k) for i in te.tolist()]
-    else:
-        continued = [
-            present[g_of[p]][jj].prepend(h) for p, jj, h in zip(qc_list, jc.tolist(), heads[0])
-        ]
-        ended = [_trajectory_at(k, h) for h in heads[1]]
+    kept = ~extend
+    new = np.concatenate((qc, qe, qx))
+    owner = particles[np.concatenate((new, qf[kept]))]
+    slot = np.concatenate((tc, te, n_tracks + jx, n_tracks + jf[kept]))
+    node = np.concatenate((np.full(len(new), -1), present[hf[kept]]))
+    tail = np.concatenate((present[hc], np.full(len(te), -1), present[hx]))
+    return _Drawn(owner, slot, node, tail, np.concatenate(heads)), log_w
 
-    sets = [list(kernels[g].absent) for g in g_of]
-    owners = qc_list + qe.tolist()
-    tracks = continued + ended
-    order = np.argsort(np.concatenate((qc, qe)) * n_tracks + np.concatenate((tc, te)))
-    for e in order.tolist():
-        sets[owners[e]].append(tracks[e])
-    extended = iter(heads[2])
-    for p, jj, ext in zip(qf.tolist(), jf.tolist(), extend.tolist()):
-        tail = present[g_of[p]][jj]
-        sets[p].append(tail.prepend(next(extended)) if ext else tail)
-    return sets, log_w
+
+def _next_sets(nodes: _Nodes, sets: np.ndarray, drawn: list[_Drawn], k: int, share: bool):
+    """Node-id rows of the sets over k:K: each particle's absent trajectories, then its draws.
+
+    The nodes born at k are added in one call, shared by tail and head bytes
+    when `share` (dirac mode). A new set holds the trajectories absent at k+1
+    in their order, then the tracks in track order, then the first
+    detections in row order, as one lexsort.
+    """
+    owner, slot, node, tail, heads = (np.concatenate(parts) for parts in zip(*drawn))
+    new = node < 0
+    node[new] = nodes.add(k, heads, tail, share)
+    absent = (sets >= 0) & (nodes.birth[sets] > k + 1)
+    owner_a, at = np.nonzero(absent)
+    return _rows(
+        np.concatenate((owner_a, owner)), np.concatenate((at - sets.shape[1], slot)),
+        np.concatenate((sets[absent], node)), len(sets),
+    )
 
 
 def best_particle(particles: list[Particle]) -> Particle:

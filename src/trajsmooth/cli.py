@@ -309,7 +309,9 @@ def cmd_mc(args) -> int:
     try:
         workers = int(value)
     except ValueError:
-        raise ConfigError(f"TRAJSMOOTH_WORKERS must be an integer, got {value!r}") from None
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"TRAJSMOOTH_WORKERS must be an integer >= 1, got {value!r}")
     start = time.time()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=min(workers, runs)) as pool:

@@ -12,6 +12,7 @@ from helpers import desk_like_problem, gating_problem, make_log, tv_toy
 from scipy.stats import norm
 
 from trajsmooth import backward
+from trajsmooth.assignment import _ranked_stack
 from trajsmooth.backward import (
     BackwardKernel,
     ContinuedSmoothed,
@@ -496,6 +497,72 @@ def test_backward_simulate_particles_independent_of_batch(monkeypatch, problem, 
     assert particles_to_jsonable(backward_simulate(log, birth, motion, params)) == default
 
 
+def content_key(trajectories):
+    """A conditioning set's content: the ordered (birth time, state bytes) of its trajectories."""
+    return tuple((tr.t, tr.states.tobytes()) for tr in trajectories)
+
+
+@pytest.mark.parametrize(
+    "problem, dirac_mode", [("desk", True), ("gating", True), ("gating", False)]
+)
+def test_node_id_groups_equal_content_groups(monkeypatch, problem, dirac_mode):
+    # equal trajectories must have equal node ids: the sets of a step are then
+    # as many by id rows as by content, and a step builds one kernel per
+    # distinct content of the trajectories present at k+1, as grouping by
+    # content would
+    if problem == "desk":
+        log, birth, motion = desk_like_problem()
+        params = SmootherParams(num_particles=40, m_best=20, dirac_mode=dirac_mode, seed=7)
+    else:
+        log, birth, motion = gating_problem(0.02)
+        params = SmootherParams(
+            num_particles=60, m_best=16, gate_prob=0.99, w_hyp_min=1e-3, dirac_mode=dirac_mode,
+            seed=21,
+        )
+    built, steps = [], []
+    kernels, next_sets = backward._kernels, backward._next_sets
+
+    def counted_kernels(cache, heads, sizes, gate):
+        built.append(len(sizes))
+        return kernels(cache, heads, sizes, gate)
+
+    def counted_sets(nodes, sets, drawn, k, share):
+        contents = [nodes.trajectories(row[row >= 0]) for row in sets]
+        present = {content_key(tr for tr in trs if tr.t == k + 1) for trs in contents}
+        by_id = len({row.tobytes() for row in sets})
+        steps.append((by_id, len({content_key(trs) for trs in contents}), sum(built), len(present)))
+        built.clear()
+        return next_sets(nodes, sets, drawn, k, share)
+
+    monkeypatch.setattr(backward, "_kernels", counted_kernels)
+    monkeypatch.setattr(backward, "_next_sets", counted_sets)
+    backward_simulate(log, birth, motion, params)
+    assert len(steps) == log.k_max - 1
+    for by_id, by_content, n_kernels, n_present in steps:
+        assert by_id == by_content and n_kernels == n_present, steps
+    if dirac_mode:  # dirac particles share sets, so the check is not vacuous
+        assert sum(by_id for by_id, *_ in steps) < params.num_particles * len(steps)
+
+
+def test_sampler_builds_no_kernel_record_and_prepends_nothing(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the sampler built a kernel record or prepended a head")
+
+    monkeypatch.setattr(Trajectory, "prepend", fail)
+    monkeypatch.setattr(backward, "BackwardKernel", fail)
+    log, birth, motion = desk_like_problem()
+    for dirac_mode in (True, False):
+        params = SmootherParams(num_particles=40, m_best=20, dirac_mode=dirac_mode, seed=7)
+        particles = backward_simulate(log, birth, motion, params)
+        blob = json.dumps(particles_to_jsonable(particles), sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_PARTICLES[dirac_mode]
+    log, birth, motion = tv_toy()
+    params = SmootherParams(num_particles=3000, m_best=64, gate_prob=1.0, w_hyp_min=0.0, seed=5)
+    particles = backward_simulate(log, birth, motion, params)
+    blob = json.dumps(particles_to_jsonable(particles), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_TOY
+
+
 def philox_key(seed):
     return np.random.SeedSequence(seed).generate_state(2, np.uint64)
 
@@ -542,6 +609,84 @@ def test_draw_index_clamps_a_table_ending_below_one():
     assert backward._draw_index(cum, 1.0 - 2.0**-53) == 2
     u = np.array([0.0, 0.25, 0.3, 0.9999999999999991, 1.0 - 2.0**-53])
     assert backward._draw_index(cum, u).tolist() == [0, 0, 1, 2, 2]
+
+
+_ONE_BELOW = 1.0 - 2.0**-53  # the largest uniform
+
+
+@st.composite
+def padded_tables(draw):
+    """Cumulative tables of 1-8 outcomes padded with +inf, with one uniform per table.
+
+    Some tables end a few ulps below 1, some uniforms sit on a table entry,
+    and some are the largest uniform.
+    """
+    tables, uniforms = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        weights = np.array(draw(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=8)))
+        cum = np.cumsum(weights / weights.sum())
+        cum[-1] = draw(st.sampled_from([cum[-1], 1.0, 1.0 - 2.0**-52, 1.0 - 4 * 2.0**-53]))
+        tables.append(np.maximum.accumulate(cum))
+        uniforms.append(draw(st.one_of(
+            st.floats(0.0, _ONE_BELOW), st.just(_ONE_BELOW), st.just(0.0), st.sampled_from(cum),
+        )))
+    width = max(len(c) for c in tables)
+    padded = np.array([np.concatenate((c, np.full(width - len(c), np.inf))) for c in tables])
+    return tables, padded, np.array(uniforms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(padded_tables())
+def test_stacked_draw_equals_draw_index_per_table(case):
+    tables, padded, u = case
+    kept = np.array([len(c) for c in tables])
+    expected = [int(backward._draw_index(c, x)) for c, x in zip(tables, u)]
+    assert backward._draw_rows(padded, kept, u).tolist() == expected
+    # every table, one-outcome ones included, also at the largest uniform
+    top = np.full(len(tables), _ONE_BELOW)
+    assert backward._draw_rows(padded, kept, top).tolist() == [len(c) - 1 for c in tables]
+
+
+def per_table_distribution(cost, m_best, w_hyp_min):
+    """One matrix's ranked table as the per-set form computed it: a 1-d sum over the kept."""
+    rows, totals = _ranked_stack(cost[None], m_best)
+    log_w = -totals[0]
+    shifted = np.exp(log_w - log_w.max())
+    probs = shifted / shifted.sum()
+    if w_hyp_min == 0.0:
+        return rows[0], log_w, np.cumsum(probs)
+    keep = probs >= w_hyp_min
+    keep[probs.argmax()] = True
+    pr = probs[keep]
+    return rows[0][keep], log_w[keep], np.cumsum(pr / pr.sum())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4), st.integers(0, 3), st.integers(1, 30),
+    st.sampled_from([0.0, 1e-4, 0.01, 0.05, 0.3]), st.integers(0, 2**32 - 1),
+)
+def test_stacked_tables_equal_per_table_form(m, n_tracks, m_best, w_hyp_min, seed):
+    # backward-kernel-shaped stacks with ragged kept counts after w_hyp_min
+    rng = np.random.default_rng(seed)
+    g = int(rng.integers(1, 12))
+    cost = np.full((g, m, n_tracks + m), np.inf)
+    cost[:, :, :n_tracks] = rng.normal(0.0, rng.choice([0.3, 3.0]), (g, m, n_tracks))
+    cost[:, np.arange(m), n_tracks + np.arange(m)] = rng.normal(0.0, 2.0, (g, m))
+    cost[rng.random(cost.shape) < 0.3] = np.inf  # gated-out pairs: several patterns per stack
+    cost[:, np.arange(m), n_tracks + np.arange(m)] = np.where(
+        np.isfinite(cost[:, np.arange(m), n_tracks + np.arange(m)]),
+        cost[:, np.arange(m), n_tracks + np.arange(m)], 1.0,
+    )
+    table = backward._global_distributions(cost, m_best, w_hyp_min)
+    for i in range(g):
+        rows, log_w, cum = per_table_distribution(cost[i], m_best, w_hyp_min)
+        n = int(table.kept[i])
+        assert n == len(cum)
+        assert table.rows[i, :n].tolist() == rows.tolist()
+        assert table.log_w[i, :n].tobytes() == log_w.tobytes()
+        assert table.cum[i, :n].tobytes() == cum.tobytes()
+        assert np.all(table.cum[i, n:] == np.inf) and np.all(table.log_w[i, n:] == np.inf)
 
 
 def test_extension_draw_stays_on_gated_components():
@@ -606,13 +751,25 @@ def test_backward_step_preserves_conditioning_set():
         (BernoulliComponent(0.8, g1(0.0, 0.5)), BernoulliComponent(0.6, g1(2.0, 0.5))),
     )
     k_max = 5
-    current = [traj(k_max, 0.1), traj(k_max, 2.2)]
+    nodes = backward._Nodes(1)
+    row = nodes.add(k_max, np.array([[0.1], [2.2]]), np.full(2, -1), False)[None]
+    current = nodes.trajectories(row[0])
     for k in range(k_max - 1, 0, -1):
         kernel = build(pmb, BIRTH, MOTION, current, gate=1e9, k=k)
         assignment, log_w = sample_global(kernel, 20, rng)
-        # a table holding only the drawn hypothesis, for particle 0
-        table = (np.array([assignment.row_to_col]), np.array([log_w]), np.array([1.0]))
-        (new_set,), _ = backward._sample_set([kernel], [table], [[0]], k, False, key)
+        # the kernel as a batch of one set, and a table holding only the drawn hypothesis
+        block = backward._Block(np.array([0]), np.arange(kernel.m)[None], kernel.cost[None])
+        batch = backward._Batch(kernel.diffs, kernel.log_w, kernel.first, [block])
+        table = backward._Table(
+            np.array(assignment.row_to_col, dtype=int).reshape(1, 1, -1), np.array([[log_w]]),
+            np.array([[1.0]]), np.array([1]),
+        )
+        present = row[0][nodes.birth[row[0]] == k + 1]
+        drawn, _ = backward._sample_set(
+            kernel.step, batch, [table], present, np.array([0]), np.array([0]), k, False, key
+        )
+        row = backward._next_sets(nodes, row, [drawn], k, False)
+        new_set = nodes.trajectories(row[0][row[0] >= 0])
         restricted = [r for r in (restrict(tr, k) for tr in new_set) if r is not None]
         assert sorted(restricted, key=lambda t: (t.t, t.states[0, 0])) == sorted(
             current, key=lambda t: (t.t, t.states[0, 0])

@@ -522,6 +522,15 @@ def test_mc_non_integer_workers_is_config_error(tmp_path, capsys, monkeypatch):
     assert "TRAJSMOOTH_WORKERS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-2", "0", "1e3"])
+def test_mc_workers_below_one_or_not_integer_is_config_error(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("TRAJSMOOTH_WORKERS", value)
+    cfg = mc_config(tmp_path)
+    assert main(["mc", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "TRAJSMOOTH_WORKERS" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_mc_non_numeric_value_is_config_error(tmp_path, capsys):
     cfg = mc_config(tmp_path, T="many")
     assert main(["mc", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
