@@ -15,8 +15,9 @@ numbers and failed fraction come from each run's `result.json`.
 
 `--claim NAME:METRIC` adds the benchmark's gain rule for that metric: the
 change wins at least 9 of 10 pairs, and the medians differ by more than the
-parent's IQR. `--attach KEY=FILE` stores a JSON file (for example the output
-of tools/backward_probe.py) under KEY.
+parent's IQR. `--traced NAME:SEED` adds one `--trace 1` run per tree with its
+per-layer metrics. `--attach KEY=FILE` stores a JSON file (for example the
+output of tools/backward_probe.py) under KEY.
 """
 
 import argparse
@@ -31,15 +32,16 @@ METRICS = ("wall_s", "item_s.p50", "item_s.p90", "setup_s", "peak_rss_mb")  # al
 SIDES = ("parent", "change")
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float, workdir: Path) -> dict:
-    """One untraced perfbench run in `tree`; its end-to-end metrics and its result.json."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float, workdir: Path,
+             trace: int = 0) -> dict:
+    """One perfbench run in `tree`; its metrics and what its result.json says."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0", "--out", str(workdir)]
+           "--seconds", str(seconds), "--trace", str(trace), "--out", str(workdir)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
     summary = json.loads(proc.stdout.strip().splitlines()[-1])
     result = json.loads((workdir / "result.json").read_text())
     return {
-        "metrics": {k: summary["metrics"][k]["value"] for k in METRICS},
+        "metrics": {k: m["value"] for k, m in summary["metrics"].items()},
         "correct": summary["correct"],
         "failed_frac": result["failed_frac"],
         "quality": result["quality"],
@@ -103,6 +105,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--claim", metavar="NAME:METRIC")
+    parser.add_argument("--traced", action="append", default=[], metavar="NAME:SEED")
     parser.add_argument("--note", default="", help="what the change does")
     parser.add_argument("--attach", action="append", default=[], metavar="KEY=FILE")
     parser.add_argument("--out", required=True, type=Path)
@@ -133,6 +136,15 @@ def main(argv=None) -> int:
             report.setdefault("machine", runs["parent"][0]["machine"])
             report["workloads"][name] = {
                 "seeds": seeds, "first": order, "pairs": args.pairs, **summarize(runs),
+            }
+        for spec in args.traced:
+            name, seed = spec.rsplit(":", 1)
+            report.setdefault("traced", {})[name] = {
+                "command": f"python3 perfbench/run.py --workload {name} --seed {seed} "
+                           f"--seconds {args.seconds:g} --trace 1",
+                **{side: run_once(trees[side], name, int(seed), args.seconds,
+                                  Path(scratch) / f"{name}-{seed}-{side}-traced", trace=1)
+                   for side in SIDES},
             }
     if args.claim:
         report["claim"] = claim(report["workloads"], *args.claim.split(":", 1))
