@@ -563,7 +563,8 @@ def _global_distributions(cost: np.ndarray, m_best: int, w_hyp_min: float) -> _T
     ranked = []
     for p in range(len(first)):
         members = np.flatnonzero(pattern == p)
-        rows, totals = _ranked_stack(cost[members], m_best)  # kernel matrices are valid by construction
+        # kernel matrices are valid by construction
+        rows, totals = _ranked_stack(cost[members], m_best)
         log_w = -totals
         shifted = np.exp(log_w - log_w.max(axis=1, keepdims=True))
         probs = shifted / shifted.sum(axis=1, keepdims=True)
@@ -880,7 +881,7 @@ def backward_simulate(
     batch's particles draw as arrays (`_sample_set`): the hypotheses by one
     comparison per table stack, the existences and first-detection choices by
     comparisons, and the Gaussian heads by one stacked `_draw`. The new sets
-    are one lexsort of every particle's absent trajectories, tracks and first
+    are one sort of every particle's absent trajectories, tracks and first
     detections (`_next_sets`). `Trajectory` objects are built once, at the
     end, one per distinct node.
 
@@ -1090,7 +1091,7 @@ def _next_sets(nodes: _Nodes, sets: np.ndarray, drawn: list[_Drawn], k: int, sha
     The nodes born at k are added in one call, shared by tail and head bytes
     when `share` (dirac mode). A new set holds the trajectories absent at k+1
     in their order, then the tracks in track order, then the first
-    detections in row order, as one lexsort.
+    detections in row order, as one sort (`_rows`).
     """
     owner, slot, node, tail, heads = (np.concatenate(parts) for parts in zip(*drawn))
     new = node < 0

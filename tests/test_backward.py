@@ -672,12 +672,9 @@ def test_stacked_tables_equal_per_table_form(m, n_tracks, m_best, w_hyp_min, see
     g = int(rng.integers(1, 12))
     cost = np.full((g, m, n_tracks + m), np.inf)
     cost[:, :, :n_tracks] = rng.normal(0.0, rng.choice([0.3, 3.0]), (g, m, n_tracks))
-    cost[:, np.arange(m), n_tracks + np.arange(m)] = rng.normal(0.0, 2.0, (g, m))
     cost[rng.random(cost.shape) < 0.3] = np.inf  # gated-out pairs: several patterns per stack
-    cost[:, np.arange(m), n_tracks + np.arange(m)] = np.where(
-        np.isfinite(cost[:, np.arange(m), n_tracks + np.arange(m)]),
-        cost[:, np.arange(m), n_tracks + np.arange(m)], 1.0,
-    )
+    # every first-detection column stays open
+    cost[:, np.arange(m), n_tracks + np.arange(m)] = rng.normal(0.0, 2.0, (g, m))
     table = backward._global_distributions(cost, m_best, w_hyp_min)
     for i in range(g):
         rows, log_w, cum = per_table_distribution(cost[i], m_best, w_hyp_min)

@@ -55,7 +55,7 @@ def toy_probe(backward, toy, seeds):
     present = []
     for section, path in SECTIONS.items():
         owner, _, name = path.rpartition(".")
-        target = getattr(backward, owner) if owner else backward
+        target = getattr(backward, owner, None) if owner else backward
         if hasattr(target, name):
             timed(target, name, totals, section)
             present.append(section)
