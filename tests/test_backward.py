@@ -544,6 +544,20 @@ def test_node_id_groups_equal_content_groups(monkeypatch, problem, dirac_mode):
         assert sum(by_id for by_id, *_ in steps) < params.num_particles * len(steps)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3).flatmap(
+    lambda width: st.lists(st.lists(st.integers(-1, 3), min_size=width, max_size=width),
+                           max_size=30).map(lambda rows: np.array(rows, int).reshape(len(rows), width))
+))
+def test_unique_rows_numbers_rows_by_first_appearance(rows):
+    seen = {}
+    for row in map(tuple, rows.tolist()):
+        seen.setdefault(row, len(seen))
+    first, of = backward._unique_rows(rows)
+    assert of.tolist() == [seen[tuple(row)] for row in rows.tolist()]
+    assert [tuple(row) for row in rows[first].tolist()] == list(seen)
+
+
 def test_sampler_builds_no_kernel_record_and_prepends_nothing(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("the sampler built a kernel record or prepended a head")
