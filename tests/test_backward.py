@@ -332,8 +332,18 @@ PINNED_PARTICLES = {
 }
 
 
+@pytest.fixture
+def no_kernel_records_or_prepends(monkeypatch):
+    # the sampler works on node tables: it builds no kernel record and prepends no head
+    def fail(*args, **kwargs):
+        raise AssertionError("the sampler built a kernel record or prepended a head")
+
+    monkeypatch.setattr(Trajectory, "prepend", fail)
+    monkeypatch.setattr(backward, "BackwardKernel", fail)
+
+
 @pytest.mark.parametrize("dirac_mode", [True, False])
-def test_backward_simulate_pinned_bytes(dirac_mode):
+def test_backward_simulate_pinned_bytes(no_kernel_records_or_prepends, dirac_mode):
     log, birth, motion = desk_like_problem()
     params = SmootherParams(num_particles=40, m_best=20, dirac_mode=dirac_mode, seed=7)
     particles = backward_simulate(log, birth, motion, params)
@@ -430,7 +440,7 @@ def test_kernel_records_carry_sampling_roots():
 PINNED_TOY = "24356f813a67d12e1908f6c99328fc6ebdaebb626855debb17ebe73a788aa506"
 
 
-def test_backward_simulate_pinned_bytes_toy():
+def test_backward_simulate_pinned_bytes_toy(no_kernel_records_or_prepends):
     log, birth, motion = tv_toy()
     params = SmootherParams(num_particles=3000, m_best=64, gate_prob=1.0, w_hyp_min=0.0, seed=5)
     particles = backward_simulate(log, birth, motion, params)
@@ -556,25 +566,6 @@ def test_unique_rows_numbers_rows_by_first_appearance(rows):
     first, of = backward._unique_rows(rows)
     assert of.tolist() == [seen[tuple(row)] for row in rows.tolist()]
     assert [tuple(row) for row in rows[first].tolist()] == list(seen)
-
-
-def test_sampler_builds_no_kernel_record_and_prepends_nothing(monkeypatch):
-    def fail(*args, **kwargs):
-        raise AssertionError("the sampler built a kernel record or prepended a head")
-
-    monkeypatch.setattr(Trajectory, "prepend", fail)
-    monkeypatch.setattr(backward, "BackwardKernel", fail)
-    log, birth, motion = desk_like_problem()
-    for dirac_mode in (True, False):
-        params = SmootherParams(num_particles=40, m_best=20, dirac_mode=dirac_mode, seed=7)
-        particles = backward_simulate(log, birth, motion, params)
-        blob = json.dumps(particles_to_jsonable(particles), sort_keys=True, separators=(",", ":"))
-        assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_PARTICLES[dirac_mode]
-    log, birth, motion = tv_toy()
-    params = SmootherParams(num_particles=3000, m_best=64, gate_prob=1.0, w_hyp_min=0.0, seed=5)
-    particles = backward_simulate(log, birth, motion, params)
-    blob = json.dumps(particles_to_jsonable(particles), sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_TOY
 
 
 def philox_key(seed):

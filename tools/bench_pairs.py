@@ -7,8 +7,10 @@
 
 Each tree is the root of a checkout (a copy of the committed files). For
 each workload `NAME:SEED`, pair i runs `perfbench/run.py --workload NAME
---seed SEED+i --seconds 25 --trace 0` once in each tree, one run at a time:
-even pairs run the parent first, odd pairs the change first. Every
+--seed SEED+i --seconds S --trace 0` once in each tree, one run at a time:
+even pairs run the parent first, odd pairs the change first. The run length S
+is the `run_seconds` of the parent tree's BENCHMARK.json, so both trees run
+as long as the benchmark runs them. Every
 end-to-end metric gets both sides' runs, median, quartiles, IQR, the number
 of pairs the change won and the relative change of the median; the quality
 numbers and failed fraction come from each run's `result.json`.
@@ -103,19 +105,21 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, type=Path)
     parser.add_argument("--workload", action="append", required=True, metavar="NAME:SEED")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--claim", metavar="NAME:METRIC")
     parser.add_argument("--traced", action="append", default=[], metavar="NAME:SEED")
     parser.add_argument("--note", default="", help="what the change does")
     parser.add_argument("--attach", action="append", default=[], metavar="KEY=FILE")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2: quartiles need two runs per side")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    seconds = json.loads((trees["parent"] / "BENCHMARK.json").read_text())["run_seconds"]
 
     report = {
         "change": args.note,
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds "
-                   f"{args.seconds:g} --trace 0",
+                   f"{seconds:g} --trace 0",
         "order": "alternating: even pairs run the parent first, odd pairs the change first",
         "trees": "parent commit and change, each a separate copy of the committed files",
         "workloads": {},
@@ -130,7 +134,7 @@ def main(argv=None) -> int:
                 order.append(sides[0])
                 for side in sides:
                     workdir = Path(scratch) / f"{name}-{seed}-{side}"
-                    runs[side].append(run_once(trees[side], name, seed, args.seconds, workdir))
+                    runs[side].append(run_once(trees[side], name, seed, seconds, workdir))
                     print(f"{name} seed {seed} {side}: wall_s "
                           f"{runs[side][-1]['metrics']['wall_s']:.3f}", file=sys.stderr)
             report.setdefault("machine", runs["parent"][0]["machine"])
@@ -141,8 +145,8 @@ def main(argv=None) -> int:
             name, seed = spec.rsplit(":", 1)
             report.setdefault("traced", {})[name] = {
                 "command": f"python3 perfbench/run.py --workload {name} --seed {seed} "
-                           f"--seconds {args.seconds:g} --trace 1",
-                **{side: run_once(trees[side], name, int(seed), args.seconds,
+                           f"--seconds {seconds:g} --trace 1",
+                **{side: run_once(trees[side], name, int(seed), seconds,
                                   Path(scratch) / f"{name}-{seed}-{side}-traced", trace=1)
                    for side in SIDES},
             }
