@@ -46,7 +46,6 @@ from .gaussians import (
     GaussianMixture,
     LinearMotionModel,
     make_cv_model,
-    moment_match,
     predict_gaussian,
     sample_gaussian,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "GaussianMixture",
     "LinearMotionModel",
     "make_cv_model",
-    "moment_match",
     "predict_gaussian",
     "sample_gaussian",
     "GospaResult",

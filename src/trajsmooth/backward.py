@@ -43,12 +43,17 @@ one (groups, m, n) stack. The first-detection weights of all heads come from
 (terms x heads) arrays with -inf for gated-out terms. Cost matrices that
 share a +inf pattern are ranked as one stack, and the ranked tables of a
 stack are padded arrays: row_to_col rows, log-weights and cumulative
-probabilities, +inf past each table's kept count. Batched arithmetic is kept
-bitwise equal to the per-set form: stacked products use `einsum`, one
-(size, d) @ (d, d) matmul per set, or a stacked matmul that runs one product
-per member, and each column log-sum-exp (`_lse_columns`) applies
-`math.exp`/`math.log` elementwise and sums its rows in order, which is
-bit-equal to the scalar `math` form.
+probabilities, +inf past each table's kept count.
+
+The kernel weighs heads with the forward filter's arithmetic: the gated
+Mahalanobis log-terms (`gaussians._gated`), the row log-sum-exp
+(`forward._lse_rows`) and the "Bernoulli yields nothing" split
+(`forward._thinned`). Batched arithmetic keeps one invariant: a particle's
+numbers do not depend on the batch's composition. Every stacked product runs
+one product per member (a stacked matmul, or one (size, d) @ (d, d) matmul
+per set of a size), and every reduction runs over one C-contiguous row per
+head or table, so a head's or table's result is the same whatever other
+sets share its batch.
 
 Every random number is a pure function of its counter, drawn with the
 counter-based generator Philox4x64-10 (Salmon et al., "Parallel random
@@ -96,13 +101,13 @@ from scipy.special import chdtri, ndtri
 # in this module
 from .assignment import Assignment, _ranked, _ranked_stack  # noqa: F401
 from .errors import ContractError, SettingError, check_int, check_real
-from .forward import FilterLog, PMBDensity
+from .forward import _LOG_TINY, FilterLog, PMBDensity, _lse_rows, _thinned
 from .gaussians import (
     LinearMotionModel,
     _draw,
+    _gated,
     _inv_log_norm,
     _linear_terms,
-    _root_matrix,
     _sampling_root,
     _stack,
     sample_gaussian,  # noqa: F401
@@ -111,7 +116,6 @@ from .gaussians import (
 from .models import BirthModel
 from .trajectory import Trajectory, trajectory_from_jsonable, trajectory_to_jsonable
 
-_LOG_TINY = math.log(np.finfo(float).tiny)
 # conditioning sets per batched kernel build: bounds the memory of one pass
 _BATCH = 1024
 
@@ -121,7 +125,7 @@ class EndedAtK:
     """Track dies at k; head drawn from the filtering Gaussian."""
 
     mean: np.ndarray
-    root: object  # gaussians._sampling_root of the filtering covariance
+    root: np.ndarray  # gaussians._sampling_root of the filtering covariance
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,7 +133,7 @@ class ContinuedSmoothed:
     """Track alive at k and k+1; smoothed head prepended to the fixed tail."""
 
     mean: np.ndarray
-    root: object  # of the smoothed covariance
+    root: np.ndarray  # of the smoothed covariance
     tail: Trajectory
 
 
@@ -207,7 +211,7 @@ class BackwardKernel:
             for i, (lw, e) in enumerate(zip(s.log_w_end, s.exist_end))
         )
 
-    def smoothed_head(self, i: int, j: int) -> tuple[np.ndarray, object]:
+    def smoothed_head(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Mean and sampling root of track i's head at k given present trajectory j."""
         a = self.step.active_pos[i]
         t = self.step.tracks
@@ -275,63 +279,26 @@ def split_y(trajectories, k: int) -> tuple[list[Trajectory], list[Trajectory]]:
     return present, absent
 
 
-# np.exp and np.log are not bit-equal to math.exp and math.log (checked on a
-# 2-core x86-64 box: np.exp differed on 92,409 of 2M random inputs, np.log on
-# about 0.1-0.2%), so the column form maps the math functions elementwise.
-_EXP = np.frompyfunc(math.exp, 1, 1)
-_LOG = np.frompyfunc(math.log, 1, 1)
-
-
-def _lse_columns(rows: np.ndarray) -> np.ndarray:
-    """log-sum-exp of each column of a (terms, columns) array; -inf marks an absent term.
-
-    Bit-equal to the scalar form top + math.log(sum(math.exp(v - top) for v in
-    terms)) over the column's present terms in row order: an absent term adds
-    exp(-inf) = 0.0, which leaves the running sum unchanged, and the rows are
-    added one at a time, left to right, as `sum` does (a numpy reduction may
-    sum pairwise). A column with no finite term gives -inf.
-    """
-    top = rows.max(axis=0, initial=-math.inf)
-    out = np.full(rows.shape[1], -math.inf)
-    live = top > -math.inf
-    if live.any():
-        total = np.zeros(int(live.sum()))
-        for row in _EXP(rows[:, live] - top[live]).astype(float):
-            total += row
-        out[live] = top[live] + _LOG(total).astype(float)
-    return out
-
-
 class _Roots:
     """Sampling roots of a covariance stack (n, d, d), each computed on first read and then kept.
 
-    `roots[i]` is `_sampling_root(covs[i])`: a 1-d float, None for a point
-    mass, else a matrix root. `matrices(idx)` gathers the roots of members
-    `idx` as `_root_matrix` matrices for a stacked draw. Dirac mode reads
-    none of them.
+    `roots[idx]` is `_sampling_root(covs[i])` of member i = idx, or the
+    (len(idx), d, d) stack of those of an index array `idx`, for a stacked
+    draw. Dirac mode reads none of them.
     """
 
-    __slots__ = ("covs", "_got", "_mats", "_done")
+    __slots__ = ("covs", "_roots", "_done")
 
     def __init__(self, covs: np.ndarray):
         self.covs = covs
-        self._got: dict[int, object] = {}
-        self._mats = np.zeros(covs.shape)
+        self._roots = np.zeros(covs.shape)
         self._done = np.zeros(len(covs), dtype=bool)
 
-    def __getitem__(self, i):
-        got = self._got
-        if i not in got:
-            got[i] = _sampling_root(self.covs[i])
-        return got[i]
-
-    def matrices(self, idx: np.ndarray) -> np.ndarray:
-        """(len(idx), d, d) root matrices of members `idx`; a point mass's is zero."""
-        new = np.unique(idx[~self._done[idx]])
-        for i in new.tolist():
-            self._mats[i] = _root_matrix(self[i], self.covs.shape[-1])
-        self._done[new] = True
-        return self._mats[idx]
+    def __getitem__(self, idx):
+        for i in np.unique(np.asarray(idx)[~self._done[idx]]).tolist():
+            self._roots[i] = _sampling_root(self.covs[i])
+        self._done[idx] = True
+        return self._roots[idx]
 
 
 class _Smoothing(NamedTuple):
@@ -371,13 +338,8 @@ class _KernelCache:
         ps = m.ps
         self.dim = m.dim
         # per track, ended at k: its log-weight, existence and filtering head
-        self.log_w_end = np.empty(len(pmb.bernoullis))
-        self.exist_end = np.empty(len(pmb.bernoullis))
-        for i, comp in enumerate(pmb.bernoullis):
-            w_end = 1.0 - comp.r + comp.r * (1.0 - ps)
-            # floored so W1 ratios stay finite when r=1 and pS=1 (track cannot end)
-            self.log_w_end[i] = math.log(w_end) if w_end > 0.0 else _LOG_TINY
-            self.exist_end[i] = comp.r * (1.0 - ps) / w_end if w_end > 0.0 else 0.0
+        r = np.array([c.r for c in pmb.bernoullis], dtype=float)
+        self.log_w_end, self.exist_end = _thinned(r, ps)
         self.end_means, end_covs = _stack([comp.density for comp in pmb.bernoullis], m.dim)
         self.end_roots = _Roots(end_covs)
 
@@ -498,22 +460,21 @@ def _first_detected_all(birth_lp, birth_ok, ext_lp, ext_ok, ext_means, local, ca
     intensity. The (components, heads) log-terms and gate masks of the birth
     and undetected components come from `_gated`; when no term of a head
     survives its gate, all are used ungated so the column stays feasible.
-    The log-weights are column log-sum-exps over (terms x heads) arrays in
-    which a gated-out term is -inf: the uniform birth level, then each birth
+    The log-weights are log-sum-exps (`_lse_rows`) over each head's terms, a
+    gated-out term being -inf: the uniform birth level, then each birth
     component, then each extension. `local` is each head's index within its
     own conditioning set and `ext_means` its smoothed mean under every
     undetected component.
     """
-    n_heads = len(local)
     has_uniform = cache.log_uniform > -math.inf
     fallback = ~(has_uniform | birth_ok.any(axis=0) | ext_ok.any(axis=0))
     birth_ok |= fallback
     ext_ok |= fallback
 
-    uniform = np.full((int(has_uniform), n_heads), cache.log_uniform)
+    uniform = np.full((int(has_uniform), len(local)), cache.log_uniform)
     birth_rows = np.concatenate((uniform, np.where(birth_ok, birth_lp, -math.inf)))
     ext_rows = np.where(ext_ok, ext_lp, -math.inf)
-    log_w = _lse_columns(np.concatenate((birth_rows, ext_rows)))
+    log_w, _ = _lse_rows(np.concatenate((birth_rows, ext_rows)).T)
     for h in np.flatnonzero(log_w < _LOG_TINY).tolist():
         warnings.warn(
             f"first-detection weight underflow for trajectory {local[h]}; floored",
@@ -521,24 +482,10 @@ def _first_detected_all(birth_lp, birth_ok, ext_lp, ext_ok, ext_means, local, ca
         )
     log_w = np.maximum(log_w, _LOG_TINY)
 
-    log_birth = _lse_columns(birth_rows)
-    w_keep = np.zeros(n_heads)
-    born = log_birth > -math.inf
-    w_keep[born] = _EXP(log_birth[born] - log_w[born]).astype(float)
+    log_birth, _ = _lse_rows(birth_rows.T)
     # keep for certain when there is no extension to draw
-    w_keep = np.where(ext_ok.any(axis=0), np.minimum(w_keep, 1.0), 1.0)
+    w_keep = np.where(ext_ok.any(axis=0), np.minimum(np.exp(log_birth - log_w), 1.0), 1.0)
     return _FirstDetections(log_w, w_keep, ext_lp, ext_ok, ext_means)
-
-
-def _gated(heads, log_const, means, invs, gate: float):
-    """(components, heads) differences, log-terms and gate masks of Gaussian terms.
-
-    Component c has log-terms log_const[c] - 0.5 (h - means[c])^T invs[c] (h - means[c])
-    for each head h, gated by that Mahalanobis distance being at most `gate`.
-    """
-    diffs = heads[None, :, :] - means[:, None, :]
-    mahas = np.einsum("amj,ajk,amk->am", diffs, invs, diffs)
-    return diffs, log_const[:, None] - 0.5 * mahas, mahas <= gate
 
 
 class _Table(NamedTuple):
@@ -556,7 +503,8 @@ def _global_distributions(cost: np.ndarray, m_best: int, w_hyp_min: float) -> _T
     Matrices that share a +inf pattern (found from their stacked `isfinite`
     masks) are ranked as one stack. Hypotheses whose probability falls below
     `w_hyp_min` are dropped and the rest renormalized; the kept ones stay in
-    rank order at the front of a table.
+    rank order at the front of a table. The tables with the same kept count
+    are renormalised as one stack, one row-wise sum per table.
     """
     g, m, n = cost.shape
     first, pattern = _unique_rows(np.packbits(np.isfinite(cost).reshape(g, -1), axis=1))
@@ -584,15 +532,10 @@ def _global_distributions(cost: np.ndarray, m_best: int, w_hyp_min: float) -> _T
         table.log_w[members[r], at] = log_w[r, c]
         kept_probs[members[r], at] = probs[r, c]
         table.kept[members] = keep.sum(axis=1)
-    if w_hyp_min > 0.0:
-        # one row-wise sum per kept count: each row sums its kept entries as a 1-d array does
-        for c in np.unique(table.kept).tolist():
-            sel = np.flatnonzero(table.kept == c)
-            pr = kept_probs[sel, :c]
-            table.cum[sel, :c] = np.cumsum(pr / pr.sum(axis=1, keepdims=True), axis=1)
-    else:
-        np.cumsum(kept_probs, axis=1, out=table.cum)
-        table.cum[np.arange(width) >= table.kept[:, None]] = np.inf
+    for c in np.unique(table.kept).tolist():
+        sel = np.flatnonzero(table.kept == c)
+        pr = kept_probs[sel, :c]
+        table.cum[sel, :c] = np.cumsum(pr / pr.sum(axis=1, keepdims=True), axis=1)
     return table
 
 
@@ -656,8 +599,7 @@ def _head(mean: np.ndarray, root, dirac_mode: bool, rng) -> np.ndarray:
     """The state at k: the mean itself in dirac mode, else one draw of N(mean, root root^T)."""
     if dirac_mode:
         return mean
-    z = rng.standard_normal((1, mean.size))
-    return _draw(mean[None], _root_matrix(root, mean.size)[None], z)[0]
+    return _draw(mean[None], root[None], rng.standard_normal((1, mean.size)))[0]
 
 
 def _trajectory(t: int, states: np.ndarray) -> Trajectory:
@@ -956,7 +898,7 @@ def _initial_set(nodes: _Nodes, pmb: PMBDensity, k_max: int, dirac_mode: bool, k
     else:
         dim = means.shape[1]
         (words,) = _words(key, k_max, [_counters(owners, _HEAD, tracks, dim)])
-        heads = _draw(means[tracks], _Roots(covs).matrices(tracks), _normals(words[:, :dim]))
+        heads = _draw(means[tracks], _Roots(covs)[tracks], _normals(words[:, :dim]))
     ids = nodes.add(k_max, heads, np.full(len(tracks), -1), dirac_mode)
     return _rows(owners, tracks, ids, n)
 
@@ -1070,7 +1012,7 @@ def _sample_set(
             _counters(particles[qe], _HEAD, te, d),
             _counters(particles[qx], _EXT, jx, d),
         ])
-        roots = [t.roots.matrices(a), step.end_roots.matrices(te), step.ppp.roots.matrices(comps)]
+        roots = [t.roots[a], step.end_roots[te], step.ppp.roots[comps]]
         heads = [_draw(
             np.concatenate(heads), np.concatenate(roots),
             _normals(np.concatenate([w[:, :d] for w in words])),

@@ -20,7 +20,8 @@ on stacked arrays, one pass per step rather than one per track, component or
   to a single Bernoulli (track-oriented marginalization) in one batched pass.
 
 Every batched expression is the per-item arithmetic in the same order, so the
-filter output is byte-identical to a loop over items (see `_gate`).
+filter output is byte-identical to a loop over items (see the note above
+`_thinned`).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .gaussians import (
     GaussianMixture,
     LinearMotionModel,
     _collapse,
+    _gated,
     _groups,
     _linear_terms,
     _predict,
@@ -125,30 +127,38 @@ def prune_pmb(pmb: PMBDensity, r_min: float, w_min: float) -> PMBDensity:
     )
 
 
+# the floor of a log-weight whose weight is 0, so cost ratios against it stay finite
 _LOG_TINY = math.log(np.finfo(float).tiny)
 
 # The batched forms below reproduce the per-item arithmetic bit for bit. Checked
 # on random stacks against a loop over items (numpy 2.4, scipy 1.17, OpenBLAS,
 # x86-64); the sha256 pins in tests/test_forward.py guard the result.
-# - Equal: `d S^-1 d` as two stacked matmuls (`_gate`; the row-vector form
-#   makes the same gemv-then-dot calls as one pair, and a stacked gemm
-#   `matmul(D, S_inv)` also matched); updated means
+# - Equal: `d S^-1 d` as two stacked matmuls (`gaussians._gated`; the
+#   row-vector form makes the same gemv-then-dot calls as one pair, and a
+#   stacked gemm `matmul(D, S_inv)` also matched); updated means
 #   `m + matmul(gain, d[..., None])[..., 0]`; stacked `F P F^T + Q`,
 #   `A P A^T + N`, gains and the Joseph form; means `(F @ m[..., None])[..., 0]`;
 #   row sums and `np.vecdot` over rows of equal length (`gaussians._groups`);
 #   scipy's `logsumexp` rebuilt row-wise (`_lse_rows`); `np.exp`, `np.log`,
 #   `np.logaddexp` on an array against the same ufunc per element.
-# - Not equal: `einsum`, or broadcast-then-`.sum(-1)`, for either product or a
-#   dot; `m @ F.T` for the means; `math.log`, `math.exp` and `math.log1p`
-#   against their numpy ufuncs (last-ulp differences), so the scalar `math`
-#   calls of the per-item code stay one per track, component or measurement.
+# - Not equal: a three-operand tensor contraction, or broadcast-then-`.sum(-1)`,
+#   for either product or a dot; `m @ F.T` for the means; `math.log`,
+#   `math.exp` and `math.log1p` against their numpy ufuncs (last-ulp
+#   differences), so the scalar `math` calls of the per-item code stay one per
+#   track, component or measurement.
 
 
-def _gate(z: np.ndarray, z_pred: np.ndarray, s_inv: np.ndarray):
-    """Innovations z_j - z_pred_a, shape (a, j, p), and their Mahalanobis distances (a, j)."""
-    d = z[None] - z_pred[:, None]
-    maha = np.matmul(np.matmul(d[..., None, :], s_inv[:, None]), d[..., :, None])[..., 0, 0]
-    return d, maha
+def _thinned(r: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """ln(1 - r + r (1 - p)) and r (1 - p) / (1 - r + r (1 - p)) of Bernoullis r thinned by p.
+
+    The probability that a Bernoulli with existence r yields nothing when its
+    object is kept with probability p (detection pD, survival pS), and the
+    existence given that. The log is floored at `_LOG_TINY` when r = p = 1,
+    where the existence is 0.
+    """
+    w = 1.0 - r + r * (1.0 - p)
+    log_w = np.array([math.log(x) if x > 0.0 else _LOG_TINY for x in w.tolist()])
+    return log_w, np.divide(r * (1.0 - p), w, out=np.zeros(len(r)), where=w > 0.0)
 
 
 def _joseph(covs: np.ndarray, gains: np.ndarray, mm: MeasurementModel) -> np.ndarray:
@@ -163,9 +173,12 @@ def _lse_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The arithmetic of `scipy.special.logsumexp` on one row: the maxima are
     taken out of the sum and counted, log1p(sum / count) + log(count) + max,
-    and a non-finite result falls back to log(sum(exp)).
+    and a non-finite result falls back to log(sum(exp)). A row of no terms,
+    or of -inf terms only, gives -inf. The rows are reduced as C-contiguous
+    rows, so a row's result does not depend on the other rows.
     """
-    top = x.max(axis=1, keepdims=True)
+    x = np.ascontiguousarray(x)
+    top = x.max(axis=1, keepdims=True, initial=-np.inf)
     at_top = x == top
     count = at_top.sum(axis=1, keepdims=True, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -195,17 +208,14 @@ def update_pmb(
     # detectable tracks x measurements; gated pair p is (track i[p], measurement j[p])
     r = np.array([c.r for c in pmb.bernoullis], dtype=float)
     means, covs = _stack([c.density for c in pmb.bernoullis], mm.dim_x)
-    w_miss = 1.0 - r + r * (1.0 - pd)
-    # floored so the cost-matrix ratio stays finite when r=1 and pd=1
-    log_w_miss = np.array([math.log(w) if w > 0.0 else _LOG_TINY for w in w_miss.tolist()])
-    r_miss = np.divide(r * (1.0 - pd), w_miss, out=np.zeros(n), where=w_miss > 0.0)
+    log_w_miss, r_miss = _thinned(r, pd)
     det = np.flatnonzero(r > 0.0) if pd > 0.0 and mz else np.empty(0, dtype=int)
     z_pred, s_inv, log_norm, gains = _linear_terms(means[det], covs[det], mm.H, mm.R)
-    d, maha = _gate(z, z_pred, s_inv)
-    a, j = np.nonzero(maha <= gate)
-    i = det[a]
     log_r_pd = np.array([math.log(x) for x in r[det].tolist()]) + log_pd
-    log_w_det = log_r_pd[a] + log_norm[a] - 0.5 * maha[a, j]
+    d, terms, gated = _gated(z, log_r_pd + log_norm, z_pred, s_inv, gate)
+    a, j = np.nonzero(gated)
+    i = det[a]
+    log_w_det = terms[a, j]
     det_means = means[i] + np.matmul(gains[a], d[a, j][..., None])[..., 0]
     det_covs = _joseph(covs[det], gains, mm)[a]
 
@@ -214,10 +224,10 @@ def update_pmb(
     ppp = [(w, g) for w, g in pmb.ppp if w > 0.0]
     p_means, p_covs = _stack([g for _, g in ppp], mm.dim_x)
     p_z, p_s_inv, p_log_norm, p_gains = _linear_terms(p_means, p_covs, mm.H, mm.R)
-    p_d, p_maha = _gate(z, p_z, p_s_inv)
-    pj, pc = np.nonzero((p_maha <= gate).T)
     log_w = np.array([math.log(w) for w, _ in ppp])
-    liks = log_w[pc] + p_log_norm[pc] - 0.5 * p_maha[pc, pj]
+    p_d, p_terms, p_gated = _gated(z, log_w + p_log_norm, p_z, p_s_inv, gate)
+    pj, pc = np.nonzero(p_gated.T)
+    liks = p_terms[pc, pj]
     n_comp = np.bincount(pj, minlength=mz)
     log_obj = np.full(mz, -math.inf)
     log_mix = np.empty(len(liks))  # ln of the new-track mixture weights, max 0 per measurement

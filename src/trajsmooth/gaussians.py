@@ -1,4 +1,4 @@
-"""Linear-Gaussian primitives: densities, prediction, moment matching, sampling.
+"""Linear-Gaussian primitives: densities, prediction, gating, moment matching, sampling.
 
 All covariance-producing operations symmetrize their output as (A + A^T)/2 to
 bound floating-point drift. One inversion policy, `_jittered`, covers every
@@ -6,14 +6,15 @@ covariance the package inverts: a matrix whose condition estimate exceeds 1e12
 gets a single 1e-9 jitter on the diagonal and is rejected if that does not
 help. The filter update and the backward kernel invert stacks through
 `_inv_log_norm`/`_linear_terms`, the one path for innovation terms, gains and
-the one-step smoothing update. Prediction (`_predict`) and moment matching
-(`_collapse`) also work on stacks (`_stack`); `predict_gaussian` and
-`moment_match` are their one-density cases, so each operation has one
-arithmetic path. Sampling splits into `_sampling_root`, which the backward
-kernel computes for a covariance on first read and then keeps for the step,
-and `_draw`, which turns given standard normals into samples of a stack;
-`_psd_root` is the eigen-based root of a PSD matrix that is not positive
-definite.
+the one-step smoothing update, and weigh points against those terms through
+`_gated`, the one Mahalanobis log-term and gate. Prediction (`_predict`) and
+moment matching (`_collapse`) also work on stacks (`_stack`);
+`predict_gaussian` is the one-density case of `_predict`, so each operation
+has one arithmetic path. Sampling splits into `_sampling_root`, the (d, d)
+factor of a covariance, which the backward kernel computes on first read and
+then keeps for the step, and `_draw`, which turns given standard normals into
+samples of a stack; `_psd_root` is the eigen-based root of a PSD matrix that
+is not positive definite.
 """
 
 from __future__ import annotations
@@ -75,13 +76,6 @@ class GaussianMixture:
 
     def __iter__(self):
         return iter(self.components)
-
-    @property
-    def total_weight(self) -> float:
-        return sum(w for w, _ in self.components)
-
-    def scaled(self, factor: float) -> "GaussianMixture":
-        return GaussianMixture(tuple((w * factor, g) for w, g in self.components))
 
 
 @dataclass(frozen=True)
@@ -166,6 +160,20 @@ def _linear_terms(means: np.ndarray, covs: np.ndarray, a: np.ndarray, n: np.ndar
     return (a @ means[..., None])[..., 0], s_inv, log_norm, covs @ a.T @ s_inv
 
 
+def _gated(points: np.ndarray, log_const: np.ndarray, means: np.ndarray, invs: np.ndarray,
+           gate: float):
+    """(components, points) differences, log-terms and gate mask of Gaussian terms.
+
+    Component c has log-term log_const[c] - 0.5 (x - means[c])^T invs[c] (x - means[c])
+    at each point x of `points` (n, d), gated by that Mahalanobis distance
+    being at most `gate`. The distances are two stacked matmuls, which make
+    the same calls per (component, point) pair as a loop over the pairs.
+    """
+    d = points[None] - means[:, None]
+    maha = np.matmul(np.matmul(d[..., None, :], invs[:, None]), d[..., :, None])[..., 0, 0]
+    return d, log_const[:, None] - 0.5 * maha, maha <= gate
+
+
 def _predict(means: np.ndarray, covs: np.ndarray, m: LinearMotionModel):
     """Stacked one-step prediction: N(x, P) -> N(F x, F P F^T + Q) per member."""
     return (m.F @ means[..., None])[..., 0], symmetrize(m.F @ covs @ m.F.T + m.Q)
@@ -215,35 +223,22 @@ def predict_gaussian(g: GaussianDensity, m: LinearMotionModel) -> GaussianDensit
     return GaussianDensity(mean[0], cov[0])
 
 
-def moment_match(weights, densities) -> GaussianDensity:
-    """Single Gaussian matching the first two moments of a weighted mixture."""
-    w = np.asarray(weights, dtype=float)
-    densities = list(densities)
-    if w.size == 0 or w.sum() <= 0.0:
-        raise ContractError("moment_match needs positive total weight")
-    if len(densities) != w.size:
-        raise ContractError(f"{w.size} weights for {len(densities)} densities")
-    mean, cov = _collapse(w, *_stack(densities, densities[0].dim), [w.size])
-    return GaussianDensity(mean[0], cov[0])
-
-
 def sample_gaussian(g: GaussianDensity, rng: np.random.Generator) -> np.ndarray:
     """Draw one sample; tolerates PSD (including exactly singular) covariances."""
-    root = _root_matrix(_sampling_root(g.cov), g.dim)
-    return _draw(g.mean[None], root[None], rng.standard_normal((1, g.dim)))[0]
+    return _draw(g.mean[None], _sampling_root(g.cov)[None], rng.standard_normal((1, g.dim)))[0]
 
 
-def _sampling_root(cov: np.ndarray):
-    """The factor `_draw` samples a covariance with.
+def _sampling_root(cov: np.ndarray) -> np.ndarray:
+    """The (d, d) factor `_draw` samples a covariance with.
 
-    None for a point mass, the standard deviation in 1-d, else a matrix root
-    (Cholesky, or eigen-based when not positive definite).
+    Zero for a point mass, the standard deviation in 1-d, else Cholesky, or
+    eigen-based when the matrix is not positive definite.
     """
     if cov.shape[0] == 1:
         var = cov[0, 0]
-        return None if var <= 0.0 else math.sqrt(var)
+        return np.array([[0.0 if var <= 0.0 else math.sqrt(var)]])
     if not np.any(cov):
-        return None
+        return np.zeros(cov.shape)
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
@@ -256,18 +251,10 @@ def _psd_root(cov: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
-def _root_matrix(root, dim: int) -> np.ndarray:
-    """A `_sampling_root` as a (dim, dim) matrix; a point mass's is zero."""
-    out = np.zeros((dim, dim))
-    if root is not None:
-        out[...] = root
-    return out
-
-
 def _draw(means: np.ndarray, roots: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Samples means[i] + roots[i] @ z[i] of N(means[i], roots[i] roots[i]^T), one per row.
 
-    `z` (n, d) holds standard normals and `roots` (n, d, d) `_root_matrix`
+    `z` (n, d) holds standard normals and `roots` (n, d, d) `_sampling_root`
     roots. The stacked matmul runs one product per row, so a row's sample does
     not depend on the other rows of the stack.
     """

@@ -125,7 +125,12 @@ def exact_smooth(
     prune: float = 1e-6,
     cap: int = _DEFAULT_CAP,
 ) -> ExactPosterior:
-    """Enumerate the full smoothing mixture over trajectory-set structures."""
+    """Enumerate the full smoothing mixture over trajectory-set structures.
+
+    Raises SizeCapError when the product of (tracks + 1) over the steps
+    exceeds `cap`, or as soon as a step's enumeration holds more than `cap`
+    hypotheses.
+    """
     check_real("prune", prune, "[0, 1)")
     sizes = [len(p.bernoullis) + 1 for p in log.posteriors]
     if np.prod(sizes, dtype=float) > cap:
@@ -133,7 +138,7 @@ def exact_smooth(
             f"instance enumerates more than {cap} hypotheses; use a smaller problem"
         )
     k_max = log.k_max
-    hyps = _init_hypotheses(log.posteriors[k_max - 1], k_max)
+    hyps = _init_hypotheses(log.posteriors[k_max - 1], k_max, cap)
     for k in range(k_max - 1, 0, -1):
         hyps = _backward_step(hyps, log.posteriors[k - 1], birth, m, k, cap)
         hyps = _normalize_and_prune(hyps, prune)
@@ -141,31 +146,35 @@ def exact_smooth(
     return ExactPosterior(tuple(hyps), prune)
 
 
-def _init_hypotheses(pmb, k_max: int) -> list[TrajectorySetHypothesis]:
-    hyps = [TrajectorySetHypothesis(0.0, ())]
+def _init_hypotheses(pmb, k_max: int, cap: int) -> list[TrajectorySetHypothesis]:
+    """Every existence pattern of the Bernoullis at K, track 0's choice outermost."""
+    options = []
     for i, comp in enumerate(pmb.bernoullis):
-        expanded = []
-        for hyp in hyps:
-            if comp.r > 0.0:
-                tr = OracleTrajectory(
-                    k_max,
-                    (comp.density.mean,),
-                    (comp.density.cov,),
-                    (("init", i),),
-                )
-                expanded.append(
-                    TrajectorySetHypothesis(
-                        hyp.log_weight + math.log(comp.r), hyp.trajectories + (tr,)
-                    )
-                )
-            if comp.r < 1.0:
-                expanded.append(
-                    TrajectorySetHypothesis(
-                        hyp.log_weight + math.log1p(-comp.r), hyp.trajectories
-                    )
-                )
-        hyps = expanded
-    return hyps
+        branch = []
+        if comp.r > 0.0:
+            tr = OracleTrajectory(k_max, (comp.density.mean,), (comp.density.cov,), (("init", i),))
+            branch.append((math.log(comp.r), (tr,)))
+        if comp.r < 1.0:
+            branch.append((math.log1p(-comp.r), ()))
+        options.append(branch)
+    return [
+        TrajectorySetHypothesis(log_w, trajs)
+        for log_w, trajs in _capped(_product(0.0, (), options), cap, k_max)
+    ]
+
+
+def _capped(items, cap: int, k: int, held: int = 0) -> list:
+    """`items` as a list, counted while they are enumerated on top of `held` kept hypotheses.
+
+    Raises SizeCapError as soon as the count exceeds `cap`, so an enumeration
+    past the cap is never built whole.
+    """
+    out = []
+    for item in items:
+        out.append(item)
+        if held + len(out) > cap:
+            raise SizeCapError(f"hypothesis count exceeded cap {cap} at step {k}")
+    return out
 
 
 def _backward_step(hyps, pmb, birth, m, k, cap) -> list[TrajectorySetHypothesis]:
@@ -175,16 +184,14 @@ def _backward_step(hyps, pmb, birth, m, k, cap) -> list[TrajectorySetHypothesis]
     for hyp in hyps:
         present = [tr for tr in hyp.trajectories if tr.t == k + 1]
         absent = tuple(tr for tr in hyp.trajectories if tr.t > k + 1)
-        expansions = list(_expand_one(present, tracks, ppp, birth, m, k))
+        expansions = _capped(_expand_one(present, tracks, ppp, birth, m, k), cap, k, len(out))
         # normalize within this hypothesis: the division by the predicted
         # multi-object density evaluated at the conditioning trajectory set
         z = logsumexp(np.array([lf for lf, _ in expansions]))
-        for log_factor, trajs in expansions:
-            out.append(
-                TrajectorySetHypothesis(hyp.log_weight + log_factor - z, absent + trajs)
-            )
-            if len(out) > cap:
-                raise SizeCapError(f"hypothesis count exceeded cap {cap} at step {k}")
+        out.extend(
+            TrajectorySetHypothesis(hyp.log_weight + log_factor - z, absent + trajs)
+            for log_factor, trajs in expansions
+        )
     return out
 
 

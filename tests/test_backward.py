@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import desk_like_problem, gating_problem, make_log, tv_toy
+from scipy.special import logsumexp
 from scipy.stats import norm
 
 from trajsmooth import backward
@@ -31,11 +32,12 @@ from trajsmooth.backward import (
     split_y,
 )
 from trajsmooth.errors import ContractError
-from trajsmooth.forward import BernoulliComponent, PMBDensity
+from trajsmooth.forward import BernoulliComponent, PMBDensity, _lse_rows
 from trajsmooth.gaussians import (
     GaussianDensity,
     GaussianMixture,
     LinearMotionModel,
+    _gated,
     _psd_root,
     _sampling_root,
     symmetrize,
@@ -324,11 +326,14 @@ def test_backward_simulate_trajectories_within_horizon():
             assert 1 <= tr.t and tr.last_time <= 4
 
 
-# sha256 of the compact sorted-key particle JSON, recorded when the random
-# numbers became Philox words at fixed counters
+# sha256 of the compact sorted-key particle JSON. Re-recorded when the kernel
+# took the forward filter's gating (two stacked matmuls) and log-sum-exp
+# (`forward._lse_rows`), and every table was renormalised per kept count: every
+# particle's trajectory set and the best particle stayed bit-identical, and
+# only the last bits of some log-weights `c` moved.
 PINNED_PARTICLES = {
-    True: "bddf849d60f878b5260271d89bc70b2a0d4a90add15242f487b0841e89164465",
-    False: "191b57244e83b6f5ec403cfd458793fb9365a050b25fd39a26779fe0de59693c",
+    True: "6dcdfb81d29888f7a248dc719a8502afa51b3f1016d1aad132a0943c163be143",
+    False: "ab0bceeaa6eea925864c213b8ab40d63243ca9d00f462b30abb7f608cf471c05",
 }
 
 
@@ -365,25 +370,23 @@ def test_dirac_simulation_computes_no_sampling_root(monkeypatch):
 
 
 def assert_same_root(got, expected):
-    assert type(got) is type(expected)
-    if isinstance(expected, np.ndarray):
-        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
-    else:
-        assert got == expected
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(
-    "covs, kinds",
+    "covs, roots",
     [
-        ([[[2.0]], [[0.0]]], [float, type(None)]),
+        ([[[2.0]], [[0.0]]], [[[math.sqrt(2.0)]], [[0.0]]]),
         (
             [np.diag([2.0, 0.5]), np.zeros((2, 2)), [[1.0, 1.0], [1.0, 1.0]]],
-            [np.ndarray, type(None), np.ndarray],
+            [np.diag([math.sqrt(2.0), math.sqrt(0.5)]), np.zeros((2, 2)), None],
         ),
     ],
     ids=["1d", "2d"],
 )
-def test_sampling_roots_on_read_equal_sampling_root(monkeypatch, covs, kinds):
+def test_sampling_roots_on_read_equal_sampling_root(monkeypatch, covs, roots):
+    # every root is the (d, d) matrix a draw reads; a point mass's is zero
     covs = [np.asarray(c, float) for c in covs]
     d = covs[0].shape[0]
     pmb = PMBDensity(
@@ -401,11 +404,13 @@ def test_sampling_roots_on_read_equal_sampling_root(monkeypatch, covs, kinds):
     monkeypatch.setattr(backward, "_sampling_root", counted)
     step = backward._KernelCache(pmb, birth, motion)
     assert calls == []  # building the step computes no root
-    for i, (cov, kind) in enumerate(zip(covs, kinds)):
+    for i, (cov, expected) in enumerate(zip(covs, roots)):
         root = step.end_roots[i]
-        assert type(root) is kind
         assert_same_root(root, _sampling_root(cov))
-        assert step.end_roots[i] is root  # computed once, then kept
+        if expected is not None:
+            np.testing.assert_array_equal(root, expected)
+    every = np.arange(len(covs))  # a stacked read gathers the same matrices
+    assert_same_root(step.end_roots[every], np.array([_sampling_root(c) for c in covs]))
     for terms in (step.tracks, step.ppp):
         for a in range(len(terms.covs)):
             assert_same_root(terms.roots[a], _sampling_root(terms.covs[a]))
@@ -413,6 +418,7 @@ def test_sampling_roots_on_read_equal_sampling_root(monkeypatch, covs, kinds):
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(covs[2])
         assert_same_root(step.end_roots[2], _psd_root(covs[2]))
+    # each root computed once, then kept: the repeated reads computed none
     assert len(calls) == len(covs) + len(step.tracks.covs) + len(step.ppp.covs)
 
 
@@ -436,8 +442,8 @@ def test_kernel_records_carry_sampling_roots():
 
 
 # criterion 04's toy: 1-2 row kernels with every hypothesis family, a distinct
-# conditioning set per particle; recorded with the counter-based numbers
-PINNED_TOY = "24356f813a67d12e1908f6c99328fc6ebdaebb626855debb17ebe73a788aa506"
+# conditioning set per particle; re-recorded with PINNED_PARTICLES
+PINNED_TOY = "53b7535caf2fc83c12d0181f994f5b1b8a776fc68d72ac6c125b3d0239e2bc70"
 
 
 def test_backward_simulate_pinned_bytes_toy(no_kernel_records_or_prepends):
@@ -450,13 +456,13 @@ def test_backward_simulate_pinned_bytes_toy(no_kernel_records_or_prepends):
 
 # the gating toy's first-detection paths: a uniform birth level, heads gated
 # into some undetected components, the ungated fallback and the underflow
-# floor (without the uniform level), with w_hyp_min > 0; recorded with the
-# counter-based numbers
+# floor (without the uniform level), with w_hyp_min > 0; re-recorded with
+# PINNED_PARTICLES
 PINNED_GATING = {
-    (0.0, True): "40f28d92cff1ac1de1986e6803bee972b1b3f2bb90639fd0e4f56ec4dc682ac7",
-    (0.0, False): "8de44c90ffd2590aab5fad36fd96e3722c4277794ff546f43cf43acc85af5881",
-    (0.02, True): "6f6a671f5f37f6822bb3d234a0417b2f274592172648a355b8e81a44f6e4b2f2",
-    (0.02, False): "df6d1937c79dbbd7a45528e994eb83cae0cc5426c101988ff53b349e1f1e5a23",
+    (0.0, True): "68b31ef4bfebaf5b1529614491a3be8ed61480b6a90186d4887e0e0722cde567",
+    (0.0, False): "3ef286a69fd71f3c0e3fc6c187d8a0f67331d06473cceb6cea76d79f45177d29",
+    (0.02, True): "3086c1afcc259d2f12759305ce410159829edcec2dca8b67042cd32b4a03b983",
+    (0.02, False): "e56db89bd1cd0e203617d66cd49de263f3589c5780d976ce604b6214fb02a383",
 }
 
 
@@ -658,8 +664,6 @@ def per_table_distribution(cost, m_best, w_hyp_min):
     log_w = -totals[0]
     shifted = np.exp(log_w - log_w.max())
     probs = shifted / shifted.sum()
-    if w_hyp_min == 0.0:
-        return rows[0], log_w, np.cumsum(probs)
     keep = probs >= w_hyp_min
     keep[probs.argmax()] = True
     pr = probs[keep]
@@ -779,14 +783,6 @@ def test_backward_step_preserves_conditioning_set():
         current = new_set
 
 
-def scalar_lse(values) -> float:
-    """The per-head log-sum-exp the first-detection weights were computed with."""
-    top = max(values)
-    if top == -math.inf:
-        return -math.inf
-    return float(top + math.log(sum(math.exp(v - top) for v in values)))
-
-
 _TERM = st.one_of(
     st.just(-math.inf),
     st.floats(min_value=-800.0, max_value=50.0, allow_nan=False, allow_infinity=False),
@@ -794,21 +790,41 @@ _TERM = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.lists(_TERM, min_size=1, max_size=12), min_size=1, max_size=6))
-def test_lse_columns_bit_equal_to_scalar_lse(columns):
-    # each column's terms in order, padded with -inf (absent) to a common length
-    n = max(len(c) for c in columns)
-    columns = columns + [[-math.inf] * n]  # an all-absent column
-    rows = np.array([c + [-math.inf] * (n - len(c)) for c in columns]).T
-    expected = [scalar_lse(c) for c in columns]
-    assert backward._lse_columns(rows).tolist() == expected
-    # one column alone reduces along the only axis it has: still summed in row order
-    assert [backward._lse_columns(rows[:, [h]])[0] for h in range(len(columns))] == expected
+@given(st.integers(0, 12).flatmap(
+    lambda n: st.lists(st.lists(_TERM, min_size=n, max_size=n), min_size=1, max_size=6)
+))
+def test_lse_rows_bit_equal_per_row_and_to_scipy(rows):
+    # the first-detection weights reduce each head's terms as one row of a stack:
+    # a row's log-sum-exp must not depend on the other rows of its batch
+    n = len(rows[0])
+    x = np.array(rows + [[-math.inf] * n]).reshape(len(rows) + 1, n)  # an all -inf row
+    lse, _ = _lse_rows(x)
+    alone = [_lse_rows(x[[h]])[0][0] for h in range(len(x))]
+    assert lse.tobytes() == np.array(alone).tobytes()
+    # the transposed (terms x heads) layout the kernel builds reduces the same
+    assert _lse_rows(np.ascontiguousarray(x.T).T)[0].tobytes() == lse.tobytes()
+    expected = [logsumexp(row) if n else -math.inf for row in x]
+    assert lse.tobytes() == np.array(expected).tobytes()
+    assert lse[-1] == -math.inf
+
+
+def test_lse_rows_of_zero_terms_and_long_rows():
+    assert _lse_rows(np.empty((3, 0)))[0].tolist() == [-math.inf] * 3
+    # numpy sums 8 or more terms pairwise: a row alone must still match its row in the stack
+    rng = np.random.default_rng(14)
+    for n in (7, 8, 9, 16, 40, 129):
+        x = rng.normal(0.0, 20.0, (50, n))
+        x[rng.random(x.shape) < 0.2] = -math.inf
+        lse, _ = _lse_rows(x)
+        for h in range(len(x)):
+            assert lse[h].tobytes() == _lse_rows(x[[h]])[0].tobytes()
+            assert lse[h].tobytes() == np.float64(logsumexp(x[h])).tobytes()
 
 
 def test_gated_equals_per_component_loop_bitwise():
-    # the per-component loop the stacked gating replaced is the reference: one
-    # "ij,jk,ik->i" einsum per component; the kernels are pinned by sha256
+    # per-component and per-point calls are the reference: the stacked gating
+    # must give every (component, point) pair the numbers it gives that pair
+    # alone, whatever else shares the batch; the kernels are pinned by sha256
     rng = np.random.default_rng(10)
     for _ in range(100):
         n_comps, n_heads, d = rng.integers(1, 6), rng.integers(1, 300), rng.choice([1, 2, 4])
@@ -817,13 +833,15 @@ def test_gated_equals_per_component_loop_bitwise():
         a = rng.normal(size=(n_comps, d, d))
         invs = np.linalg.inv(a @ a.transpose(0, 2, 1) + d * np.eye(d))
         log_const = rng.normal(size=n_comps)
-        diffs, log_terms, ok = backward._gated(heads, log_const, means, invs, 4.0)
+        diffs, log_terms, ok = _gated(heads, log_const, means, invs, 4.0)
         for c in range(n_comps):
-            diff = heads - means[c]
-            maha = np.einsum("ij,jk,ik->i", diff, invs[c], diff)
-            assert diffs[c].tobytes() == diff.tobytes()
-            assert log_terms[c].tobytes() == (log_const[c] - 0.5 * maha).tobytes()
-            np.testing.assert_array_equal(ok[c], maha <= 4.0)
+            one = _gated(heads, log_const[[c]], means[[c]], invs[[c]], 4.0)
+            for got, stacked in zip(one, (diffs, log_terms, ok)):
+                assert got[0].tobytes() == stacked[c].tobytes()
+        for h in rng.choice(n_heads, min(n_heads, 5), replace=False):
+            one = _gated(heads[[h]], log_const, means, invs, 4.0)
+            for got, stacked in zip(one, (diffs, log_terms, ok)):
+                assert got[:, 0].tobytes() == stacked[:, h].tobytes()
 
 
 def test_smoothed_covs_equal_per_density_loop_bitwise():

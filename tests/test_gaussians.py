@@ -249,11 +249,10 @@ def test_mixture_validation_and_helpers():
     g = GaussianDensity([0.0], [[1.0]])
     mix = GaussianMixture(((0.4, g), (0.1, g)))
     assert len(mix) == 2
-    assert mix.total_weight == pytest.approx(0.5)
-    assert mix.scaled(2.0).total_weight == pytest.approx(1.0)
+    assert [w for w, _ in mix] == [0.4, 0.1]
     with pytest.raises(ContractError):
         GaussianMixture(((-0.1, g),))
-    assert GaussianMixture().total_weight == 0.0
+    assert len(GaussianMixture()) == 0
 
 
 def test_motion_model_validation():

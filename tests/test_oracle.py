@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from helpers import crossing_example, empirical_tv, g, make_log, tv_toy
 
+from trajsmooth import oracle
 from trajsmooth.backward import SmootherParams, backward_simulate
 from trajsmooth.errors import SizeCapError
 from trajsmooth.forward import BernoulliComponent, PMBDensity
@@ -112,6 +113,49 @@ def test_size_cap():
     motion = LinearMotionModel([[1.0]], [[0.5]], ps=0.9)
     with pytest.raises(SizeCapError):
         exact_smooth(make_log(posts), birth, motion)
+
+
+def test_size_cap_bounds_the_initial_existence_patterns():
+    # 13 hypotheses per step pass the up-front check, but the 12 uncertain
+    # Bernoullis at K have 2^12 = 4096 existence patterns
+    log = make_log([
+        PMBDensity(
+            GaussianMixture(),
+            tuple(BernoulliComponent(0.5, g(float(i), 0.01)) for i in range(12)),
+        )
+    ])
+    birth = BirthModel(GaussianMixture(((0.1, g(0.0, 100.0)),)))
+    motion = LinearMotionModel([[1.0]], [[0.5]], ps=0.9)
+    with pytest.raises(SizeCapError, match="cap 1000 at step 1"):
+        exact_smooth(log, birth, motion, cap=1000)
+    assert len(exact_smooth(log, birth, motion, cap=4096).hypotheses) == 4096
+
+
+def test_size_cap_stops_a_single_expansion_while_enumerating(monkeypatch):
+    # one certain trajectory at K=2 against 6 uncertain tracks at k=1 has 256
+    # expansions, all of one hypothesis; the cap must stop them after 51
+    posts = [
+        PMBDensity(
+            GaussianMixture(),
+            tuple(BernoulliComponent(0.5, g(0.1 * i, 0.01)) for i in range(6)),
+        ),
+        PMBDensity(GaussianMixture(), (BernoulliComponent(1.0, g(0.0, 0.01)),)),
+    ]
+    birth = BirthModel(GaussianMixture(((0.1, g(0.0, 100.0)),)))
+    motion = LinearMotionModel([[1.0]], [[0.5]], ps=0.9)
+    expand, drawn = oracle._expand_one, []
+
+    def counted(*args):
+        for item in expand(*args):
+            drawn.append(item)
+            yield item
+
+    monkeypatch.setattr(oracle, "_expand_one", counted)
+    assert len(exact_smooth(make_log(posts), birth, motion, prune=0.0).hypotheses) == 256
+    drawn.clear()
+    with pytest.raises(SizeCapError, match="cap 50 at step 1"):
+        exact_smooth(make_log(posts), birth, motion, cap=50)
+    assert len(drawn) == 51
 
 
 def test_sampler_matches_oracle_structure_distribution():

@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --parent ../parent --change . --pairs 10 \
         --workload oracle_toy:15301 --workload desk_mc:15201 \
-        --workload scenario1_cli:15101 --claim oracle_toy:wall_s \
+        --workload scenario1_cli:15101 --claim oracle_toy:wall_s --aa desk_mc:15401 \
         --note "what the change does" --attach inprocess=probe.json --out BENCH_15.json
 
 Each tree is the root of a checkout (a copy of the committed files). For
@@ -15,6 +15,17 @@ end-to-end metric gets both sides' runs, median, quartiles, IQR, the number
 of pairs the change won and the relative change of the median; the quality
 numbers and failed fraction come from each run's `result.json`.
 
+The same item seeds run on both trees, so each workload also gets the paired
+per-item ratios: for every item of every pair, the change's item time over
+the parent's at the same item seed (`item_s` in `result.json`), with their
+median and quartiles. A run-level metric compares medians against the
+parent's spread between runs; the per-item ratios cancel what a pair's two
+runs share. `--aa NAME:SEED` runs the same pairs with the parent tree
+against a second copy of the parent tree (the "change" side of an `aa`
+entry is that copy): identical code, so its ratios show the noise floor of
+the per-item measure. These are reported next to the benchmark's run-level
+rule, not in its place.
+
 `--claim NAME:METRIC` adds the benchmark's gain rule for that metric: the
 change wins at least 9 of 10 pairs, and the medians differ by more than the
 parent's IQR. `--traced NAME:SEED` adds one `--trace 1` run per tree with its
@@ -24,6 +35,7 @@ output of tools/backward_probe.py) under KEY.
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -44,6 +56,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, workdir: Path
     result = json.loads((workdir / "result.json").read_text())
     return {
         "metrics": {k: m["value"] for k, m in summary["metrics"].items()},
+        "item_seeds": result["item_seeds"],
+        "item_s": result["item_s"],
         "correct": summary["correct"],
         "failed_frac": result["failed_frac"],
         "quality": result["quality"],
@@ -54,6 +68,18 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, workdir: Path
 def spread(runs: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": runs}
+
+
+def item_ratios(runs: dict[str, list[dict]]) -> dict:
+    """Change over parent item time per item seed, pooled over the pairs, with their spread."""
+    per_pair = []
+    for parent, change in zip(runs["parent"], runs["change"]):
+        if parent["item_seeds"] != change["item_seeds"]:
+            raise ValueError("the two runs of a pair timed different item seeds")
+        per_pair.append([c / p for p, c in zip(parent["item_s"], change["item_s"])])
+    pooled = [r for ratios in per_pair for r in ratios]
+    return {"what": "change item_s / parent item_s at the same item seed", "n": len(pooled),
+            **{k: v for k, v in spread(pooled).items() if k != "runs"}, "per_pair": per_pair}
 
 
 def summarize(runs: dict[str, list[dict]]) -> dict:
@@ -74,6 +100,7 @@ def summarize(runs: dict[str, list[dict]]) -> dict:
                              "runs": values}
     return {
         "metrics": metrics,
+        "item_ratios": item_ratios(runs),
         "failed_frac": {s: max(r["failed_frac"] for r in runs[s]) for s in SIDES},
         "correct": {s: all(r["correct"] for r in runs[s]) for s in SIDES},
         "quality": quality,
@@ -99,6 +126,24 @@ def claim(workloads: dict, workload: str, metric: str) -> dict:
     }
 
 
+def paired(trees: dict[str, Path], spec: str, pairs: int, seconds: float,
+           scratch: Path) -> dict:
+    """`pairs` alternating runs of workload `NAME:SEED` in the two trees, summarized."""
+    name, first_seed = spec.rsplit(":", 1)
+    seeds = [int(first_seed) + i for i in range(pairs)]
+    runs, order = {s: [] for s in SIDES}, []
+    for i, seed in enumerate(seeds):
+        sides = SIDES if i % 2 == 0 else SIDES[::-1]
+        order.append(sides[0])
+        for side in sides:
+            workdir = scratch / f"{name}-{seed}-{side}"
+            runs[side].append(run_once(trees[side], name, seed, seconds, workdir))
+            print(f"{name} seed {seed} {side}: wall_s "
+                  f"{runs[side][-1]['metrics']['wall_s']:.3f}", file=sys.stderr)
+    return {"seeds": seeds, "first": order, "pairs": pairs, "machine": runs["parent"][0]["machine"],
+            **summarize(runs)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, type=Path)
@@ -107,6 +152,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--claim", metavar="NAME:METRIC")
     parser.add_argument("--traced", action="append", default=[], metavar="NAME:SEED")
+    parser.add_argument("--aa", action="append", default=[], metavar="NAME:SEED",
+                        help="also pair the parent tree with a copy of itself")
     parser.add_argument("--note", default="", help="what the change does")
     parser.add_argument("--attach", action="append", default=[], metavar="KEY=FILE")
     parser.add_argument("--out", required=True, type=Path)
@@ -125,29 +172,28 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as scratch:
+        scratch = Path(scratch)
         for spec in args.workload:
-            name, first_seed = spec.rsplit(":", 1)
-            seeds = [int(first_seed) + i for i in range(args.pairs)]
-            runs, order = {s: [] for s in SIDES}, []
-            for i, seed in enumerate(seeds):
-                sides = SIDES if i % 2 == 0 else SIDES[::-1]
-                order.append(sides[0])
-                for side in sides:
-                    workdir = Path(scratch) / f"{name}-{seed}-{side}"
-                    runs[side].append(run_once(trees[side], name, seed, seconds, workdir))
-                    print(f"{name} seed {seed} {side}: wall_s "
-                          f"{runs[side][-1]['metrics']['wall_s']:.3f}", file=sys.stderr)
-            report.setdefault("machine", runs["parent"][0]["machine"])
-            report["workloads"][name] = {
-                "seeds": seeds, "first": order, "pairs": args.pairs, **summarize(runs),
-            }
+            entry = paired(trees, spec, args.pairs, seconds, scratch)
+            report.setdefault("machine", entry.pop("machine"))
+            report["workloads"][spec.rsplit(":", 1)[0]] = entry
+        if args.aa:
+            copy = scratch / "parent-copy"
+            shutil.copytree(trees["parent"], copy, ignore=shutil.ignore_patterns(
+                ".git", "__pycache__", ".pytest_cache", ".hypothesis", "out"))
+            aa_trees = {"parent": trees["parent"], "change": copy}
+            report["aa"] = {"what": "the parent tree against a second copy of it: identical code"}
+            for spec in args.aa:
+                entry = paired(aa_trees, spec, args.pairs, seconds, scratch / "aa")
+                del entry["machine"]
+                report["aa"][spec.rsplit(":", 1)[0]] = entry
         for spec in args.traced:
             name, seed = spec.rsplit(":", 1)
             report.setdefault("traced", {})[name] = {
                 "command": f"python3 perfbench/run.py --workload {name} --seed {seed} "
                            f"--seconds {seconds:g} --trace 1",
                 **{side: run_once(trees[side], name, int(seed), seconds,
-                                  Path(scratch) / f"{name}-{seed}-{side}-traced", trace=1)
+                                  scratch / f"{name}-{seed}-{side}-traced", trace=1)
                    for side in SIDES},
             }
     if args.claim:
