@@ -282,9 +282,9 @@ def split_y(trajectories, k: int) -> tuple[list[Trajectory], list[Trajectory]]:
 class _Roots:
     """Sampling roots of a covariance stack (n, d, d), each computed on first read and then kept.
 
-    `roots[idx]` is `_sampling_root(covs[i])` of member i = idx, or the
-    (len(idx), d, d) stack of those of an index array `idx`, for a stacked
-    draw. Dirac mode reads none of them.
+    `roots[i]` is `_sampling_root(covs[i])`; an index array gives the
+    (len(idx), d, d) stack of its members' roots, for a stacked draw. Dirac
+    mode reads none of them.
     """
 
     __slots__ = ("covs", "_roots", "_done")

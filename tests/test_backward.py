@@ -803,20 +803,22 @@ def test_lse_rows_bit_equal_per_row_and_to_scipy(rows):
     assert lse.tobytes() == np.array(alone).tobytes()
     # the transposed (terms x heads) layout the kernel builds reduces the same
     assert _lse_rows(np.ascontiguousarray(x.T).T)[0].tobytes() == lse.tobytes()
-    expected = [logsumexp(row) if n else -math.inf for row in x]
+    expected = [logsumexp(row) for row in x]
     assert lse.tobytes() == np.array(expected).tobytes()
     assert lse[-1] == -math.inf
 
 
 def test_lse_rows_of_zero_terms_and_long_rows():
     assert _lse_rows(np.empty((3, 0)))[0].tolist() == [-math.inf] * 3
-    # numpy sums 8 or more terms pairwise: a row alone must still match its row in the stack
+    # numpy sums 8 or more terms pairwise: a row alone must still match its row
+    # in the stack, also when the stack is the transposed layout the kernel builds
     rng = np.random.default_rng(14)
     for n in (7, 8, 9, 16, 40, 129):
-        x = rng.normal(0.0, 20.0, (50, n))
+        x = rng.normal(0.0, 20.0, (500, n))
         x[rng.random(x.shape) < 0.2] = -math.inf
         lse, _ = _lse_rows(x)
-        for h in range(len(x)):
+        assert _lse_rows(np.asfortranarray(x))[0].tobytes() == lse.tobytes()
+        for h in range(0, len(x), 10):
             assert lse[h].tobytes() == _lse_rows(x[[h]])[0].tobytes()
             assert lse[h].tobytes() == np.float64(logsumexp(x[h])).tobytes()
 

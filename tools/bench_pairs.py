@@ -19,8 +19,9 @@ The same item seeds run on both trees, so each workload also gets the paired
 per-item ratios: for every item of every pair, the change's item time over
 the parent's at the same item seed (`item_s` in `result.json`), with their
 median and quartiles. A run-level metric compares medians against the
-parent's spread between runs; the per-item ratios cancel what a pair's two
-runs share. `--aa NAME:SEED` runs the same pairs with the parent tree
+parent's spread between runs; the per-item ratios compare the same inputs
+item by item, though a pair's two runs are still two processes, whose speeds
+can differ. `--aa NAME:SEED` runs the same pairs with the parent tree
 against a second copy of the parent tree (the "change" side of an `aa`
 entry is that copy): identical code, so its ratios show the noise floor of
 the per-item measure. These are reported next to the benchmark's run-level
