@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ContractError, InfeasibleAssignmentError, check_int
 
@@ -55,11 +54,11 @@ class Assignment:
     cost: float
 
 
-def _entry_cost(cost: np.ndarray, cols: np.ndarray) -> float:
+def _entry_cost(rows: list[list[float]], cols) -> float:
     # sequential accumulation so brute-force oracles can match bit-exactly
     total = 0.0
-    for v in cost[np.arange(len(cols)), cols].tolist():
-        total += v
+    for row, c in zip(rows, cols):
+        total += row[c]
     return total
 
 
@@ -85,15 +84,63 @@ def solve_lap(cost: np.ndarray) -> Assignment:
 
 
 def _lap(cost: np.ndarray) -> Assignment:
-    """solve_lap body for already-validated matrices (Murty's children)."""
-    if cost.shape[0] == 0:
-        return Assignment((), 0.0)
-    try:
-        # with m <= n every row is assigned and rows come back in order
-        _, cols = linear_sum_assignment(cost)
-    except ValueError as exc:
-        raise InfeasibleAssignmentError(str(exc)) from exc
-    return Assignment(tuple(cols.tolist()), _entry_cost(cost, cols))
+    """solve_lap body for already-validated matrices (Murty's children).
+
+    The shortest augmenting path method (D. F. Crouse, "On implementing 2D
+    rectangular assignment algorithms", IEEE TAES 2016) in the form
+    `scipy.optimize.linear_sum_assignment` runs, so both pick the same optimum
+    among equal-cost ones: rows are added one at a time, the columns left to
+    scan start in descending order and a scanned one is swapped out for the
+    last, and a cost tie goes to an unassigned column.
+    """
+    m, n = cost.shape
+    rows = cost.tolist()
+    u, v = [0.0] * m, [0.0] * n
+    path, col4row, row4col = [-1] * n, [-1] * m, [-1] * n
+    for cur in range(m):
+        # the shortest alternating path from row `cur` to an unassigned column
+        shortest = [math.inf] * n
+        remaining = list(range(n - 1, -1, -1))
+        seen_rows, seen_cols = [], []
+        i, sink, min_val = cur, -1, 0.0
+        while sink < 0:
+            seen_rows.append(i)
+            row, ui = rows[i], u[i]
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                else:
+                    r = shortest[j]
+                if r < lowest or (r == lowest and row4col[j] < 0):
+                    lowest, index = r, it
+            min_val = lowest
+            if min_val == math.inf:
+                raise InfeasibleAssignmentError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # dual update, then augment along the path
+        u[cur] += min_val
+        for i in seen_rows[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in seen_cols:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return Assignment(tuple(col4row), _entry_cost(rows, col4row))
 
 
 def murty(cost: np.ndarray, m_best: int) -> list[Assignment]:

@@ -76,7 +76,8 @@ words reads blocks 0, 1, ... in order. The roles and their slots:
     extension head.
 
 A uniform is (w >> 11) 2^-53, as `Generator.random` forms it, and a normal is
-ndtri(((w >> 12) + 1/2) 2^-52), whose argument lies strictly inside (0, 1).
+the normal quantile of ((w >> 12) + 1/2) 2^-52, a probability strictly inside
+(0, 1), computed as Cephes `ndtri` (the function scipy.special evaluates).
 A particle's numbers therefore depend on neither the number of particles, nor
 the grouping, nor `_BATCH`. A batch of a step computes its uniforms in one
 Philox pass (each particle's hypothesis and existence blocks and one
@@ -95,7 +96,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import chdtri, ndtri
 
 # _ranked and sample_gaussian stay importable from here: perfbench's tracer patches them
 # in this module
@@ -105,11 +105,13 @@ from .forward import _LOG_TINY, FilterLog, PMBDensity, _lse_rows, _thinned
 from .gaussians import (
     LinearMotionModel,
     _draw,
+    _gate_tail,
     _gated,
     _inv_log_norm,
     _linear_terms,
     _sampling_root,
     _stack,
+    gate_quantile,
     sample_gaussian,  # noqa: F401
     symmetrize,
 )
@@ -262,7 +264,7 @@ class SmootherParams:
     def __post_init__(self):
         check_int("num_particles", self.num_particles, 1)
         check_int("m_best", self.m_best, 1)
-        check_real("gate_prob", self.gate_prob, "(0, 1]")
+        _gate_tail(check_real("gate_prob", self.gate_prob, "(0, 1]"))
         check_real("w_hyp_min", self.w_hyp_min, "[0, 1)")
         if not isinstance(self.dirac_mode, bool):
             raise SettingError(f"dirac_mode must be true or false, got {self.dirac_mode!r}")
@@ -661,9 +663,73 @@ def _uniforms(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)) * 2.0**-53
 
 
+# Cephes `ndtri` (S. L. Moshier), the normal quantile scipy.special evaluates:
+# the rational approximations in y - 1/2 for exp(-2) < y < 1 - exp(-2), and in
+# 1/z, z = sqrt(-2 ln y), on the tails, split at z = 8
+_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+             1.39312609387279679503E1, -1.23916583867381258016E0)
+_NDTRI_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+             -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+             1.59056225126211695515E1, -1.18331621121330003142E0)
+_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+             4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+             -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
+_NDTRI_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+             1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+             1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+             3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
+_NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+             2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+             2.89247864745380683936E-6, 6.79019408009981274425E-9)
+_SQRT_2PI = 2.50662827463100050242E0
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+
+
+def _ratio(x: np.ndarray, p: tuple, q: tuple) -> np.ndarray:
+    """x p(x) / q(x), left to right, by Horner's rule (Cephes polevl and p1evl).
+
+    q is monic and its leading 1 is left out of the tuple.
+    """
+    num = p[0]
+    for c in p[1:]:
+        num = num * x + c
+    den = x + q[0]
+    for c in q[1:]:
+        den = den * x + c
+    return x * num / den
+
+
+def _libm_log(x: np.ndarray) -> np.ndarray:
+    # math.log, the C library's log: np.log's SIMD loop differs from it in the last bit
+    return np.fromiter(map(math.log, x.tolist()), float, x.size)
+
+
 def _normals(words: np.ndarray) -> np.ndarray:
-    """Standard normals from 64-bit words by inversion; the argument of ndtri is never 0 or 1."""
-    return ndtri(((words >> np.uint64(12)) + 0.5) * 2.0**-52)
+    """Standard normals from 64-bit words by inversion; the probability is never 0 or 1.
+
+    The inversion is Cephes `ndtri` in the same operation order, bit-equal to
+    `scipy.special.ndtri`.
+    """
+    p = ((words >> np.uint64(12)) + 0.5) * 2.0**-52
+    upper = p > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - p, p)
+    out = np.empty_like(y)
+    central = y > _EXP_M2
+    yc = y[central] - 0.5
+    y2 = yc * yc
+    out[central] = (yc + yc * _ratio(y2, _NDTRI_P0, _NDTRI_Q0)) * _SQRT_2PI
+    tail = ~central
+    z = np.sqrt(-2.0 * _libm_log(y[tail]))
+    inv = 1.0 / z
+    x1 = _ratio(inv, _NDTRI_P1, _NDTRI_Q1)
+    far = z >= 8.0  # y below exp(-32)
+    if far.any():
+        x1[far] = _ratio(inv[far], _NDTRI_P2, _NDTRI_Q2)
+    x = z - _libm_log(z) / z - x1
+    out[tail] = np.where(upper[tail], x, -x)
+    return out
 
 
 def _counters(particles, role: int, slots, n_words: int = 1):
@@ -832,7 +898,7 @@ def backward_simulate(
     """
     if log.k_max < 1:
         raise ContractError("backward simulation needs at least one filtered step")
-    gate = float(chdtri(m.dim, 1.0 - params.gate_prob))  # chi-square quantile
+    gate = gate_quantile(m.dim, params.gate_prob)
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtri
 
 from .assignment import murty
 from .errors import ConfigError, ContractError, _members, check_int, check_real
@@ -39,11 +38,13 @@ from .gaussians import (
     GaussianMixture,
     LinearMotionModel,
     _collapse,
+    _gate_tail,
     _gated,
     _groups,
     _linear_terms,
     _predict,
     _stack,
+    gate_quantile,
     symmetrize,
 )
 from .models import BirthModel, ClutterModel, MeasurementModel
@@ -98,7 +99,7 @@ class FilterParams:
 
     def __post_init__(self):
         check_int("m_best", self.m_best, 1)
-        check_real("gate_prob", self.gate_prob, "(0, 1]")
+        _gate_tail(check_real("gate_prob", self.gate_prob, "(0, 1]"))
         check_real("prune_r", self.prune_r, "[0, 1)")
         check_real("prune_w", self.prune_w, "[0, 1)")
 
@@ -131,21 +132,25 @@ def prune_pmb(pmb: PMBDensity, r_min: float, w_min: float) -> PMBDensity:
 _LOG_TINY = math.log(np.finfo(float).tiny)
 
 # The batched forms below reproduce the per-item arithmetic bit for bit. Checked
-# on random stacks against a loop over items (numpy 2.4, scipy 1.17, OpenBLAS,
-# x86-64); the sha256 pins in tests/test_forward.py guard the result.
+# on random stacks against a loop over items (numpy 2.4, OpenBLAS, x86-64); the
+# sha256 pins in tests/test_forward.py guard the result. The package imports
+# numpy and the standard library only; the tests check its ports of scipy
+# functions bit for bit against scipy.
 # - Equal: `d S^-1 d` as two stacked matmuls (`gaussians._gated`; the
 #   row-vector form makes the same gemv-then-dot calls as one pair, and a
 #   stacked gemm `matmul(D, S_inv)` also matched); updated means
 #   `m + matmul(gain, d[..., None])[..., 0]`; stacked `F P F^T + Q`,
 #   `A P A^T + N`, gains and the Joseph form; means `(F @ m[..., None])[..., 0]`;
 #   row sums and `np.vecdot` over rows of equal length (`gaussians._groups`);
-#   scipy's `logsumexp` rebuilt row-wise (`_lse_rows`); `np.exp`, `np.log`,
+#   scipy's `logsumexp` rebuilt row-wise in numpy (`_lse_rows`, which the
+#   oracle uses too); `np.exp`, `np.log`,
 #   `np.logaddexp` on an array against the same ufunc per element.
 # - Not equal: a three-operand tensor contraction, or broadcast-then-`.sum(-1)`,
 #   for either product or a dot; `m @ F.T` for the means; `math.log`,
 #   `math.exp` and `math.log1p` against their numpy ufuncs (last-ulp
 #   differences), so the scalar `math` calls of the per-item code stay one per
-#   track, component or measurement.
+#   track, component or measurement, and `backward._normals` takes the logs of
+#   its tail members with `math.log`, as C `ndtri` does.
 
 
 def _thinned(r: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -303,7 +308,7 @@ def update_pmb(
 
 def run_forward(scenario: Scenario, params: FilterParams = FilterParams()) -> FilterLog:
     """Predict/update/prune over the full scan sequence, logging every posterior."""
-    gate = float(chdtri(scenario.measurement.dim_z, 1.0 - params.gate_prob))  # chi-square quantile
+    gate = gate_quantile(scenario.measurement.dim_z, params.gate_prob)
     log = FilterLog(k_max=scenario.k_max)
     pmb = PMBDensity(scenario.init_ppp, ())
     for k in range(1, scenario.k_max + 1):

@@ -7,7 +7,8 @@ gets a single 1e-9 jitter on the diagonal and is rejected if that does not
 help. The filter update and the backward kernel invert stacks through
 `_inv_log_norm`/`_linear_terms`, the one path for innovation terms, gains and
 the one-step smoothing update, and weigh points against those terms through
-`_gated`, the one Mahalanobis log-term and gate. Prediction (`_predict`) and
+`_gated`, the one Mahalanobis log-term and gate; `gate_quantile` turns a gate
+mass into that gate, the chi-square quantile. Prediction (`_predict`) and
 moment matching (`_collapse`) also work on stacks (`_stack`);
 `predict_gaussian` is the one-density case of `_predict`, so each operation
 has one arithmetic path. Sampling splits into `_sampling_root`, the (d, d)
@@ -20,11 +21,12 @@ is not positive definite.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, SingularMatrixError
+from .errors import ContractError, SettingError, SingularMatrixError
 
 _COND_MAX = 1e12
 _JITTER = 1e-9
@@ -172,6 +174,66 @@ def _gated(points: np.ndarray, log_const: np.ndarray, means: np.ndarray, invs: n
     d = points[None] - means[:, None]
     maha = np.matmul(np.matmul(d[..., None, :], invs[:, None]), d[..., :, None])[..., 0, 0]
     return d, log_const[:, None] - 0.5 * maha, maha <= gate
+
+
+def _gate_tail(gate_prob: float) -> float:
+    """1 - gate_prob, the chi-square mass outside the gate; SettingError where the gate is 0."""
+    tail = 1.0 - gate_prob
+    if tail == 1.0:
+        raise SettingError(f"gate_prob {gate_prob!r} gives a gate of 0: 1 - gate_prob rounds to 1")
+    return tail
+
+
+def _chi2_sf(dim: int, x: float) -> float:
+    """P(X > x) for X chi-square with `dim` (a positive integer) degrees of freedom.
+
+    The closed form for integer dimensions, h = x / 2: exp(-h) times the sum of
+    h^i / i! over i < dim / 2 for even `dim`; erfc(sqrt h) plus exp(-h) times the
+    sum of h^(i - 1/2) / Gamma(i + 1/2) over 1 <= i <= (dim - 1) / 2 for odd `dim`.
+    """
+    h = 0.5 * x
+    if dim % 2:
+        total, term, a = math.erfc(math.sqrt(h)), 2.0 * math.sqrt(h / math.pi), 1.5
+    else:
+        total, term, a = 0.0, 1.0, 1.0
+    s = 0.0
+    for _ in range(dim // 2):
+        s += term
+        term *= h / a
+        a += 1.0
+    return total + math.exp(-h) * s
+
+
+def gate_quantile(dim: int, gate_prob: float) -> float:
+    """The gate on a squared Mahalanobis distance in `dim` dimensions that holds mass `gate_prob`.
+
+    The chi-square quantile: +inf at gate_prob 1 (no gate), else the positive
+    double whose `_chi2_sf` lies nearest 1 - gate_prob, found by bisecting over
+    the doubles (a nonnegative double orders as its bit pattern).
+    """
+    tail = _gate_tail(gate_prob)
+    if tail == 0.0:
+        return math.inf
+    hi = 1.0
+    while _chi2_sf(dim, hi) > tail:
+        hi *= 2.0
+    a, b = 1, _bits(hi)  # _chi2_sf(dim, 5e-324) rounds to 1 > tail
+    while b - a > 1:
+        mid = (a + b) // 2
+        if _chi2_sf(dim, _double(mid)) > tail:
+            a = mid
+        else:
+            b = mid
+    lo, hi = _double(a), _double(b)
+    return lo if _chi2_sf(dim, lo) - tail < tail - _chi2_sf(dim, hi) else hi
+
+
+def _bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
 def _predict(means: np.ndarray, covs: np.ndarray, m: LinearMotionModel):

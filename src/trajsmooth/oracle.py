@@ -10,7 +10,8 @@ Gaussian marginals, so weights are marginal-likelihood evaluations; with
 evaluations at the stored points.
 
 This module is the correctness oracle for backward simulation and therefore
-shares no association or sampling code with it.
+shares no association or sampling code with it; it shares only arithmetic
+(the filter's row log-sum-exp, `forward._lse_rows`).
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import SizeCapError, check_real
-from .forward import FilterLog
+from .forward import FilterLog, _lse_rows
 from .gaussians import LinearMotionModel
 from .models import BirthModel
 
@@ -187,7 +187,7 @@ def _backward_step(hyps, pmb, birth, m, k, cap) -> list[TrajectorySetHypothesis]
         expansions = _capped(_expand_one(present, tracks, ppp, birth, m, k), cap, k, len(out))
         # normalize within this hypothesis: the division by the predicted
         # multi-object density evaluated at the conditioning trajectory set
-        z = logsumexp(np.array([lf for lf, _ in expansions]))
+        z = _logsumexp([lf for lf, _ in expansions])
         out.extend(
             TrajectorySetHypothesis(hyp.log_weight + log_factor - z, absent + trajs)
             for log_factor, trajs in expansions
@@ -292,12 +292,17 @@ def _first_detection_branches(tr: OracleTrajectory, ppp, birth, m, k):
     return branch
 
 
+def _logsumexp(log_ws) -> np.float64:
+    """log(sum(exp(log_ws))) of one sequence, by the filter's row log-sum-exp."""
+    return _lse_rows(np.asarray(log_ws, dtype=float)[None])[0][0]
+
+
 def _normalize_and_prune(hyps, prune: float) -> list[TrajectorySetHypothesis]:
     log_ws = np.array([h.log_weight for h in hyps])
-    norm = logsumexp(log_ws)
+    norm = _logsumexp(log_ws)
     threshold = math.log(prune) if prune > 0.0 else -math.inf
     kept = [(lw - norm, h) for lw, h in zip(log_ws, hyps) if lw - norm >= threshold]
-    norm2 = logsumexp(np.array([lw for lw, _ in kept]))
+    norm2 = _logsumexp([lw for lw, _ in kept])
     return [TrajectorySetHypothesis(lw - norm2, h.trajectories) for lw, h in kept]
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from trajsmooth import assignment
 from trajsmooth.assignment import (
@@ -72,6 +73,41 @@ def test_solve_lap_matches_brute_force(seed):
             solve_lap(cost)
         return
     assert solve_lap(cost).cost == ranked[0].cost
+
+
+def lap_parity_matrices(rng, kind, count):
+    """Random matrices of one kind, m <= n <= 9: the shapes and ties GOSPA and Murty feed `_lap`."""
+    for _ in range(count):
+        m = int(rng.integers(1, 8))
+        shape = (m, int(rng.integers(m, 10)))
+        if kind == "random":
+            yield rng.random(shape)
+        elif kind == "ties":
+            yield rng.integers(0, 3, shape).astype(float)
+        elif kind == "capped":  # GOSPA cuts every distance at c^p
+            yield np.minimum(rng.random(shape) * 4.0, 1.0)
+        else:
+            cost = rng.integers(0, 4, shape).astype(float)
+            cost[rng.random(shape) < 0.4] = np.inf
+            yield cost
+
+
+@pytest.mark.parametrize("kind", ["random", "ties", "capped", "inf"])
+def test_solve_lap_picks_scipys_assignment(kind):
+    rng = np.random.default_rng(len(kind))
+    infeasible = 0
+    for cost in lap_parity_matrices(rng, kind, 2_500):
+        try:
+            _, cols = linear_sum_assignment(cost)
+        except ValueError:
+            infeasible += 1
+            with pytest.raises(InfeasibleAssignmentError):
+                solve_lap(cost)
+            continue
+        got = solve_lap(cost)
+        assert got.row_to_col == tuple(cols.tolist())
+        assert got.cost == sum(cost[i, j] for i, j in enumerate(got.row_to_col))
+    assert (infeasible > 0) == (kind == "inf")
 
 
 def test_solve_lap_infeasible_row():

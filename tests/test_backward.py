@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import desk_like_problem, gating_problem, make_log, tv_toy
-from scipy.special import logsumexp
+from scipy.special import logsumexp, ndtri
 from scipy.stats import norm
 
 from trajsmooth import backward
@@ -612,6 +612,19 @@ def test_normals_are_finite_and_standard():
     # the extreme words stay strictly inside (0, 1) before the inversion
     extremes = backward._normals(np.array([0, 2**64 - 1], dtype=np.uint64))
     assert np.isfinite(extremes).all() and extremes[0] == -extremes[1]
+
+
+def test_normals_bit_equal_to_scipy_ndtri():
+    # 1e6 words of the generator, the extreme words, and words whose
+    # probability lies below exp(-32), where ndtri's far-tail approximation runs
+    words = np.concatenate([
+        backward._philox(np.arange(250_000), 5, backward._HEAD, 0, philox_key(17)).ravel(),
+        np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64),
+        np.arange(2_000, dtype=np.uint64) << np.uint64(12),
+        ~(np.arange(2_000, dtype=np.uint64) << np.uint64(12)),
+    ])
+    expected = ndtri(((words >> np.uint64(12)) + 0.5) * 2.0**-52)
+    assert backward._normals(words).tobytes() == expected.tobytes()
 
 
 def test_draw_index_clamps_a_table_ending_below_one():

@@ -565,8 +565,10 @@ def test_mc_bad_setting_exits_2_before_any_run(tmp_path, capsys, section, key, v
         ("filter", ["--filter-m-best", "0"], "m_best"),
         ("filter", ["--prune-r", "1.5"], "prune_r"),
         ("filter", ["--gate-prob", "1.5"], "gate_prob"),
+        ("filter", ["--gate-prob", "1e-17"], "gate_prob"),
         ("smooth", ["--particles", "0"], "num_particles"),
         ("smooth", ["--gate-prob", "1.5"], "gate_prob"),
+        ("smooth", ["--gate-prob", "1e-17"], "gate_prob"),
         ("smooth", ["--w-hyp-min", "2"], "w_hyp_min"),
         ("smooth", ["--seed", "-1"], "seed"),
         ("evaluate", ["--pos-idx", "9"], "pos_idx"),
@@ -765,6 +767,23 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout and "mc" in proc.stdout
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(trajsmooth.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, trajsmooth, trajsmooth.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_smooth_diagnostics_dead_ppp(workdir):

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import chdtri
 from scipy.stats import multivariate_normal
 
-from trajsmooth.backward import build_backward_kernel
-from trajsmooth.errors import ContractError, SingularMatrixError
-from trajsmooth.forward import BernoulliComponent, PMBDensity
+from trajsmooth.backward import SmootherParams, build_backward_kernel
+from trajsmooth.errors import ContractError, SettingError, SingularMatrixError
+from trajsmooth.forward import BernoulliComponent, FilterParams, PMBDensity
 from trajsmooth.gaussians import (
     GaussianDensity,
     _collapse,
@@ -17,6 +18,7 @@ from trajsmooth.gaussians import (
     _stack,
     GaussianMixture,
     LinearMotionModel,
+    gate_quantile,
     make_cv_model,
     predict_gaussian,
     sample_gaussian,
@@ -328,3 +330,41 @@ def test_stacked_terms_equal_per_density_loop_bitwise(d, p):
         np.testing.assert_array_equal(gains[k], g.cov @ a.T @ s_inv[k])
     with pytest.raises(ContractError):
         _stack(dens + [GaussianDensity(np.zeros(d + 1), np.eye(d + 1))], d)
+
+
+# gate masses 0.5, 0.9, 0.99, ..., 1 - 1e-12
+DECADE_GATE_PROBS = [0.5] + [1.0 - 10.0**-e for e in range(1, 13)]
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_gate_quantile_within_4_ulps_of_chdtri(dim):
+    for gate_prob in DECADE_GATE_PROBS:
+        ref = float(chdtri(dim, 1.0 - gate_prob))
+        assert abs(gate_quantile(dim, gate_prob) - ref) <= 4 * math.ulp(ref), gate_prob
+    assert gate_quantile(dim, 1.0) == math.inf
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_gate_quantile_within_4_ulps_of_the_exact_quantile(dim):
+    # between the decades chdtri itself can be ~150 ulps off (dims 1 and 3 near
+    # gate_prob 0.75), so the dense grid is checked against 120-bit arithmetic
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.prec = 120
+    for gate_prob in 1.0 - np.logspace(-12, math.log10(0.5), 40):
+        tail = mpmath.mpf(1.0 - gate_prob)
+        start = float(chdtri(dim, 1.0 - gate_prob))
+        exact = float(mpmath.findroot(
+            lambda x: mpmath.gammainc(dim / 2, x / 2, mpmath.inf, regularized=True) - tail, start))
+        assert abs(gate_quantile(dim, gate_prob) - exact) <= 4 * math.ulp(exact), gate_prob
+
+
+@pytest.mark.parametrize("params", [FilterParams, SmootherParams])
+def test_gate_prob_whose_gate_is_zero_is_a_setting_error(params):
+    # 1 - 1e-17 rounds to 1: the quantile, the gate, is 0
+    with pytest.raises(SettingError, match="gate_prob"):
+        params(gate_prob=1e-17)
+    with pytest.raises(SettingError, match="gate_prob"):
+        gate_quantile(2, 1e-17)
+    # the smallest mass whose complement does not round to 1 gives a positive gate
+    assert params(gate_prob=2.0**-53).gate_prob == 2.0**-53
+    assert 0.0 < gate_quantile(2, 2.0**-53) < 1e-10

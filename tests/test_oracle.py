@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from helpers import crossing_example, empirical_tv, g, make_log, tv_toy
+from scipy.special import logsumexp
 
 from trajsmooth import oracle
 from trajsmooth.backward import SmootherParams, backward_simulate
@@ -16,6 +17,17 @@ from trajsmooth.oracle import (
     structure_probability,
     structure_signature,
 )
+
+
+def test_logsumexp_bit_equal_to_scipy():
+    rng = np.random.default_rng(8)
+    rows = [np.array([]), np.array([-np.inf, -np.inf]), np.array([3.0, 3.0, 3.0])]
+    for size in rng.integers(1, 40, size=2_000):
+        row = rng.normal(size=size) * rng.choice([1.0, 30.0, 700.0])
+        row[rng.random(size) < 0.2] = -np.inf
+        rows.append(row)
+    for row in rows:
+        assert oracle._logsumexp(row.tolist()).tobytes() == logsumexp(row).tobytes()
 
 
 def test_k1_single_certain_bernoulli():

@@ -13,7 +13,10 @@ is the `run_seconds` of the parent tree's BENCHMARK.json, so both trees run
 as long as the benchmark runs them. Every
 end-to-end metric gets both sides' runs, median, quartiles, IQR, the number
 of pairs the change won and the relative change of the median; the quality
-numbers and failed fraction come from each run's `result.json`.
+numbers and failed fraction come from each run's `result.json`. A run that
+exits non-zero does not stop the session: it is reported under `failed_runs`
+with its exit code and the tail of its standard error, counts against
+`correct`, and wins no pair.
 
 The same item seeds run on both trees, so each workload also gets the paired
 per-item ratios: for every item of every pair, the change's item time over
@@ -29,7 +32,8 @@ rule, not in its place.
 
 `--claim NAME:METRIC` adds the benchmark's gain rule for that metric: the
 change wins at least 9 of 10 pairs, and the medians differ by more than the
-parent's IQR. `--traced NAME:SEED` adds one `--trace 1` run per tree with its
+parent's IQR; its workload must be one of the `--workload` entries, and this is
+checked before the first run. `--traced NAME:SEED` adds one `--trace 1` run per tree with its
 per-layer metrics. `--attach KEY=FILE` stores a JSON file (for example the
 output of tools/backward_probe.py) under KEY.
 """
@@ -45,14 +49,24 @@ from pathlib import Path
 
 METRICS = ("wall_s", "item_s.p50", "item_s.p90", "setup_s", "peak_rss_mb")  # all lower-is-better
 SIDES = ("parent", "change")
+STDERR_TAIL = 20  # lines of a failed run's standard error kept in the report
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, workdir: Path,
              trace: int = 0) -> dict:
-    """One perfbench run in `tree`; its metrics and what its result.json says."""
+    """One perfbench run in `tree`; its metrics and what its result.json says.
+
+    A run that exits non-zero is returned as failed, with its exit code and
+    the tail of its standard error, no metrics and `correct` false.
+    """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace), "--out", str(workdir)]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        return {"metrics": {}, "item_seeds": [], "item_s": [], "correct": False,
+                "failed_frac": 1.0, "quality": {}, "machine": None,
+                "exit_code": proc.returncode,
+                "stderr_tail": proc.stderr.splitlines()[-STDERR_TAIL:]}
     summary = json.loads(proc.stdout.strip().splitlines()[-1])
     result = json.loads((workdir / "result.json").read_text())
     return {
@@ -67,14 +81,23 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, workdir: Path
 
 
 def spread(runs: list[float]) -> dict:
+    """Median, quartiles and IQR of the runs; all None with fewer than two runs."""
+    if len(runs) < 2:
+        return {"median": None, "q1": None, "q3": None, "iqr": None, "runs": runs}
     q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": runs}
 
 
 def item_ratios(runs: dict[str, list[dict]]) -> dict:
-    """Change over parent item time per item seed, pooled over the pairs, with their spread."""
+    """Change over parent item time per item seed, pooled over the pairs, with their spread.
+
+    A pair with a failed run has no ratios.
+    """
     per_pair = []
     for parent, change in zip(runs["parent"], runs["change"]):
+        if "exit_code" in parent or "exit_code" in change:
+            per_pair.append([])
+            continue
         if parent["item_seeds"] != change["item_seeds"]:
             raise ValueError("the two runs of a pair timed different item seeds")
         per_pair.append([c / p for p, c in zip(parent["item_s"], change["item_s"])])
@@ -84,12 +107,19 @@ def item_ratios(runs: dict[str, list[dict]]) -> dict:
 
 
 def summarize(runs: dict[str, list[dict]]) -> dict:
+    """Per metric, each side's spread over its completed runs; a failed run wins no pair."""
     metrics = {}
     for name in METRICS:
-        sides = {s: [r["metrics"][name] for r in runs[s]] for s in SIDES}
+        sides = {s: [r["metrics"][name] for r in runs[s] if name in r["metrics"]] for s in SIDES}
         entry = {s: spread(sides[s]) for s in SIDES}
-        entry["change_wins"] = sum(c < p for p, c in zip(sides["parent"], sides["change"]))
-        entry["median_change_frac"] = entry["change"]["median"] / entry["parent"]["median"] - 1.0
+        entry["change_wins"] = sum(
+            name in p["metrics"] and name in c["metrics"] and c["metrics"][name] < p["metrics"][name]
+            for p, c in zip(runs["parent"], runs["change"])
+        )
+        medians = [entry[s]["median"] for s in SIDES]
+        entry["median_change_frac"] = (
+            None if None in medians else medians[1] / medians[0] - 1.0
+        )
         metrics[name] = entry
     quality = {}
     for s in SIDES:
@@ -104,6 +134,8 @@ def summarize(runs: dict[str, list[dict]]) -> dict:
         "item_ratios": item_ratios(runs),
         "failed_frac": {s: max(r["failed_frac"] for r in runs[s]) for s in SIDES},
         "correct": {s: all(r["correct"] for r in runs[s]) for s in SIDES},
+        "failed_runs": {s: [{"pair": i, "exit_code": r["exit_code"], "stderr_tail": r["stderr_tail"]}
+                            for i, r in enumerate(runs[s]) if "exit_code" in r] for s in SIDES},
         "quality": quality,
     }
 
@@ -111,7 +143,10 @@ def summarize(runs: dict[str, list[dict]]) -> dict:
 def claim(workloads: dict, workload: str, metric: str) -> dict:
     entry = workloads[workload]["metrics"][metric]
     pairs = workloads[workload]["pairs"]
-    diff = entry["parent"]["median"] - entry["change"]["median"]
+    parent, change = entry["parent"], entry["change"]
+    diff = None
+    if parent["median"] is not None and change["median"] is not None:
+        diff = parent["median"] - change["median"]
     return {
         "workload": workload,
         "metric": metric,
@@ -122,8 +157,8 @@ def claim(workloads: dict, workload: str, metric: str) -> dict:
         "pairs": pairs,
         "median_change_frac": entry["median_change_frac"],
         "median_diff": diff,
-        "parent_iqr": entry["parent"]["iqr"],
-        "met": entry["change_wins"] >= 0.9 * pairs and diff > entry["parent"]["iqr"],
+        "parent_iqr": parent["iqr"],
+        "met": diff is not None and entry["change_wins"] >= 0.9 * pairs and diff > parent["iqr"],
     }
 
 
@@ -138,11 +173,13 @@ def paired(trees: dict[str, Path], spec: str, pairs: int, seconds: float,
         order.append(sides[0])
         for side in sides:
             workdir = scratch / f"{name}-{seed}-{side}"
-            runs[side].append(run_once(trees[side], name, seed, seconds, workdir))
-            print(f"{name} seed {seed} {side}: wall_s "
-                  f"{runs[side][-1]['metrics']['wall_s']:.3f}", file=sys.stderr)
-    return {"seeds": seeds, "first": order, "pairs": pairs, "machine": runs["parent"][0]["machine"],
-            **summarize(runs)}
+            run = run_once(trees[side], name, seed, seconds, workdir)
+            runs[side].append(run)
+            status = (f"failed with exit code {run['exit_code']}" if "exit_code" in run
+                      else f"wall_s {run['metrics']['wall_s']:.3f}")
+            print(f"{name} seed {seed} {side}: {status}", file=sys.stderr)
+    machine = next((r["machine"] for r in runs["parent"] + runs["change"] if r["machine"]), None)
+    return {"seeds": seeds, "first": order, "pairs": pairs, "machine": machine, **summarize(runs)}
 
 
 def main(argv=None) -> int:
@@ -161,6 +198,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2: quartiles need two runs per side")
+    if args.claim:
+        name, _, metric = args.claim.partition(":")
+        if name not in {spec.rsplit(":", 1)[0] for spec in args.workload}:
+            parser.error(f"--claim {args.claim}: no --workload runs {name}")
+        if metric not in METRICS:
+            parser.error(f"--claim {args.claim}: the metric must be one of {', '.join(METRICS)}")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     seconds = json.loads((trees["parent"] / "BENCHMARK.json").read_text())["run_seconds"]
 
@@ -176,7 +219,8 @@ def main(argv=None) -> int:
         scratch = Path(scratch)
         for spec in args.workload:
             entry = paired(trees, spec, args.pairs, seconds, scratch)
-            report.setdefault("machine", entry.pop("machine"))
+            machine = entry.pop("machine")
+            report["machine"] = report.get("machine") or machine
             report["workloads"][spec.rsplit(":", 1)[0]] = entry
         if args.aa:
             copy = scratch / "parent-copy"
