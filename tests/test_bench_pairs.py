@@ -49,7 +49,7 @@ def fake_tree(root: Path, base: float, fail: int | None) -> Path:
     return root
 
 
-def test_failed_run_is_recorded_and_the_session_goes_on(tmp_path, bench_pairs):
+def test_failed_run_is_recorded_and_the_pairs_go_on(tmp_path, bench_pairs):
     parent = fake_tree(tmp_path / "parent", 2.0, None)
     change = fake_tree(tmp_path / "change", 1.0, 11)
     out = tmp_path / "bench.json"

@@ -565,15 +565,16 @@ def test_mc_bad_setting_exits_2_before_any_run(tmp_path, capsys, section, key, v
         ("filter", ["--filter-m-best", "0"], "m_best"),
         ("filter", ["--prune-r", "1.5"], "prune_r"),
         ("filter", ["--gate-prob", "1.5"], "gate_prob"),
-        ("filter", ["--gate-prob", "1e-17"], "gate_prob"),
         ("smooth", ["--particles", "0"], "num_particles"),
         ("smooth", ["--gate-prob", "1.5"], "gate_prob"),
-        ("smooth", ["--gate-prob", "1e-17"], "gate_prob"),
         ("smooth", ["--w-hyp-min", "2"], "w_hyp_min"),
         ("smooth", ["--seed", "-1"], "seed"),
         ("evaluate", ["--pos-idx", "9"], "pos_idx"),
         ("oracle", ["--prune", "-1"], "prune"),
         ("oracle", ["--prune", "2"], "prune"),
+        # 1 - 1e-17 rounds to 1: the gate would be 0
+        ("filter", ["--gate-prob", "1e-17"], "gate_prob"),
+        ("smooth", ["--gate-prob", "1e-17"], "gate_prob"),
     ],
 )
 def test_cli_bad_setting_exits_2_before_any_work(tmp_path, capsys, command, flags, field):

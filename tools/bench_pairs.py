@@ -14,7 +14,7 @@ as long as the benchmark runs them. Every
 end-to-end metric gets both sides' runs, median, quartiles, IQR, the number
 of pairs the change won and the relative change of the median; the quality
 numbers and failed fraction come from each run's `result.json`. A run that
-exits non-zero does not stop the session: it is reported under `failed_runs`
+exits non-zero does not stop the other runs: it is reported under `failed_runs`
 with its exit code and the tail of its standard error, counts against
 `correct`, and wins no pair.
 
