@@ -10,9 +10,8 @@ cost order, breaking exact cost ties by lexicographic row_to_col.
 Ranking picks its route from the +inf pattern, and every route gives the same
 output. A pattern whose product of per-row candidate counts is at most
 `_ENUM_CAP` is enumerated. A larger one is split into connected components
-(rows joined when they share a finite column), and a best-first search over
-the product of the sorted per-component lists merges them. A component is
-ranked by one of three routes:
+(rows joined when they share a finite column), whose sorted lists are folded
+together one component at a time. A component is ranked by one of three routes:
 
 - enumeration, when its own candidate product is at most `_ENUM_CAP`;
 - else a pruned row-by-row merge (`_merge_ranked`): the K cheapest prefixes
@@ -24,9 +23,10 @@ ranked by one of three routes:
   cost rather than with the prefixes that such ties keep the merge from
   ruling out.
 
-No list, merge or Murty queue stops while a candidate could tie or undercut
-the M-th cost within the rounding of the partial sums; only the final sort by
-(cost, row_to_col) cuts.
+No list, fold, merge or Murty queue stops while a candidate could tie or
+undercut the M-th cost within the rounding of the partial sums; only the final
+sort by (cost, row_to_col) cuts. Every route returns (row_to_col, costs)
+arrays; only `solve_lap` and `murty` build `Assignment` objects.
 """
 
 from __future__ import annotations
@@ -165,12 +165,12 @@ def _ranked_stack(costs: np.ndarray, m_best: int) -> tuple[np.ndarray, np.ndarra
     rows joined when they share a finite column. Each component is ranked on
     its columns in ascending order, so its local lexicographic order is the
     global one restricted to its rows: by enumeration when small, else per
-    matrix by the row-by-row merge or, past its cap, Murty. A best-first
-    search merges the per-component lists of each matrix; the global top-M of
-    a sum over independent blocks lies in the product of each block's top-M.
-    Lists, merges and Murty are cut only past
+    matrix by the row-by-row merge or, past its cap, Murty. The per-component
+    lists of each matrix are folded together one at a time (`_combined`); the
+    global top-M of a sum over independent blocks lies in the product of each
+    block's top-M. Lists, folds, merges and Murty are cut only past
     the M-th cost plus a bound on the rounding of the partial sums, and the
-    merged candidates are re-scored row-sequentially and sorted by
+    combined candidates are re-scored row-sequentially and sorted by
     (cost, row_to_col) before the final cut at M, so a tie is never lost to
     rounding or to the order of a search.
     """
@@ -181,8 +181,6 @@ def _ranked_stack(costs: np.ndarray, m_best: int) -> tuple[np.ndarray, np.ndarra
         raise InfeasibleAssignmentError("a row has no finite-cost column")
     if np.prod(candidate_counts, dtype=float) <= _ENUM_CAP:
         cols = _feasible_tuples(finite)
-        if not len(cols):
-            raise InfeasibleAssignmentError("no feasible assignment")
         total = _scores(costs, cols)
         # cols is in lexicographic order, so a stable sort by total breaks ties by row_to_col
         order = np.argsort(total, axis=1, kind="stable")[:, :m_best]
@@ -201,7 +199,7 @@ def _ranked_stack(costs: np.ndarray, m_best: int) -> tuple[np.ndarray, np.ndarra
     ranked_cols, ranked_costs = [], []
     for i in range(g):
         lists = [block[i] for block in blocks]
-        picks = np.array(_best_first([c for _, c in lists], m_best, slack[i]), dtype=np.intp)
+        picks = _combined([c for _, c in lists], m_best, slack[i])
         row_to_col = np.tile(fixed_cols, (len(picks), 1))
         for rows, (tuples, _), p in zip(components, lists, picks.T):
             row_to_col[:, rows] = tuples[p]
@@ -248,7 +246,7 @@ def _components(finite: np.ndarray) -> list[np.ndarray]:
 
 def _ranked_block(
     costs: np.ndarray, finite: np.ndarray, rows: np.ndarray, m_best: int, slack: np.ndarray
-) -> list[tuple[np.ndarray, list[float]]]:
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per matrix: one component's assignments and their costs, cheapest first.
 
     Assignments are (L, len(rows)) arrays of global columns. Each list runs to
@@ -258,33 +256,32 @@ def _ranked_block(
     local = finite[np.ix_(rows, cols)]
     if np.prod(local.sum(axis=1), dtype=float) <= _ENUM_CAP:
         tuples = _feasible_tuples(local)
-        if not len(tuples):
-            raise InfeasibleAssignmentError("no feasible assignment")
         total = _scores(costs[:, rows][:, :, cols], tuples)
         order = np.argsort(total, axis=1, kind="stable")
         tuples = cols[tuples]
         out = []
         for ranked, idx, s in zip(np.take_along_axis(total, order, axis=1), order, slack):
             keep = np.searchsorted(ranked, ranked[min(m_best, len(ranked)) - 1] + s, side="right")
-            out.append((tuples[idx[:keep]], ranked[:keep].tolist()))
+            out.append((tuples[idx[:keep]], ranked[:keep]))
         return out
     if len(rows) > len(cols):
         raise InfeasibleAssignmentError("no feasible assignment")
-    out = []
-    for cost, s in zip(costs[:, rows][:, :, cols], slack):
-        ranked = _merge_ranked(cost, m_best, s)
-        if ranked is None:
-            ranked = _murty_queue(cost, m_best, s)
-        out.append((cols[np.array([a.row_to_col for a in ranked])], [a.cost for a in ranked]))
-    return out
+    ranked = [
+        _merge_ranked(cost, m_best, s) or _murty_queue(cost, m_best, s)
+        for cost, s in zip(costs[:, rows][:, :, cols], slack)
+    ]
+    return [(cols[tuples], total) for tuples, total in ranked]
 
 
-def _merge_ranked(cost: np.ndarray, m_best: int, slack: float) -> list[Assignment] | None:
+def _merge_ranked(
+    cost: np.ndarray, m_best: int, slack: float
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Ranked assignments of one validated matrix by a pruned row-by-row merge.
 
-    Returns every assignment costing at most the M-th cost plus `slack`,
-    sorted by (cost, row_to_col): the list `_murty_queue` returns. Returns
-    None when more than `_MERGE_CAP * m_best` prefixes would have to be kept.
+    Returns row_to_col (L, m) and costs (L,) of every assignment costing at
+    most the M-th cost plus `slack`, sorted by (cost, row_to_col): the arrays
+    `_murty_queue` returns. Returns None when more than `_MERGE_CAP * m_best`
+    prefixes would have to be kept.
 
     Stage r extends each kept prefix by every finite column of row r that it
     does not use yet, so the sums are row-sequential and bit-equal to
@@ -324,49 +321,48 @@ def _merge_ranked(cost: np.ndarray, m_best: int, slack: float) -> list[Assignmen
             raise InfeasibleAssignmentError("no feasible assignment")
         if floor == math.inf or (len(sums) >= m_best and sums[m_best - 1] + slack < floor):
             keep = np.searchsorted(sums, sums[min(m_best, len(sums)) - 1] + slack, side="right")
-            ranked = zip(tuples[:keep].tolist(), sums[:keep].tolist())
-            return [Assignment(tuple(c), t) for c, t in ranked]
+            return tuples[:keep], sums[:keep]
         k *= 2
     return None
 
 
-def _best_first(lists: list[list[float]], m_best: int, slack: float) -> list[tuple[int, ...]]:
-    """Index tuples into ascending cost lists, by increasing sum, up to the M-th sum plus slack.
+def _combined(lists: list[np.ndarray], m_best: int, slack: float) -> np.ndarray:
+    """Every index tuple into ascending cost arrays summing to at most the M-th smallest + slack.
 
-    Each tuple is pushed once, when the tuple with its last nonzero index one
-    lower is popped. That parent's sum is no larger: `math.fsum` is correctly
-    rounded and so monotone in every term, which keeps the popped sums in
-    nondecreasing order.
+    Returns an unordered (L, len(lists)) array. The arrays are folded in one at
+    a time, keeping a partial tuple while its sum is at most the M-th smallest
+    partial sum plus `slack`. Those M partial tuples, each completed by the
+    first entry of every later array, bound the M-th smallest full sum, so no
+    completion of a dropped one comes within `slack` of it.
     """
-    heap = [(math.fsum(c[0] for c in lists), (0,) * len(lists), 0)]
-    picked: list[tuple[int, ...]] = []
-    bound = math.inf
-    while heap and heap[0][0] <= bound:
-        total, idx, low = heapq.heappop(heap)
-        picked.append(idx)
-        if len(picked) == m_best:
-            bound = total + slack
-        for k in range(low, len(lists)):
-            if idx[k] + 1 < len(lists[k]):
-                child = idx[:k] + (idx[k] + 1,) + idx[k + 1:]
-                heapq.heappush(heap, (math.fsum(c[j] for c, j in zip(lists, child)), child, k))
-    return picked
+    picks = np.zeros((1, 0), dtype=np.intp)
+    totals = np.zeros(1)
+    for costs in lists:
+        sums = (totals[:, None] + costs).ravel()
+        kth = min(m_best, len(sums)) - 1
+        keep = np.flatnonzero(sums <= np.partition(sums, kth)[kth] + slack)
+        parent, j = np.divmod(keep, len(costs))
+        picks = np.column_stack((picks[parent], j))
+        totals = sums[keep]
+    return picks
 
 
 def _feasible_tuples(finite: np.ndarray) -> np.ndarray:
     """Every row-to-distinct-column tuple avoiding +inf, as a (count, m) array.
 
     `finite` is the m x n mask of allowed entries; tuples come in
-    lexicographic order.
+    lexicographic order. Raises InfeasibleAssignmentError when there is none.
     """
     m = finite.shape[0]
     finite_cols = [np.flatnonzero(row).tolist() for row in finite]
     out = [c for c in itertools.product(*finite_cols) if len(set(c)) == m]
+    if not out:
+        raise InfeasibleAssignmentError("no feasible assignment")
     return np.array(out, dtype=np.intp).reshape(len(out), m)
 
 
-def _murty_queue(cost: np.ndarray, m_best: int, slack: float) -> list[Assignment]:
-    """Murty's ranked assignments of one validated matrix, sorted by (cost, row_to_col).
+def _murty_queue(cost: np.ndarray, m_best: int, slack: float) -> tuple[np.ndarray, np.ndarray]:
+    """Murty's ranked assignments of one validated matrix, as `_merge_ranked` returns them.
 
     LAP returns one optimum of a node, not the lexicographically first, so a
     solution tying the M-th can sit in a node not yet expanded. Nodes are
@@ -376,13 +372,13 @@ def _murty_queue(cost: np.ndarray, m_best: int, slack: float) -> list[Assignment
     below = np.tri(cost.shape[0], k=-1, dtype=bool)
     first = _lap(cost)
     heap = [(first.cost, first.row_to_col, cost)]  # (cost, row_to_col) is unique per node
-    out: list[Assignment] = []
+    out: list[tuple[float, tuple[int, ...]]] = []
     bound = math.inf
     while heap and heap[0][0] <= bound:
         total, row_to_col, problem = heapq.heappop(heap)
-        out.append(Assignment(row_to_col, total))
+        out.append((total, row_to_col))
         if len(out) == m_best:
-            bound = max(a.cost for a in out) + slack
+            bound = max(t for t, _ in out) + slack
         # partition the remaining solution space of this node; row r may use
         # its finite columns except those enforced for the rows before it
         finite = np.isfinite(problem)
@@ -403,5 +399,5 @@ def _murty_queue(cost: np.ndarray, m_best: int, slack: float) -> list[Assignment
             node[r, :] = np.inf
             node[:, c] = np.inf
             node[r, c] = keep
-    out.sort(key=lambda a: (a.cost, a.row_to_col))
-    return out
+    out.sort()
+    return np.array([c for _, c in out], dtype=np.intp), np.array([t for t, _ in out])

@@ -167,6 +167,9 @@ def cmd_simulate(args) -> int:
 def cmd_filter(args) -> int:
     params = FilterParams(**_from_args(args, "filter"))
     scenario = _decode(args.scenario, scenario_from_jsonable)
+    if scenario.birth.uniform_density > 0.0:
+        # the forward filter predicts a pure Gaussian-mixture birth only
+        raise ConfigError("models.birth.uniform_density must be 0 to run the filter")
     log = run_forward(scenario, params)
     _write_json(Path(args.out), filterlog_to_jsonable(log))
     return 0
@@ -176,7 +179,7 @@ def cmd_smooth(args) -> int:
     scenario = _decode(args.scenario, scenario_from_jsonable)
     seed = args.seed if args.seed is not None else scenario.seed
     params = SmootherParams(**_from_args(args, "smoother"), seed=seed)
-    log = _decode(args.filterlog, filterlog_from_jsonable)
+    log = _decode(args.filterlog, partial(filterlog_from_jsonable, dim=scenario.motion.dim))
     particles = backward_simulate(log, scenario.birth, scenario.motion, params)
     _write_json(Path(args.out), particles_to_jsonable(particles))
     if args.best_out:
@@ -194,7 +197,7 @@ def cmd_smooth(args) -> int:
 
 def cmd_oracle(args) -> int:
     scenario = _decode(args.scenario, scenario_from_jsonable)
-    log = _decode(args.filterlog, filterlog_from_jsonable)
+    log = _decode(args.filterlog, partial(filterlog_from_jsonable, dim=scenario.motion.dim))
     post = exact_smooth(log, scenario.birth, scenario.motion, prune=args.prune)
     _write_json(Path(args.out), posterior_to_jsonable(post))
     return 0
@@ -202,14 +205,15 @@ def cmd_oracle(args) -> int:
 
 def cmd_evaluate(args) -> int:
     scenario = _decode(args.scenario, scenario_from_jsonable)
+    dim = scenario.motion.dim
     metric = _from_args(args, "metric")
-    check_gospa_settings(**metric, dim=scenario.motion.dim)
+    check_gospa_settings(**metric, dim=dim)
     metric["pos_idx"] = metric["pos_idx"] or _position_mask(scenario)
     sources = {}
     if args.filterlog:
-        sources["filter"] = _decode(args.filterlog, filterlog_from_jsonable).estimates
+        log = _decode(args.filterlog, partial(filterlog_from_jsonable, dim=dim))
+        sources["filter"] = log.estimates
     if args.best:
-        dim = scenario.motion.dim
         best = _decode(args.best, lambda d: particles_from_jsonable({"particles": [d]}, dim)[0])
         sources["smoothed"] = [
             states_at_time(best.trajectories, k) for k in range(1, scenario.k_max + 1)
@@ -262,6 +266,8 @@ def _load_run_config(path) -> _RunConfig:
         check_int("seed", cfg["seed"], 0)
         seed = cfg["seed"]
         scenario = load_scenario_config({**scenario_cfg, "seed": seed})
+        if scenario.birth.uniform_density > 0.0:
+            raise ConfigError("scenario.birth.uniform_density must be 0 to run the filter")
         metric = _from_config(cfg, "metric", path)
         check_gospa_settings(**metric, dim=scenario.motion.dim)
         run = _RunConfig(

@@ -344,10 +344,11 @@ def pmb_to_jsonable(pmb: PMBDensity) -> dict:
     }
 
 
-def pmb_from_jsonable(data: dict, path: str) -> PMBDensity:
-    ppp = _mixture_from_jsonable(data["ppp"], f"{path}.ppp")
+def pmb_from_jsonable(data: dict, path: str, dim: int) -> PMBDensity:
+    """Decode a PMB density whose means are (dim,) and covariances (dim, dim)."""
+    ppp = _mixture_from_jsonable(data["ppp"], f"{path}.ppp", dim)
     bs = data["bernoullis"]
-    means = _members(f"{path}.bernoullis[{{}}].mean", [b["mean"] for b in bs], (None,))
+    means = _members(f"{path}.bernoullis[{{}}].mean", [b["mean"] for b in bs], (dim,))
     covs = _members(f"{path}.bernoullis[{{}}].cov", [b["cov"] for b in bs], means.shape[1:] * 2)
     bernoullis = tuple(
         BernoulliComponent(
@@ -373,24 +374,20 @@ def filterlog_to_jsonable(log: FilterLog) -> dict:
     }
 
 
-def filterlog_from_jsonable(data: dict) -> FilterLog:
+def filterlog_from_jsonable(data: dict, dim: int) -> FilterLog:
     """Decode a filter log; `k_max` must be an integer equal to the number of steps.
 
-    Every density and estimate is a checked array; an estimate has the
-    dimension of its step's Bernoulli means.
+    Every density and estimate is a checked array of the state dimension `dim`
+    (the scenario's), so a log of another dimension is a ConfigError naming the field.
     """
     log = FilterLog(k_max=check_int("k_max", data["k_max"], 1))
     if len(data["steps"]) != log.k_max:
         raise ConfigError(f"k_max {log.k_max} does not match the {len(data['steps'])} steps")
     for k, step in enumerate(data["steps"]):
-        post = pmb_from_jsonable(step["posterior"], f"steps[{k}].posterior")
-        log.posteriors.append(post)
+        log.posteriors.append(pmb_from_jsonable(step["posterior"], f"steps[{k}].posterior", dim))
         log.predicted_ppps.append(
-            _mixture_from_jsonable(step["predicted_ppp"], f"steps[{k}].predicted_ppp")
+            _mixture_from_jsonable(step["predicted_ppp"], f"steps[{k}].predicted_ppp", dim)
         )
-        # an estimate is the mean of one of the step's Bernoulli components
-        dim = post.bernoullis[0].density.dim if post.bernoullis else None
-        log.estimates.append(
-            list(_members(f"steps[{k}].estimates[{{}}]", step["estimates"], (dim,)))
-        )
+        estimates = _members(f"steps[{k}].estimates[{{}}]", step["estimates"], (dim,))
+        log.estimates.append(list(estimates))
     return log

@@ -11,6 +11,7 @@ from trajsmooth import assignment
 from trajsmooth.assignment import (
     _ENUM_CAP,
     Assignment,
+    _combined,
     _components,
     _merge_ranked,
     _murty_queue,
@@ -399,7 +400,26 @@ def test_merge_equals_murty_queue(cost, m_best):
         return
     got = _merge_ranked(cost, m_best, slack)
     assume(got is not None)
-    assert got == expected
+    for got_array, expected_array in zip(got, expected):
+        assert got_array.dtype == expected_array.dtype
+        np.testing.assert_array_equal(got_array, expected_array)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=5), min_size=1, max_size=6),
+    st.integers(1, 40),
+    st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+)
+def test_combined_equals_brute_force(lists, m_best, slack):
+    # small-integer costs sum exactly, so ties are exact and plentiful
+    lists = [np.array(sorted(costs), dtype=float) for costs in lists]
+    sums = {idx: sum(c[i] for c, i in zip(lists, idx))
+            for idx in itertools.product(*(range(len(c)) for c in lists))}
+    bound = sorted(sums.values())[min(m_best, len(sums)) - 1] + slack
+    picks = _combined(lists, m_best, slack)
+    assert picks.shape[1] == len(lists)
+    assert sorted(map(tuple, picks.tolist())) == sorted(i for i, t in sums.items() if t <= bound)
 
 
 @pytest.mark.parametrize("m_best", [1, 3, 10])

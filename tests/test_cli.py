@@ -165,6 +165,8 @@ def test_simulate_bad_model_real_exits_2(tmp_path, capsys, path, value, field):
         (("models", "measurement", "pd"), 2.0, "models.measurement.pd"),
         (("models", "clutter", "rate"), -1.0, "models.clutter.rate"),
         (("models", "birth", "uniform_density"), -0.5, "models.birth.uniform_density"),
+        # the filter predicts a Gaussian-mixture birth only
+        (("models", "birth", "uniform_density"), 0.01, "models.birth.uniform_density"),
     ],
 )
 def test_filter_bad_scenario_artifact_exits_2(workdir, capsys, path, value, field):
@@ -351,6 +353,38 @@ def test_smooth_bad_filter_log_exits_2(workdir, capsys, path, value, message):
             "--out", str(tmp_path / "pt.json"), "--particles", "5"]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+def line_config(k_max):
+    """small_config on a line: one position and one velocity, so the state has 2 dimensions."""
+    cfg = small_config(k_max=k_max)
+    cfg["motion"]["dims"] = 1
+    cfg["clutter"] = {"rate": 0.5, "region": [[-40.0, 40.0]]}
+    cfg["birth"] = {"weights": [0.05], "means": [[0.0, 0.0]],
+                    "covs": [np.diag([400.0, 1.0]).tolist()]}
+    cfg["schedule"] = {"births": [1], "deaths": [k_max], "init_means": [[-20.0, 1.0]],
+                       "init_cov": np.diag([4.0, 0.04]).tolist()}
+    return cfg
+
+
+@pytest.mark.parametrize("command", ["smooth", "oracle", "evaluate"])
+def test_filter_log_of_another_state_dim_exits_2(tmp_path, capsys, command):
+    # a filter log of a 2-d state model read against a 4-d scenario
+    plane, line = tmp_path / "plane.json", tmp_path / "line.json"
+    plane.write_text(json.dumps(small_config(k_max=3)))
+    line.write_text(json.dumps(line_config(k_max=3)))
+    scenario, line_scenario = tmp_path / "sc.json", tmp_path / "line_sc.json"
+    filterlog = tmp_path / "fl.json"
+    assert main(["simulate", "--config", str(plane), "--out", str(scenario)]) == 0
+    assert main(["simulate", "--config", str(line), "--out", str(line_scenario)]) == 0
+    assert main(["filter", "--scenario", str(line_scenario), "--out", str(filterlog)]) == 0
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    argv = [command, "--scenario", str(scenario), "--filterlog", str(filterlog), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "steps[0].posterior.ppp.means[0] must have shape (4,), got (2,)" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -550,12 +584,20 @@ def test_mc_non_numeric_value_is_config_error(tmp_path, capsys):
         ("metric", "pos_idx", [7], "pos_idx"),
         (None, "mc_runs", 2.7, "mc_runs"),
         (None, "seed", 2.5, "seed"),
+        # the filter predicts a Gaussian-mixture birth only
+        ("scenario", "birth", {**small_config()["birth"], "uniform_density": 0.01},
+         "scenario.birth.uniform_density must be 0"),
     ],
 )
-def test_mc_bad_setting_exits_2_before_any_run(tmp_path, capsys, section, key, value, field):
+def test_mc_bad_setting_exits_2_before_any_run(
+    tmp_path, capsys, monkeypatch, section, key, value, field
+):
     cfg = mc_config(tmp_path, section, **{key: value})
+    runs = []
+    monkeypatch.setattr("trajsmooth.cli._mc_single", runs.append)
     assert main(["mc", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert field in capsys.readouterr().err
+    assert runs == []
     assert not (tmp_path / "out").exists()
 
 
@@ -591,6 +633,23 @@ def test_cli_bad_setting_exits_2_before_any_work(tmp_path, capsys, command, flag
     assert main([command, *inputs, "--out", str(out), *flags]) == 2
     assert field in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_smooth_and_oracle_take_uniform_birth(tmp_path):
+    # only the forward filter refuses a uniform birth intensity
+    cfg_data = small_config(k_max=3)
+    cfg_data["clutter"]["rate"] = 0.5
+    cfg, scenario, filterlog = tmp_path / "cfg.json", tmp_path / "sc.json", tmp_path / "fl.json"
+    cfg.write_text(json.dumps(cfg_data))
+    assert main(["simulate", "--config", str(cfg), "--out", str(scenario)]) == 0
+    assert main(["filter", "--scenario", str(scenario), "--out", str(filterlog),
+                 "--prune-r", "0.01", "--prune-w", "0.01"]) == 0
+    data = json.loads(scenario.read_text())
+    set_at(data, ("models", "birth", "uniform_density"), 0.01)
+    scenario.write_text(json.dumps(data))
+    inputs = ["--scenario", str(scenario), "--filterlog", str(filterlog)]
+    assert main(["smooth", *inputs, "--out", str(tmp_path / "pt.json"), "--particles", "5"]) == 0
+    assert main(["oracle", *inputs, "--out", str(tmp_path / "oracle.json"), "--prune", "1e-4"]) == 0
 
 
 def test_parameter_schema_one_default_per_field(tmp_path):

@@ -254,7 +254,7 @@ def test_run_forward_logs_aligned():
     sc = make_static_scenario(k_max, zs)
     log = run_forward(sc)
     assert len(log.posteriors) == len(log.predicted_ppps) == len(log.estimates) == k_max
-    roundtrip = filterlog_from_jsonable(filterlog_to_jsonable(log))
+    roundtrip = filterlog_from_jsonable(filterlog_to_jsonable(log), sc.motion.dim)
     assert roundtrip.k_max == log.k_max
     for a, b in zip(roundtrip.posteriors, log.posteriors):
         assert len(a.bernoullis) == len(b.bernoullis)

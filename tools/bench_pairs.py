@@ -10,13 +10,14 @@ each workload `NAME:SEED`, pair i runs `perfbench/run.py --workload NAME
 --seed SEED+i --seconds S --trace 0` once in each tree, one run at a time:
 even pairs run the parent first, odd pairs the change first. The run length S
 is the `run_seconds` of the parent tree's BENCHMARK.json, so both trees run
-as long as the benchmark runs them. Every
+as long as the benchmark runs them, and a run still going after 10 S (a
+hung run) is stopped and reported as failed. Every
 end-to-end metric gets both sides' runs, median, quartiles, IQR, the number
 of pairs the change won and the relative change of the median; the quality
 numbers and failed fraction come from each run's `result.json`. A run that
-exits non-zero does not stop the other runs: it is reported under `failed_runs`
-with its exit code and the tail of its standard error, counts against
-`correct`, and wins no pair.
+exits non-zero or times out does not stop the other runs: it is reported under
+`failed_runs` with its exit code (null for a timeout) and the tail of its
+standard error, counts against `correct`, and wins no pair.
 
 The same item seeds run on both trees, so each workload also gets the paired
 per-item ratios: for every item of every pair, the change's item time over
@@ -56,17 +57,21 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, workdir: Path
              trace: int = 0) -> dict:
     """One perfbench run in `tree`; its metrics and what its result.json says.
 
-    A run that exits non-zero is returned as failed, with its exit code and
-    the tail of its standard error, no metrics and `correct` false.
+    A run that exits non-zero or outlasts 10 times `seconds` is
+    returned as failed, with its exit code (None when it timed out) and the
+    tail of its standard error, no metrics and `correct` false.
     """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace), "--out", str(workdir)]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    try:
+        proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
+                              timeout=10 * seconds)
+    except subprocess.TimeoutExpired as exc:
+        # the partial output of a timed-out run is bytes, even in text mode
+        stderr = (exc.stderr or b"").decode(errors="replace").splitlines()
+        return failed(None, stderr + [f"timed out after {exc.timeout:g} s"])
     if proc.returncode != 0:
-        return {"metrics": {}, "item_seeds": [], "item_s": [], "correct": False,
-                "failed_frac": 1.0, "quality": {}, "machine": None,
-                "exit_code": proc.returncode,
-                "stderr_tail": proc.stderr.splitlines()[-STDERR_TAIL:]}
+        return failed(proc.returncode, proc.stderr.splitlines())
     summary = json.loads(proc.stdout.strip().splitlines()[-1])
     result = json.loads((workdir / "result.json").read_text())
     return {
@@ -78,6 +83,13 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, workdir: Path
         "quality": result["quality"],
         "machine": result["machine"],
     }
+
+
+def failed(exit_code: int | None, stderr: list[str]) -> dict:
+    """A failed run's entry: no metrics, `correct` false, the tail of its standard error."""
+    return {"metrics": {}, "item_seeds": [], "item_s": [], "correct": False,
+            "failed_frac": 1.0, "quality": {}, "machine": None,
+            "exit_code": exit_code, "stderr_tail": stderr[-STDERR_TAIL:]}
 
 
 def spread(runs: list[float]) -> dict:
@@ -175,8 +187,9 @@ def paired(trees: dict[str, Path], spec: str, pairs: int, seconds: float,
             workdir = scratch / f"{name}-{seed}-{side}"
             run = run_once(trees[side], name, seed, seconds, workdir)
             runs[side].append(run)
-            status = (f"failed with exit code {run['exit_code']}" if "exit_code" in run
-                      else f"wall_s {run['metrics']['wall_s']:.3f}")
+            status = (f"wall_s {run['metrics']['wall_s']:.3f}" if "exit_code" not in run
+                      else "timed out" if run["exit_code"] is None
+                      else f"failed with exit code {run['exit_code']}")
             print(f"{name} seed {seed} {side}: {status}", file=sys.stderr)
     machine = next((r["machine"] for r in runs["parent"] + runs["change"] if r["machine"]), None)
     return {"seeds": seeds, "first": order, "pairs": pairs, "machine": machine, **summarize(runs)}
