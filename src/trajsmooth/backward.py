@@ -18,7 +18,8 @@ its rows of the batch's first-detection arrays (`_FirstDetections`). What
 does not depend on the conditioning set (the ended-track existences and
 heads, the smoothing terms of every track and undetected component, and the
 sampling roots of their covariances) lives in the step's `_KernelCache`,
-shared by all kernels of the step. The step computes only what its draws
+shared by all kernels of the step and computed from the filter log's
+arrays, as is the initial set. The step computes only what its draws
 read: a sampling root the first time a draw or a record reads it (dirac mode
 reads none). The hypothesis records (`BackwardKernel`, `LocalHypothesis` and
 its densities) are built only by `build_backward_kernel` and on read, for
@@ -109,8 +110,8 @@ from .gaussians import (
     _gated,
     _inv_log_norm,
     _linear_terms,
+    _of_dim,
     _sampling_root,
-    _stack,
     gate_quantile,
     sample_gaussian,  # noqa: F401
     symmetrize,
@@ -320,13 +321,19 @@ class _Smoothing(NamedTuple):
     roots: _Roots  # sampling roots of `covs`, on first read
 
 
-def _smoothing_terms(weighted, m: LinearMotionModel) -> _Smoothing:
-    means, covs = _stack([g for _, g in weighted], m.dim)
+def _smoothing_terms(log_w: np.ndarray, means: np.ndarray, covs: np.ndarray,
+                     m: LinearMotionModel) -> _Smoothing:
     mean_pred, inv_pred, log_norm, gains = _linear_terms(means, covs, m.F, m.Q)
-    log_const = np.array([lw + ln for (lw, _), ln in zip(weighted, log_norm)])
     # one (d, d) product per member, as the loop over members computes it
     smoothed = symmetrize(covs - gains @ m.F @ covs)
-    return _Smoothing(log_const, mean_pred, inv_pred, means, gains, smoothed, _Roots(smoothed))
+    return _Smoothing(log_w + log_norm, mean_pred, inv_pred, means, gains, smoothed,
+                      _Roots(smoothed))
+
+
+def _log_kept(w: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """The members with w > 0 and scale > 0, and their weights ln w + ln scale."""
+    kept = np.flatnonzero((w > 0.0) & (scale > 0.0))
+    return kept, np.array([math.log(x) + math.log(scale) for x in w[kept].tolist()])
 
 
 class _KernelCache:
@@ -340,28 +347,25 @@ class _KernelCache:
         ps = m.ps
         self.dim = m.dim
         # per track, ended at k: its log-weight, existence and filtering head
-        r = np.array([c.r for c in pmb.bernoullis], dtype=float)
-        self.log_w_end, self.exist_end = _thinned(r, ps)
-        self.end_means, end_covs = _stack([comp.density for comp in pmb.bernoullis], m.dim)
+        self.log_w_end, self.exist_end = _thinned(pmb.r, ps)
+        self.end_means, end_covs = _of_dim(m.dim, pmb)
         self.end_roots = _Roots(end_covs)
 
         # tracks that can continue into a conditioning trajectory
-        active = [(i, c) for i, c in enumerate(pmb.bernoullis) if c.r > 0.0 and ps > 0.0]
-        self.active_idx = np.array([i for i, _ in active], dtype=int)
-        self.active_pos = {i: a for a, (i, _) in enumerate(active)}
-        self.tracks = _smoothing_terms(
-            [(math.log(c.r) + math.log(ps), c.density) for _, c in active], m
-        )
+        self.active_idx, log_w = _log_kept(pmb.r, ps)
+        self.active_pos = {i: a for a, i in enumerate(self.active_idx.tolist())}
+        a = self.active_idx
+        self.tracks = _smoothing_terms(log_w, self.end_means[a], end_covs[a], m)
         # undetected intensity extended one step backward
-        self.ppp = _smoothing_terms(
-            [(math.log(ps) + math.log(w), g) for w, g in pmb.ppp if w > 0.0 and ps > 0.0], m
-        )
+        kept, log_w = _log_kept(pmb.ppp.weights, ps)
+        means, covs = _of_dim(m.dim, pmb.ppp)
+        self.ppp = _smoothing_terms(log_w, means[kept], covs[kept], m)
 
         # birth components: (ln w plus log-normaliser, means, inverse covariances)
-        births = [(w, g) for w, g in birth.intensity if w > 0.0]
-        means, covs = _stack([g for _, g in births], m.dim)
-        inv, log_norm = _inv_log_norm(covs)
-        self.birth_comps = (np.array([math.log(w) for w, _ in births]) + log_norm, means, inv)
+        kept, log_w = _log_kept(birth.intensity.weights, 1.0)
+        means, covs = _of_dim(m.dim, birth.intensity)
+        inv, log_norm = _inv_log_norm(covs[kept])
+        self.birth_comps = (log_w + log_norm, means[kept], inv)
         self.log_uniform = (
             math.log(birth.uniform_density) if birth.uniform_density > 0.0 else -math.inf
         )
@@ -953,10 +957,10 @@ def _initial_set(nodes: _Nodes, pmb: PMBDensity, k_max: int, dirac_mode: bool, k
     The sets are drawn from the posterior at K; in dirac mode a track's
     node is shared by every particle that keeps it.
     """
-    if not pmb.bernoullis:
+    r = pmb.r
+    if not len(r):
         return np.empty((n, 0), dtype=int)
-    means, covs = _stack([c.density for c in pmb.bernoullis], nodes.heads.shape[1])
-    r = np.array([c.r for c in pmb.bernoullis])
+    means, covs = _of_dim(nodes.heads.shape[1], pmb)
     (exist,) = _words(key, k_max, [_counters(np.arange(n), _EXIST, 0, len(r))])
     owners, tracks = np.nonzero(_uniforms(exist[:, :len(r)]) < r)
     if dirac_mode:

@@ -13,6 +13,7 @@ import argparse
 import csv
 import hashlib
 import inspect
+import io
 import json
 import os
 import sys
@@ -43,7 +44,7 @@ from .errors import (
 from .forward import (
     FilterParams,
     filterlog_from_jsonable,
-    filterlog_to_jsonable,
+    filterlog_steps,
     run_forward,
 )
 from .metrics import check_gospa_settings, gospa_over_time, particle_stats
@@ -59,9 +60,38 @@ from .simulate import (
 from .trajectory import states_at_time
 
 
+def _write(path: Path, chunks) -> None:
+    """Write the strings `chunks` to a temporary file beside `path`, then move it to `path`.
+
+    The file appears whole or not at all; an OSError is a ConfigError naming the path.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with tmp.open("w", newline="") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp.is_file():
+            tmp.unlink()
+
+
+def _dumps(data) -> str:
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
 def _write_json(path: Path, data) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n")
+    _write(path, [_dumps(data), "\n"])
+
+
+def _log_chunks(log):
+    """The filter log's JSON text one step at a time: the bytes `_write_json` would write."""
+    yield f'{{"k_max":{_dumps(log.k_max)},"steps":['
+    for k, step in enumerate(filterlog_steps(log)):
+        yield "," * (k > 0) + _dumps(step)
+    yield "]}\n"
 
 
 def _read_json(path: Path):
@@ -78,7 +108,9 @@ def _decode(path: Path, decode):
     data = _read_json(path)
     try:
         return decode(data)
-    except (ConfigError, KeyError, TypeError, ValueError, IndexError) as exc:
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ConfigError(f"{path} does not have the expected structure: {exc!r}") from exc
 
 
@@ -171,7 +203,7 @@ def cmd_filter(args) -> int:
         # the forward filter predicts a pure Gaussian-mixture birth only
         raise ConfigError("models.birth.uniform_density must be 0 to run the filter")
     log = run_forward(scenario, params)
-    _write_json(Path(args.out), filterlog_to_jsonable(log))
+    _write(Path(args.out), _log_chunks(log))
     return 0
 
 
@@ -188,7 +220,7 @@ def cmd_smooth(args) -> int:
     if args.diagnostics:
         # expected cardinality of dead-but-never-detected objects per step
         dead = [
-            (1.0 - scenario.motion.ps) * sum(w for w, _ in post.ppp)
+            (1.0 - scenario.motion.ps) * sum(post.ppp.weights.tolist())
             for post in log.posteriors
         ]
         _write_json(Path(args.diagnostics), {"ppp_dead_expected_cardinality": dead})
@@ -229,12 +261,11 @@ def cmd_evaluate(args) -> int:
             rows.append((k, name, res.total, res.localisation, res.missed, res.false_det))
     _write_json(Path(args.out), report)
     if args.csv:
-        path = Path(args.csv)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "source", "total", "localisation", "missed", "false"])
-            writer.writerows(rows)
+        text = io.StringIO()
+        writer = csv.writer(text)
+        writer.writerow(["k", "source", "total", "localisation", "missed", "false"])
+        writer.writerows(rows)
+        _write(Path(args.csv), [text.getvalue()])
     return 0
 
 

@@ -1,9 +1,10 @@
 """Track-oriented PMB forward filter.
 
 Each time step runs predict -> update -> prune, and the per-step posteriors
-feed backward simulation. Both the prediction and the measurement update work
-on stacked arrays, one pass per step rather than one per track, component or
-(track, measurement) pair:
+feed backward simulation. A `PMBDensity` is stored as the arrays every step
+computes with (existences, means, covariances and its PPP mixture's), and
+predict, update and prune read and write them directly, one pass per step
+rather than one per track, component or (track, measurement) pair:
 
 - predict: every Bernoulli and undetected-intensity (PPP) density is pushed
   through the motion model as one stack;
@@ -42,6 +43,7 @@ from .gaussians import (
     _gated,
     _groups,
     _linear_terms,
+    _of_dim,
     _predict,
     _stack,
     gate_quantile,
@@ -67,15 +69,35 @@ class BernoulliComponent:
         object.__setattr__(self, "r", float(min(max(self.r, 0.0), 1.0)))
 
 
-@dataclass(frozen=True)
 class PMBDensity:
-    """Poisson intensity for undetected objects plus Bernoulli components."""
+    """Poisson intensity for undetected objects plus Bernoulli components, as arrays.
 
-    ppp: GaussianMixture = GaussianMixture()
-    bernoullis: tuple[BernoulliComponent, ...] = ()
+    Bernoulli i exists with probability r[i] and then has the density
+    N(means[i], covs[i]); built from no components, means are (0, 0).
+    `PMBDensity(ppp, (BernoulliComponent, ...))` stacks its components once,
+    and `bernoullis` builds them on read; `of` wraps given arrays.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "bernoullis", tuple(self.bernoullis))
+    __slots__ = ("ppp", "r", "means", "covs")
+
+    def __init__(self, ppp=GaussianMixture(), bernoullis=()):
+        bs = tuple(bernoullis)
+        self.ppp = ppp if isinstance(ppp, GaussianMixture) else GaussianMixture(ppp)
+        self.r = np.array([c.r for c in bs])
+        self.means, self.covs = _stack([c.density for c in bs], bs[0].density.dim if bs else 0)
+
+    @classmethod
+    def of(cls, ppp: GaussianMixture, r: np.ndarray, means: np.ndarray, covs: np.ndarray):
+        pmb = cls.__new__(cls)
+        pmb.ppp, pmb.r, pmb.means, pmb.covs = ppp, r, means, covs
+        return pmb
+
+    @property
+    def bernoullis(self) -> tuple[BernoulliComponent, ...]:
+        return tuple(
+            BernoulliComponent(r, GaussianDensity(mean, cov))
+            for r, mean, cov in zip(self.r.tolist(), self.means, self.covs)
+        )
 
 
 @dataclass
@@ -108,24 +130,24 @@ def predict_pmb(pmb: PMBDensity, m: LinearMotionModel, b: BirthModel) -> PMBDens
     """Survival-thinned prediction of every component, then birth appended to the PPP."""
     if b.uniform_density > 0.0:
         raise ContractError("forward filtering requires a pure Gaussian-mixture birth")
-    densities = [c.density for c in pmb.bernoullis] + [g for _, g in pmb.ppp]
-    predicted = [GaussianDensity(x, p) for x, p in zip(*_predict(*_stack(densities, m.dim), m))]
-    n = len(pmb.bernoullis)
-    bernoullis = tuple(
-        BernoulliComponent(c.r * m.ps, g) for c, g in zip(pmb.bernoullis, predicted)
+    n = len(pmb.r)
+    means, covs = _predict(*_of_dim(m.dim, pmb, pmb.ppp), m)
+    birth_means, birth_covs = _of_dim(m.dim, b.intensity)
+    ppp = GaussianMixture.of(
+        np.concatenate([pmb.ppp.weights * m.ps, b.intensity.weights]),
+        np.concatenate([means[n:], birth_means]),
+        np.concatenate([covs[n:], birth_covs]),
     )
-    ppp = tuple((w * m.ps, g) for (w, _), g in zip(pmb.ppp, predicted[n:]))
-    return PMBDensity(GaussianMixture(ppp + b.intensity.components), bernoullis)
+    return PMBDensity.of(ppp, pmb.r * m.ps, means[:n], covs[:n])
 
 
 def prune_pmb(pmb: PMBDensity, r_min: float, w_min: float) -> PMBDensity:
     """Drop Bernoullis with r < r_min and PPP components with weight < w_min."""
     if not (0.0 <= r_min < 1.0 and 0.0 <= w_min < 1.0):
         raise ContractError("prune thresholds must lie in [0, 1)")
-    return PMBDensity(
-        GaussianMixture(tuple((w, g) for w, g in pmb.ppp if w >= w_min)),
-        tuple(c for c in pmb.bernoullis if c.r >= r_min),
-    )
+    w, r = pmb.ppp.weights >= w_min, pmb.r >= r_min
+    ppp = GaussianMixture.of(pmb.ppp.weights[w], pmb.ppp.means[w], pmb.ppp.covs[w])
+    return PMBDensity.of(ppp, pmb.r[r], pmb.means[r], pmb.covs[r])
 
 
 # the floor of a log-weight whose weight is 0, so cost ratios against it stay finite
@@ -205,14 +227,14 @@ def update_pmb(
     check_int("m_best", m_best, 1)
     if gate <= 0.0:
         raise ContractError("gate must be positive")
-    n, mz, pd = len(pmb.bernoullis), len(scan), mm.pd
+    n, mz, pd = len(pmb.r), len(scan), mm.pd
     log_pd = math.log(pd) if pd > 0.0 else -math.inf
     z = np.array(scan, dtype=float).reshape(mz, mm.dim_z)
 
     # existing tracks: missed-detection terms, then one gating pass over
     # detectable tracks x measurements; gated pair p is (track i[p], measurement j[p])
-    r = np.array([c.r for c in pmb.bernoullis], dtype=float)
-    means, covs = _stack([c.density for c in pmb.bernoullis], mm.dim_x)
+    r = pmb.r
+    means, covs = _of_dim(mm.dim_x, pmb)
     log_w_miss, r_miss = _thinned(r, pd)
     det = np.flatnonzero(r > 0.0) if pd > 0.0 and mz else np.empty(0, dtype=int)
     z_pred, s_inv, log_norm, gains = _linear_terms(means[det], covs[det], mm.H, mm.R)
@@ -226,10 +248,10 @@ def update_pmb(
 
     # new-track hypotheses, one per measurement, from the gated PPP components;
     # gated pair q is (measurement pj[q], component pc[q]), per measurement in component order
-    ppp = [(w, g) for w, g in pmb.ppp if w > 0.0]
-    p_means, p_covs = _stack([g for _, g in ppp], mm.dim_x)
+    pos = pmb.ppp.weights > 0.0
+    p_means, p_covs = (a[pos] for a in _of_dim(mm.dim_x, pmb.ppp))
     p_z, p_s_inv, p_log_norm, p_gains = _linear_terms(p_means, p_covs, mm.H, mm.R)
-    log_w = np.array([math.log(w) for w, _ in ppp])
+    log_w = np.array([math.log(w) for w in pmb.ppp.weights[pos].tolist()])
     p_d, p_terms, p_gated = _gated(z, log_w + p_log_norm, p_z, p_s_inv, gate)
     pj, pc = np.nonzero(p_gated.T)
     liks = p_terms[pc, pj]
@@ -287,30 +309,29 @@ def update_pmb(
     born = r_born > 0.0  # implies a gated PPP component: r_new is 0 without one
     keep_t, keep_n = np.repeat(merged, counts), np.repeat(born, n_comp)
     new_means = p_means[pc] + np.matmul(p_gains[pc], p_d[pc, pj][..., None])[..., 0]
-    collapsed = zip(*_collapse(
+    out_means, out_covs = _collapse(
         np.concatenate([(probs * rs)[keep_t], np.exp(log_mix)[keep_n]]),
         np.concatenate([mix_means[keep_t], new_means[keep_n]]),
         np.concatenate([mix_covs[keep_t], _joseph(p_covs, p_gains, mm)[pc][keep_n]]),
         np.concatenate([counts[merged], n_comp[born]]),
-    ))
-    bernoullis = [
-        BernoulliComponent(min(rb, 1.0), GaussianDensity(*next(collapsed)) if m else comp.density)
-        for comp, rb, m in zip(pmb.bernoullis, r_bar.tolist(), merged)
-    ]
-    bernoullis += [
-        BernoulliComponent(min(rb, 1.0), GaussianDensity(*g))
-        for rb, g in zip(r_born[born].tolist(), collapsed)
-    ]
-
-    thinned = GaussianMixture(tuple((w * (1.0 - pd), g) for w, g in pmb.ppp))
-    return PMBDensity(thinned, tuple(bernoullis))
+    )
+    # a track with r_bar 0 keeps its density
+    n_merged = int(merged.sum())
+    means[merged], covs[merged] = out_means[:n_merged], out_covs[:n_merged]
+    thinned = GaussianMixture.of(pmb.ppp.weights * (1.0 - pd), pmb.ppp.means, pmb.ppp.covs)
+    return PMBDensity.of(
+        thinned,
+        np.minimum(np.concatenate([r_bar, r_born[born]]), 1.0),
+        np.concatenate([means, out_means[n_merged:]]),
+        np.concatenate([covs, out_covs[n_merged:]]),
+    )
 
 
 def run_forward(scenario: Scenario, params: FilterParams = FilterParams()) -> FilterLog:
     """Predict/update/prune over the full scan sequence, logging every posterior."""
     gate = gate_quantile(scenario.measurement.dim_z, params.gate_prob)
     log = FilterLog(k_max=scenario.k_max)
-    pmb = PMBDensity(scenario.init_ppp, ())
+    pmb = PMBDensity(scenario.init_ppp)
     for k in range(1, scenario.k_max + 1):
         pmb = predict_pmb(pmb, scenario.motion, scenario.birth)
         log.predicted_ppps.append(pmb.ppp)
@@ -331,15 +352,15 @@ def run_forward(scenario: Scenario, params: FilterParams = FilterParams()) -> Fi
 def extract_estimates(pmb: PMBDensity, threshold: float = ESTIMATE_THRESHOLD) -> list[np.ndarray]:
     """Means of Bernoulli components with existence probability >= threshold."""
     check_real("threshold", threshold, "[0, 1]")
-    return [c.density.mean for c in pmb.bernoullis if c.r >= threshold]
+    return list(pmb.means[pmb.r >= threshold])
 
 
 def pmb_to_jsonable(pmb: PMBDensity) -> dict:
     return {
         "ppp": _mixture_to_jsonable(pmb.ppp),
         "bernoullis": [
-            {"r": c.r, "mean": c.density.mean.tolist(), "cov": c.density.cov.tolist()}
-            for c in pmb.bernoullis
+            {"r": r, "mean": mean, "cov": cov}
+            for r, mean, cov in zip(pmb.r.tolist(), pmb.means.tolist(), pmb.covs.tolist())
         ],
     }
 
@@ -350,28 +371,22 @@ def pmb_from_jsonable(data: dict, path: str, dim: int) -> PMBDensity:
     bs = data["bernoullis"]
     means = _members(f"{path}.bernoullis[{{}}].mean", [b["mean"] for b in bs], (dim,))
     covs = _members(f"{path}.bernoullis[{{}}].cov", [b["cov"] for b in bs], means.shape[1:] * 2)
-    bernoullis = tuple(
-        BernoulliComponent(
-            float(check_real(f"{path}.bernoullis[{i}].r", b["r"], "[0, 1]")),
-            GaussianDensity(mean, cov),
-        )
-        for i, (b, mean, cov) in enumerate(zip(bs, means, covs))
-    )
-    return PMBDensity(ppp, bernoullis)
+    r = [check_real(f"{path}.bernoullis[{i}].r", b["r"], "[0, 1]") for i, b in enumerate(bs)]
+    return PMBDensity.of(ppp, np.array(r, dtype=float), means, covs)
+
+
+def filterlog_steps(log: FilterLog):
+    """The JSON object of each step of a filter log, one at a time."""
+    for post, pred, est in zip(log.posteriors, log.predicted_ppps, log.estimates):
+        yield {
+            "posterior": pmb_to_jsonable(post),
+            "predicted_ppp": _mixture_to_jsonable(pred),
+            "estimates": [e.tolist() for e in est],
+        }
 
 
 def filterlog_to_jsonable(log: FilterLog) -> dict:
-    return {
-        "k_max": log.k_max,
-        "steps": [
-            {
-                "posterior": pmb_to_jsonable(post),
-                "predicted_ppp": _mixture_to_jsonable(pred),
-                "estimates": [e.tolist() for e in est],
-            }
-            for post, pred, est in zip(log.posteriors, log.predicted_ppps, log.estimates)
-        ],
-    }
+    return {"k_max": log.k_max, "steps": list(filterlog_steps(log))}
 
 
 def filterlog_from_jsonable(data: dict, dim: int) -> FilterLog:

@@ -9,13 +9,14 @@ help. The filter update and the backward kernel invert stacks through
 the one-step smoothing update, and weigh points against those terms through
 `_gated`, the one Mahalanobis log-term and gate; `gate_quantile` turns a gate
 mass into that gate, the chi-square quantile. Prediction (`_predict`) and
-moment matching (`_collapse`) also work on stacks (`_stack`);
-`predict_gaussian` is the one-density case of `_predict`, so each operation
-has one arithmetic path. Sampling splits into `_sampling_root`, the (d, d)
-factor of a covariance, which the backward kernel computes on first read and
-then keeps for the step, and `_draw`, which turns given standard normals into
-samples of a stack; `_psd_root` is the eigen-based root of a PSD matrix that
-is not positive definite.
+moment matching (`_collapse`) also work on stacks: a `GaussianMixture` is
+stored as its weight, mean and covariance arrays, which `_of_dim` reads at a
+model's dimension; `predict_gaussian` is the one-density case of `_predict`,
+so each operation has one arithmetic path. Sampling splits into
+`_sampling_root`, the (d, d) factor of a covariance, which the backward
+kernel computes on first read and then keeps for the step, and `_draw`,
+which turns given standard normals into samples of a stack; `_psd_root` is
+the eigen-based root of a PSD matrix that is not positive definite.
 """
 
 from __future__ import annotations
@@ -60,24 +61,38 @@ class GaussianDensity:
         return self.mean.size
 
 
-@dataclass(frozen=True)
 class GaussianMixture:
-    """Weighted Gaussian components; empty tuple represents the zero intensity."""
+    """Weighted Gaussian components as arrays: weights (c,), means (c, d), covs (c, d, d).
 
-    components: tuple[tuple[float, GaussianDensity], ...] = ()
+    No component is the zero intensity; built from no pairs, its means are
+    (0, 0). `GaussianMixture(((w, GaussianDensity), ...))` stacks its pairs
+    once, and iterating builds them on read; `of` wraps given arrays.
+    """
 
-    def __post_init__(self):
-        comps = tuple((float(w), g) for w, g in self.components)
+    __slots__ = ("weights", "means", "covs")
+
+    def __init__(self, components=()):
+        comps = tuple((float(w), g) for w, g in components)
         for w, _ in comps:
             if w < 0.0:
                 raise ContractError(f"mixture weight {w} is negative")
-        object.__setattr__(self, "components", comps)
+        self.weights = np.array([w for w, _ in comps])
+        self.means, self.covs = _stack([g for _, g in comps], comps[0][1].dim if comps else 0)
+
+    @classmethod
+    def of(cls, weights: np.ndarray, means: np.ndarray, covs: np.ndarray) -> GaussianMixture:
+        mix = cls.__new__(cls)
+        mix.weights, mix.means, mix.covs = weights, means, covs
+        return mix
+
+    components = property(tuple)  # the (weight, GaussianDensity) pairs, built on read
 
     def __len__(self) -> int:
-        return len(self.components)
+        return len(self.weights)
 
     def __iter__(self):
-        return iter(self.components)
+        for w, mean, cov in zip(self.weights.tolist(), self.means, self.covs):
+            yield w, GaussianDensity(mean, cov)
 
 
 @dataclass(frozen=True)
@@ -146,8 +161,21 @@ def _stack(densities, dim: int) -> tuple[np.ndarray, np.ndarray]:
     for g in densities:
         if g.dim != dim:
             raise ContractError(f"state dim {g.dim} does not match model dim {dim}")
-    means = np.array([g.mean for g in densities]).reshape(-1, dim)
-    return means, np.array([g.cov for g in densities]).reshape(-1, dim, dim)
+    means = np.array([g.mean for g in densities]).reshape(len(densities), dim)
+    return means, np.array([g.cov for g in densities]).reshape(len(densities), dim, dim)
+
+
+def _of_dim(dim: int, *stacks) -> tuple[np.ndarray, np.ndarray]:
+    """New means (k, dim) and covariances (k, dim, dim) of stored stacks laid end to end.
+
+    Each stack (a mixture, or a PMB density's Bernoullis) has `means` and
+    `covs`; an empty one fits any dim.
+    """
+    for s in stacks:
+        if len(s.means) and s.means.shape[1] != dim:
+            raise ContractError(f"state dim {s.means.shape[1]} does not match model dim {dim}")
+    means = np.concatenate([s.means.reshape(-1, dim) for s in stacks])
+    return means, np.concatenate([s.covs.reshape(-1, dim, dim) for s in stacks])
 
 
 def _linear_terms(means: np.ndarray, covs: np.ndarray, a: np.ndarray, n: np.ndarray):

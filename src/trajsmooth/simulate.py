@@ -12,7 +12,6 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, _matrix, _members, check_int, check_real
 from .gaussians import (
-    GaussianDensity,
     GaussianMixture,
     LinearMotionModel,
     _psd_root,
@@ -110,11 +109,8 @@ def _mixture_from_jsonable(data: dict, path: str, dim: int | None = None) -> Gau
         raise ConfigError(f"{path}: weights/means/covs lengths differ")
     means = _members(f"{path}.means[{{}}]", means, (dim,))
     covs = _members(f"{path}.covs[{{}}]", covs, means.shape[1:] * 2)
-    comps = []
-    for k, (w, m, c) in enumerate(zip(weights, means, covs)):
-        w = float(check_real(f"{path}.weights[{k}]", w, "[0, inf)"))
-        comps.append((w, GaussianDensity(m, c)))
-    return GaussianMixture(tuple(comps))
+    weights = [check_real(f"{path}.weights[{k}]", w, "[0, inf)") for k, w in enumerate(weights)]
+    return GaussianMixture.of(np.array(weights, dtype=float), means, covs)
 
 
 def load_scenario_config(cfg: dict) -> ScenarioConfig:
@@ -195,7 +191,7 @@ def load_scenario_config(cfg: dict) -> ScenarioConfig:
     if "init_cov" in sc:
         init_cov = _matrix("schedule.init_cov", sc["init_cov"], (motion.dim, motion.dim))
     elif len(birth.intensity) > 0:
-        init_cov = birth.intensity.components[0][1].cov
+        init_cov = birth.intensity.covs[0]
     else:
         raise ConfigError("schedule.init_cov required when birth mixture is empty")
 
@@ -270,11 +266,7 @@ def simulate_scenario(config: ScenarioConfig) -> Scenario:
 
 
 def _mixture_to_jsonable(mix: GaussianMixture) -> dict:
-    return {
-        "weights": [w for w, _ in mix],
-        "means": [g.mean.tolist() for _, g in mix],
-        "covs": [g.cov.tolist() for _, g in mix],
-    }
+    return {"weights": mix.weights.tolist(), "means": mix.means.tolist(), "covs": mix.covs.tolist()}
 
 
 def scenario_to_jsonable(sc: Scenario) -> dict:

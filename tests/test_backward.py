@@ -2,7 +2,10 @@ import gc
 import hashlib
 import json
 import math
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -869,8 +872,7 @@ def test_smoothed_covs_equal_per_density_loop_bitwise():
         motion = LinearMotionModel(f, q @ q.T + np.eye(d), ps=0.9)
         a = rng.normal(size=(n, d, d))
         covs = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(d)
-        weighted = [(0.0, GaussianDensity(rng.normal(size=d), c)) for c in covs]
-        terms = backward._smoothing_terms(weighted, motion)
+        terms = backward._smoothing_terms(np.zeros(n), rng.normal(size=(n, d)), covs, motion)
         expected = [symmetrize(c - gain @ motion.F @ c) for c, gain in zip(covs, terms.gains)]
         assert terms.covs.tobytes() == np.array(expected).tobytes()
 
@@ -912,3 +914,19 @@ def test_backward_simulate_leaves_no_reference_cycles():
     particles = backward_simulate(log, birth, motion, params)
     assert gc.collect() == 0
     assert len(particles) == 200
+
+
+def test_backward_probe_tool_runs():
+    # tools/backward_probe.py times backward internals it finds by name, and
+    # drops a section it cannot find; every section must still be there
+    root = Path(__file__).resolve().parents[1]
+    tool = root / "tools" / "backward_probe.py"
+    argv = [sys.executable, str(tool), "--tree", str(root), "--toy-seeds", "1", "--desk-k", "5"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    (run,) = report["toy"]
+    sections = ("kernels", "tables", "draws", "assembly", "materialise")
+    assert set(run) == {"seed", "total_s", *(f"{s}_s" for s in sections)}
+    assert all(run[f"{s}_s"] > 0.0 for s in sections)
+    assert [row["K"] for row in report["desk"]] == [5]

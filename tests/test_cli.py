@@ -1,8 +1,11 @@
+import contextlib
+import hashlib
 import inspect
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -10,13 +13,15 @@ import numpy as np
 import pytest
 
 import trajsmooth
+from trajsmooth import cli
 from trajsmooth.backward import SmootherParams
 from trajsmooth.cli import _SCHEMA, _load_run_config, build_parser, main
-from trajsmooth.forward import FilterParams
+from trajsmooth.forward import FilterParams, filterlog_to_jsonable, run_forward
 from trajsmooth.gaussians import make_cv_model
 from trajsmooth.metrics import gospa_over_time
 from trajsmooth.models import make_position_measurement
 from trajsmooth.oracle import exact_smooth
+from trajsmooth.simulate import scenario_from_jsonable
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -383,7 +388,11 @@ def test_filter_log_of_another_state_dim_exits_2(tmp_path, capsys, command):
     argv = [command, "--scenario", str(scenario), "--filterlog", str(filterlog), "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "steps[0].posterior.ppp.means[0] must have shape (4,), got (2,)" in err
+    # the decoder's message, with the file's path put in front once
+    assert err == (
+        f"config error: {filterlog}: steps[0].posterior.ppp.means[0] must have shape (4,), "
+        "got (2,)\n"
+    )
     assert not out.exists()
 
 
@@ -891,3 +900,143 @@ def test_mc_worker_pool_matches_serial(tmp_path, monkeypatch):
     monkeypatch.setenv("TRAJSMOOTH_WORKERS", "2")
     main(["mc", "--config", str(cfg), "--out", str(pooled)])
     assert (serial / "report.json").read_bytes() == (pooled / "report.json").read_bytes()
+
+
+def scenario1_cut(tmp_path):
+    """configs/scenario1.json cut to 30 steps, as a config file."""
+    cfg = json.loads((CONFIGS / "scenario1.json").read_text())
+    cfg["K"] = 30
+    cfg["schedule"]["deaths"] = [min(d, 30) for d in cfg["schedule"]["deaths"]]
+    path = tmp_path / "scenario1_cut.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+# sha256 of `smooth --diagnostics` on scenario1 cut to 30 steps and filtered
+# without PPP pruning, recorded before the filter log's densities were stored as
+# arrays; ndarray.sum over the weights changes one step's value in the last bit
+PINNED_DIAGNOSTICS = "da788682c83e33f9c957a3eb138b22af0eeedd64bc5a511a9d4952dfaaba1b37"
+
+
+def test_smooth_diagnostics_pinned_bytes(tmp_path):
+    scenario, filterlog, diag = (tmp_path / n for n in ("sc.json", "fl.json", "diag.json"))
+    assert main(["simulate", "--config", str(scenario1_cut(tmp_path)), "--out", str(scenario)]) == 0
+    flags = ["--prune-w", "0"]
+    assert main(["filter", "--scenario", str(scenario), "--out", str(filterlog), *flags]) == 0
+    argv = ["smooth", "--scenario", str(scenario), "--filterlog", str(filterlog),
+            "--out", str(tmp_path / "pt.json"), "--particles", "1", "--diagnostics", str(diag)]
+    assert main(argv) == 0
+    assert hashlib.sha256(diag.read_bytes()).hexdigest() == PINNED_DIAGNOSTICS
+    # Python's left-to-right sum over the weights, which ndarray.sum (pairwise) is not
+    ps = json.loads(scenario.read_text())["models"]["motion"]["ps"]
+    steps = json.loads(filterlog.read_text())["steps"]
+    expected = [(1.0 - ps) * sum(s["posterior"]["ppp"]["weights"]) for s in steps]
+    assert json.loads(diag.read_text())["ppp_dead_expected_cardinality"] == expected
+
+
+def _pipeline_argv(tmp_path):
+    """Every command's argv on a small scenario, with the earlier stages' files written."""
+    cfg, scenario, filterlog = (tmp_path / n for n in ("cfg.json", "sc.json", "fl.json"))
+    best = tmp_path / "best.json"
+    cfg_data = small_config(k_max=3)
+    cfg_data["clutter"]["rate"] = 0.5
+    cfg.write_text(json.dumps(cfg_data))
+    assert main(["simulate", "--config", str(cfg), "--out", str(scenario)]) == 0
+    flags = ["--prune-r", "0.01", "--prune-w", "0.01"]
+    assert main(["filter", "--scenario", str(scenario), "--out", str(filterlog), *flags]) == 0
+    read = ["--scenario", str(scenario), "--filterlog", str(filterlog)]
+    smooth = ["smooth", *read, "--particles", "5", "--smoother-m-best", "5"]
+    assert main([*smooth, "--out", str(tmp_path / "pt.json"), "--best-out", str(best)]) == 0
+    return {
+        "simulate": ["simulate", "--config", str(cfg)],
+        "filter": ["filter", "--scenario", str(scenario), *flags],
+        "smooth": [*smooth, "--out", str(tmp_path / "pt2.json")],
+        "oracle": ["oracle", *read, "--prune", "1e-4"],
+        "evaluate": ["evaluate", *read, "--best", str(best), "--out", str(tmp_path / "r.json")],
+        "mc": ["mc", "--config", str(mc_config(tmp_path))],
+    }
+
+
+@pytest.mark.parametrize("kind", ["under_a_file", "a_directory"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("simulate", "--out"),
+        ("filter", "--out"),
+        ("smooth", "--best-out"),
+        ("oracle", "--out"),
+        ("evaluate", "--csv"),
+        ("mc", "--out"),
+    ],
+)
+def test_unwritable_output_exits_2(tmp_path, capsys, command, flag, kind):
+    argv = _pipeline_argv(tmp_path)[command]
+    blocker = tmp_path / "blocker"
+    if kind == "under_a_file":
+        blocker.write_text("a file, not a directory")
+        target = blocker / "out"
+    else:
+        target = blocker
+        # mc writes report.json into its --out directory
+        (blocker / "report.json" if command == "mc" else blocker).mkdir(parents=True)
+    capsys.readouterr()
+    assert main([*argv, flag, str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write ") and "Traceback" not in err
+    assert not [p for p in tmp_path.rglob("*.tmp")]
+
+
+@pytest.mark.parametrize("error, code", [(RuntimeError, None), (OSError, 2)])
+def test_filter_log_failing_partway_leaves_no_file(tmp_path, monkeypatch, error, code):
+    argv = _pipeline_argv(tmp_path)["filter"]
+    out = tmp_path / "new.json"
+    steps = cli.filterlog_steps
+
+    def failing(log):
+        for k, step in enumerate(steps(log)):
+            if k == 2:
+                raise error("encoder failed")
+            yield step
+
+    monkeypatch.setattr(cli, "filterlog_steps", failing)
+    if code is None:
+        with pytest.raises(error, match="encoder failed"):
+            main([*argv, "--out", str(out)])
+    else:
+        assert main([*argv, "--out", str(out)]) == code
+    assert not out.exists()
+    assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]
+    # an existing file keeps its bytes
+    out.write_text("earlier log")
+    with pytest.raises(error) if code is None else contextlib.nullcontext():
+        main([*argv, "--out", str(out)])
+    assert out.read_text() == "earlier log"
+
+
+def test_filter_log_streamed_bytes_equal_whole_dump(tmp_path):
+    argv = _pipeline_argv(tmp_path)["filter"]
+    out = tmp_path / "streamed.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    scenario = scenario_from_jsonable(json.loads(Path(argv[2]).read_text()))
+    log = run_forward(scenario, FilterParams(prune_r=0.01, prune_w=0.01))
+    whole = json.dumps(filterlog_to_jsonable(log), sort_keys=True, separators=(",", ":"))
+    assert out.read_text() == whole + "\n"
+
+
+def test_filter_log_writer_memory_stays_below_half_the_file(tmp_path):
+    # the writer holds one step's JSON at a time, not the whole log; a step's
+    # encoding peaks near 10 times its text, so the whole 81-step scenario is
+    # written to keep the largest step small against the file
+    scenario = tmp_path / "sc.json"
+    assert main(["simulate", "--config", str(CONFIGS / "scenario1.json"), "--out", str(scenario)]) == 0
+    log = run_forward(scenario_from_jsonable(json.loads(scenario.read_text())))
+    out = tmp_path / "fl.json"
+    tracemalloc.start()
+    try:
+        cli._write(out, cli._log_chunks(log))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert size > 1_000_000
+    assert peak < size / 2, (peak, size)

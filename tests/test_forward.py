@@ -494,3 +494,90 @@ def test_update_posterior_independent_of_scan_order(tracks, ppp, grid, pd, data)
         same(ca, cb)
     for ca, cb in zip(by_mean(a.bernoullis[n:]), by_mean(b.bernoullis[n:])):
         same(ca, cb)
+
+
+def _log_bytes(log) -> bytes:
+    return json.dumps(filterlog_to_jsonable(log), sort_keys=True, separators=(",", ":")).encode()
+
+
+def test_filter_log_decode_then_encode_gives_the_same_bytes():
+    log = scenario1_cut_log()
+    # a step with no Bernoullis, an empty PPP and no estimates
+    log.k_max += 1
+    log.posteriors.append(PMBDensity())
+    log.predicted_ppps.append(GaussianMixture())
+    log.estimates.append([])
+    blob = _log_bytes(log)
+    back = filterlog_from_jsonable(json.loads(blob), 4)
+    assert _log_bytes(back) == blob
+    empty = back.posteriors[-1]
+    assert empty.r.shape == (0,) and empty.means.shape == (0, 4) and empty.covs.shape == (0, 4, 4)
+    for mix in (empty.ppp, back.predicted_ppps[-1]):
+        assert mix.weights.shape == (0,)
+        assert mix.means.shape == (0, 4) and mix.covs.shape == (0, 4, 4)
+    assert back.estimates[-1] == []
+
+
+def _same_array(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    np.testing.assert_array_equal(a, b)
+
+
+def test_object_constructors_equal_the_array_form():
+    rng = np.random.default_rng(19)
+    d = 3
+    r, w = rng.uniform(0.0, 1.0, 4), rng.uniform(0.0, 2.0, 2)
+    means, p_means = rng.normal(size=(4, d)), rng.normal(size=(2, d))
+    covs = np.array([a @ a.T for a in rng.normal(size=(4, d, d))])
+    p_covs = np.array([a @ a.T for a in rng.normal(size=(2, d, d))])
+    ppp = GaussianMixture(tuple((x, GaussianDensity(m, c)) for x, m, c in zip(w, p_means, p_covs)))
+    built = PMBDensity(
+        ppp, tuple(BernoulliComponent(x, GaussianDensity(m, c)) for x, m, c in zip(r, means, covs))
+    )
+    arrays = PMBDensity.of(GaussianMixture.of(w, p_means, p_covs), r, means, covs)
+    for a, b in [(built.r, arrays.r), (built.means, arrays.means), (built.covs, arrays.covs),
+                 (built.ppp.weights, arrays.ppp.weights), (built.ppp.means, arrays.ppp.means),
+                 (built.ppp.covs, arrays.ppp.covs)]:
+        _same_array(a, b)
+    # the object forms read back equal what they were built from
+    for c, x, m, cov in zip(arrays.bernoullis, r.tolist(), means, covs):
+        assert c.r == x
+        _same_array(c.density.mean, m)
+        _same_array(c.density.cov, cov)
+    assert [x for x, _ in arrays.ppp] == w.tolist() and len(arrays.ppp.components) == 2
+    for (_, g), m, cov in zip(arrays.ppp, p_means, p_covs):
+        _same_array(g.mean, m)
+        _same_array(g.cov, cov)
+    # built from no components, the stacks are empty at any dimension
+    none = PMBDensity()
+    assert none.r.shape == (0,) and len(none.ppp) == 0 and none.bernoullis == ()
+    with pytest.raises(ContractError):
+        GaussianMixture(((0.5, GaussianDensity([0.0], [[1.0]])),
+                         (0.5, GaussianDensity([0.0, 0.0], np.eye(2)))))
+
+
+def test_forward_decoder_and_kernel_cache_build_no_component_objects(monkeypatch):
+    from trajsmooth.backward import _KernelCache
+
+    cfg = json.loads((CONFIGS / "scenario1.json").read_text())
+    cfg["K"] = 12
+    cfg["schedule"]["deaths"] = [min(d, 12) for d in cfg["schedule"]["deaths"]]
+    cfg["schedule"]["births"] = [min(b, 12) for b in cfg["schedule"]["births"]]
+    scenario = simulate_scenario(load_scenario_config(cfg))
+    built = []
+    for cls in (GaussianDensity, BernoulliComponent):
+        post_init = cls.__post_init__
+
+        def counted(self, post_init=post_init):
+            built.append(type(self).__name__)
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    log = run_forward(scenario)
+    back = filterlog_from_jsonable(json.loads(_log_bytes(log)), scenario.motion.dim)
+    for pmb in back.posteriors:
+        _KernelCache(pmb, scenario.birth, scenario.motion)
+    assert sum(len(p.r) for p in log.posteriors) > 0
+    assert built == []
+    # the counter sees the object forms when they are read
+    assert len(log.posteriors[-1].bernoullis) == len(built) // 2 > 0
