@@ -17,13 +17,14 @@ cost matrix, the head differences its continued pairs are smoothed from, and
 its rows of the batch's first-detection arrays (`_FirstDetections`). What
 does not depend on the conditioning set (the ended-track existences and
 heads, the smoothing terms of every track and undetected component, and the
-sampling roots of their covariances) lives in the step's `_KernelCache`,
+covariances the heads are drawn with) lives in the step's `_KernelCache`,
 shared by all kernels of the step and computed from the filter log's
 arrays, as is the initial set. The step computes only what its draws
-read: a sampling root the first time a draw or a record reads it (dirac mode
-reads none). The hypothesis records (`BackwardKernel`, `LocalHypothesis` and
-its densities) are built only by `build_backward_kernel` and on read, for
-tests and `sample_bernoulli`; the sampler creates none.
+read: the sampling roots of the distinct covariances a batch draws from, in
+one stacked factorisation (dirac mode draws none). The hypothesis records
+(`BackwardKernel`, `LocalHypothesis` and its densities) are built only by
+`build_backward_kernel` and on read, for tests and `sample_bernoulli`; the
+sampler creates none.
 
 Backward simulation runs step-outer, over arrays of particles. A trajectory
 is a row of a node table (`_Nodes`): its birth time, its head state and the
@@ -56,14 +57,14 @@ per set of a size), and every reduction runs over one C-contiguous row per
 head or table, so a head's or table's result is the same whatever other
 sets share its batch.
 
-Every random number is a pure function of its counter, drawn with the
+Every random number is a pure function of its counter: a word of the
 counter-based generator Philox4x64-10 (Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3", SC 2011) under the key
-`SeedSequence(seed).generate_state(2, uint64)`, the key `np.random.Philox`
-derives from the same seed. The counter is (particle, step, role + 256 *
-block, slot), with step K for the initial set and k for the step that draws
-the set over k:K. A counter gives four 64-bit words; a slot of more than four
-words reads blocks 0, 1, ... in order. The roles and their slots:
+numbers: as easy as 1, 2, 3", SC 2011), drawn from `np.random.Philox` under
+the key `SeedSequence(seed).generate_state(2, uint64)`, which it derives from
+the same seed. The counter is (particle, step, role + 256 * block, slot),
+with step K for the initial set and k for the step that draws the set over
+k:K. A counter gives four 64-bit words; a slot of more than four words reads
+blocks 0, 1, ... in order. The roles and their slots:
 
   - `_HYP`, slot 0: word 0 is the hypothesis uniform;
   - `_EXIST`, slot 0: word i is track i's existence uniform (an ended track
@@ -80,12 +81,12 @@ A uniform is (w >> 11) 2^-53, as `Generator.random` forms it, and a normal is
 the normal quantile of ((w >> 12) + 1/2) 2^-52, a probability strictly inside
 (0, 1), computed as Cephes `ndtri` (the function scipy.special evaluates).
 A particle's numbers therefore depend on neither the number of particles, nor
-the grouping, nor `_BATCH`. A batch of a step computes its uniforms in one
-Philox pass (each particle's hypothesis and existence blocks and one
-first-detection block per present trajectory) and, without dirac mode, the
-normals of exactly the heads it draws in a second pass; the draws are array
-operations over the batch, and a hypothesis is the count of a table's
-cumulative probabilities below its uniform.
+the grouping, nor `_BATCH`. A batch of a step draws its uniforms (each
+particle's hypothesis and existence blocks and one first-detection block per
+present trajectory) and, without dirac mode, the normals of exactly the heads
+it draws, one generator run per role, slot and block (`_words`); the draws
+are array operations over the batch, and a hypothesis is the count of a
+table's cumulative probabilities below its uniform.
 """
 
 from __future__ import annotations
@@ -112,6 +113,7 @@ from .gaussians import (
     _linear_terms,
     _of_dim,
     _sampling_root,
+    _sampling_roots,
     gate_quantile,
     sample_gaussian,  # noqa: F401
     symmetrize,
@@ -154,7 +156,7 @@ class FirstDetected:
     log_terms: list[float]
     comps: list[int]
     means: np.ndarray  # (components, d): smoothed means given this trajectory's head
-    roots: _Roots  # sampling root of each component's smoothed covariance, on first read
+    roots: np.ndarray  # (components, d, d) sampling root of each smoothed covariance
     tail: Trajectory
 
 
@@ -209,8 +211,9 @@ class BackwardKernel:
     def ended(self) -> tuple[LocalHypothesis, ...]:
         """Per track; the same for every kernel of the step."""
         s = self.step
+        roots = _sampling_roots(s.end_covs)
         return tuple(
-            LocalHypothesis(float(lw), float(e), EndedAtK(s.end_means[i], s.end_roots[i]))
+            LocalHypothesis(float(lw), float(e), EndedAtK(s.end_means[i], roots[i]))
             for i, (lw, e) in enumerate(zip(s.log_w_end, s.exist_end))
         )
 
@@ -218,7 +221,7 @@ class BackwardKernel:
         """Mean and sampling root of track i's head at k given present trajectory j."""
         a = self.step.active_pos[i]
         t = self.step.tracks
-        return t.means[a] + t.gains[a] @ self.diffs[a, self.start + j], t.roots[a]
+        return t.means[a] + t.gains[a] @ self.diffs[a, self.start + j], _sampling_root(t.covs[a])
 
     def continued(self, i: int, j: int) -> LocalHypothesis:
         """Track i continued into present trajectory j; (j, i) must be finite in `cost`."""
@@ -230,6 +233,7 @@ class BackwardKernel:
     def first_detected(self) -> list[LocalHypothesis]:
         """Per present trajectory."""
         f = self.first
+        roots = _sampling_roots(self.step.ppp.covs)
         out = []
         for j, tail in enumerate(self.present):
             h = self.start + j
@@ -237,7 +241,7 @@ class BackwardKernel:
             w_keep = float(f.w_keep[h])
             fd = FirstDetected(
                 w_keep, 1.0 - w_keep, f.ext_terms[comps, h].tolist(), comps.tolist(),
-                f.ext_means[:, h], self.step.ppp.roots, tail,
+                f.ext_means[:, h], roots, tail,
             )
             out.append(LocalHypothesis(float(f.log_w[h]), 1.0, fd))
         return out
@@ -282,28 +286,6 @@ def split_y(trajectories, k: int) -> tuple[list[Trajectory], list[Trajectory]]:
     return present, absent
 
 
-class _Roots:
-    """Sampling roots of a covariance stack (n, d, d), each computed on first read and then kept.
-
-    `roots[i]` is `_sampling_root(covs[i])`; an index array gives the
-    (len(idx), d, d) stack of its members' roots, for a stacked draw. Dirac
-    mode reads none of them.
-    """
-
-    __slots__ = ("covs", "_roots", "_done")
-
-    def __init__(self, covs: np.ndarray):
-        self.covs = covs
-        self._roots = np.zeros(covs.shape)
-        self._done = np.zeros(len(covs), dtype=bool)
-
-    def __getitem__(self, idx):
-        for i in np.unique(np.asarray(idx)[~self._done[idx]]).tolist():
-            self._roots[i] = _sampling_root(self.covs[i])
-        self._done[idx] = True
-        return self._roots[idx]
-
-
 class _Smoothing(NamedTuple):
     """Stacked one-step terms of weighted densities (ln w, N(x, P)) under x' ~ N(F x, Q).
 
@@ -318,7 +300,6 @@ class _Smoothing(NamedTuple):
     means: np.ndarray  # x
     gains: np.ndarray  # G = P F^T P_pred^{-1}
     covs: np.ndarray  # smoothed covariances P - G F P
-    roots: _Roots  # sampling roots of `covs`, on first read
 
 
 def _smoothing_terms(log_w: np.ndarray, means: np.ndarray, covs: np.ndarray,
@@ -326,8 +307,7 @@ def _smoothing_terms(log_w: np.ndarray, means: np.ndarray, covs: np.ndarray,
     mean_pred, inv_pred, log_norm, gains = _linear_terms(means, covs, m.F, m.Q)
     # one (d, d) product per member, as the loop over members computes it
     smoothed = symmetrize(covs - gains @ m.F @ covs)
-    return _Smoothing(log_w + log_norm, mean_pred, inv_pred, means, gains, smoothed,
-                      _Roots(smoothed))
+    return _Smoothing(log_w + log_norm, mean_pred, inv_pred, means, gains, smoothed)
 
 
 def _log_kept(w: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
@@ -339,8 +319,8 @@ def _log_kept(w: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
 class _KernelCache:
     """Conditioning-set-independent quantities of one step, shared across particles.
 
-    Sampling roots (`end_roots`, `tracks.roots`, `ppp.roots`) are computed on
-    first read, so a step builds only what its draws read.
+    It holds no sampling root: a draw factors the covariances it reads
+    (`end_covs`, `tracks.covs`, `ppp.covs`), so a dirac step factors none.
     """
 
     def __init__(self, pmb: PMBDensity, birth: BirthModel, m: LinearMotionModel):
@@ -348,14 +328,15 @@ class _KernelCache:
         self.dim = m.dim
         # per track, ended at k: its log-weight, existence and filtering head
         self.log_w_end, self.exist_end = _thinned(pmb.r, ps)
-        self.end_means, end_covs = _of_dim(m.dim, pmb)
-        self.end_roots = _Roots(end_covs)
+        self.end_means, self.end_covs = _of_dim(m.dim, pmb)
 
-        # tracks that can continue into a conditioning trajectory
+        # tracks that can continue into a conditioning trajectory, and each
+        # track's place among them (-1: none)
         self.active_idx, log_w = _log_kept(pmb.r, ps)
-        self.active_pos = {i: a for a, i in enumerate(self.active_idx.tolist())}
+        self.active_pos = np.full(len(pmb.r), -1)
+        self.active_pos[self.active_idx] = np.arange(len(self.active_idx))
         a = self.active_idx
-        self.tracks = _smoothing_terms(log_w, self.end_means[a], end_covs[a], m)
+        self.tracks = _smoothing_terms(log_w, self.end_means[a], self.end_covs[a], m)
         # undetected intensity extended one step backward
         kept, log_w = _log_kept(pmb.ppp.weights, ps)
         means, covs = _of_dim(m.dim, pmb.ppp)
@@ -508,9 +489,10 @@ def _global_distributions(cost: np.ndarray, m_best: int, w_hyp_min: float) -> _T
 
     Matrices that share a +inf pattern (found from their stacked `isfinite`
     masks) are ranked as one stack. Hypotheses whose probability falls below
-    `w_hyp_min` are dropped and the rest renormalized; the kept ones stay in
-    rank order at the front of a table. The tables with the same kept count
-    are renormalised as one stack, one row-wise sum per table.
+    `w_hyp_min` are dropped and the rest renormalized. A table is ranked by
+    cost, so its probabilities never rise with rank and the kept ones are a
+    prefix of it (the best, at rank 0, always survives). The tables with the
+    same kept count are renormalised as one stack, one row-wise sum per table.
     """
     g, m, n = cost.shape
     first, pattern = _unique_rows(np.packbits(np.isfinite(cost).reshape(g, -1), axis=1))
@@ -532,11 +514,10 @@ def _global_distributions(cost: np.ndarray, m_best: int, w_hyp_min: float) -> _T
     )
     kept_probs = np.zeros((g, width))
     for members, rows, log_w, probs, keep in ranked:
-        r, c = np.nonzero(keep)
-        at = np.cumsum(keep, axis=1)[r, c] - 1  # a kept hypothesis's place among the kept
-        table.rows[members[r], at] = rows[r, c]
-        table.log_w[members[r], at] = log_w[r, c]
-        kept_probs[members[r], at] = probs[r, c]
+        w = keep.shape[1]
+        table.rows[members, :w] = np.where(keep[..., None], rows, 0)
+        table.log_w[members, :w] = np.where(keep, log_w, np.inf)
+        kept_probs[members, :w] = np.where(keep, probs, 0.0)
         table.kept[members] = keep.sum(axis=1)
     for c in np.unique(table.kept).tolist():
         sel = np.flatnonzero(table.kept == c)
@@ -616,50 +597,8 @@ def _trajectory(t: int, states: np.ndarray) -> Trajectory:
     return tr
 
 
-# Philox4x64-10 constants (Salmon et al. 2011): round multipliers and key increments
-_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
-_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
-_LO32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-_M_LO, _M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _32
 # counter roles (module docstring)
 _HYP, _EXIST, _HEAD, _FIRST, _EXT = range(5)
-
-
-def _philox(c0, c1, c2, c3, key: np.ndarray) -> np.ndarray:
-    """Philox4x64-10 of the counters (c0, c1, c2, c3) under a 2-word key: (4, n) uint64 words.
-
-    The counter words broadcast together and are flattened. Counter (n + 1,
-    0, 0, 0) gives words 4n .. 4n + 3 of `np.random.Philox(key=key)`, whose
-    counter is incremented before its first use.
-    """
-    c = np.broadcast_arrays(*(np.asarray(x, dtype=np.uint64) for x in (c0, c1, c2, c3)))
-    left = np.stack((c[0].ravel(), c[2].ravel()))  # the words each round multiplies
-    right = np.stack((c[1].ravel(), c[3].ravel()))
-    k = np.asarray(key, dtype=np.uint64).reshape(2, 1)
-    lo, hi, mid, top = (np.empty_like(left) for _ in range(4))
-    for r in range(10):
-        if r:
-            k = k + _PHILOX_W
-        # the high word of each 64x64 -> 128-bit product M * left, from 32-bit halves
-        np.bitwise_and(left, _LO32, out=lo)
-        np.right_shift(left, _32, out=hi)
-        np.multiply(_M_LO, lo, out=mid)
-        np.right_shift(mid, _32, out=mid)
-        np.multiply(_M_LO, hi, out=top)
-        top += mid  # M_lo * hi + carry of M_lo * lo: below 2**64
-        np.multiply(_M_HI, lo, out=mid)
-        np.bitwise_and(top, _LO32, out=lo)
-        mid += lo  # M_hi * lo + low half of the above: below 2**64
-        np.right_shift(top, _32, out=top)
-        np.right_shift(mid, _32, out=mid)
-        np.multiply(_M_HI, hi, out=hi)
-        hi += top
-        hi += mid
-        np.multiply(_PHILOX_M, left, out=left)  # the low words
-        mixed = np.bitwise_xor(hi[::-1], right)
-        mixed ^= k
-        left, right = mixed, left[::-1].copy()
-    return np.stack((left[0], right[0], left[1], right[1]))
 
 
 def _uniforms(words: np.ndarray) -> np.ndarray:
@@ -736,29 +675,31 @@ def _normals(words: np.ndarray) -> np.ndarray:
     return out
 
 
-def _counters(particles, role: int, slots, n_words: int = 1):
-    """Counter words (c0, c2, c3) of each (particle, slot) pair's blocks.
+def _words(key: np.ndarray, step: int, role: int, particles, slots=0, n_words: int = 1):
+    """(len(particles), n_words): the first words of each (particle, slot) pair's slot.
 
-    `particles` and `slots` broadcast together to the pairs' shape S. A slot
-    of `n_words` words spans ceil(n_words / 4) blocks; the result has shape
-    (*S, blocks).
+    `slots` broadcasts against `particles`. numpy's Philox increments its
+    counter before each block, so per distinct slot and block one run started
+    just below the lowest particle gives four words per particle up to the
+    highest. For particle 0 the start (2**64 - 1, step - 1, ...) carries into
+    (0, step, ...), so `step` must then be at least 1: the initial set draws
+    at K, the steps at K - 1 .. 1.
     """
-    blocks = role + (np.arange(-(-n_words // 4)) << 8)
-    return np.broadcast_arrays(
-        np.asarray(particles)[..., None], blocks, np.asarray(slots)[..., None]
-    )
-
-
-def _words(key: np.ndarray, step: int, requests) -> list[np.ndarray]:
-    """Each `_counters` request's slot words (*S, 4 * blocks) at `step`, from one Philox pass."""
-    flat = [np.concatenate([r[i].ravel() for r in requests]) for i in range(3)]
-    words = _philox(flat[0], step, flat[1], flat[2], key)
-    out, lo = [], 0
-    for r in requests:
-        block = words[:, lo:lo + r[0].size].reshape(4, *r[0].shape)
-        out.append(np.moveaxis(block, 0, -1).reshape(*r[0].shape[:-1], 4 * r[0].shape[-1]))
-        lo += r[0].size
-    return out
+    particles = np.asarray(particles)
+    slots = np.broadcast_to(slots, particles.shape)
+    blocks = -(-n_words // 4)
+    out = np.empty((len(particles), 4 * blocks), dtype=np.uint64)
+    for slot in np.unique(slots).tolist():
+        at = np.flatnonzero(slots == slot)
+        p = particles[at]
+        lo, hi = int(p.min()), int(p.max())
+        for b in range(blocks):
+            # a uint64 array: np.random.Philox casts a list holding 2**64 - 1 through float
+            start = np.array([(lo - 1) % 2**64, step - (lo == 0), role + 256 * b, slot],
+                             dtype=np.uint64)
+            raw = np.random.Philox(key=key, counter=start).random_raw(4 * (hi - lo + 1))
+            out[at, 4 * b:4 * b + 4] = raw.reshape(-1, 4)[p - lo]
+    return out[:, :n_words]
 
 
 class _Nodes:
@@ -961,16 +902,21 @@ def _initial_set(nodes: _Nodes, pmb: PMBDensity, k_max: int, dirac_mode: bool, k
     if not len(r):
         return np.empty((n, 0), dtype=int)
     means, covs = _of_dim(nodes.heads.shape[1], pmb)
-    (exist,) = _words(key, k_max, [_counters(np.arange(n), _EXIST, 0, len(r))])
-    owners, tracks = np.nonzero(_uniforms(exist[:, :len(r)]) < r)
+    exist = _words(key, k_max, _EXIST, np.arange(n), n_words=len(r))
+    owners, tracks = np.nonzero(_uniforms(exist) < r)
     if dirac_mode:
         heads = means[tracks]
     else:
-        dim = means.shape[1]
-        (words,) = _words(key, k_max, [_counters(owners, _HEAD, tracks, dim)])
-        heads = _draw(means[tracks], _Roots(covs)[tracks], _normals(words[:, :dim]))
+        words = _words(key, k_max, _HEAD, owners, tracks, means.shape[1])
+        heads = _draw(means[tracks], _roots_of(covs, tracks), _normals(words))
     ids = nodes.add(k_max, heads, np.full(len(tracks), -1), dirac_mode)
     return _rows(owners, tracks, ids, n)
+
+
+def _roots_of(covs: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The sampling roots of covs[idx], one stacked factorisation of the distinct members."""
+    distinct, of = np.unique(idx, return_inverse=True)
+    return _sampling_roots(covs[distinct])[of]
 
 
 def _extension_draw(terms: np.ndarray, ok: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -1015,13 +961,14 @@ def _sample_set(
     order of the batch's heads; particle `particles[q]` has set `group[q]`.
     The log-weights of the drawn hypotheses come in the order of `particles`.
 
-    Every draw is an array operation over the batch. One Philox pass gives
-    every particle's hypothesis uniform, its existence uniforms and a
+    Every draw is an array operation over the batch. `_words` gives every
+    particle's hypothesis uniform, its existence uniforms and a
     first-detection block per present trajectory (read when its column is
     drawn); the hypotheses are one comparison per block's table stack
-    (`_draw_rows`). Without dirac mode a second pass gives the normals of
-    exactly the heads drawn, which are one stacked `_draw`. In dirac mode a
-    head is its mean.
+    (`_draw_rows`). Without dirac mode `_words` gives the normals of exactly
+    the heads drawn, and those heads are one stacked `_draw` with the
+    sampling roots of the distinct covariances they read (`_roots_of`). In
+    dirac mode a head is its mean.
     """
     first, n_tracks = batch.first, len(step.exist_end)
     # each set's block, row in its block and number of present trajectories
@@ -1037,12 +984,9 @@ def _sample_set(
     entry_start = np.cumsum(counts) - counts
     j = np.arange(len(q)) - entry_start[q]
     head = (np.cumsum(sizes) - sizes)[group][q] + j
-    hyp_w, exist_w, first_w = _words(key, k, [
-        _counters(particles, _HYP, 0),
-        _counters(particles, _EXIST, 0, n_tracks),
-        _counters(particles[q], _FIRST, j),
-    ])
-    u = _uniforms(hyp_w[:, 0])
+    u = _uniforms(_words(key, k, _HYP, particles)[:, 0])
+    exist_w = _words(key, k, _EXIST, particles, n_words=n_tracks)
+    first_w = _words(key, k, _FIRST, particles[q], j, 2)
     log_w = np.empty(len(particles))
     col = np.empty(len(q), dtype=int)
     for b, (block, table) in enumerate(zip(batch.blocks, tables)):
@@ -1056,7 +1000,7 @@ def _sample_set(
     qc, tc, hc = q[cont], col[cont], head[cont]
     is_ended = np.ones((len(particles), n_tracks), dtype=bool)
     is_ended[qc, tc] = False
-    qe, te = np.nonzero(is_ended & (_uniforms(exist_w[:, :n_tracks]) < step.exist_end))
+    qe, te = np.nonzero(is_ended & (_uniforms(exist_w) < step.exist_end))
     fd = col == n_tracks + j
     qf, jf, hf = q[fd], j[fd], head[fd]
     extend = _uniforms(first_w[fd, 0]) >= first.w_keep[hf]
@@ -1066,9 +1010,7 @@ def _sample_set(
     )
 
     t = step.tracks
-    a = np.zeros(n_tracks, dtype=int)
-    a[step.active_idx] = np.arange(len(step.active_idx))
-    a = a[tc]
+    a = step.active_pos[tc]
     # continued heads' means: a stacked matmul runs one product per entry
     heads = [
         t.means[a] + np.matmul(t.gains[a], batch.diffs[a, hc][..., None])[..., 0],
@@ -1077,16 +1019,16 @@ def _sample_set(
     ]
     if not dirac_mode:
         d = step.dim
-        words = _words(key, k, [
-            _counters(particles[qc], _HEAD, tc, d),
-            _counters(particles[qe], _HEAD, te, d),
-            _counters(particles[qx], _EXT, jx, d),
-        ])
-        roots = [t.roots[a], step.end_roots[te], step.ppp.roots[comps]]
-        heads = [_draw(
-            np.concatenate(heads), np.concatenate(roots),
-            _normals(np.concatenate([w[:, :d] for w in words])),
-        )]
+        words = (
+            _words(key, k, _HEAD, particles[qc], tc, d),
+            _words(key, k, _HEAD, particles[qe], te, d),
+            _words(key, k, _EXT, particles[qx], jx, d),
+        )
+        roots = (
+            _roots_of(t.covs, a), _roots_of(step.end_covs, te), _roots_of(step.ppp.covs, comps)
+        )
+        z = _normals(np.concatenate(words))
+        heads = [_draw(np.concatenate(heads), np.concatenate(roots), z)]
 
     kept = ~extend
     new = np.concatenate((qc, qe, qx))

@@ -13,10 +13,11 @@ moment matching (`_collapse`) also work on stacks: a `GaussianMixture` is
 stored as its weight, mean and covariance arrays, which `_of_dim` reads at a
 model's dimension; `predict_gaussian` is the one-density case of `_predict`,
 so each operation has one arithmetic path. Sampling splits into
-`_sampling_root`, the (d, d) factor of a covariance, which the backward
-kernel computes on first read and then keeps for the step, and `_draw`,
-which turns given standard normals into samples of a stack; `_psd_root` is
-the eigen-based root of a PSD matrix that is not positive definite.
+`_sampling_root`, the (d, d) factor of a covariance, `_sampling_roots`, the
+same factors of a stack from one stacked Cholesky, which the backward
+sampler takes of the distinct members its draws read, and `_draw`, which
+turns given standard normals into samples of a stack; `_psd_root` is the
+eigen-based root of a PSD matrix that is not positive definite.
 """
 
 from __future__ import annotations
@@ -333,6 +334,21 @@ def _sampling_root(cov: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         return _psd_root(cov)
+
+
+def _sampling_roots(covs: np.ndarray) -> np.ndarray:
+    """`_sampling_root` of each member of a stack (n, d, d), bit for bit.
+
+    In 1-d the standard deviations (zero for a point mass); otherwise one
+    Cholesky of the whole stack, and each member on its own only when some
+    member is not positive definite (a point mass, or a singular matrix).
+    """
+    if covs.shape[-1] == 1:
+        return np.where(covs > 0.0, np.sqrt(np.maximum(covs, 0.0)), 0.0)
+    try:
+        return np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError:
+        return np.array([_sampling_root(c) for c in covs])
 
 
 def _psd_root(cov: np.ndarray) -> np.ndarray:

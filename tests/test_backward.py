@@ -43,6 +43,7 @@ from trajsmooth.gaussians import (
     _gated,
     _psd_root,
     _sampling_root,
+    _sampling_roots,
     symmetrize,
 )
 from trajsmooth.models import BirthModel
@@ -361,10 +362,11 @@ def test_backward_simulate_pinned_bytes(no_kernel_records_or_prepends, dirac_mod
 
 def test_dirac_simulation_computes_no_sampling_root(monkeypatch):
     # dirac heads are smoothed means, so no draw reads a root and none is computed
-    def fail(cov):
+    def fail(covs):
         raise AssertionError("a dirac step computed a sampling root")
 
     monkeypatch.setattr(backward, "_sampling_root", fail)
+    monkeypatch.setattr(backward, "_sampling_roots", fail)
     log, birth, motion = desk_like_problem()
     params = SmootherParams(num_particles=40, m_best=20, dirac_mode=True, seed=7)
     particles = backward_simulate(log, birth, motion, params)
@@ -388,41 +390,33 @@ def assert_same_root(got, expected):
     ],
     ids=["1d", "2d"],
 )
-def test_sampling_roots_on_read_equal_sampling_root(monkeypatch, covs, roots):
-    # every root is the (d, d) matrix a draw reads; a point mass's is zero
-    covs = [np.asarray(c, float) for c in covs]
-    d = covs[0].shape[0]
+def test_sampling_roots_on_read_equal_sampling_root(covs, roots):
+    # the stacked factorisation gives every member's `_sampling_root` bit for bit,
+    # the (d, d) matrix a draw reads; a point mass's is zero
+    covs = np.array(covs, float)
+    d = covs.shape[1]
+    stacked = _sampling_roots(covs)
+    assert_same_root(stacked, np.array([_sampling_root(c) for c in covs]))
+    for root, expected in zip(stacked, roots):
+        if expected is not None:
+            np.testing.assert_array_equal(root, expected)
+    if d == 2:  # the singular member takes the eigen fallback
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(covs[2])
+        assert_same_root(stacked[2], _psd_root(covs[2]))
+    # a draw's members, repeated or not, read the same matrices
+    idx = np.array([len(covs) - 1, 0, len(covs) - 1, 1])
+    assert_same_root(backward._roots_of(covs, idx), stacked[idx])
+    # and so do the records, which compute their roots when read
     pmb = PMBDensity(
         GaussianMixture(((0.2, GaussianDensity(np.zeros(d), np.eye(d))),)),
         tuple(BernoulliComponent(0.7, GaussianDensity(np.ones(d), c)) for c in covs),
     )
     motion = LinearMotionModel(np.eye(d), 0.5 * np.eye(d), ps=0.9)
     birth = BirthModel(GaussianMixture(((0.1, GaussianDensity(np.zeros(d), np.eye(d))),)))
-    calls = []
-
-    def counted(cov):
-        calls.append(cov)
-        return _sampling_root(cov)
-
-    monkeypatch.setattr(backward, "_sampling_root", counted)
-    step = backward._KernelCache(pmb, birth, motion)
-    assert calls == []  # building the step computes no root
-    for i, (cov, expected) in enumerate(zip(covs, roots)):
-        root = step.end_roots[i]
-        assert_same_root(root, _sampling_root(cov))
-        if expected is not None:
-            np.testing.assert_array_equal(root, expected)
-    every = np.arange(len(covs))  # a stacked read gathers the same matrices
-    assert_same_root(step.end_roots[every], np.array([_sampling_root(c) for c in covs]))
-    for terms in (step.tracks, step.ppp):
-        for a in range(len(terms.covs)):
-            assert_same_root(terms.roots[a], _sampling_root(terms.covs[a]))
-    if d == 2:  # the singular member takes the eigen fallback
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(covs[2])
-        assert_same_root(step.end_roots[2], _psd_root(covs[2]))
-    # each root computed once, then kept: the repeated reads computed none
-    assert len(calls) == len(covs) + len(step.tracks.covs) + len(step.ppp.covs)
+    present = [Trajectory(2, np.ones((1, d)))]
+    kernel = build_backward_kernel(pmb, birth, motion, present, math.inf, k=1)
+    assert_same_root(np.array([h.density.root for h in kernel.ended]), stacked)
 
 
 def test_kernel_records_carry_sampling_roots():
@@ -581,32 +575,50 @@ def philox_key(seed):
     return np.random.SeedSequence(seed).generate_state(2, np.uint64)
 
 
+def philox_block(key, counter):
+    """The four words of Philox4x64-10 at the counter (c0, c1, c2, c3), from numpy's generator.
+
+    numpy increments its 256-bit counter before each block, so it starts one below.
+    """
+    n = sum(c << (64 * i) for i, c in enumerate(counter)) - 1
+    start = np.array([(n >> (64 * i)) % 2**64 for i in range(4)], dtype=np.uint64)
+    return np.random.Philox(key=key, counter=start).random_raw(4)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7, 404, 2**40 + 3])
 def test_philox_equals_numpy_philox(seed):
-    # numpy increments its counter before the first block: counter n + 1 gives block n
+    # `_words` against one numpy block per (particle, slot) counter: particle 0, whose run
+    # starts at counter word 0 = 2**64 - 1 and carries into the step, a batch above 0, a
+    # slot of two blocks, repeated particles and slots, and particles far apart
     key = philox_key(seed)
-    words = backward._philox(np.arange(1, 9), 0, 0, 0, key)
-    np.testing.assert_array_equal(words.T.ravel(), np.random.Philox(seed).random_raw(32))
-    # every counter word, and a carry out of the first one into the second
-    for start, ours in (
-        ([5, 7, 9, 11], ([6], [7], [9], [11])),
-        ([2**64 - 2, 3, 0, 2**63], ([2**64 - 1, 0], [3, 4], [0, 0], [2**63, 2**63])),
+    for step, role, particles, slots, n_words in (
+        (3, backward._HYP, [0, 1, 2], 0, 1),
+        (1, backward._EXT, [0, 5, 0], [2, 2, 7], 4),
+        (5, backward._EXIST, [7, 9, 8], 0, 6),
+        (2, backward._HEAD, [4, 4, 2, 4], [1, 3, 1, 1], 9),
+        (9, backward._FIRST, [900, 3, 52_000, 3], [0, 2, 0, 2], 2),
     ):
-        counter = np.array(start, dtype=np.uint64)
-        raw = np.random.Philox(key=key, counter=counter).random_raw(4 * len(ours[0]))
-        c = [np.array(w, dtype=np.uint64) for w in ours]
-        np.testing.assert_array_equal(backward._philox(*c, key).T.ravel(), raw)
+        got = backward._words(key, step, role, particles, slots, n_words)
+        expected = [
+            np.concatenate([
+                philox_block(key, (p, step, role + 256 * b, s)) for b in range(-(-n_words // 4))
+            ])[:n_words]
+            for p, s in zip(particles, np.broadcast_to(slots, len(particles)).tolist())
+        ]
+        assert got.dtype == np.uint64
+        np.testing.assert_array_equal(got, np.array(expected, dtype=np.uint64))
 
 
 @pytest.mark.parametrize("seed", [0, 3, 404])
 def test_uniforms_equal_generator_random(seed):
-    words = backward._philox(np.arange(1, 251), 0, 0, 0, philox_key(seed))
+    # numpy's stream from its initial counter is particles 1, 2, ... at step 0, role 0, slot 0
+    words = backward._words(philox_key(seed), 0, 0, np.arange(1, 251), n_words=4)
     expected = np.random.Generator(np.random.Philox(seed)).random(1000)
-    assert backward._uniforms(words.T.ravel()).tobytes() == expected.tobytes()
+    assert backward._uniforms(words.ravel()).tobytes() == expected.tobytes()
 
 
 def test_normals_are_finite_and_standard():
-    words = backward._philox(np.arange(25_000), 3, backward._EXT, 0, philox_key(11)).ravel()
+    words = backward._words(philox_key(11), 3, backward._EXT, np.arange(25_000), n_words=4).ravel()
     z = backward._normals(words)
     n = z.size
     assert n == 100_000 and np.isfinite(z).all()
@@ -621,7 +633,7 @@ def test_normals_bit_equal_to_scipy_ndtri():
     # 1e6 words of the generator, the extreme words, and words whose
     # probability lies below exp(-32), where ndtri's far-tail approximation runs
     words = np.concatenate([
-        backward._philox(np.arange(250_000), 5, backward._HEAD, 0, philox_key(17)).ravel(),
+        backward._words(philox_key(17), 5, backward._HEAD, np.arange(250_000), n_words=4).ravel(),
         np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64),
         np.arange(2_000, dtype=np.uint64) << np.uint64(12),
         ~(np.arange(2_000, dtype=np.uint64) << np.uint64(12)),
