@@ -689,15 +689,20 @@ def _words(key: np.ndarray, step: int, role: int, particles, slots=0, n_words: i
     slots = np.broadcast_to(slots, particles.shape)
     blocks = -(-n_words // 4)
     out = np.empty((len(particles), 4 * blocks), dtype=np.uint64)
+    # one generator, restarted per slot and block with its fresh state's empty buffer
+    gen = np.random.Philox(key=key)
+    state = gen.state
     for slot in np.unique(slots).tolist():
         at = np.flatnonzero(slots == slot)
         p = particles[at]
         lo, hi = int(p.min()), int(p.max())
         for b in range(blocks):
-            # a uint64 array: np.random.Philox casts a list holding 2**64 - 1 through float
-            start = np.array([(lo - 1) % 2**64, step - (lo == 0), role + 256 * b, slot],
-                             dtype=np.uint64)
-            raw = np.random.Philox(key=key, counter=start).random_raw(4 * (hi - lo + 1))
+            # a uint64 array: numpy casts a list holding 2**64 - 1 through float
+            state["state"]["counter"] = np.array(
+                [(lo - 1) % 2**64, step - (lo == 0), role + 256 * b, slot], dtype=np.uint64
+            )
+            gen.state = state
+            raw = gen.random_raw(4 * (hi - lo + 1))
             out[at, 4 * b:4 * b + 4] = raw.reshape(-1, 4)[p - lo]
     return out[:, :n_words]
 

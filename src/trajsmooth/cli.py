@@ -1,7 +1,9 @@
 """Batch driver: simulate | filter | smooth | oracle | evaluate | mc.
 
-All artifacts are JSON (plus per-step CSV metric series); outputs are
-deterministic under a fixed seed, so repeated runs are byte-identical.
+All artifacts are JSON (plus per-step CSV metric series), except the filter
+log: one uncompressed .npz archive of stacked arrays (`forward._LOG`), which
+`smooth`, `oracle` and `evaluate` check whole array by whole array. Outputs
+are deterministic under a fixed seed, so repeated runs are byte-identical.
 Wall-clock timings go to a separate timings file to keep the data
 artifacts reproducible. Exit codes: 0 ok, 2 config error, 3 numerical
 error, 4 size cap exceeded.
@@ -18,6 +20,7 @@ import json
 import os
 import sys
 import time
+import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
@@ -43,8 +46,9 @@ from .errors import (
 )
 from .forward import (
     FilterParams,
-    filterlog_from_jsonable,
-    filterlog_steps,
+    filterlog_estimates,
+    filterlog_from_arrays,
+    filterlog_to_arrays,
     run_forward,
 )
 from .metrics import check_gospa_settings, gospa_over_time, particle_stats
@@ -60,16 +64,16 @@ from .simulate import (
 from .trajectory import states_at_time
 
 
-def _write(path: Path, chunks) -> None:
-    """Write the strings `chunks` to a temporary file beside `path`, then move it to `path`.
+def _write(path: Path, write) -> None:
+    """Call `write` on a binary temporary file beside `path`, then move that file to `path`.
 
     The file appears whole or not at all; an OSError is a ConfigError naming the path.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with tmp.open("w", newline="") as fh:
-            fh.writelines(chunks)
+        with tmp.open("wb") as fh:
+            write(fh)
         os.replace(tmp, path)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
@@ -83,15 +87,7 @@ def _dumps(data) -> str:
 
 
 def _write_json(path: Path, data) -> None:
-    _write(path, [_dumps(data), "\n"])
-
-
-def _log_chunks(log):
-    """The filter log's JSON text one step at a time: the bytes `_write_json` would write."""
-    yield f'{{"k_max":{_dumps(log.k_max)},"steps":['
-    for k, step in enumerate(filterlog_steps(log)):
-        yield "," * (k > 0) + _dumps(step)
-    yield "]}\n"
+    _write(path, lambda fh: fh.write(f"{_dumps(data)}\n".encode()))
 
 
 def _read_json(path: Path):
@@ -112,6 +108,23 @@ def _decode(path: Path, decode):
         raise ConfigError(f"{path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ConfigError(f"{path} does not have the expected structure: {exc!r}") from exc
+
+
+def _read_log(path: Path, decode):
+    """`decode` applied to the filter log (.npz) at `path`, whose arrays load when read.
+
+    No array is unpickled. A bad log is a ConfigError naming the file and,
+    when one is at fault, the array.
+    """
+    try:
+        with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh, allow_pickle=False) as arrays:
+            return decode(arrays)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except zipfile.BadZipFile as exc:
+        raise ConfigError(f"{path} is not a filter log (.npz archive): {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _derived_seed(seed: int, run_index: int) -> int:
@@ -202,8 +215,9 @@ def cmd_filter(args) -> int:
     if scenario.birth.uniform_density > 0.0:
         # the forward filter predicts a pure Gaussian-mixture birth only
         raise ConfigError("models.birth.uniform_density must be 0 to run the filter")
-    log = run_forward(scenario, params)
-    _write(Path(args.out), _log_chunks(log))
+    log = filterlog_to_arrays(run_forward(scenario, params), scenario.motion.dim)
+    # a handle, not the path: given a path, np.savez appends ".npz" to a name without it
+    _write(Path(args.out), partial(np.savez, **log))
     return 0
 
 
@@ -211,7 +225,7 @@ def cmd_smooth(args) -> int:
     scenario = _decode(args.scenario, scenario_from_jsonable)
     seed = args.seed if args.seed is not None else scenario.seed
     params = SmootherParams(**_from_args(args, "smoother"), seed=seed)
-    log = _decode(args.filterlog, partial(filterlog_from_jsonable, dim=scenario.motion.dim))
+    log = _read_log(args.filterlog, partial(filterlog_from_arrays, dim=scenario.motion.dim))
     particles = backward_simulate(log, scenario.birth, scenario.motion, params)
     _write_json(Path(args.out), particles_to_jsonable(particles))
     if args.best_out:
@@ -229,7 +243,7 @@ def cmd_smooth(args) -> int:
 
 def cmd_oracle(args) -> int:
     scenario = _decode(args.scenario, scenario_from_jsonable)
-    log = _decode(args.filterlog, partial(filterlog_from_jsonable, dim=scenario.motion.dim))
+    log = _read_log(args.filterlog, partial(filterlog_from_arrays, dim=scenario.motion.dim))
     post = exact_smooth(log, scenario.birth, scenario.motion, prune=args.prune)
     _write_json(Path(args.out), posterior_to_jsonable(post))
     return 0
@@ -243,8 +257,7 @@ def cmd_evaluate(args) -> int:
     metric["pos_idx"] = metric["pos_idx"] or _position_mask(scenario)
     sources = {}
     if args.filterlog:
-        log = _decode(args.filterlog, partial(filterlog_from_jsonable, dim=dim))
-        sources["filter"] = log.estimates
+        sources["filter"] = _read_log(args.filterlog, partial(filterlog_estimates, dim=dim))
     if args.best:
         best = _decode(args.best, lambda d: particles_from_jsonable({"particles": [d]}, dim)[0])
         sources["smoothed"] = [
@@ -265,7 +278,7 @@ def cmd_evaluate(args) -> int:
         writer = csv.writer(text)
         writer.writerow(["k", "source", "total", "localisation", "missed", "false"])
         writer.writerows(rows)
-        _write(Path(args.csv), [text.getvalue()])
+        _write(Path(args.csv), lambda fh: fh.write(text.getvalue().encode()))
     return 0
 
 

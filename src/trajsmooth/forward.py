@@ -23,17 +23,23 @@ rather than one per track, component or (track, measurement) pair:
 Every batched expression is the per-item arithmetic in the same order, so the
 filter output is byte-identical to a loop over items (see the note above
 `_thinned`).
+
+The filter log leaves the process as arrays stacked over the steps
+(`filterlog_to_arrays`, laid out in `_LOG`), and comes back as views of
+them, checked whole array by whole array (`filterlog_from_arrays`;
+`filterlog_estimates` reads the estimates alone).
 """
 
 from __future__ import annotations
 
 import math
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .assignment import murty
-from .errors import ConfigError, ContractError, _members, check_int, check_real
+from .errors import ConfigError, ContractError, check_int, check_real
 from .gaussians import (
     GaussianDensity,
     GaussianMixture,
@@ -50,7 +56,7 @@ from .gaussians import (
     symmetrize,
 )
 from .models import BirthModel, ClutterModel, MeasurementModel
-from .simulate import Scenario, _mixture_from_jsonable, _mixture_to_jsonable
+from .simulate import Scenario
 
 # a Bernoulli with existence probability at least this is reported as an estimate
 ESTIMATE_THRESHOLD = 0.5
@@ -355,54 +361,101 @@ def extract_estimates(pmb: PMBDensity, threshold: float = ESTIMATE_THRESHOLD) ->
     return list(pmb.means[pmb.r >= threshold])
 
 
-def pmb_to_jsonable(pmb: PMBDensity) -> dict:
-    return {
-        "ppp": _mixture_to_jsonable(pmb.ppp),
-        "bernoullis": [
-            {"r": r, "mean": mean, "cov": cov}
-            for r, mean, cov in zip(pmb.r.tolist(), pmb.means.tolist(), pmb.covs.tolist())
-        ],
+# The filter log's arrays, stacked over the steps, by family: each array with the
+# number of state-dimension axes of its rows. A family's int64 `<family>.offsets`
+# (K + 1 entries, rising from 0 to the row count) cuts its arrays: step k is rows
+# offsets[k]:offsets[k + 1]. `k_max` is an int64 scalar.
+_LOG = {
+    "posterior": {"posterior.r": 0, "posterior.means": 1, "posterior.covs": 2},
+    "posterior.ppp": {"posterior.ppp.weights": 0, "posterior.ppp.means": 1, "posterior.ppp.covs": 2},
+    "predicted_ppp": {
+        "predicted_ppp.weights": 0, "predicted_ppp.means": 1, "predicted_ppp.covs": 2,
+    },
+    "estimates": {"estimates": 1},
+}
+
+
+def filterlog_to_arrays(log: FilterLog, dim: int) -> dict[str, np.ndarray]:
+    """The arrays of `_LOG` of a log whose states have dimension `dim`."""
+    steps = {
+        "posterior": [(p.r, p.means, p.covs) for p in log.posteriors],
+        "posterior.ppp": [(p.ppp.weights, p.ppp.means, p.ppp.covs) for p in log.posteriors],
+        "predicted_ppp": [(q.weights, q.means, q.covs) for q in log.predicted_ppps],
+        "estimates": [(e,) for e in log.estimates],
     }
+    arrays = {"k_max": np.int64(log.k_max)}
+    for family, rows in steps.items():
+        for (key, axes), stack in zip(_LOG[family].items(), zip(*rows)):
+            arrays[key] = np.concatenate([np.reshape(a, (-1, *[dim] * axes)) for a in stack])
+        arrays[f"{family}.offsets"] = np.cumsum([0, *(len(a) for a, *_ in rows)], dtype=np.int64)
+    return arrays
 
 
-def pmb_from_jsonable(data: dict, path: str, dim: int) -> PMBDensity:
-    """Decode a PMB density whose means are (dim,) and covariances (dim, dim)."""
-    ppp = _mixture_from_jsonable(data["ppp"], f"{path}.ppp", dim)
-    bs = data["bernoullis"]
-    means = _members(f"{path}.bernoullis[{{}}].mean", [b["mean"] for b in bs], (dim,))
-    covs = _members(f"{path}.bernoullis[{{}}].cov", [b["cov"] for b in bs], means.shape[1:] * 2)
-    r = [check_real(f"{path}.bernoullis[{i}].r", b["r"], "[0, 1]") for i, b in enumerate(bs)]
-    return PMBDensity.of(ppp, np.array(r, dtype=float), means, covs)
+def _read(arrays, key: str) -> np.ndarray:
+    try:
+        return arrays[key]
+    except KeyError:
+        raise ConfigError(f"{key} is missing") from None
+    except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
+        # an object array is refused here, without unpickling it
+        raise ConfigError(f"{key} cannot be read: {exc}") from exc
 
 
-def filterlog_steps(log: FilterLog):
-    """The JSON object of each step of a filter log, one at a time."""
-    for post, pred, est in zip(log.posteriors, log.predicted_ppps, log.estimates):
-        yield {
-            "posterior": pmb_to_jsonable(post),
-            "predicted_ppp": _mixture_to_jsonable(pred),
-            "estimates": [e.tolist() for e in est],
-        }
+def _check_rows(key: str, a: np.ndarray, offsets: np.ndarray, ok: np.ndarray, must: str):
+    """ConfigError naming the step and row of the first row of `a` that is not `ok`."""
+    if not ok.all():
+        i = int(np.argmin(ok))
+        k = int(np.searchsorted(offsets, i, side="right")) - 1
+        got = f", got {a[i]}" if a.ndim == 1 else ""
+        raise ConfigError(f"steps[{k}].{key}[{i - offsets[k]}] must {must}{got}")
 
 
-def filterlog_to_jsonable(log: FilterLog) -> dict:
-    return {"k_max": log.k_max, "steps": list(filterlog_steps(log))}
+def _steps(arrays, family: str, dim: int) -> list[tuple[np.ndarray, ...]]:
+    """Per step, views of the checked arrays of one family of the log, in `_LOG` order."""
+    k_max = _read(arrays, "k_max")
+    if k_max.dtype != np.int64 or k_max.shape != () or k_max < 1:
+        raise ConfigError(f"k_max must be an int64 integer >= 1, got {k_max!r}")
+    key = f"{family}.offsets"
+    offsets = _read(arrays, key)
+    if offsets.dtype != np.int64 or offsets.shape != (k_max + 1,):
+        raise ConfigError(f"{key} must be int64 of shape ({k_max + 1},) for k_max {k_max}, "
+                          f"got {offsets.dtype} of shape {offsets.shape}")
+    if offsets[0] != 0 or (np.diff(offsets) < 0).any():
+        raise ConfigError(f"{key} must start at 0 and never fall")
+    stacked = [_read(arrays, name) for name in _LOG[family]]
+    for (name, axes), a in zip(_LOG[family].items(), stacked):
+        if a.dtype != np.float64 or a.ndim != 1 + axes or a.shape[1:] != (dim,) * axes:
+            want = ", ".join(["n", *[str(dim)] * axes]) + "," * (axes == 0)
+            raise ConfigError(
+                f"{name} must be float64 of shape ({want}), got {a.dtype} of shape {a.shape}"
+            )
+        if offsets[-1] != len(a):
+            raise ConfigError(f"{key} must end at the {len(a)} rows of {name}, got {offsets[-1]}")
+        _check_rows(name, a, offsets, np.isfinite(a).all(axis=tuple(range(1, a.ndim))), "be finite")
+        if name == "posterior.r":
+            _check_rows(name, a, offsets, (a >= 0.0) & (a <= 1.0), "be a number in [0, 1]")
+        elif axes == 0:
+            _check_rows(name, a, offsets, a >= 0.0, "be a number >= 0")
+    bounds = offsets.tolist()
+    return [tuple(a[lo:hi] for a in stacked) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def filterlog_from_jsonable(data: dict, dim: int) -> FilterLog:
-    """Decode a filter log; `k_max` must be an integer equal to the number of steps.
+def filterlog_from_arrays(arrays, dim: int) -> FilterLog:
+    """The log of `filterlog_to_arrays`, whose densities are views of its arrays.
 
-    Every density and estimate is a checked array of the state dimension `dim`
-    (the scenario's), so a log of another dimension is a ConfigError naming the field.
+    A log of another state dimension than `dim` (the scenario's), or with an
+    array not as written, is a ConfigError naming the array.
     """
-    log = FilterLog(k_max=check_int("k_max", data["k_max"], 1))
-    if len(data["steps"]) != log.k_max:
-        raise ConfigError(f"k_max {log.k_max} does not match the {len(data['steps'])} steps")
-    for k, step in enumerate(data["steps"]):
-        log.posteriors.append(pmb_from_jsonable(step["posterior"], f"steps[{k}].posterior", dim))
-        log.predicted_ppps.append(
-            _mixture_from_jsonable(step["predicted_ppp"], f"steps[{k}].predicted_ppp", dim)
-        )
-        estimates = _members(f"steps[{k}].estimates[{{}}]", step["estimates"], (dim,))
-        log.estimates.append(list(estimates))
-    return log
+    posteriors = _steps(arrays, "posterior", dim)
+    ppps = [GaussianMixture.of(*q) for q in _steps(arrays, "posterior.ppp", dim)]
+    return FilterLog(
+        len(ppps),
+        [PMBDensity.of(ppp, *p) for p, ppp in zip(posteriors, ppps)],
+        [GaussianMixture.of(*q) for q in _steps(arrays, "predicted_ppp", dim)],
+        filterlog_estimates(arrays, dim),
+    )
+
+
+def filterlog_estimates(arrays, dim: int) -> list[list[np.ndarray]]:
+    """Only the per-step estimates of a log's arrays, checked as `filterlog_from_arrays` does."""
+    return [list(e) for e, in _steps(arrays, "estimates", dim)]

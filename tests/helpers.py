@@ -1,5 +1,6 @@
 """Shared toy problems for oracle/backward-simulation tests and acceptance runs."""
 
+import hashlib
 import json
 from collections import Counter, defaultdict
 from pathlib import Path
@@ -10,7 +11,7 @@ from trajsmooth.forward import BernoulliComponent, FilterLog, FilterParams, PMBD
 from trajsmooth.gaussians import GaussianDensity, GaussianMixture, LinearMotionModel
 from trajsmooth.models import BirthModel
 from trajsmooth.oracle import structure_signature
-from trajsmooth.simulate import load_scenario_config, simulate_scenario
+from trajsmooth.simulate import _mixture_to_jsonable, load_scenario_config, simulate_scenario
 
 
 def g(mean, var):
@@ -30,6 +31,38 @@ def desk_like_problem():
     cfg["schedule"]["deaths"] = [12, 12, 12]
     scenario = simulate_scenario(load_scenario_config(cfg))
     return run_forward(scenario, FilterParams(m_best=20)), scenario.birth, scenario.motion
+
+
+def pmb_to_jsonable(pmb):
+    """The JSON form of a PMB density that the pinned filter hashes were recorded from."""
+    return {
+        "ppp": _mixture_to_jsonable(pmb.ppp),
+        "bernoullis": [
+            {"r": r, "mean": mean, "cov": cov}
+            for r, mean, cov in zip(pmb.r.tolist(), pmb.means.tolist(), pmb.covs.tolist())
+        ],
+    }
+
+
+def filterlog_to_jsonable(log):
+    """The JSON form of a filter log that the pinned filter hashes were recorded from."""
+    return {
+        "k_max": log.k_max,
+        "steps": [
+            {
+                "posterior": pmb_to_jsonable(post),
+                "predicted_ppp": _mixture_to_jsonable(pred),
+                "estimates": [e.tolist() for e in est],
+            }
+            for post, pred, est in zip(log.posteriors, log.predicted_ppps, log.estimates)
+        ],
+    }
+
+
+def json_sha(data) -> str:
+    """sha256 of the compact sorted-key JSON of `data`."""
+    blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def make_log(posteriors):

@@ -1,11 +1,11 @@
-import hashlib
+import io
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import desk_like_problem
+from helpers import desk_like_problem, filterlog_to_jsonable, json_sha, pmb_to_jsonable
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import chdtri, logsumexp
@@ -19,9 +19,8 @@ from trajsmooth.forward import (
     FilterLog,
     FilterParams,
     PMBDensity,
-    filterlog_from_jsonable,
-    filterlog_to_jsonable,
-    pmb_to_jsonable,
+    filterlog_from_arrays,
+    filterlog_to_arrays,
     predict_pmb,
     prune_pmb,
     run_forward,
@@ -254,7 +253,7 @@ def test_run_forward_logs_aligned():
     sc = make_static_scenario(k_max, zs)
     log = run_forward(sc)
     assert len(log.posteriors) == len(log.predicted_ppps) == len(log.estimates) == k_max
-    roundtrip = filterlog_from_jsonable(filterlog_to_jsonable(log), sc.motion.dim)
+    roundtrip = filterlog_from_arrays(filterlog_to_arrays(log, sc.motion.dim), sc.motion.dim)
     assert roundtrip.k_max == log.k_max
     for a, b in zip(roundtrip.posteriors, log.posteriors):
         assert len(a.bernoullis) == len(b.bernoullis)
@@ -340,18 +339,13 @@ PINNED_FILTERLOG = "47095bf72dbb1ba5bd303c8628497cf698bb00de94f311d4d905615e9269
 
 def test_run_forward_pinned_bytes():
     log, _, _ = desk_like_problem()
-    blob = json.dumps(filterlog_to_jsonable(log), sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_FILTERLOG
+    assert json_sha(filterlog_to_jsonable(log)) == PINNED_FILTERLOG
 
 
 def _sha(pmb_or_log) -> str:
-    data = (
-        filterlog_to_jsonable(pmb_or_log)
-        if isinstance(pmb_or_log, FilterLog)
-        else pmb_to_jsonable(pmb_or_log)
-    )
-    blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    if isinstance(pmb_or_log, FilterLog):
+        return json_sha(filterlog_to_jsonable(pmb_or_log))
+    return json_sha(pmb_to_jsonable(pmb_or_log))
 
 
 def scenario1_cut_log():
@@ -496,8 +490,16 @@ def test_update_posterior_independent_of_scan_order(tracks, ppp, grid, pd, data)
         same(ca, cb)
 
 
-def _log_bytes(log) -> bytes:
-    return json.dumps(filterlog_to_jsonable(log), sort_keys=True, separators=(",", ":")).encode()
+def _log_bytes(log, dim) -> bytes:
+    """The .npz archive `filter` writes for `log`."""
+    out = io.BytesIO()
+    np.savez(out, **filterlog_to_arrays(log, dim))
+    return out.getvalue()
+
+
+def _log_from_bytes(blob, dim):
+    with np.load(io.BytesIO(blob), allow_pickle=False) as arrays:
+        return filterlog_from_arrays(arrays, dim)
 
 
 def test_filter_log_decode_then_encode_gives_the_same_bytes():
@@ -507,9 +509,15 @@ def test_filter_log_decode_then_encode_gives_the_same_bytes():
     log.posteriors.append(PMBDensity())
     log.predicted_ppps.append(GaussianMixture())
     log.estimates.append([])
-    blob = _log_bytes(log)
-    back = filterlog_from_jsonable(json.loads(blob), 4)
-    assert _log_bytes(back) == blob
+    blob = _log_bytes(log, 4)
+    back = _log_from_bytes(blob, 4)
+    assert _log_bytes(back, 4) == blob
+    # the arrays round-trip exactly, so the pinned JSON form does too
+    assert _sha(back) == _sha(log)
+    for a, b in zip(back.posteriors[:-1], log.posteriors):
+        for x, y in ((a.r, b.r), (a.means, b.means), (a.covs, b.covs),
+                     (a.ppp.weights, b.ppp.weights), (a.ppp.means, b.ppp.means)):
+            _same_array(x, y)
     empty = back.posteriors[-1]
     assert empty.r.shape == (0,) and empty.means.shape == (0, 4) and empty.covs.shape == (0, 4, 4)
     for mix in (empty.ppp, back.predicted_ppps[-1]):
@@ -574,7 +582,7 @@ def test_forward_decoder_and_kernel_cache_build_no_component_objects(monkeypatch
 
         monkeypatch.setattr(cls, "__post_init__", counted)
     log = run_forward(scenario)
-    back = filterlog_from_jsonable(json.loads(_log_bytes(log)), scenario.motion.dim)
+    back = _log_from_bytes(_log_bytes(log, scenario.motion.dim), scenario.motion.dim)
     for pmb in back.posteriors:
         _KernelCache(pmb, scenario.birth, scenario.motion)
     assert sum(len(p.r) for p in log.posteriors) > 0
