@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import importlib.util
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -1139,6 +1140,18 @@ def test_filter_log_lands_at_the_given_path(tmp_path, name):
     assert [p.name for p in first.parent.iterdir()] == [name]
     assert first.read_bytes()[:4] == b"PK\x03\x04"
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_filter_log_streamed_bytes_equal_whole_dump(tmp_path):
+    # the archive `filter` streams to its file is the one np.savez makes of the whole log in memory
+    argv = _pipeline_argv(tmp_path)["filter"]
+    out = tmp_path / "streamed.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    scenario = scenario_from_jsonable(json.loads(Path(argv[2]).read_text()))
+    log = run_forward(scenario, FilterParams(prune_r=0.01, prune_w=0.01))
+    whole = io.BytesIO()
+    np.savez(whole, **filterlog_to_arrays(log, scenario.motion.dim))
+    assert out.read_bytes() == whole.getvalue()
 
 
 def test_filter_log_memory_stays_below_twice_the_file(tmp_path):
