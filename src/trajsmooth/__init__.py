@@ -46,7 +46,6 @@ from .gaussians import (
     GaussianMixture,
     LinearMotionModel,
     make_cv_model,
-    predict_gaussian,
     sample_gaussian,
 )
 from .metrics import (
@@ -111,7 +110,6 @@ __all__ = [
     "GaussianMixture",
     "LinearMotionModel",
     "make_cv_model",
-    "predict_gaussian",
     "sample_gaussian",
     "GospaResult",
     "ParticleStats",

@@ -1,8 +1,11 @@
 """Batch driver: simulate | filter | smooth | oracle | evaluate | mc.
 
 All artifacts are JSON (plus per-step CSV metric series), except the filter
-log: one uncompressed .npz archive of stacked arrays (`forward._LOG`), which
-`smooth`, `oracle` and `evaluate` check whole array by whole array. Outputs
+log: one uncompressed .npz archive of the posteriors' stacked arrays
+(`forward._LOG`). `smooth`, `oracle` and `evaluate` read it through one
+reader, `_read_log`, which checks it whole array by whole array and against
+the scenario's state dimension and horizon; `evaluate` and `mc` take the
+filter's estimates from the posteriors (`extract_estimates`). Outputs
 are deterministic under a fixed seed, so repeated runs are byte-identical.
 Wall-clock timings go to a separate timings file to keep the data
 artifacts reproducible. Exit codes: 0 ok, 2 config error, 3 numerical
@@ -45,8 +48,9 @@ from .errors import (
     check_int,
 )
 from .forward import (
+    FilterLog,
     FilterParams,
-    filterlog_estimates,
+    extract_estimates,
     filterlog_from_arrays,
     filterlog_to_arrays,
     run_forward,
@@ -110,15 +114,21 @@ def _decode(path: Path, decode):
         raise ConfigError(f"{path} does not have the expected structure: {exc!r}") from exc
 
 
-def _read_log(path: Path, decode):
-    """`decode` applied to the filter log (.npz) at `path`, whose arrays load when read.
+def _read_log(path: Path, scenario: Scenario) -> FilterLog:
+    """The checked filter log (.npz) at `path`, for `scenario`; its arrays load when read.
 
-    No array is unpickled. A bad log is a ConfigError naming the file and,
-    when one is at fault, the array.
+    No array is unpickled, and arrays outside `forward._LOG` are never read. A
+    bad log, or one of another state dimension or horizon than the
+    scenario's, is a ConfigError naming the file and, when one is at fault,
+    the array.
     """
     try:
         with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh, allow_pickle=False) as arrays:
-            return decode(arrays)
+            log = filterlog_from_arrays(arrays, scenario.motion.dim)
+        if log.k_max != scenario.k_max:
+            raise ConfigError(f"k_max {log.k_max} does not match the scenario's horizon "
+                              f"k_max {scenario.k_max}")
+        return log
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except zipfile.BadZipFile as exc:
@@ -225,7 +235,7 @@ def cmd_smooth(args) -> int:
     scenario = _decode(args.scenario, scenario_from_jsonable)
     seed = args.seed if args.seed is not None else scenario.seed
     params = SmootherParams(**_from_args(args, "smoother"), seed=seed)
-    log = _read_log(args.filterlog, partial(filterlog_from_arrays, dim=scenario.motion.dim))
+    log = _read_log(args.filterlog, scenario)
     particles = backward_simulate(log, scenario.birth, scenario.motion, params)
     _write_json(Path(args.out), particles_to_jsonable(particles))
     if args.best_out:
@@ -243,7 +253,7 @@ def cmd_smooth(args) -> int:
 
 def cmd_oracle(args) -> int:
     scenario = _decode(args.scenario, scenario_from_jsonable)
-    log = _read_log(args.filterlog, partial(filterlog_from_arrays, dim=scenario.motion.dim))
+    log = _read_log(args.filterlog, scenario)
     post = exact_smooth(log, scenario.birth, scenario.motion, prune=args.prune)
     _write_json(Path(args.out), posterior_to_jsonable(post))
     return 0
@@ -257,7 +267,8 @@ def cmd_evaluate(args) -> int:
     metric["pos_idx"] = metric["pos_idx"] or _position_mask(scenario)
     sources = {}
     if args.filterlog:
-        sources["filter"] = _read_log(args.filterlog, partial(filterlog_estimates, dim=dim))
+        log = _read_log(args.filterlog, scenario)
+        sources["filter"] = [extract_estimates(post) for post in log.posteriors]
     if args.best:
         best = _decode(args.best, lambda d: particles_from_jsonable({"particles": [d]}, dim)[0])
         sources["smoothed"] = [
@@ -336,7 +347,8 @@ def _mc_single(payload) -> dict:
     )
     best = best_particle(particles)
     metric = {**run.metric, "pos_idx": run.metric["pos_idx"] or _position_mask(scenario)}
-    _, filt = gospa_over_time(log.estimates, scenario.truth, **metric)
+    estimates = [extract_estimates(post) for post in log.posteriors]
+    _, filt = gospa_over_time(estimates, scenario.truth, **metric)
     smoothed_estimates = [
         states_at_time(best.trajectories, k) for k in range(1, scenario.k_max + 1)
     ]

@@ -24,10 +24,12 @@ Every batched expression is the per-item arithmetic in the same order, so the
 filter output is byte-identical to a loop over items (see the note above
 `_thinned`).
 
-The filter log leaves the process as arrays stacked over the steps
-(`filterlog_to_arrays`, laid out in `_LOG`), and comes back as views of
-them, checked whole array by whole array (`filterlog_from_arrays`;
-`filterlog_estimates` reads the estimates alone).
+The filter log is the sequence of posteriors, which is all the smoother needs
+besides the dynamic model; the estimates are a function of each posterior
+(`extract_estimates`). The log leaves the process as the posteriors' arrays
+stacked over the steps (`filterlog_to_arrays`, laid out in `_LOG`), and
+comes back as views of them, checked whole array by whole array
+(`filterlog_from_arrays`).
 """
 
 from __future__ import annotations
@@ -108,10 +110,12 @@ class PMBDensity:
 
 @dataclass
 class FilterLog:
-    """Per-step filter output aligned with the measurement sequence (index k-1)."""
+    """Per-step posteriors aligned with the measurement sequence (index k-1)."""
 
     k_max: int
     posteriors: list[PMBDensity] = field(default_factory=list)
+    # Nothing fills or reads these two; they remain only because perfbench's
+    # criterion04_toy appends to them, and go with the next benchmark change.
     predicted_ppps: list[GaussianMixture] = field(default_factory=list)
     estimates: list[list[np.ndarray]] = field(default_factory=list)
 
@@ -340,7 +344,6 @@ def run_forward(scenario: Scenario, params: FilterParams = FilterParams()) -> Fi
     pmb = PMBDensity(scenario.init_ppp)
     for k in range(1, scenario.k_max + 1):
         pmb = predict_pmb(pmb, scenario.motion, scenario.birth)
-        log.predicted_ppps.append(pmb.ppp)
         pmb = update_pmb(
             pmb,
             scenario.measurements[k - 1],
@@ -351,27 +354,23 @@ def run_forward(scenario: Scenario, params: FilterParams = FilterParams()) -> Fi
         )
         pmb = prune_pmb(pmb, params.prune_r, params.prune_w)
         log.posteriors.append(pmb)
-        log.estimates.append(extract_estimates(pmb))
     return log
 
 
-def extract_estimates(pmb: PMBDensity, threshold: float = ESTIMATE_THRESHOLD) -> list[np.ndarray]:
-    """Means of Bernoulli components with existence probability >= threshold."""
-    check_real("threshold", threshold, "[0, 1]")
-    return list(pmb.means[pmb.r >= threshold])
+def extract_estimates(pmb: PMBDensity) -> list[np.ndarray]:
+    """Means of Bernoulli components with existence probability >= ESTIMATE_THRESHOLD."""
+    return list(pmb.means[pmb.r >= ESTIMATE_THRESHOLD])
 
 
 # The filter log's arrays, stacked over the steps, by family: each array with the
 # number of state-dimension axes of its rows. A family's int64 `<family>.offsets`
 # (K + 1 entries, rising from 0 to the row count) cuts its arrays: step k is rows
-# offsets[k]:offsets[k + 1]. `k_max` is an int64 scalar.
+# offsets[k]:offsets[k + 1]. `k_max` is an int64 scalar. The reader loads these
+# arrays only, so an archive that holds others (the predicted intensities and
+# estimates that earlier logs carried) reads the same.
 _LOG = {
     "posterior": {"posterior.r": 0, "posterior.means": 1, "posterior.covs": 2},
     "posterior.ppp": {"posterior.ppp.weights": 0, "posterior.ppp.means": 1, "posterior.ppp.covs": 2},
-    "predicted_ppp": {
-        "predicted_ppp.weights": 0, "predicted_ppp.means": 1, "predicted_ppp.covs": 2,
-    },
-    "estimates": {"estimates": 1},
 }
 
 
@@ -380,8 +379,6 @@ def filterlog_to_arrays(log: FilterLog, dim: int) -> dict[str, np.ndarray]:
     steps = {
         "posterior": [(p.r, p.means, p.covs) for p in log.posteriors],
         "posterior.ppp": [(p.ppp.weights, p.ppp.means, p.ppp.covs) for p in log.posteriors],
-        "predicted_ppp": [(q.weights, q.means, q.covs) for q in log.predicted_ppps],
-        "estimates": [(e,) for e in log.estimates],
     }
     arrays = {"k_max": np.int64(log.k_max)}
     for family, rows in steps.items():
@@ -448,14 +445,4 @@ def filterlog_from_arrays(arrays, dim: int) -> FilterLog:
     """
     posteriors = _steps(arrays, "posterior", dim)
     ppps = [GaussianMixture.of(*q) for q in _steps(arrays, "posterior.ppp", dim)]
-    return FilterLog(
-        len(ppps),
-        [PMBDensity.of(ppp, *p) for p, ppp in zip(posteriors, ppps)],
-        [GaussianMixture.of(*q) for q in _steps(arrays, "predicted_ppp", dim)],
-        filterlog_estimates(arrays, dim),
-    )
-
-
-def filterlog_estimates(arrays, dim: int) -> list[list[np.ndarray]]:
-    """Only the per-step estimates of a log's arrays, checked as `filterlog_from_arrays` does."""
-    return [list(e) for e, in _steps(arrays, "estimates", dim)]
+    return FilterLog(len(ppps), [PMBDensity.of(ppp, *p) for p, ppp in zip(posteriors, ppps)])

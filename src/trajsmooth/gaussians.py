@@ -11,10 +11,9 @@ the one-step smoothing update, and weigh points against those terms through
 mass into that gate, the chi-square quantile. Prediction (`_predict`) and
 moment matching (`_collapse`) also work on stacks: a `GaussianMixture` is
 stored as its weight, mean and covariance arrays, which `_of_dim` reads at a
-model's dimension; `predict_gaussian` is the one-density case of `_predict`,
-so each operation has one arithmetic path. Sampling splits into
-`_sampling_root`, the (d, d) factor of a covariance, `_sampling_roots`, the
-same factors of a stack from one stacked Cholesky, which the backward
+model's dimension, so each operation has one arithmetic path. Sampling splits
+into `_sampling_root`, the (d, d) factor of a covariance, `_sampling_roots`,
+the same factors of a stack from one stacked Cholesky, which the backward
 sampler takes of the distinct members its draws read, and `_draw`, which
 turns given standard normals into samples of a stack; `_psd_root` is the
 eigen-based root of a PSD matrix that is not positive definite.
@@ -67,7 +66,7 @@ class GaussianMixture:
 
     No component is the zero intensity; built from no pairs, its means are
     (0, 0). `GaussianMixture(((w, GaussianDensity), ...))` stacks its pairs
-    once, and iterating builds them on read; `of` wraps given arrays.
+    once; `of` wraps given arrays.
     """
 
     __slots__ = ("weights", "means", "covs")
@@ -86,14 +85,8 @@ class GaussianMixture:
         mix.weights, mix.means, mix.covs = weights, means, covs
         return mix
 
-    components = property(tuple)  # the (weight, GaussianDensity) pairs, built on read
-
     def __len__(self) -> int:
         return len(self.weights)
-
-    def __iter__(self):
-        for w, mean, cov in zip(self.weights.tolist(), self.means, self.covs):
-            yield w, GaussianDensity(mean, cov)
 
 
 @dataclass(frozen=True)
@@ -306,12 +299,6 @@ def _collapse(w: np.ndarray, means: np.ndarray, covs: np.ndarray, counts):
             cov += wk[:, c, None, None] * (covs[rows[:, c]] + d[:, :, None] * d[:, None, :])
         out_means[k], out_covs[k] = mean, symmetrize(cov)
     return out_means, out_covs
-
-
-def predict_gaussian(g: GaussianDensity, m: LinearMotionModel) -> GaussianDensity:
-    """One-step prediction: N(x, P) -> N(F x, F P F^T + Q)."""
-    mean, cov = _predict(*_stack([g], m.dim), m)
-    return GaussianDensity(mean[0], cov[0])
 
 
 def sample_gaussian(g: GaussianDensity, rng: np.random.Generator) -> np.ndarray:

@@ -132,7 +132,7 @@ def exact_smooth(
     hypotheses.
     """
     check_real("prune", prune, "[0, 1)")
-    sizes = [len(p.bernoullis) + 1 for p in log.posteriors]
+    sizes = [len(p.r) + 1 for p in log.posteriors]
     if np.prod(sizes, dtype=float) > cap:
         raise SizeCapError(
             f"instance enumerates more than {cap} hypotheses; use a smaller problem"
@@ -149,13 +149,13 @@ def exact_smooth(
 def _init_hypotheses(pmb, k_max: int, cap: int) -> list[TrajectorySetHypothesis]:
     """Every existence pattern of the Bernoullis at K, track 0's choice outermost."""
     options = []
-    for i, comp in enumerate(pmb.bernoullis):
+    for i, (r, mean, cov) in enumerate(zip(pmb.r.tolist(), pmb.means, pmb.covs)):
         branch = []
-        if comp.r > 0.0:
-            tr = OracleTrajectory(k_max, (comp.density.mean,), (comp.density.cov,), (("init", i),))
-            branch.append((math.log(comp.r), (tr,)))
-        if comp.r < 1.0:
-            branch.append((math.log1p(-comp.r), ()))
+        if r > 0.0:
+            tr = OracleTrajectory(k_max, (mean,), (cov,), (("init", i),))
+            branch.append((math.log(r), (tr,)))
+        if r < 1.0:
+            branch.append((math.log1p(-r), ()))
         options.append(branch)
     return [
         TrajectorySetHypothesis(log_w, trajs)
@@ -178,8 +178,12 @@ def _capped(items, cap: int, k: int, held: int = 0) -> list:
 
 
 def _backward_step(hyps, pmb, birth, m, k, cap) -> list[TrajectorySetHypothesis]:
-    tracks = [_TrackStep(c.r, c.density.mean, c.density.cov, m) for c in pmb.bernoullis]
-    ppp = [(w, _TrackStep(1.0, g.mean, g.cov, m)) for w, g in pmb.ppp if w > 0.0]
+    tracks = [_TrackStep(*c, m) for c in zip(pmb.r.tolist(), pmb.means, pmb.covs)]
+    ppp = [
+        (w, _TrackStep(1.0, mean, cov, m))
+        for w, mean, cov in zip(pmb.ppp.weights.tolist(), pmb.ppp.means, pmb.ppp.covs)
+        if w > 0.0
+    ]
     out: list[TrajectorySetHypothesis] = []
     for hyp in hyps:
         present = [tr for tr in hyp.trajectories if tr.t == k + 1]
@@ -275,9 +279,10 @@ def _first_detection_branches(tr: OracleTrajectory, ppp, birth, m, k):
     head_mean, head_cov = tr.means[0], tr.covs[0]
     branch = []
     keep = birth.uniform_density
-    for w, g in birth.intensity:
+    b = birth.intensity
+    for w, mean, cov in zip(b.weights.tolist(), b.means, b.covs):
         if w > 0.0:
-            keep += w * math.exp(_log_mvn(head_mean, g.mean, g.cov + head_cov))
+            keep += w * math.exp(_log_mvn(head_mean, mean, cov + head_cov))
     if keep > 0.0:
         branch.append((math.log(keep), (tr,)))
     if m.ps > 0.0:

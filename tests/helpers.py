@@ -7,7 +7,14 @@ from pathlib import Path
 
 import numpy as np
 
-from trajsmooth.forward import BernoulliComponent, FilterLog, FilterParams, PMBDensity, run_forward
+from trajsmooth.forward import (
+    BernoulliComponent,
+    FilterLog,
+    FilterParams,
+    PMBDensity,
+    extract_estimates,
+    run_forward,
+)
 from trajsmooth.gaussians import GaussianDensity, GaussianMixture, LinearMotionModel
 from trajsmooth.models import BirthModel
 from trajsmooth.oracle import structure_signature
@@ -45,16 +52,16 @@ def pmb_to_jsonable(pmb):
 
 
 def filterlog_to_jsonable(log):
-    """The JSON form of a filter log that the pinned filter hashes were recorded from."""
+    """The JSON form of a filter log that the pinned filter hashes were recorded from:
+    per step, the posterior and the estimates extracted from it."""
     return {
         "k_max": log.k_max,
         "steps": [
             {
                 "posterior": pmb_to_jsonable(post),
-                "predicted_ppp": _mixture_to_jsonable(pred),
-                "estimates": [e.tolist() for e in est],
+                "estimates": [e.tolist() for e in extract_estimates(post)],
             }
-            for post, pred, est in zip(log.posteriors, log.predicted_ppps, log.estimates)
+            for post in log.posteriors
         ],
     }
 
@@ -66,12 +73,7 @@ def json_sha(data) -> str:
 
 
 def make_log(posteriors):
-    log = FilterLog(k_max=len(posteriors))
-    for p in posteriors:
-        log.posteriors.append(p)
-        log.predicted_ppps.append(p.ppp)
-        log.estimates.append([])
-    return log
+    return FilterLog(len(posteriors), list(posteriors))
 
 
 def tv_toy(sigma2=1e-8):

@@ -20,7 +20,15 @@ import trajsmooth
 from trajsmooth import cli
 from trajsmooth.backward import SmootherParams
 from trajsmooth.cli import _SCHEMA, _load_run_config, build_parser, main
-from trajsmooth.forward import FilterParams, filterlog_from_arrays, filterlog_to_arrays, run_forward
+from trajsmooth.forward import (
+    FilterParams,
+    PMBDensity,
+    extract_estimates,
+    filterlog_from_arrays,
+    filterlog_to_arrays,
+    predict_pmb,
+    run_forward,
+)
 from trajsmooth.gaussians import make_cv_model
 from trajsmooth.metrics import gospa_over_time
 from trajsmooth.models import make_position_measurement
@@ -72,7 +80,7 @@ def write_log(filterlog, arrays: dict) -> None:
 
 def log_rows(arrays: dict, key: str, step: int) -> np.ndarray:
     """The rows of one step of the log array `key`, as a view."""
-    offsets = arrays[f"{key.rsplit('.', 1)[0]}.offsets"]  # estimates: estimates.offsets
+    offsets = arrays[f"{key.rsplit('.', 1)[0]}.offsets"]
     return arrays[key][offsets[step]:offsets[step + 1]]
 
 
@@ -274,8 +282,8 @@ NAN = float("nan")
         ("filter", ("measurements", 0), [[NAN, 0.0]], "measurements[0][0]"),
         ("smooth", ("steps", 5, "posterior", "means", 0, 0), NAN, "steps[5].posterior.means[0]"),
         ("smooth", ("steps", 5, "posterior", "covs", 0, 1, 1), NAN, "steps[5].posterior.covs[0]"),
-        ("smooth", ("steps", 2, "predicted_ppp", "means", 0, 0), NAN,
-         "steps[2].predicted_ppp.means[0]"),
+        ("smooth", ("steps", 2, "posterior", "ppp", "means", 0, 0), NAN,
+         "steps[2].posterior.ppp.means[0]"),
         # an array of the wrong shape
         ("simulate", ("schedule", "init_cov"), [1.0, 2.0], "schedule.init_cov"),
         ("simulate", ("motion", "F"), np.eye(4)[:, :3].tolist(), "motion.F"),
@@ -347,19 +355,15 @@ def test_empty_clutter_region_exits_2(tmp_path, capsys, command, path, value):
          "particles[0].trajectories[0].states must be finite"),
         ("best", ("trajectories", 0, "states"), [[0.0, 1.0]],
          "particles[0].trajectories[0].states must have shape (n, 4)"),
-        ("filterlog", ("steps", 5, "estimates", 0, 1), NAN, "steps[5].estimates[0] must be finite"),
     ],
 )
 def test_evaluate_bad_state_exits_2(workdir, capsys, role, path, value, message):
     tmp_path, cfg = workdir
     scenario, filterlog, _, best = run_pipeline(tmp_path, cfg)
-    if role == "filterlog":
-        set_in_log(filterlog, path, value)
-    else:
-        edited = {"scenario": scenario, "best": best}[role]
-        data = json.loads(edited.read_text())
-        set_at(data, path, value)
-        edited.write_text(json.dumps(data))
+    edited = {"scenario": scenario, "best": best}[role]
+    data = json.loads(edited.read_text())
+    set_at(data, path, value)
+    edited.write_text(json.dumps(data))
     argv = ["evaluate", "--scenario", str(scenario), "--filterlog", str(filterlog),
             "--best", str(best), "--out", str(tmp_path / "report.json")]
     assert main(argv) == 2
@@ -425,12 +429,8 @@ BAD_LOGS = {
         ": steps[5].posterior.r[0] must be a number in [0, 1], got 1.5",
     ),
     "negative_weight": (
-        edit_arrays(lambda a: log_rows(a, "predicted_ppp.weights", 2).__setitem__(0, -0.5)),
-        ": steps[2].predicted_ppp.weights[0] must be a number >= 0, got -0.5",
-    ),
-    "nan_estimate": (
-        edit_arrays(lambda a: log_rows(a, "estimates", 5).__setitem__((0, 1), NAN)),
-        ": steps[5].estimates[0] must be finite",
+        edit_arrays(lambda a: log_rows(a, "posterior.ppp.weights", 2).__setitem__(0, -0.5)),
+        ": steps[2].posterior.ppp.weights[0] must be a number >= 0, got -0.5",
     ),
     "offsets_fall": (edit_arrays(_fall), ": posterior.offsets must start at 0 and never fall"),
     "offsets_end_short": (
@@ -502,11 +502,35 @@ def test_filter_log_of_another_state_dim_exits_2(tmp_path, capsys, command):
     argv = [command, "--scenario", str(scenario), "--filterlog", str(filterlog), "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    # the reader's message, with the file's path put in front once; evaluate reads the estimates only
-    key = "estimates" if command == "evaluate" else "posterior.means"
-    rows = len(read_log(filterlog)[key])
-    assert err == (f"config error: {filterlog}: {key} must be float64 of shape (n, 4), "
+    # the reader's message, with the file's path put in front once
+    rows = len(read_log(filterlog)["posterior.means"])
+    assert err == (f"config error: {filterlog}: posterior.means must be float64 of shape (n, 4), "
                    f"got float64 of shape ({rows}, 2)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["smooth", "oracle", "evaluate"])
+@pytest.mark.parametrize("log_k_max", [2, 4])
+def test_filter_log_of_another_horizon_exits_2(tmp_path, capsys, command, log_k_max):
+    # a filter log of a scenario cut shorter or run longer than the 3-step scenario read with it
+    scenario, other, filterlog = tmp_path / "sc.json", tmp_path / "other.json", tmp_path / "fl"
+    for k_max, path in ((3, scenario), (log_k_max, other)):
+        cfg_data = small_config(k_max=k_max)
+        cfg_data["clutter"]["rate"] = 0.5
+        cfg = tmp_path / f"cfg{k_max}.json"
+        cfg.write_text(json.dumps(cfg_data))
+        assert main(["simulate", "--config", str(cfg), "--out", str(path)]) == 0
+    # hard pruning keeps the log at oracle scale
+    flags = ["--prune-r", "0.01", "--prune-w", "0.01"]
+    assert main(["filter", "--scenario", str(other), "--out", str(filterlog), *flags]) == 0
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    argv = [command, "--scenario", str(scenario), "--filterlog", str(filterlog), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {filterlog}: k_max {log_k_max} does not match the scenario's horizon "
+        "k_max 3\n"
+    )
     assert not out.exists()
 
 
@@ -641,16 +665,18 @@ def test_filterlog_mixture_without_covs_is_config_error(workdir, capsys):
     tmp_path, cfg = workdir
     scenario, filterlog, _, _ = run_pipeline(tmp_path, cfg)
     arrays = read_log(filterlog)
-    del arrays["predicted_ppp.covs"]
+    del arrays["posterior.ppp.covs"]
     write_log(filterlog, arrays)
-    # evaluate reads only k_max and the estimates
-    argv = ["evaluate", "--scenario", str(scenario), "--filterlog", str(filterlog),
-            "--out", str(tmp_path / "report.json")]
-    assert main(argv) == 0
-    argv = ["smooth", "--scenario", str(scenario), "--filterlog", str(filterlog),
-            "--out", str(tmp_path / "pt.json"), "--particles", "5"]
-    assert main(argv) == 2
-    assert f"config error: {filterlog}: predicted_ppp.covs is missing" in capsys.readouterr().err
+    # every reader of the log reads it whole, through one reader
+    inputs = ["--scenario", str(scenario), "--filterlog", str(filterlog)]
+    for argv in (["evaluate", *inputs], ["smooth", *inputs, "--particles", "5"], ["oracle", *inputs]):
+        out = tmp_path / f"{argv[0]}.json"
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {filterlog}: posterior.ppp.covs is missing\n"
+        )
+        assert not out.exists()
 
 
 def test_filter_empty_object_scenario_is_config_error(tmp_path, capsys):
@@ -814,9 +840,15 @@ def test_scenario2_runs_end_to_end(tmp_path):
     assert main(["simulate", "--config", str(CONFIGS / "scenario2.json"), "--out", str(scenario)]) == 0
     assert main(["filter", "--scenario", str(scenario), "--out", str(filterlog)]) == 0
     arrays = read_log(filterlog)
+    # the log is the posteriors and nothing else
+    assert sorted(arrays) == sorted([
+        "k_max",
+        "posterior.r", "posterior.means", "posterior.covs", "posterior.offsets",
+        "posterior.ppp.weights", "posterior.ppp.means", "posterior.ppp.covs",
+        "posterior.ppp.offsets",
+    ])
     assert arrays["k_max"] == 20 and all(
-        len(arrays[f"{family}.offsets"]) == 21
-        for family in ("posterior", "posterior.ppp", "predicted_ppp", "estimates")
+        len(arrays[f"{family}.offsets"]) == 21 for family in ("posterior", "posterior.ppp")
     )
 
 
@@ -1154,16 +1186,61 @@ def test_filter_log_streamed_bytes_equal_whole_dump(tmp_path):
     assert out.read_bytes() == whole.getvalue()
 
 
+def older_layout(arrays: dict, scenario) -> dict:
+    """`arrays` of a filter log and the two families that logs held before they held the
+    posteriors only, the predicted intensities and the estimates, in the order written."""
+    dim = scenario.motion.dim
+    posteriors = filterlog_from_arrays(arrays, dim).posteriors
+    priors = [PMBDensity(scenario.init_ppp), *posteriors[:-1]]
+    predicted = [predict_pmb(p, scenario.motion, scenario.birth).ppp for p in priors]
+    estimates = [np.reshape(extract_estimates(p), (-1, dim)) for p in posteriors]
+    return {
+        **arrays,
+        "predicted_ppp.weights": np.concatenate([q.weights for q in predicted]),
+        "predicted_ppp.means": np.concatenate([q.means for q in predicted]),
+        "predicted_ppp.covs": np.concatenate([q.covs for q in predicted]),
+        "predicted_ppp.offsets": np.cumsum([0, *map(len, predicted)], dtype=np.int64),
+        "estimates": np.concatenate(estimates),
+        "estimates.offsets": np.cumsum([0, *map(len, estimates)], dtype=np.int64),
+    }
+
+
+def test_older_log_layout_gives_the_same_outputs(tmp_path, monkeypatch):
+    # smooth, oracle and evaluate read a log that also holds the predicted intensities
+    # and the estimates as they read the posteriors alone, and never load those arrays
+    argv = _pipeline_argv(tmp_path)
+    filterlog = tmp_path / "fl.json"
+    scenario = scenario_from_jsonable(json.loads((tmp_path / "sc.json").read_text()))
+    outputs = {}
+    for layout in ("posteriors", "older"):
+        if layout == "older":
+            write_log(filterlog, older_layout(read_log(filterlog), scenario))
+            assert len(read_log(filterlog)) == 15
+        loaded = []
+        getitem = np.lib.npyio.NpzFile.__getitem__
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__",
+                            lambda self, key: loaded.append(key) or getitem(self, key))
+        for command in ("smooth", "oracle", "evaluate"):
+            out = tmp_path / f"{layout}-{command}.json"
+            assert main([*argv[command], "--out", str(out)]) == 0
+            outputs[layout, command] = out.read_bytes()
+        monkeypatch.undo()
+        assert loaded and not {key for key in loaded if key.startswith(("predicted", "estimates"))}
+    for command in ("smooth", "oracle", "evaluate"):
+        assert outputs["older", command] == outputs["posteriors", command]
+
+
 def test_filter_log_memory_stays_below_twice_the_file(tmp_path):
     # stacking, writing, reading and checking the whole 81-step scenario1 log
-    scenario = tmp_path / "sc.json"
-    assert main(["simulate", "--config", str(CONFIGS / "scenario1.json"), "--out", str(scenario)]) == 0
-    log = run_forward(scenario_from_jsonable(json.loads(scenario.read_text())))
+    path = tmp_path / "sc.json"
+    assert main(["simulate", "--config", str(CONFIGS / "scenario1.json"), "--out", str(path)]) == 0
+    scenario = scenario_from_jsonable(json.loads(path.read_text()))
+    log = run_forward(scenario)
     out = tmp_path / "fl.json"
     peaks = []
     for step in (
         lambda: cli._write(out, partial(np.savez, **filterlog_to_arrays(log, 4))),
-        lambda: cli._read_log(out, partial(filterlog_from_arrays, dim=4)),
+        lambda: cli._read_log(out, scenario),
     ):
         tracemalloc.start()
         try:
@@ -1178,11 +1255,14 @@ def test_filter_log_memory_stays_below_twice_the_file(tmp_path):
 
 # sha256 of the particles, best particle and report of scenario1 at seed 3 through
 # simulate, filter, smooth (10 sampled-head particles) and evaluate, as BENCH_20.json
-# recorded them before the filter log became an .npz archive
+# recorded them before the filter log became an .npz archive; and of the log's
+# posteriors as read back, recorded while the log still held the predicted
+# intensities and the estimates
 PINNED_SCENARIO1_SEED3 = {
     "s1_3_pt.json": "afd287619e426742cd67c16ffcf6e13bb47b27d7e1fbaece0185982645121419",
     "s1_3_bp.json": "39fb066f233079f15b940e4967c23738d0149c8a154fe42ba94ff017e01c01e9",
     "s1_3_rep.json": "43831732b913aee988082fb9834b93ff7c7c0b7052e2f63642e1b769d3ff1a46",
+    "s1_3_posteriors": "9adc21c79d53d7c9b5da0c62cbc4df93517dcfd99fd5dd7a278e776174a4bd6b",
 }
 
 

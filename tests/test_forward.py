@@ -59,7 +59,7 @@ def test_predict_birth_only():
     birth = BirthModel(GaussianMixture(((0.05, g1(0.0, 1.0)),)))
     m = LinearMotionModel([[1.0]], [[0.1]], ps=0.9)
     out = predict_pmb(PMBDensity(), m, birth)
-    assert [w for w, _ in out.ppp] == [0.05]
+    assert out.ppp.weights.tolist() == [0.05]
     assert len(out.bernoullis) == 0
 
 
@@ -68,7 +68,7 @@ def test_predict_ppp_weights():
     pmb = PMBDensity(GaussianMixture(((1.0, g1(2.0, 1.0)),)))
     m = LinearMotionModel([[1.0]], [[0.1]], ps=0.98)
     out = predict_pmb(pmb, m, birth)
-    np.testing.assert_allclose([w for w, _ in out.ppp], [0.98, 0.05])
+    np.testing.assert_allclose(out.ppp.weights, [0.98, 0.05])
 
 
 def test_predict_rejects_uniform_birth():
@@ -93,7 +93,7 @@ def test_update_empty_scan_thins_ppp():
         (BernoulliComponent(0.8, g1(1.0, 1.0)),),
     )
     out = update_pmb(pmb, [], mm, cm, gate=9.0, m_best=10)
-    np.testing.assert_allclose([w for w, _ in out.ppp], [0.3, 0.12])
+    np.testing.assert_allclose(out.ppp.weights, [0.3, 0.12])
     assert len(out.bernoullis) == 1
 
 
@@ -161,7 +161,7 @@ def test_update_invariants_random():
         out = update_pmb(PMBDensity(ppp, bern), scan, mm, cm, gate=16.0, m_best=20)
         for c in out.bernoullis:
             assert -1e-12 <= c.r <= 1.0 + 1e-12
-        assert sum(w for w, _ in out.ppp) <= sum(w for w, _ in ppp) + 1e-12
+        assert sum(out.ppp.weights.tolist()) <= sum(ppp.weights.tolist()) + 1e-12
 
 
 def test_prune_thresholds():
@@ -171,7 +171,7 @@ def test_prune_thresholds():
     )
     out = prune_pmb(pmb, 1e-4, 1e-4)
     assert len(out.bernoullis) == 1 and out.bernoullis[0].r == 0.9
-    assert [w for w, _ in out.ppp] == [0.5]
+    assert out.ppp.weights.tolist() == [0.5]
     noop = prune_pmb(pmb, 0.0, 0.0)
     assert len(noop.bernoullis) == 2 and len(noop.ppp) == 2
     with pytest.raises(ContractError):
@@ -183,7 +183,7 @@ def test_prune_never_increases_mass():
         GaussianMixture(((0.5, g1(0.0, 1.0)),)), (BernoulliComponent(0.3, g1(0.0, 1.0)),)
     )
     out = prune_pmb(pmb, 0.5, 0.6)
-    assert sum(w for w, _ in out.ppp) <= 0.5
+    assert sum(out.ppp.weights.tolist()) <= 0.5
     assert len(out.bernoullis) == 0
 
 
@@ -252,7 +252,9 @@ def test_run_forward_logs_aligned():
     zs = [np.array([5.0 + 0.2 * rng.standard_normal()]) for _ in range(k_max)]
     sc = make_static_scenario(k_max, zs)
     log = run_forward(sc)
-    assert len(log.posteriors) == len(log.predicted_ppps) == len(log.estimates) == k_max
+    assert len(log.posteriors) == k_max
+    # nothing fills the fields that only perfbench's toy log still appends to
+    assert log.predicted_ppps == [] and log.estimates == []
     roundtrip = filterlog_from_arrays(filterlog_to_arrays(log, sc.motion.dim), sc.motion.dim)
     assert roundtrip.k_max == log.k_max
     for a, b in zip(roundtrip.posteriors, log.posteriors):
@@ -332,9 +334,10 @@ def test_update_marginals_match_exhaustive_enumeration():
         assert out.bernoullis[2 + j].r == pytest.approx(p_new[j] * r_new[j], rel=1e-9)
 
 
-# sha256 of the compact sorted-key filter-log JSON, recorded before the
-# measurement update moved onto the batched inversion helpers
-PINNED_FILTERLOG = "47095bf72dbb1ba5bd303c8628497cf698bb00de94f311d4d905615e9269b006"
+# sha256 of the compact sorted-key filter-log JSON (per step, the posterior and
+# the estimates extracted from it), re-recorded when the log stopped carrying the
+# predicted intensities; the filter before that change gives the same value
+PINNED_FILTERLOG = "535043448e32eac5d0558fb79b57e6a3bc5e49d9ddbe4aeb90f4dc3ae41f0838"
 
 
 def test_run_forward_pinned_bytes():
@@ -391,9 +394,10 @@ def edge_updates():
     }
 
 
-# sha256 of the compact sorted-key JSON, recorded before the measurement update
-# was batched over tracks x measurements
-PINNED_SCENARIO1_K30 = "d790f6535a59b1099fc701d009a9a471e85bb6ec45cba2e83e200c3f9cfa7162"
+# sha256 of the compact sorted-key JSON; the filter log's was re-recorded with
+# PINNED_FILTERLOG, the edge updates' (single posteriors) were recorded before the
+# measurement update was batched over tracks x measurements
+PINNED_SCENARIO1_K30 = "53ace9b981edd3ca68229ff66f1fe573ebfd47c73a64a1386d915565b8fde584"
 PINNED_EDGE_UPDATES = {
     "empty_scan": "2075d608bd59899b52a621fb8c1906bde7015a29463e2359ed1f6150f2c1714d",
     "empty_ppp": "89015cf63fbf2d60062372a01e0564f93d60dd62e193a155878d4b9fd57fe800",
@@ -504,11 +508,9 @@ def _log_from_bytes(blob, dim):
 
 def test_filter_log_decode_then_encode_gives_the_same_bytes():
     log = scenario1_cut_log()
-    # a step with no Bernoullis, an empty PPP and no estimates
+    # a step with no Bernoullis and an empty PPP
     log.k_max += 1
     log.posteriors.append(PMBDensity())
-    log.predicted_ppps.append(GaussianMixture())
-    log.estimates.append([])
     blob = _log_bytes(log, 4)
     back = _log_from_bytes(blob, 4)
     assert _log_bytes(back, 4) == blob
@@ -520,10 +522,8 @@ def test_filter_log_decode_then_encode_gives_the_same_bytes():
             _same_array(x, y)
     empty = back.posteriors[-1]
     assert empty.r.shape == (0,) and empty.means.shape == (0, 4) and empty.covs.shape == (0, 4, 4)
-    for mix in (empty.ppp, back.predicted_ppps[-1]):
-        assert mix.weights.shape == (0,)
-        assert mix.means.shape == (0, 4) and mix.covs.shape == (0, 4, 4)
-    assert back.estimates[-1] == []
+    assert empty.ppp.weights.shape == (0,)
+    assert empty.ppp.means.shape == (0, 4) and empty.ppp.covs.shape == (0, 4, 4)
 
 
 def _same_array(a, b):
@@ -547,15 +547,11 @@ def test_object_constructors_equal_the_array_form():
                  (built.ppp.weights, arrays.ppp.weights), (built.ppp.means, arrays.ppp.means),
                  (built.ppp.covs, arrays.ppp.covs)]:
         _same_array(a, b)
-    # the object forms read back equal what they were built from
+    # the Bernoullis read back equal what they were built from
     for c, x, m, cov in zip(arrays.bernoullis, r.tolist(), means, covs):
         assert c.r == x
         _same_array(c.density.mean, m)
         _same_array(c.density.cov, cov)
-    assert [x for x, _ in arrays.ppp] == w.tolist() and len(arrays.ppp.components) == 2
-    for (_, g), m, cov in zip(arrays.ppp, p_means, p_covs):
-        _same_array(g.mean, m)
-        _same_array(g.cov, cov)
     # built from no components, the stacks are empty at any dimension
     none = PMBDensity()
     assert none.r.shape == (0,) and len(none.ppp) == 0 and none.bernoullis == ()

@@ -14,13 +14,13 @@ from trajsmooth.gaussians import (
     _inv_log_norm,
     _jittered,
     _linear_terms,
+    _of_dim,
     _predict,
     _stack,
     GaussianMixture,
     LinearMotionModel,
     gate_quantile,
     make_cv_model,
-    predict_gaussian,
     sample_gaussian,
     symmetrize,
 )
@@ -65,10 +65,16 @@ def random_spd(rng, n, scale=1.0):
     return scale * (a @ a.T + n * np.eye(n))
 
 
+def predicted(g, m):
+    """`_predict` of one density, read at the model's dimension as `predict_pmb` reads its stacks."""
+    means, covs = _predict(*_of_dim(m.dim, GaussianMixture(((1.0, g),))), m)
+    return GaussianDensity(means[0], covs[0])
+
+
 def test_predict_1d_arithmetic():
     g = GaussianDensity([1.0], [[1.0]])
     m = LinearMotionModel([[2.0]], [[0.5]], ps=1.0)
-    out = predict_gaussian(g, m)
+    out = predicted(g, m)
     np.testing.assert_allclose(out.mean, [2.0])
     np.testing.assert_allclose(out.cov, [[4.5]])
 
@@ -76,7 +82,7 @@ def test_predict_1d_arithmetic():
 def test_predict_identity_noop():
     g = GaussianDensity([1.0, -2.0], [[2.0, 0.3], [0.3, 1.0]])
     m = LinearMotionModel(np.eye(2), np.zeros((2, 2)), ps=0.9)
-    out = predict_gaussian(g, m)
+    out = predicted(g, m)
     np.testing.assert_allclose(out.mean, g.mean)
     np.testing.assert_allclose(out.cov, g.cov)
 
@@ -85,7 +91,7 @@ def test_predict_cv_against_matrix_arithmetic():
     m = make_cv_model(ts=1.0, sigma_q=0.1, ps=0.98, dims=2)
     mean = np.array([0.0, 1.0, 0.0, 1.0])
     cov = np.diag([1.0, 0.5, 2.0, 0.25])
-    out = predict_gaussian(GaussianDensity(mean, cov), m)
+    out = predicted(GaussianDensity(mean, cov), m)
     np.testing.assert_allclose(out.mean, [1.0, 1.0, 1.0, 1.0])
     # hand-built CV matrices, independent of make_cv_model
     blk_f = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -101,7 +107,7 @@ def test_predict_cv_against_matrix_arithmetic():
 
 def test_predict_dimension_mismatch():
     with pytest.raises(ContractError):
-        predict_gaussian(
+        predicted(
             GaussianDensity([0.0], [[1.0]]),
             LinearMotionModel(np.eye(2), np.eye(2), ps=1.0),
         )
@@ -251,7 +257,7 @@ def test_mixture_validation_and_helpers():
     g = GaussianDensity([0.0], [[1.0]])
     mix = GaussianMixture(((0.4, g), (0.1, g)))
     assert len(mix) == 2
-    assert [w for w, _ in mix] == [0.4, 0.1]
+    assert mix.weights.tolist() == [0.4, 0.1]
     with pytest.raises(ContractError):
         GaussianMixture(((-0.1, g),))
     assert len(GaussianMixture()) == 0

@@ -3,7 +3,7 @@ import pytest
 
 from trajsmooth.backward import Particle
 from trajsmooth.errors import ContractError
-from trajsmooth.forward import BernoulliComponent, PMBDensity, extract_estimates
+from trajsmooth.forward import ESTIMATE_THRESHOLD, BernoulliComponent, PMBDensity, extract_estimates
 from trajsmooth.gaussians import GaussianDensity, GaussianMixture
 from trajsmooth.metrics import (
     gospa,
@@ -107,15 +107,16 @@ def g1(mean, var=1.0):
 
 
 def test_extract_estimates_threshold():
+    # a Bernoulli is an estimate from existence ESTIMATE_THRESHOLD (0.5) up
+    assert ESTIMATE_THRESHOLD == 0.5
     pmb = PMBDensity(
         GaussianMixture(),
-        (BernoulliComponent(0.6, g1(1.0)), BernoulliComponent(0.4, g1(2.0))),
+        tuple(BernoulliComponent(r, g1(x)) for r, x in ((0.6, 1.0), (0.4, 2.0), (0.5, 3.0))),
     )
-    est = extract_estimates(pmb, 0.5)
-    assert len(est) == 1
-    np.testing.assert_array_equal(est[0], [1.0])
-    assert len(extract_estimates(pmb, 0.0)) == 2
-    assert extract_estimates(PMBDensity(), 0.5) == []
+    est = extract_estimates(pmb)
+    assert len(est) == 2
+    np.testing.assert_array_equal(est, [[1.0], [3.0]])
+    assert extract_estimates(PMBDensity()) == []
 
 
 def make_traj(t, length):

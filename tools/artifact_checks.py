@@ -12,6 +12,11 @@ The JSON object printed holds:
   simulate, filter, smooth (10 particles, sampled heads) and evaluate (the
   filter log and the best particle): the particles, the best particle and
   the GOSPA report;
+- `s1_<seed>_posteriors`: the same pipeline's filter log as
+  `forward.filterlog_from_arrays` reads it back: k_max, then per step the
+  shape and bytes of each posterior array. It does not depend on the
+  archive's layout, so it compares the filter's numbers across trees whose
+  logs hold other arrays;
 - `desk_report`: `mc` on configs/desk_mc.json with 2 runs and T = 50
   (dirac mode): its report.json;
 - `toy_particles`, `toy_oracle`: perfbench's criterion-04 toy through
@@ -27,6 +32,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 S1_SEEDS = (3, 61, 1234)
 
 
@@ -34,8 +41,23 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def posteriors_sha(filterlog: Path, dim: int) -> str:
+    """sha256 of the posteriors of the filter log at `filterlog`, as read back."""
+    from trajsmooth.forward import filterlog_from_arrays
+
+    h = hashlib.sha256(str(dim).encode())
+    with np.load(filterlog, allow_pickle=False) as arrays:
+        log = filterlog_from_arrays(arrays, dim)
+        h.update(f"k_max {log.k_max}".encode())
+        for p in log.posteriors:
+            for a in (p.r, p.means, p.covs, p.ppp.weights, p.ppp.means, p.ppp.covs):
+                h.update(f"{a.dtype} {a.shape}".encode())
+                h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
 def scenario1_checks(tree: Path, seed: int, workdir: Path) -> dict[str, str]:
-    """sha256 of particles, best particle and report of one scenario1 CLI pipeline."""
+    """sha256 of particles, best particle, report and posteriors of one scenario1 CLI pipeline."""
     from trajsmooth.cli import main
 
     cfg = json.loads((tree / "configs" / "scenario1.json").read_text())
@@ -53,7 +75,10 @@ def scenario1_checks(tree: Path, seed: int, workdir: Path) -> dict[str, str]:
     ):
         if main(argv) != 0:
             raise RuntimeError(f"{argv[0]} failed on scenario1 seed {seed}")
-    return {f"s1_{seed}_{p.name}": _sha(p.read_bytes()) for p in (pt, bp, rep)}
+    checks = {f"s1_{seed}_{p.name}": _sha(p.read_bytes()) for p in (pt, bp, rep)}
+    dim = len(json.loads(sc.read_text())["models"]["motion"]["F"])
+    checks[f"s1_{seed}_posteriors"] = posteriors_sha(fl, dim)
+    return checks
 
 
 def desk_checks(tree: Path, workdir: Path) -> dict[str, str]:
