@@ -69,24 +69,29 @@ blocks 0, 1, ... in order. The roles and their slots:
   - `_HYP`, slot 0: word 0 is the hypothesis uniform;
   - `_EXIST`, slot 0: word i is track i's existence uniform (an ended track
     at k, every track at K);
-  - `_HEAD`, slot i: the first d words are the normals of track i's head (an
-    ended or continued track at k, a track at K);
+  - `_HEAD`, slot i: the first ceil(d / 2) word pairs give the normals of
+    track i's head (an ended or continued track at k, a track at K);
   - `_FIRST`, slot j: words 0 and 1 are the keep and extension-choice
     uniforms of present trajectory j, read when its first-detection column
     is drawn;
-  - `_EXT`, slot j: the first d words are the normals of that trajectory's
-    extension head.
+  - `_EXT`, slot j: the first ceil(d / 2) word pairs give the normals of that
+    trajectory's extension head.
 
-A uniform is (w >> 11) 2^-53, as `Generator.random` forms it, and a normal is
-the normal quantile of ((w >> 12) + 1/2) 2^-52, a probability strictly inside
-(0, 1), computed as Cephes `ndtri` (the function scipy.special evaluates).
-A particle's numbers therefore depend on neither the number of particles, nor
-the grouping, nor `_BATCH`. A batch of a step draws its uniforms (each
-particle's hypothesis and existence blocks and one first-detection block per
-present trajectory) and, without dirac mode, the normals of exactly the heads
-it draws, one generator run per role, slot and block (`_words`); the draws
-are array operations over the batch, and a hypothesis is the count of a
-table's cumulative probabilities below its uniform.
+A uniform is (w >> 11) 2^-53, as `Generator.random` forms it. A head's
+normals come from word pairs by Box-Muller (Box and Muller, Ann. Math.
+Statist. 1958): pair i, words 2i and 2i+1 of the slot, gives
+u = ((w[2i] >> 11) + 1) 2^-53 in (0, 1] and v = (w[2i+1] >> 11) 2^-53 in
+[0, 1), and with r = sqrt(-2 ln u) and theta = 2 pi v, normals 2i and 2i+1
+are r cos theta and r sin theta; the head keeps the first d. A normal
+depends on its pair alone, and numpy's `log`, `cos` and `sin` give an
+element the same bits wherever it sits in an array. A particle's numbers
+therefore depend on neither the number of particles, nor the grouping, nor
+`_BATCH`. A batch of a step draws its uniforms (each particle's hypothesis
+and existence blocks and one first-detection block per present trajectory)
+and, without dirac mode, the normals of exactly the heads it draws, one
+generator run per role, slot and block (`_words`); the draws are array
+operations over the batch, and a hypothesis is the count of a table's
+cumulative probabilities below its uniform.
 """
 
 from __future__ import annotations
@@ -606,73 +611,16 @@ def _uniforms(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)) * 2.0**-53
 
 
-# Cephes `ndtri` (S. L. Moshier), the normal quantile scipy.special evaluates:
-# the rational approximations in y - 1/2 for exp(-2) < y < 1 - exp(-2), and in
-# 1/z, z = sqrt(-2 ln y), on the tails, split at z = 8
-_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
-             1.39312609387279679503E1, -1.23916583867381258016E0)
-_NDTRI_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
-             -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
-             1.59056225126211695515E1, -1.18331621121330003142E0)
-_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
-             4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
-             -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
-_NDTRI_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
-             1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
-             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
-_NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
-             1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
-             3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
-_NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
-             2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
-             2.89247864745380683936E-6, 6.79019408009981274425E-9)
-_SQRT_2PI = 2.50662827463100050242E0
-_EXP_M2 = 0.13533528323661269189  # exp(-2)
-
-
-def _ratio(x: np.ndarray, p: tuple, q: tuple) -> np.ndarray:
-    """x p(x) / q(x), left to right, by Horner's rule (Cephes polevl and p1evl).
-
-    q is monic and its leading 1 is left out of the tuple.
-    """
-    num = p[0]
-    for c in p[1:]:
-        num = num * x + c
-    den = x + q[0]
-    for c in q[1:]:
-        den = den * x + c
-    return x * num / den
-
-
-def _libm_log(x: np.ndarray) -> np.ndarray:
-    # math.log, the C library's log: np.log's SIMD loop differs from it in the last bit
-    return np.fromiter(map(math.log, x.tolist()), float, x.size)
-
-
 def _normals(words: np.ndarray) -> np.ndarray:
-    """Standard normals from 64-bit words by inversion; the probability is never 0 or 1.
+    """Standard normals from 64-bit words by Box-Muller on word pairs along the last axis.
 
-    The inversion is Cephes `ndtri` in the same operation order, bit-equal to
-    `scipy.special.ndtri`.
+    Words 2i and 2i+1 give normals 2i and 2i+1 (module docstring); the last
+    axis must have even length.
     """
-    p = ((words >> np.uint64(12)) + 0.5) * 2.0**-52
-    upper = p > 1.0 - _EXP_M2
-    y = np.where(upper, 1.0 - p, p)
-    out = np.empty_like(y)
-    central = y > _EXP_M2
-    yc = y[central] - 0.5
-    y2 = yc * yc
-    out[central] = (yc + yc * _ratio(y2, _NDTRI_P0, _NDTRI_Q0)) * _SQRT_2PI
-    tail = ~central
-    z = np.sqrt(-2.0 * _libm_log(y[tail]))
-    inv = 1.0 / z
-    x1 = _ratio(inv, _NDTRI_P1, _NDTRI_Q1)
-    far = z >= 8.0  # y below exp(-32)
-    if far.any():
-        x1[far] = _ratio(inv[far], _NDTRI_P2, _NDTRI_Q2)
-    x = z - _libm_log(z) / z - x1
-    out[tail] = np.where(upper[tail], x, -x)
-    return out
+    u = ((words[..., 0::2] >> np.uint64(11)) + 1) * 2.0**-53
+    r = np.sqrt(-2.0 * np.log(u))
+    theta = 2.0 * np.pi * _uniforms(words[..., 1::2])
+    return np.stack((r * np.cos(theta), r * np.sin(theta)), axis=-1).reshape(words.shape)
 
 
 def _words(key: np.ndarray, step: int, role: int, particles, slots=0, n_words: int = 1):
@@ -912,8 +860,9 @@ def _initial_set(nodes: _Nodes, pmb: PMBDensity, k_max: int, dirac_mode: bool, k
     if dirac_mode:
         heads = means[tracks]
     else:
-        words = _words(key, k_max, _HEAD, owners, tracks, means.shape[1])
-        heads = _draw(means[tracks], _roots_of(covs, tracks), _normals(words))
+        d = means.shape[1]
+        words = _words(key, k_max, _HEAD, owners, tracks, d + d % 2)
+        heads = _draw(means[tracks], _roots_of(covs, tracks), _normals(words)[:, :d])
     ids = nodes.add(k_max, heads, np.full(len(tracks), -1), dirac_mode)
     return _rows(owners, tracks, ids, n)
 
@@ -1024,15 +973,16 @@ def _sample_set(
     ]
     if not dirac_mode:
         d = step.dim
+        n_words = d + d % 2  # whole pairs
         words = (
-            _words(key, k, _HEAD, particles[qc], tc, d),
-            _words(key, k, _HEAD, particles[qe], te, d),
-            _words(key, k, _EXT, particles[qx], jx, d),
+            _words(key, k, _HEAD, particles[qc], tc, n_words),
+            _words(key, k, _HEAD, particles[qe], te, n_words),
+            _words(key, k, _EXT, particles[qx], jx, n_words),
         )
         roots = (
             _roots_of(t.covs, a), _roots_of(step.end_covs, te), _roots_of(step.ppp.covs, comps)
         )
-        z = _normals(np.concatenate(words))
+        z = _normals(np.concatenate(words))[:, :d]
         heads = [_draw(np.concatenate(heads), np.concatenate(roots), z)]
 
     kept = ~extend

@@ -271,6 +271,11 @@ def cmd_evaluate(args) -> int:
         sources["filter"] = [extract_estimates(post) for post in log.posteriors]
     if args.best:
         best = _decode(args.best, lambda d: particles_from_jsonable({"particles": [d]}, dim)[0])
+        for i, tr in enumerate(best.trajectories):
+            if tr.last_time > scenario.k_max:
+                raise ConfigError(f"{args.best}: particles[0].trajectories[{i}] ends at step "
+                                  f"{tr.last_time}, past the scenario's horizon "
+                                  f"k_max {scenario.k_max}")
         sources["smoothed"] = [
             states_at_time(best.trajectories, k) for k in range(1, scenario.k_max + 1)
         ]

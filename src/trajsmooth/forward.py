@@ -181,8 +181,8 @@ _LOG_TINY = math.log(np.finfo(float).tiny)
 #   for either product or a dot; `m @ F.T` for the means; `math.log`,
 #   `math.exp` and `math.log1p` against their numpy ufuncs (last-ulp
 #   differences), so the scalar `math` calls of the per-item code stay one per
-#   track, component or measurement, and `backward._normals` takes the logs of
-#   its tail members with `math.log`, as C `ndtri` does.
+#   track, component or measurement. `backward._normals` has no per-item form
+#   to match: it calls `np.log`, `np.cos` and `np.sin` on whole arrays.
 
 
 def _thinned(r: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:

@@ -534,6 +534,28 @@ def test_filter_log_of_another_horizon_exits_2(tmp_path, capsys, command, log_k_
     assert not out.exists()
 
 
+def test_evaluate_best_past_the_horizon_exits_2(tmp_path, capsys):
+    # a best particle of a longer run: trajectory 1 ends one step after the 3-step scenario
+    cfg, scenario, best = tmp_path / "cfg.json", tmp_path / "sc.json", tmp_path / "best.json"
+    cfg.write_text(json.dumps(small_config(k_max=3)))
+    assert main(["simulate", "--config", str(cfg), "--out", str(scenario)]) == 0
+    ends_at_horizon = {"t": 1, "states": [[0.0, 1.0, 0.0, 1.0]] * 3}
+    past = {"t": 2, "states": [[5.0, 1.0, 5.0, 1.0]] * 3}
+    best.write_text(json.dumps({"c": 0.0, "trajectories": [ends_at_horizon, past]}))
+    out = tmp_path / "report.json"
+    argv = ["evaluate", "--scenario", str(scenario), "--best", str(best), "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {best}: particles[0].trajectories[1] ends at step 4, past the "
+        "scenario's horizon k_max 3\n"
+    )
+    assert not out.exists()
+    # a trajectory that ends at the horizon is read
+    best.write_text(json.dumps({"c": 0.0, "trajectories": [ends_at_horizon]}))
+    assert main(argv) == 0 and out.exists()
+
+
 @pytest.mark.parametrize(
     "role, path, value",
     [
@@ -1254,14 +1276,16 @@ def test_filter_log_memory_stays_below_twice_the_file(tmp_path):
 
 
 # sha256 of the particles, best particle and report of scenario1 at seed 3 through
-# simulate, filter, smooth (10 sampled-head particles) and evaluate, as BENCH_20.json
-# recorded them before the filter log became an .npz archive; and of the log's
+# simulate, filter, smooth (10 sampled-head particles) and evaluate, re-recorded
+# when the normals became Box-Muller draws from word pairs; of the dirac-mode
+# particles, which read no normal, recorded before that change; and of the log's
 # posteriors as read back, recorded while the log still held the predicted
 # intensities and the estimates
 PINNED_SCENARIO1_SEED3 = {
-    "s1_3_pt.json": "afd287619e426742cd67c16ffcf6e13bb47b27d7e1fbaece0185982645121419",
-    "s1_3_bp.json": "39fb066f233079f15b940e4967c23738d0149c8a154fe42ba94ff017e01c01e9",
-    "s1_3_rep.json": "43831732b913aee988082fb9834b93ff7c7c0b7052e2f63642e1b769d3ff1a46",
+    "s1_3_pt.json": "58a9c2f9681703ed996fed4ed60238ce80da4ffc72f1c0341701459c1b1d3013",
+    "s1_3_bp.json": "3371d5c7911fa67c1e7dee636af9fbf82201046b69173f83a60032674205f9bb",
+    "s1_3_rep.json": "1cfc6b218b4659779b5ef49dc079e50b51bbeac503fc3214dc298016899a2014",
+    "s1_3_dirac_pt.json": "2edbe85e4ef06aa8a6d659d377d86f7b8f602507e391fa1879862dc687d8ed21",
     "s1_3_posteriors": "9adc21c79d53d7c9b5da0c62cbc4df93517dcfd99fd5dd7a278e776174a4bd6b",
 }
 

@@ -12,6 +12,8 @@ The JSON object printed holds:
   simulate, filter, smooth (10 particles, sampled heads) and evaluate (the
   filter log and the best particle): the particles, the best particle and
   the GOSPA report;
+- `s1_<seed>_dirac_pt.json`: the same pipeline's `smooth --dirac-mode`
+  particles (10 particles), which read no normal;
 - `s1_<seed>_posteriors`: the same pipeline's filter log as
   `forward.filterlog_from_arrays` reads it back: k_max, then per step the
   shape and bytes of each posterior array. It does not depend on the
@@ -57,25 +59,28 @@ def posteriors_sha(filterlog: Path, dim: int) -> str:
 
 
 def scenario1_checks(tree: Path, seed: int, workdir: Path) -> dict[str, str]:
-    """sha256 of particles, best particle, report and posteriors of one scenario1 CLI pipeline."""
+    """sha256 of the `s1_<seed>_*` artifacts of one scenario1 CLI pipeline (module docstring)."""
     from trajsmooth.cli import main
 
     cfg = json.loads((tree / "configs" / "scenario1.json").read_text())
     cfg["seed"] = seed
     config, sc, fl = workdir / "cfg.json", workdir / "sc.json", workdir / "filterlog"
     pt, bp, rep = workdir / "pt.json", workdir / "bp.json", workdir / "rep.json"
+    dirac_pt = workdir / "dirac_pt.json"
     config.write_text(json.dumps(cfg))
     for argv in (
         ["simulate", "--config", str(config), "--out", str(sc)],
         ["filter", "--scenario", str(sc), "--out", str(fl)],
         ["smooth", "--scenario", str(sc), "--filterlog", str(fl), "--out", str(pt),
          "--best-out", str(bp), "--particles", "10"],
+        ["smooth", "--scenario", str(sc), "--filterlog", str(fl), "--out", str(dirac_pt),
+         "--particles", "10", "--dirac-mode"],
         ["evaluate", "--scenario", str(sc), "--filterlog", str(fl), "--best", str(bp),
          "--out", str(rep)],
     ):
         if main(argv) != 0:
             raise RuntimeError(f"{argv[0]} failed on scenario1 seed {seed}")
-    checks = {f"s1_{seed}_{p.name}": _sha(p.read_bytes()) for p in (pt, bp, rep)}
+    checks = {f"s1_{seed}_{p.name}": _sha(p.read_bytes()) for p in (pt, bp, rep, dirac_pt)}
     dim = len(json.loads(sc.read_text())["models"]["motion"]["F"])
     checks[f"s1_{seed}_posteriors"] = posteriors_sha(fl, dim)
     return checks
