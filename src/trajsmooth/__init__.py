@@ -13,6 +13,7 @@ from .backward import (
     FirstDetected,
     LocalHypothesis,
     Particle,
+    ParticleSet,
     SmootherParams,
     backward_simulate,
     best_particle,
@@ -84,6 +85,7 @@ __all__ = [
     "FirstDetected",
     "LocalHypothesis",
     "Particle",
+    "ParticleSet",
     "SmootherParams",
     "backward_simulate",
     "best_particle",

@@ -29,9 +29,11 @@ sampler creates none.
 Backward simulation runs step-outer, over arrays of particles. A trajectory
 is a row of a node table (`_Nodes`): its birth time, its head state and the
 row of its tail, as a persistent list (Okasaki, "Purely Functional Data
-Structures", 1998). Prepending a head appends a row and copies no state, and
-`Trajectory` objects are built once, at the end. A particle's set is a row
-of node ids in set order. A kernel depends only on the trajectories present
+Structures", 1998). Prepending a head appends a row and copies no state. A
+particle's set is a row of node ids in set order. The result is a
+`ParticleSet` of arrays, each distinct node's states gathered once into one
+stacked array; `Particle` and `Trajectory` objects are built when it is
+read, and it keeps none. A kernel depends only on the trajectories present
 at k+1, in their order (a reordered set permutes the cost-matrix rows, with
 them the ranking's tie-breaks, and the order of the sampled set), so at each
 step the particles are grouped by the ids of their present trajectories. In
@@ -98,7 +100,9 @@ from __future__ import annotations
 
 import gc
 import math
+import operator
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -128,6 +132,8 @@ from .trajectory import Trajectory, trajectory_from_jsonable, trajectory_to_json
 
 # conditioning sets per batched kernel build: bounds the memory of one pass
 _BATCH = 1024
+# particles built per pass while a ParticleSet is iterated: bounds the objects alive at once
+_READ = 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -252,12 +258,80 @@ class BackwardKernel:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Particle:
     """One sampled set of trajectories over 1:K with its accumulated log-weight."""
 
     trajectories: tuple[Trajectory, ...]
     log_weight_acc: float
+
+
+class ParticleSet(Sequence):
+    """A read-only sequence of `Particle`s stored as arrays; objects are built on read.
+
+    Trajectory i of the set was born at `birth[i]` and its states are rows
+    `start[i]:start[i] + length[i]` of the stacked (read-only) `states`.
+    Particle p owns the trajectories `rows[p][rows[p] >= 0]`, in set order,
+    and has the accumulated log-weight `log_w[p]`. Indexing or iterating
+    builds fresh `Particle` and `Trajectory` objects and the set keeps none;
+    their states are views of `states`. A slice is a set over the same
+    trajectory arrays.
+    """
+
+    __slots__ = ("birth", "start", "length", "states", "rows", "log_w")
+
+    def __init__(self, birth, start, length, states, rows, log_w):
+        states.flags.writeable = False
+        self.birth, self.start, self.length, self.states = birth, start, length, states
+        self.rows, self.log_w = rows, log_w
+
+    @classmethod
+    def of(cls, particles) -> ParticleSet:
+        """`particles` as a set: a set itself, else one stacked row per trajectory."""
+        if isinstance(particles, ParticleSet):
+            return particles
+        trs = [tr for p in particles for tr in p.trajectories]
+        cards = [len(p.trajectories) for p in particles]
+        length = np.array([tr.length for tr in trs], dtype=int)
+        states = np.concatenate([tr.states for tr in trs]) if trs else np.empty((0, 0))
+        number = np.arange(len(trs))
+        return cls(
+            np.array([tr.t for tr in trs], dtype=int), np.cumsum(length) - length, length, states,
+            _rows(np.repeat(np.arange(len(cards)), cards), number, number, len(cards)),
+            np.array([p.log_weight_acc for p in particles], dtype=float),
+        )
+
+    def __len__(self) -> int:
+        return len(self.log_w)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ParticleSet(
+                self.birth, self.start, self.length, self.states, self.rows[i], self.log_w[i]
+            )
+        at = [operator.index(i)]  # numpy raises the IndexError of an index out of range
+        return self._particles(self.rows[at], self.log_w[at])[0]
+
+    def __iter__(self):
+        for lo in range(0, len(self), _READ):
+            yield from self._particles(self.rows[lo:lo + _READ], self.log_w[lo:lo + _READ])
+
+    def _particles(self, rows: np.ndarray, log_w: np.ndarray) -> list[Particle]:
+        """The particles of node-id rows `rows` with log-weights `log_w`, as new objects."""
+        owned = rows >= 0
+        nodes = rows[owned]
+        start = self.start[nodes]
+        built = [
+            _trajectory(t, self.states[a:b])
+            for t, a, b in zip(
+                self.birth[nodes].tolist(), start.tolist(), (start + self.length[nodes]).tolist()
+            )
+        ]
+        ends = np.cumsum(owned.sum(axis=1)).tolist()
+        return [
+            Particle(tuple(built[lo:hi]), acc)
+            for lo, hi, acc in zip([0] + ends, ends, log_w.tolist())
+        ]
 
 
 @dataclass(frozen=True)
@@ -698,13 +772,16 @@ class _Nodes:
         self.size = hi
         return ids
 
-    def trajectories(self, ids: np.ndarray) -> list[Trajectory]:
-        """The trajectory of each node in `ids`; equal ids give one shared object.
+    def particles(self, sets: np.ndarray, log_w: np.ndarray) -> ParticleSet:
+        """The particles with node-id rows `sets` (-1 padded) and log-weights `log_w`, as arrays.
 
         Every distinct node's states are gathered by one walk up the tail
         pointers, one level per step of its length, into one array.
         """
-        nodes, where = np.unique(ids, return_inverse=True)
+        owned = sets >= 0
+        nodes, where = np.unique(sets[owned], return_inverse=True)
+        rows = np.full(sets.shape, -1)
+        rows[owned] = where
         length = np.zeros(len(nodes), dtype=int)
         levels, live, at = [], np.arange(len(nodes)), nodes
         while at.size:
@@ -716,11 +793,7 @@ class _Nodes:
         states = np.empty((int(length.sum()), self.heads.shape[1]))
         for depth, (live, at) in enumerate(levels):
             states[start[live] + depth] = self.heads[at]
-        built = [
-            _trajectory(t, states[a:a + n])
-            for t, a, n in zip(self.birth[nodes].tolist(), start.tolist(), length.tolist())
-        ]
-        return [built[i] for i in where.tolist()]
+        return ParticleSet(self.birth[nodes], start, length, states, rows, log_w)
 
 
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -762,7 +835,7 @@ def backward_simulate(
     birth: BirthModel,
     m: LinearMotionModel,
     params: SmootherParams,
-) -> list[Particle]:
+) -> ParticleSet:
     """Algorithm: initialize at K from f_{K|K}, then sample the kernel down to k=1.
 
     All particles advance together, one step at a time. A trajectory is a
@@ -788,8 +861,10 @@ def backward_simulate(
     comparison per table stack, the existences and first-detection choices by
     comparisons, and the Gaussian heads by one stacked `_draw`. The new sets
     are one sort of every particle's absent trajectories, tracks and first
-    detections (`_next_sets`). `Trajectory` objects are built once, at the
-    end, one per distinct node.
+    detections (`_next_sets`). The result is a `ParticleSet`: each distinct
+    node's states gathered once into one stacked array, the particles' rows
+    of trajectory indices and their log-weights. `Particle` and `Trajectory`
+    objects are built only when it is read.
 
     The cyclic garbage collector is paused for the run, which creates no
     reference cycles, and left as the caller had it.
@@ -806,7 +881,7 @@ def backward_simulate(
             gc.enable()
 
 
-def _simulate(log, birth, m, params: SmootherParams, gate: float) -> list[Particle]:
+def _simulate(log, birth, m, params: SmootherParams, gate: float) -> ParticleSet:
     key = np.random.SeedSequence(params.seed).generate_state(2, np.uint64)
     k_max = int(log.k_max)
     nodes = _Nodes(m.dim)
@@ -836,13 +911,7 @@ def _simulate(log, birth, m, params: SmootherParams, gate: float) -> list[Partic
             accs[particles] += log_w
             drawn.append(members)
         sets = _next_sets(nodes, sets, drawn, k, params.dirac_mode)
-    owned = sets >= 0
-    trajectories = nodes.trajectories(sets[owned])
-    ends = np.cumsum(owned.sum(axis=1)).tolist()
-    return [
-        Particle(tuple(trajectories[lo:hi]), acc)
-        for lo, hi, acc in zip([0] + ends, ends, accs.tolist())
-    ]
+    return nodes.particles(sets, accs)
 
 
 def _initial_set(nodes: _Nodes, pmb: PMBDensity, k_max: int, dirac_mode: bool, key, n: int):
@@ -1013,27 +1082,22 @@ def _next_sets(nodes: _Nodes, sets: np.ndarray, drawn: list[_Drawn], k: int, sha
     )
 
 
-def best_particle(particles: list[Particle]) -> Particle:
+def best_particle(particles: Sequence[Particle]) -> Particle:
     """Particle with the highest accumulated log-weight; ties keep the lowest index."""
     if not particles:
         raise ContractError("best_particle requires a nonempty particle list")
-    best = particles[0]
-    for p in particles[1:]:
-        if p.log_weight_acc > best.log_weight_acc:
-            best = p
-    return best
+    return particles[int(np.argmax(ParticleSet.of(particles).log_w))]
 
 
-def particles_to_jsonable(particles: list[Particle]) -> dict:
+def particle_to_jsonable(p: Particle) -> dict:
     return {
-        "particles": [
-            {
-                "c": p.log_weight_acc,
-                "trajectories": [trajectory_to_jsonable(tr) for tr in p.trajectories],
-            }
-            for p in particles
-        ]
+        "c": p.log_weight_acc,
+        "trajectories": [trajectory_to_jsonable(tr) for tr in p.trajectories],
     }
+
+
+def particles_to_jsonable(particles: Sequence[Particle]) -> dict:
+    return {"particles": [particle_to_jsonable(p) for p in particles]}
 
 
 def particles_from_jsonable(data: dict, dim: int | None = None) -> list[Particle]:

@@ -36,8 +36,8 @@ from .backward import (
     SmootherParams,
     backward_simulate,
     best_particle,
+    particle_to_jsonable,
     particles_from_jsonable,
-    particles_to_jsonable,
 )
 from .errors import (
     ConfigError,
@@ -92,6 +92,21 @@ def _dumps(data) -> str:
 
 def _write_json(path: Path, data) -> None:
     _write(path, lambda fh: fh.write(f"{_dumps(data)}\n".encode()))
+
+
+def _write_particles(path: Path, particles) -> None:
+    """The particle file, one particle read and encoded at a time.
+
+    Its bytes are those of `_write_json(path, particles_to_jsonable(particles))`.
+    """
+    def write(fh):
+        fh.write(b'{"particles":[')
+        for i, p in enumerate(particles):
+            fh.write(b"," if i else b"")
+            fh.write(_dumps(particle_to_jsonable(p)).encode())
+        fh.write(b"]}\n")
+
+    _write(path, write)
 
 
 def _read_json(path: Path):
@@ -237,10 +252,9 @@ def cmd_smooth(args) -> int:
     params = SmootherParams(**_from_args(args, "smoother"), seed=seed)
     log = _read_log(args.filterlog, scenario)
     particles = backward_simulate(log, scenario.birth, scenario.motion, params)
-    _write_json(Path(args.out), particles_to_jsonable(particles))
+    _write_particles(Path(args.out), particles)
     if args.best_out:
-        best = particles_to_jsonable([best_particle(particles)])["particles"][0]
-        _write_json(Path(args.best_out), best)
+        _write_json(Path(args.best_out), particle_to_jsonable(best_particle(particles)))
     if args.diagnostics:
         # expected cardinality of dead-but-never-detected objects per step
         dead = [
@@ -379,13 +393,13 @@ def cmd_mc(args) -> int:
         workers = 0
     if workers < 1:
         raise ConfigError(f"TRAJSMOOTH_WORKERS must be an integer >= 1, got {value!r}")
-    start = time.time()
+    start = time.perf_counter()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=min(workers, runs)) as pool:
             results = list(pool.map(_mc_single, payloads))
     else:
         results = [_mc_single(p) for p in payloads]
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     results.sort(key=lambda r: r["run"])
     filt = np.array([r["filter"]["gospa_total"] for r in results])
     smoo = np.array([r["smoothed"]["gospa_total"] for r in results])

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assignment import solve_lap
-from .backward import Particle
+from .backward import Particle, ParticleSet
 from .errors import ContractError, SettingError, check_real
 from .simulate import GroundTruth
 from .trajectory import states_at_time
@@ -133,20 +134,23 @@ def gospa_over_time(
     return results, summary
 
 
-def particle_stats(particles: list[Particle], k_max: int) -> ParticleStats:
+def particle_stats(particles: Sequence[Particle], k_max: int) -> ParticleStats:
     """Cardinality, birth-time and death-time distributions under uniform weights.
 
     The births and deaths at each step are counted per particle in one pass
-    over all trajectories, as (k_max, particles) integer arrays.
+    over the set's trajectory arrays (`ParticleSet.of`), as (k_max,
+    particles) integer arrays.
     """
     if not particles:
         raise ContractError("particle_stats requires a nonempty particle list")
-    t = len(particles)
-    cards = [len(p.trajectories) for p in particles]
-    card_dist = np.bincount(cards, minlength=max(cards) + 1) / t
-    owner = np.repeat(np.arange(t), cards)
-    births = _counts([tr.t for p in particles for tr in p.trajectories], owner, k_max, t)
-    deaths = _counts([tr.last_time for p in particles for tr in p.trajectories], owner, k_max, t)
+    s = ParticleSet.of(particles)
+    t = len(s)
+    owner, at = np.nonzero(s.rows >= 0)
+    cards = np.bincount(owner, minlength=t)
+    card_dist = np.bincount(cards) / t
+    nodes = s.rows[owner, at]
+    births = _counts(s.birth[nodes], owner, k_max, t)
+    deaths = _counts(s.birth[nodes] + s.length[nodes] - 1, owner, k_max, t)
     birth_dist = [np.bincount(row, minlength=row.max() + 1) / t for row in births]
     death_dist = [np.bincount(row, minlength=row.max() + 1) / t for row in deaths]
     return ParticleStats(card_dist, birth_dist, death_dist)
@@ -158,7 +162,6 @@ def _counts(times, owner: np.ndarray, k_max: int, t: int) -> np.ndarray:
     `times` holds one time per trajectory and `owner` its particle; times
     outside 1..k_max are not counted.
     """
-    times = np.asarray(times, dtype=int)
     inside = (times >= 1) & (times <= k_max)
     cells = (times[inside] - 1) * t + owner[inside]
     return np.bincount(cells, minlength=k_max * t).reshape(k_max, t)

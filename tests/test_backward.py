@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from trajsmooth.backward import (
     FirstDetected,
     LocalHypothesis,
     Particle,
+    ParticleSet,
     SmootherParams,
     backward_simulate,
     best_particle,
@@ -542,7 +544,7 @@ def test_node_id_groups_equal_content_groups(monkeypatch, problem, dirac_mode):
         return kernels(cache, heads, sizes, gate)
 
     def counted_sets(nodes, sets, drawn, k, share):
-        contents = [nodes.trajectories(row[row >= 0]) for row in sets]
+        contents = [p.trajectories for p in nodes.particles(sets, np.zeros(len(sets)))]
         present = {content_key(tr for tr in trs if tr.t == k + 1) for trs in contents}
         by_id = len({row.tobytes() for row in sets})
         steps.append((by_id, len({content_key(trs) for trs in contents}), sum(built), len(present)))
@@ -773,6 +775,20 @@ def test_best_particle():
         best_particle([])
 
 
+def test_best_particle_of_a_set_keeps_the_first_maximum():
+    tied = [Particle((traj(1, x),), w) for x, w in ((0.0, -2.0), (1.0, -1.0), (2.0, -1.0))]
+    assert best_particle(ParticleSet.of(tied)) == tied[1]
+    assert best_particle(ParticleSet.of(tied[::-1])) == tied[2]
+    with pytest.raises(ContractError):
+        best_particle(ParticleSet.of([]))
+    log, birth, motion = tv_toy()
+    params = SmootherParams(num_particles=300, m_best=64, gate_prob=1.0, w_hyp_min=0.0, seed=5)
+    particles = backward_simulate(log, birth, motion, params)
+    eager = list(particles)
+    first = max(range(len(eager)), key=lambda i: (eager[i].log_weight_acc, -i))
+    assert best_particle(particles) == eager[first]
+
+
 def test_particles_json_roundtrip():
     p = Particle((traj(2, 1.0, 2.0),), -3.5)
     back = particles_from_jsonable(particles_to_jsonable([p]))
@@ -816,7 +832,7 @@ def test_backward_step_preserves_conditioning_set():
     k_max = 5
     nodes = backward._Nodes(1)
     row = nodes.add(k_max, np.array([[0.1], [2.2]]), np.full(2, -1), False)[None]
-    current = nodes.trajectories(row[0])
+    current = nodes.particles(row, np.zeros(1))[0].trajectories
     for k in range(k_max - 1, 0, -1):
         kernel = build(pmb, BIRTH, MOTION, current, gate=1e9, k=k)
         assignment, log_w = sample_global(kernel, 20, rng)
@@ -832,7 +848,7 @@ def test_backward_step_preserves_conditioning_set():
             kernel.step, batch, [table], present, np.array([0]), np.array([0]), k, False, key
         )
         row = backward._next_sets(nodes, row, [drawn], k, False)
-        new_set = nodes.trajectories(row[0][row[0] >= 0])
+        new_set = nodes.particles(row, np.zeros(1))[0].trajectories
         restricted = [r for r in (restrict(tr, k) for tr in new_set) if r is not None]
         assert sorted(restricted, key=lambda t: (t.t, t.states[0, 0])) == sorted(
             current, key=lambda t: (t.t, t.states[0, 0])
@@ -957,9 +973,117 @@ def test_backward_simulate_leaves_no_reference_cycles():
     assert len(particles) == 200
 
 
+def eager_particles(nodes, sets, accs):
+    """The particles of node-id rows as objects, each trajectory walked node by node."""
+    def walk(node):
+        states, at = [], node
+        while at >= 0:
+            states.append(nodes.heads[at])
+            at = nodes.tail[at]
+        return Trajectory(int(nodes.birth[node]), np.array(states))
+
+    return [
+        Particle(tuple(walk(node) for node in row if node >= 0), acc)
+        for row, acc in zip(sets.tolist(), accs.tolist())
+    ]
+
+
+@pytest.mark.parametrize("dirac_mode", [True, False])
+@pytest.mark.parametrize("problem", ["toy", "gating"])
+def test_particle_set_equals_the_eager_particle_list(monkeypatch, problem, dirac_mode):
+    # the set gathers each distinct node's states once; read back, its particles
+    # must be the objects a node-by-node walk of the final node table builds
+    if problem == "toy":
+        log, birth, motion = tv_toy()
+        params = SmootherParams(
+            num_particles=300, m_best=64, gate_prob=1.0, w_hyp_min=0.0, dirac_mode=dirac_mode,
+            seed=5,
+        )
+    else:
+        log, birth, motion = gating_problem(0.02)
+        params = SmootherParams(
+            num_particles=60, m_best=16, gate_prob=0.99, w_hyp_min=1e-3, dirac_mode=dirac_mode,
+            seed=21,
+        )
+    eager = []
+    gather = backward._Nodes.particles
+
+    def recorded(nodes, sets, accs):
+        eager.extend(eager_particles(nodes, sets, accs))
+        return gather(nodes, sets, accs)
+
+    monkeypatch.setattr(backward._Nodes, "particles", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        particles = backward_simulate(log, birth, motion, params)
+    assert isinstance(particles, ParticleSet) and len(particles) == params.num_particles
+    assert list(particles) == eager
+    assert [particles[i] for i in range(len(particles))] == eager
+    monkeypatch.setattr(backward, "_READ", 7)  # iteration builds the particles in passes
+    assert list(particles) == eager
+    assert particles_to_jsonable(particles) == particles_to_jsonable(eager)
+    assert all(type(p.log_weight_acc) is float for p in particles)
+    assert all(type(tr.t) is int for p in particles for tr in p.trajectories)
+    assert sum(len(p.trajectories) for p in eager) > params.num_particles
+
+
+def test_particle_set_is_a_read_only_sequence_built_on_read():
+    log, birth, motion = tv_toy()
+    params = SmootherParams(num_particles=50, m_best=64, gate_prob=1.0, w_hyp_min=0.0, seed=3)
+    particles = backward_simulate(log, birth, motion, params)
+    eager = list(particles)
+    assert len(particles) == len(eager) == 50
+    assert particles[0] == eager[0] and particles[-1] == eager[-1]
+    assert particles[-50] == eager[0] and particles[np.int64(7)] == eager[7]
+    for i in (50, -51):
+        with pytest.raises(IndexError):
+            particles[i]
+    with pytest.raises(TypeError):
+        particles[1.0]
+    # a slice is a set over the same trajectory arrays
+    for cut in (slice(10), slice(3, 9), slice(None, None, -2), slice(60, 70)):
+        part = particles[cut]
+        assert isinstance(part, ParticleSet) and part.states is particles.states
+        assert list(part) == eager[cut]
+    # every read builds new objects, whose states are read-only views of the set's
+    assert particles[4] is not particles[4]
+    states = particles[4].trajectories[0].states
+    assert states.base is particles.states and not states.flags.writeable
+    with pytest.raises(ValueError):
+        states[0, 0] = 1.0
+    # a particle list becomes a set with equal particles, and a set is its own set
+    assert list(ParticleSet.of(eager)) == eager
+    assert ParticleSet.of(particles) is particles
+    assert list(ParticleSet.of([])) == [] and len(ParticleSet.of([Particle((), 0.5)])) == 1
+    assert list(ParticleSet.of([Particle((), 0.5)])) == [Particle((), 0.5)]
+
+
+# traced megabytes a 1e4-particle criterion-04 toy result holds, measured at seed 5:
+# 1.11 MB as a ParticleSet, 5.05 MB as a list of Particle and Trajectory objects
+RETAINED_MB = 1.6
+
+
+def test_particle_set_retains_arrays_not_objects():
+    log, birth, motion = tv_toy()
+    params = SmootherParams(num_particles=10_000, m_best=64, gate_prob=1.0, w_hyp_min=0.0, seed=5)
+    backward_simulate(log, birth, motion, params)  # first-call allocations stay out of the count
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        particles = backward_simulate(log, birth, motion, params)
+        gc.collect()
+        retained = (tracemalloc.get_traced_memory()[0] - before) / 1e6
+    finally:
+        tracemalloc.stop()
+    assert len(particles) == 10_000
+    assert retained < RETAINED_MB, retained
+
+
 def test_backward_probe_tool_runs():
     # tools/backward_probe.py times backward internals it finds by name, and
-    # drops a section it cannot find; every section must still be there
+    # drops a section it cannot find; every section must still be there, and
+    # each run reports the traced memory its particles hold
     root = Path(__file__).resolve().parents[1]
     tool = root / "tools" / "backward_probe.py"
     argv = [sys.executable, str(tool), "--tree", str(root), "--toy-seeds", "1", "--desk-k", "5"]
@@ -968,6 +1092,7 @@ def test_backward_probe_tool_runs():
     report = json.loads(proc.stdout)
     (run,) = report["toy"]
     sections = ("kernels", "tables", "draws", "assembly", "materialise")
-    assert set(run) == {"seed", "total_s", *(f"{s}_s" for s in sections)}
+    assert set(run) == {"seed", "total_s", "retained_mb", *(f"{s}_s" for s in sections)}
     assert all(run[f"{s}_s"] > 0.0 for s in sections)
+    assert 0.0 < run["retained_mb"] < RETAINED_MB
     assert [row["K"] for row in report["desk"]] == [5]

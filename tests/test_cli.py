@@ -14,11 +14,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import filterlog_to_jsonable
+from helpers import filterlog_to_jsonable, tv_toy
 
 import trajsmooth
 from trajsmooth import cli
-from trajsmooth.backward import SmootherParams
+from trajsmooth.backward import SmootherParams, backward_simulate, particles_to_jsonable
 from trajsmooth.cli import _SCHEMA, _load_run_config, build_parser, main
 from trajsmooth.forward import (
     FilterParams,
@@ -1273,6 +1273,29 @@ def test_filter_log_memory_stays_below_twice_the_file(tmp_path):
     size = out.stat().st_size
     assert size > 500_000
     assert max(peaks) < 2 * size, (peaks, size)
+
+
+def test_particle_file_is_written_one_particle_at_a_time(tmp_path):
+    # the streamed particle file has the bytes of the whole document encoded at
+    # once; writing the 1e4-particle criterion-04 toy peaked at 0.57 MB traced
+    # this way, and at 15.3 MB as the whole document
+    log, birth, motion = tv_toy()
+    params = SmootherParams(num_particles=10_000, m_best=64, gate_prob=1.0, w_hyp_min=0.0, seed=5)
+    particles = backward_simulate(log, birth, motion, params)
+    streamed, whole = tmp_path / "streamed.json", tmp_path / "whole.json"
+    tracemalloc.start()
+    try:
+        cli._write_particles(streamed, particles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cli._write_json(whole, particles_to_jsonable(particles))
+    assert streamed.read_bytes() == whole.read_bytes()
+    assert peak < 1_000_000, peak
+    for few in ([], particles[:1], particles[:2]):
+        cli._write_particles(streamed, few)
+        cli._write_json(whole, particles_to_jsonable(few))
+        assert streamed.read_bytes() == whole.read_bytes()
 
 
 # sha256 of the particles, best particle and report of scenario1 at seed 3 through

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from trajsmooth.backward import Particle
+from helpers import gating_problem, tv_toy
+
+from trajsmooth.backward import Particle, ParticleSet, SmootherParams, backward_simulate
 from trajsmooth.errors import ContractError
 from trajsmooth.forward import ESTIMATE_THRESHOLD, BernoulliComponent, PMBDensity, extract_estimates
 from trajsmooth.gaussians import GaussianDensity, GaussianMixture
@@ -176,6 +178,32 @@ def test_particle_stats_equals_per_step_loop_bitwise():
         for got, expected in zip(stats.birth_dist + stats.death_dist, births + deaths):
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
         assert len(stats.birth_dist) == len(stats.death_dist) == k_max
+
+
+@pytest.mark.parametrize("problem", ["toy", "gating"])
+def test_particle_stats_of_a_set_equal_those_of_its_particle_list_bitwise(problem):
+    # a sampled set is read from its arrays, a list through ParticleSet.of
+    if problem == "toy":
+        log, birth, motion = tv_toy()
+        params = SmootherParams(num_particles=300, m_best=64, gate_prob=1.0, w_hyp_min=0.0, seed=5)
+    else:
+        log, birth, motion = gating_problem(0.02)
+        params = SmootherParams(
+            num_particles=60, m_best=16, gate_prob=0.99, w_hyp_min=1e-3, seed=21
+        )
+    particles = backward_simulate(log, birth, motion, params)
+    eager = list(particles)
+    stats = particle_stats(particles, log.k_max)
+    births, deaths = per_step_stats(eager, log.k_max)
+    for other in (particle_stats(ParticleSet.of(eager), log.k_max),
+                  particle_stats(eager, log.k_max)):
+        for got, expected in zip(
+            [stats.card_dist, *stats.birth_dist, *stats.death_dist],
+            [other.card_dist, *other.birth_dist, *other.death_dist],
+        ):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    for got, expected in zip(stats.birth_dist + stats.death_dist, births + deaths):
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_gospa_over_time_perfect_and_empty():

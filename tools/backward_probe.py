@@ -7,10 +7,15 @@ Run it once per tree to compare two trees on the same machine. Two probes:
 
 - toy: the criterion-04 toy (perfbench's `criterion04_toy`) at 1e4
   sampled-head particles, m_best 64, no gate, one run per seed. Per run:
-  the whole call and the time inside each backward section the tree has:
-  kernels (`_kernels`), tables (`_global_distributions`), draws
-  (`_sample_set`), assembly (`_next_sets`) and materialisation
-  (`_Nodes.trajectories`). A tree without a section reports none for it.
+  the whole call plus one pass over every particle's trajectories
+  (`total_s`, what a caller pays to read every particle), the time inside
+  each backward section the tree has: kernels (`_kernels`), tables
+  (`_global_distributions`), draws (`_sample_set`), assembly (`_next_sets`)
+  and materialisation (`ParticleSet._particles`, which builds the objects
+  on read; a tree that builds them inside the call has
+  `_Nodes.trajectories`), and `retained_mb`, the traced bytes
+  (tracemalloc) that the returned particles hold after `gc.collect()`,
+  from a second, untimed call. A tree without a section reports none for it.
 - desk: configs/desk_scale.json with zero initial velocities and deaths at
   K, filtered at M=20, then 200 dirac particles at M=20; backward
   milliseconds per step at each K.
@@ -19,10 +24,12 @@ BLAS and OpenMP are pinned to one thread, as perfbench pins them.
 """
 
 import argparse
+import gc
 import json
 import os
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -33,7 +40,7 @@ SECTIONS = {
     "tables": "_global_distributions",
     "draws": "_sample_set",
     "assembly": "_next_sets",
-    "materialise": "_Nodes.trajectories",
+    "materialise": ("ParticleSet._particles", "_Nodes.trajectories"),
 }
 
 
@@ -53,12 +60,14 @@ def timed(owner, name, totals, section):
 def toy_probe(backward, toy, seeds):
     totals = dict.fromkeys(SECTIONS, 0.0)
     present = []
-    for section, path in SECTIONS.items():
-        owner, _, name = path.rpartition(".")
-        target = getattr(backward, owner, None) if owner else backward
-        if hasattr(target, name):
-            timed(target, name, totals, section)
-            present.append(section)
+    for section, paths in SECTIONS.items():
+        for path in (paths,) if isinstance(paths, str) else paths:
+            owner, _, name = path.rpartition(".")
+            target = getattr(backward, owner, None) if owner else backward
+            if hasattr(target, name):
+                timed(target, name, totals, section)
+                present.append(section)
+                break
     log, birth, motion = toy
     runs = []
     for seed in seeds:
@@ -68,11 +77,26 @@ def toy_probe(backward, toy, seeds):
             num_particles=10_000, m_best=64, gate_prob=1.0, w_hyp_min=0.0, seed=seed
         )
         start = time.perf_counter()
-        backward.backward_simulate(log, birth, motion, params)
+        for p in backward.backward_simulate(log, birth, motion, params):
+            p.trajectories
         run = {"seed": seed, "total_s": time.perf_counter() - start}
         run.update({f"{s}_s": totals[s] for s in present})
+        run["retained_mb"] = retained_mb(backward.backward_simulate, log, birth, motion, params)
         runs.append(run)
     return runs
+
+
+def retained_mb(call, *args):
+    """Traced megabytes that the result of `call(*args)` holds after `gc.collect()`."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call(*args)  # noqa: F841 (held while the traced bytes are read)
+        gc.collect()
+        return (tracemalloc.get_traced_memory()[0] - before) / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def desk_probe(root, k_values):
