@@ -7,13 +7,17 @@ sum of its entries, so an independent oracle can match it bit for bit.
 `murty` returns the min(M, #feasible) cheapest assignments in nondecreasing
 cost order, breaking exact cost ties by lexicographic row_to_col.
 
-Ranking picks its route from the +inf pattern, and every route gives the same
-output. A pattern whose product of per-row candidate counts is at most
-`_ENUM_CAP` is enumerated. A larger one is split into connected components
-(rows joined when they share a finite column), whose sorted lists are folded
-together one component at a time. A component is ranked by one of three routes:
+A matrix splits into connected components (rows joined when they share a
+finite column). The components' assignments combine freely and an
+assignment's cost is the sum of its components' costs, so the filter and the
+smoother rank each component on its own (`_ranked_components`) and never
+need a ranked list of the whole matrix; M applies per component. A row alone
+in its component lists its finite entries, sorted, for the whole stack at
+once. A larger component, and `murty`'s whole matrix, is ranked as one block
+(`_ranked_block`) by one of three routes, which give the same output:
 
-- enumeration, when its own candidate product is at most `_ENUM_CAP`;
+- enumeration, when its product of per-row candidate counts is at most
+  `_ENUM_CAP`;
 - else a pruned row-by-row merge (`_merge_ranked`): the K cheapest prefixes
   of distinct columns are extended one row at a time, and the list is exact
   once the M-th cost lies below the least total any dropped prefix could
@@ -23,10 +27,10 @@ together one component at a time. A component is ranked by one of three routes:
   cost rather than with the prefixes that such ties keep the merge from
   ruling out.
 
-No list, fold, merge or Murty queue stops while a candidate could tie or
-undercut the M-th cost within the rounding of the partial sums; only the final
-sort by (cost, row_to_col) cuts. Every route returns (row_to_col, costs)
-arrays; only `solve_lap` and `murty` build `Assignment` objects.
+No list, merge or Murty queue stops while a candidate could tie or undercut
+the M-th cost within the rounding of the partial sums; only the final sort by
+(cost, row_to_col) cuts. Every route returns (row_to_col, costs) arrays; only
+`solve_lap` and `murty` build `Assignment` objects.
 """
 
 from __future__ import annotations
@@ -40,11 +44,11 @@ import numpy as np
 
 from .errors import ContractError, InfeasibleAssignmentError, check_int
 
-# enumerate a pattern or component whose product of per-row candidate counts
-# is at most this; enumeration, the merge and Murty produce identical ranked output
+# enumerate a block whose product of per-row candidate counts is at most this;
+# enumeration, the merge and Murty produce identical ranked output
 _ENUM_CAP = 512
 # the row-by-row merge keeps at most this many prefixes per requested
-# assignment before a component falls back to Murty's method
+# assignment before a block falls back to Murty's method
 _MERGE_CAP = 16
 
 
@@ -150,65 +154,59 @@ def murty(cost: np.ndarray, m_best: int) -> list[Assignment]:
 
 
 def _ranked(cost: np.ndarray, m_best: int) -> list[Assignment]:
-    """murty body for already-validated matrices (internal hot path)."""
-    cols, totals = _ranked_stack(cost[None], m_best)
-    return [Assignment(tuple(c), t) for c, t in zip(cols[0].tolist(), totals[0].tolist())]
+    """murty body for already-validated matrices: the whole matrix ranked as one block."""
+    (cols,), (totals,) = _ranked_block(cost[None], np.isfinite(cost), np.arange(len(cost)), m_best)
+    return [Assignment(tuple(c), t) for c, t in zip(cols.tolist(), totals.tolist())]
 
 
-def _ranked_stack(costs: np.ndarray, m_best: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ranked assignments of each matrix in a (G, m, n) stack sharing one +inf pattern.
+def _ranked_components(costs: np.ndarray, m_best: int) -> list[tuple[np.ndarray, ...]]:
+    """Each connected component's ranked assignments, per matrix of a (G, m, n) stack.
 
-    Returns row_to_col as a (G, M, m) array and costs as (G, M), M =
-    min(m_best, #feasible), cheapest first with exact ties broken by
-    lexicographic row_to_col. A small pattern is enumerated once and scored
-    for the whole stack. A larger one is split into its connected components,
-    rows joined when they share a finite column. Each component is ranked on
-    its columns in ascending order, so its local lexicographic order is the
-    global one restricted to its rows: by enumeration when small, else per
-    matrix by the row-by-row merge or, past its cap, Murty. The per-component
-    lists of each matrix are folded together one at a time (`_combined`); the
-    global top-M of a sum over independent blocks lies in the product of each
-    block's top-M. Lists, folds, merges and Murty are cut only past
-    the M-th cost plus a bound on the rounding of the partial sums, and the
-    combined candidates are re-scored row-sequentially and sorted by
-    (cost, row_to_col) before the final cut at M, so a tie is never lost to
-    rounding or to the order of a search.
+    The matrices share one +inf pattern, so they share its components: rows
+    joined when they share a finite column. A component's list is its
+    min(m_best, #feasible) cheapest assignments, sorted by (cost, row_to_col)
+    on its own rows. Returns lists of C components of r rows each as
+    (rows, cols, costs): each component's rows (C, r), ascending; the
+    row_to_col of each listed assignment (G, C, L, r), global columns; and
+    their costs (G, C, L), +inf past a component's list. The rows alone in
+    their component come first, together (r = 1): their finite entries,
+    stably sorted, so ties keep column order. Each larger component follows
+    on its own (C = 1), ranked on its columns by `_ranked_block`, in order of
+    first row.
     """
-    g, m, n = costs.shape
     finite = np.isfinite(costs[0])
-    candidate_counts = finite.sum(axis=1)
-    if m and candidate_counts.min() == 0:
+    counts = finite.sum(axis=1)
+    if len(counts) and counts.min() == 0:
         raise InfeasibleAssignmentError("a row has no finite-cost column")
-    if np.prod(candidate_counts, dtype=float) <= _ENUM_CAP:
-        cols = _feasible_tuples(finite)
-        total = _scores(costs, cols)
-        # cols is in lexicographic order, so a stable sort by total breaks ties by row_to_col
-        order = np.argsort(total, axis=1, kind="stable")[:, :m_best]
-        return cols[order], np.take_along_axis(total, order, axis=1)
-    # sums of the same m entries in two orders differ by at most about
-    # m * eps * scale; a cut is safe at twice that, and twice again covers
-    # the rounding of LAP's own optimum
+    components = _components(finite)
+    single = np.array([rows[0] for rows in components if len(rows) == 1], dtype=np.intp)
+    out = []
+    if len(single):
+        # each row's finite columns, ascending, padded to the longest row
+        slot = np.arange(counts[single].max()) < counts[single][:, None]
+        idx = np.zeros(slot.shape, dtype=np.intp)
+        idx[slot] = np.nonzero(finite[single])[1]
+        vals = np.where(slot, costs[:, single[:, None], idx], np.inf)
+        order = np.argsort(vals, axis=2, kind="stable")[:, :, :m_best]
+        cols = np.take_along_axis(np.broadcast_to(idx, vals.shape), order, axis=2)
+        out.append((single[:, None], cols[..., None], np.take_along_axis(vals, order, axis=2)))
+    for rows in components:
+        if len(rows) > 1:
+            cols, totals = _ranked_block(costs, finite, rows, m_best)
+            out.append((rows[None], cols[:, None], totals[:, None]))
+    return out
+
+
+def _slack(costs: np.ndarray) -> np.ndarray:
+    """(G,) bound on the rounding of a sum of a row_to_col's entries, per matrix of a stack.
+
+    Sums of the same m entries in two orders differ by at most about
+    m * eps * scale; a cut is safe at twice that, and twice again covers the
+    rounding of LAP's own optimum.
+    """
+    finite = np.isfinite(costs)
     scale = np.where(finite, np.abs(costs), 0.0).max(axis=2).sum(axis=1)
-    slack = (4 * m * np.finfo(float).eps) * scale
-    # a row alone in its component with one finite entry is fixed to it
-    fixed_cols = finite.argmax(axis=1)
-    components = [
-        rows for rows in _components(finite) if len(rows) > 1 or candidate_counts[rows[0]] > 1
-    ]
-    blocks = [_ranked_block(costs, finite, rows, m_best, slack) for rows in components]
-    ranked_cols, ranked_costs = [], []
-    for i in range(g):
-        lists = [block[i] for block in blocks]
-        picks = _combined([c for _, c in lists], m_best, slack[i])
-        row_to_col = np.tile(fixed_cols, (len(picks), 1))
-        for rows, (tuples, _), p in zip(components, lists, picks.T):
-            row_to_col[:, rows] = tuples[p]
-        total = _scores(costs[i:i + 1], row_to_col)[0]
-        order = np.lexsort((*row_to_col.T[::-1], total))[:m_best]
-        ranked_cols.append(row_to_col[order])
-        ranked_costs.append(total[order])
-    # one pattern has one feasible count, so every matrix ranks the same number
-    return np.stack(ranked_cols), np.stack(ranked_costs)
+    return (4 * costs.shape[1] * np.finfo(float).eps) * scale
 
 
 def _scores(costs: np.ndarray, tuples: np.ndarray) -> np.ndarray:
@@ -245,32 +243,36 @@ def _components(finite: np.ndarray) -> list[np.ndarray]:
 
 
 def _ranked_block(
-    costs: np.ndarray, finite: np.ndarray, rows: np.ndarray, m_best: int, slack: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per matrix: one component's assignments and their costs, cheapest first.
+    costs: np.ndarray, finite: np.ndarray, rows: np.ndarray, m_best: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """A block of rows' min(m_best, #feasible) cheapest assignments per matrix of a stack.
 
-    Assignments are (L, len(rows)) arrays of global columns. Each list runs to
-    the M-th cost plus that matrix's slack.
+    Returns row_to_col (G, L, len(rows)) in global columns and the costs
+    (G, L), sorted by (cost, row_to_col). The block is ranked on its own
+    columns, in ascending order, so its lexicographic order is the whole
+    matrix's restricted to its rows. An enumerated block is scored for the
+    whole stack at once; a larger one is ranked per matrix, within the
+    rounding slack of its own entries.
     """
     cols = np.flatnonzero(finite[rows].any(axis=0))
     local = finite[np.ix_(rows, cols)]
+    block = costs[:, rows][:, :, cols]
     if np.prod(local.sum(axis=1), dtype=float) <= _ENUM_CAP:
         tuples = _feasible_tuples(local)
-        total = _scores(costs[:, rows][:, :, cols], tuples)
-        order = np.argsort(total, axis=1, kind="stable")
-        tuples = cols[tuples]
-        out = []
-        for ranked, idx, s in zip(np.take_along_axis(total, order, axis=1), order, slack):
-            keep = np.searchsorted(ranked, ranked[min(m_best, len(ranked)) - 1] + s, side="right")
-            out.append((tuples[idx[:keep]], ranked[:keep]))
-        return out
+        total = _scores(block, tuples)
+        # tuples come in lexicographic order, so a stable sort by total breaks ties by row_to_col
+        order = np.argsort(total, axis=1, kind="stable")[:, :m_best]
+        return cols[tuples[order]], np.take_along_axis(total, order, axis=1)
     if len(rows) > len(cols):
         raise InfeasibleAssignmentError("no feasible assignment")
     ranked = [
         _merge_ranked(cost, m_best, s) or _murty_queue(cost, m_best, s)
-        for cost, s in zip(costs[:, rows][:, :, cols], slack)
+        for cost, s in zip(block, _slack(block))
     ]
-    return [(cols[tuples], total) for tuples, total in ranked]
+    return (
+        np.stack([cols[t[:m_best]] for t, _ in ranked]),
+        np.stack([c[:m_best] for _, c in ranked]),
+    )
 
 
 def _merge_ranked(
@@ -324,27 +326,6 @@ def _merge_ranked(
             return tuples[:keep], sums[:keep]
         k *= 2
     return None
-
-
-def _combined(lists: list[np.ndarray], m_best: int, slack: float) -> np.ndarray:
-    """Every index tuple into ascending cost arrays summing to at most the M-th smallest + slack.
-
-    Returns an unordered (L, len(lists)) array. The arrays are folded in one at
-    a time, keeping a partial tuple while its sum is at most the M-th smallest
-    partial sum plus `slack`. Those M partial tuples, each completed by the
-    first entry of every later array, bound the M-th smallest full sum, so no
-    completion of a dropped one comes within `slack` of it.
-    """
-    picks = np.zeros((1, 0), dtype=np.intp)
-    totals = np.zeros(1)
-    for costs in lists:
-        sums = (totals[:, None] + costs).ravel()
-        kth = min(m_best, len(sums)) - 1
-        keep = np.flatnonzero(sums <= np.partition(sums, kth)[kth] + slack)
-        parent, j = np.divmod(keep, len(costs))
-        picks = np.column_stack((picks[parent], j))
-        totals = sums[keep]
-    return picks
 
 
 def _feasible_tuples(finite: np.ndarray) -> np.ndarray:

@@ -10,18 +10,21 @@ on the already-sampled trajectory set over k+1:K. Local hypothesis families:
     k+1, or extended one step backward from the undetected-object intensity,
   - a trajectory not present at k+1 passes through unaltered.
 
-Global hypotheses are ranked assignments of the cost matrix C = -log [W1 W2];
-one is drawn per step and its unnormalized log-weight accumulates into the
-particle score. A kernel holds only what the sampler reads, as arrays: the
-cost matrix, the head differences its continued pairs are smoothed from, and
-its rows of the batch's first-detection arrays (`_FirstDetections`). What
-does not depend on the conditioning set (the ended-track existences and
-heads, the smoothing terms of every track and undetected component, and the
-covariances the heads are drawn with) lives in the step's `_KernelCache`,
-shared by all kernels of the step and computed from the filter log's
-arrays, as is the initial set. The step computes only what its draws
-read: the sampling roots of the distinct covariances a batch draws from, in
-one stacked factorisation (dirac mode draws none). The hypothesis records
+A global hypothesis is an assignment of the cost matrix C = -log [W1 W2].
+Its weight is a product over the matrix's connected components (rows joined
+by a shared finite column), so each step draws every component's assignment
+on its own from that component's ranked top-M, and the drawn components'
+unnormalized log-weights accumulate into the particle score. A kernel holds
+only what the sampler reads, as arrays: the cost matrix, the head
+differences its continued pairs are smoothed from, and its rows of the
+batch's first-detection arrays (`_FirstDetections`). What does not depend on
+the conditioning set (the ended-track existences and heads, the smoothing
+terms of every track and undetected component, and the covariances the
+heads are drawn with) lives in the step's `_KernelCache`, shared by all
+kernels of the step and computed from the filter log's arrays, as is the
+initial set. The step computes only what its draws read: the sampling roots
+of the distinct covariances a batch draws from, in one stacked
+factorisation (dirac mode draws none). The hypothesis records
 (`BackwardKernel`, `LocalHypothesis` and its densities) are built only by
 `build_backward_kernel` and on read, for tests and `sample_bernoulli`; the
 sampler creates none.
@@ -43,11 +46,12 @@ sampled heads two draws almost never agree. The kernels of many groups are
 built in one batched pass: their heads are stacked, gated against every
 active track, birth and undetected component at once, and the cost matrices
 of the groups with the same number of present trajectories are cut out as
-one (groups, m, n) stack. The first-detection weights of all heads come from
-(terms x heads) arrays with -inf for gated-out terms. Cost matrices that
-share a +inf pattern are ranked as one stack, and the ranked tables of a
-stack are padded arrays: row_to_col rows, log-weights and cumulative
-probabilities, +inf past each table's kept count.
+one (groups, m, n) stack, cut by +inf pattern. The first-detection weights of
+all heads come from (terms x heads) arrays with -inf for gated-out terms.
+Matrices of one pattern share its components and are ranked as one stack
+(`assignment._ranked_components`); each component's draw table holds
+row_to_col rows, log-weights and cumulative probabilities over the stack,
++inf past its kept count, and the rows alone in their component share one.
 
 The kernel weighs heads with the forward filter's arithmetic: the gated
 Mahalanobis log-terms (`gaussians._gated`), the row log-sum-exp
@@ -68,7 +72,8 @@ with step K for the initial set and k for the step that draws the set over
 k:K. A counter gives four 64-bit words; a slot of more than four words reads
 blocks 0, 1, ... in order. The roles and their slots:
 
-  - `_HYP`, slot 0: word 0 is the hypothesis uniform;
+  - `_HYP`, slot 0: word j is the uniform that draws the assignment of the
+    component whose first row is present trajectory j;
   - `_EXIST`, slot 0: word i is track i's existence uniform (an ended track
     at k, every track at K);
   - `_HEAD`, slot i: the first ceil(d / 2) word pairs give the normals of
@@ -110,7 +115,7 @@ import numpy as np
 
 # _ranked and sample_gaussian stay importable from here: perfbench's tracer patches them
 # in this module
-from .assignment import Assignment, _ranked, _ranked_stack  # noqa: F401
+from .assignment import Assignment, _ranked, _ranked_components  # noqa: F401
 from .errors import ContractError, SettingError, check_int, check_real
 from .forward import _LOG_TINY, FilterLog, PMBDensity, _lse_rows, _thinned
 from .gaussians import (
@@ -339,9 +344,9 @@ class SmootherParams:
     """Backward-simulation settings; the CLI flags and `mc` keys take their defaults from here."""
 
     num_particles: int = 1000  # T, the number of sampled trajectory sets
-    m_best: int = 100  # M, ranked global hypotheses per kernel
+    m_best: int = 100  # M, ranked assignments per connected component of a kernel
     gate_prob: float = 0.9999  # gate mass of the state chi-square; 1.0 = no gate
-    w_hyp_min: float = 1e-4  # global hypotheses with smaller probability are dropped
+    w_hyp_min: float = 1e-4  # a component's assignments below this probability in it are dropped
     dirac_mode: bool = False  # heads are smoothed means instead of draws
     seed: int = 0
 
@@ -455,7 +460,7 @@ def build_backward_kernel(
 
 
 class _Block(NamedTuple):
-    """The conditioning sets of a batch with `size` present trajectories, as one stack."""
+    """The conditioning sets of a batch with `size` present trajectories and one +inf pattern."""
 
     sets: np.ndarray  # (G,) the sets' indices in the batch
     heads: np.ndarray  # (G, size) their present trajectories' columns in the batch's head arrays
@@ -478,7 +483,8 @@ def _kernels(cache: _KernelCache, heads: np.ndarray, sizes: np.ndarray, gate: fl
     after set in set order; set s has `sizes[s]` of them. Every head is gated
     against every active track and every birth and undetected component at
     once (`_gated`). Sets with the same number of present trajectories then
-    get their cost matrices and smoothed extension means as one stack each.
+    get their cost matrices and smoothed extension means as one stack each,
+    and the cost stack is cut into one block per +inf pattern.
     """
     n_tracks = len(cache.exist_end)
     starts = np.cumsum(sizes) - sizes
@@ -515,7 +521,10 @@ def _kernels(cache: _KernelCache, heads: np.ndarray, sizes: np.ndarray, gate: fl
         cost = np.full((len(members), size, n_tracks + size), np.inf)
         cost[:, :, cache.active_idx] = continued[:, idx].transpose(1, 2, 0)
         cost[:, rows, n_tracks + rows] = first_cost[idx]
-        stacks.append(_Block(members, idx, cost))
+        # matrices of one pattern share its components, so they are ranked as one stack
+        _, pattern = _unique_rows(np.packbits(np.isfinite(cost).reshape(len(cost), -1), axis=1))
+        for at in (np.flatnonzero(pattern == p) for p in range(pattern.max() + 1)):
+            stacks.append(_Block(members[at], idx[at], cost[at]))
     return _Batch(diffs, log_w, first, stacks)
 
 
@@ -528,9 +537,11 @@ def _first_detected_all(birth_lp, birth_ok, ext_lp, ext_ok, ext_means, local, ca
     survives its gate, all are used ungated so the column stays feasible.
     The log-weights are log-sum-exps (`_lse_rows`) over each head's terms, a
     gated-out term being -inf: the uniform birth level, then each birth
-    component, then each extension. `local` is each head's index within its
-    own conditioning set and `ext_means` its smoothed mean under every
-    undetected component.
+    component, then each extension. A log-weight below `_LOG_TINY` is floored
+    there with a warning: an underflow, or, on a model with no uniform level,
+    birth component or undetected component, no term at all. `local` is each
+    head's index within its own conditioning set and `ext_means` its
+    smoothed mean under every undetected component.
     """
     has_uniform = cache.log_uniform > -math.inf
     fallback = ~(has_uniform | birth_ok.any(axis=0) | ext_ok.any(axis=0))
@@ -540,12 +551,11 @@ def _first_detected_all(birth_lp, birth_ok, ext_lp, ext_ok, ext_means, local, ca
     uniform = np.full((int(has_uniform), len(local)), cache.log_uniform)
     birth_rows = np.concatenate((uniform, np.where(birth_ok, birth_lp, -math.inf)))
     ext_rows = np.where(ext_ok, ext_lp, -math.inf)
-    log_w, _ = _lse_rows(np.concatenate((birth_rows, ext_rows)).T)
+    terms = np.concatenate((birth_rows, ext_rows))
+    log_w, _ = _lse_rows(terms.T)
+    what = "first-detection weight underflow" if len(terms) else "no first-detection term"
     for h in np.flatnonzero(log_w < _LOG_TINY).tolist():
-        warnings.warn(
-            f"first-detection weight underflow for trajectory {local[h]}; floored",
-            RuntimeWarning,
-        )
+        warnings.warn(f"{what} for trajectory {local[h]}; floored", RuntimeWarning)
     log_w = np.maximum(log_w, _LOG_TINY)
 
     log_birth, _ = _lse_rows(birth_rows.T)
@@ -555,67 +565,67 @@ def _first_detected_all(birth_lp, birth_ok, ext_lp, ext_ok, ext_means, local, ca
 
 
 class _Table(NamedTuple):
-    """Ranked global hypotheses of each matrix of a cost stack, padded to a common length."""
+    """Draw tables of C connected components of r rows each, per matrix of a cost stack."""
 
-    rows: np.ndarray  # (G, M, m) row_to_col of each ranked hypothesis
-    log_w: np.ndarray  # (G, M) ln w_hat; +inf past the table's kept count
-    cum: np.ndarray  # (G, M) cumulative draw probabilities; +inf past the kept count
-    kept: np.ndarray  # (G,) hypotheses kept after w_hyp_min
+    rows: np.ndarray  # (C, r) each component's rows
+    cols: np.ndarray  # (G, C, L, r) row_to_col of each ranked assignment of a component
+    log_w: np.ndarray  # (G, C, L) its ln w_hat; +inf past the component's kept count
+    cum: np.ndarray  # (G, C, L) cumulative draw probabilities; +inf past the kept count
+    kept: np.ndarray  # (G, C) assignments kept after w_hyp_min
 
 
-def _global_distributions(cost: np.ndarray, m_best: int, w_hyp_min: float) -> _Table:
-    """Ranked top-M tables of a (G, m, n) cost stack, with cumulative draw probabilities.
+def _component_tables(cost: np.ndarray, m_best: int, w_hyp_min: float) -> list[_Table]:
+    """Draw tables of the components of a (G, m, n) cost stack that shares one +inf pattern.
 
-    Matrices that share a +inf pattern (found from their stacked `isfinite`
-    masks) are ranked as one stack. Hypotheses whose probability falls below
-    `w_hyp_min` are dropped and the rest renormalized. A table is ranked by
-    cost, so its probabilities never rise with rank and the kept ones are a
-    prefix of it (the best, at rank 0, always survives). The tables with the
-    same kept count are renormalised as one stack, one row-wise sum per table.
+    The components are ranked by `assignment._ranked_components`. Within a
+    component, assignments whose probability falls below `w_hyp_min` are
+    dropped and the rest renormalised. A list is ranked by cost, so its
+    probabilities never rise with rank and the kept ones are a prefix of it
+    (the best, at rank 0, always survives). Every sum runs over one
+    component's row, whose length the pattern fixes, so a matrix's tables do
+    not depend on the other matrices of the stack.
     """
-    g, m, n = cost.shape
-    first, pattern = _unique_rows(np.packbits(np.isfinite(cost).reshape(g, -1), axis=1))
-    ranked = []
-    for p in range(len(first)):
-        members = np.flatnonzero(pattern == p)
-        # kernel matrices are valid by construction
-        rows, totals = _ranked_stack(cost[members], m_best)
+    tables = []
+    # kernel matrices are valid by construction
+    for rows, cols, totals in _ranked_components(cost, m_best):
         log_w = -totals
-        shifted = np.exp(log_w - log_w.max(axis=1, keepdims=True))
-        probs = shifted / shifted.sum(axis=1, keepdims=True)
-        keep = probs >= w_hyp_min
-        keep[np.arange(len(members)), probs.argmax(axis=1)] = True  # the best always survives
-        ranked.append((members, rows, log_w, probs, keep))
-    width = max(len(keep.T) for *_, keep in ranked)
-    table = _Table(
-        np.zeros((g, width, m), dtype=int), np.full((g, width), np.inf),
-        np.full((g, width), np.inf), np.empty(g, dtype=int),
-    )
-    kept_probs = np.zeros((g, width))
-    for members, rows, log_w, probs, keep in ranked:
-        w = keep.shape[1]
-        table.rows[members, :w] = np.where(keep[..., None], rows, 0)
-        table.log_w[members, :w] = np.where(keep, log_w, np.inf)
-        kept_probs[members, :w] = np.where(keep, probs, 0.0)
-        table.kept[members] = keep.sum(axis=1)
-    for c in np.unique(table.kept).tolist():
-        sel = np.flatnonzero(table.kept == c)
-        pr = kept_probs[sel, :c]
-        table.cum[sel, :c] = np.cumsum(pr / pr.sum(axis=1, keepdims=True), axis=1)
-    return table
+        shifted = np.exp(log_w - log_w.max(axis=2, keepdims=True))
+        probs = shifted / shifted.sum(axis=2, keepdims=True)
+        keep = (probs >= w_hyp_min) & np.isfinite(log_w)
+        keep[..., 0] = True  # the best always survives
+        pr = np.where(keep, probs, 0.0)
+        cum = np.where(keep, np.cumsum(pr / pr.sum(axis=2, keepdims=True), axis=2), np.inf)
+        tables.append(_Table(rows, cols, np.where(keep, log_w, np.inf), cum, keep.sum(axis=2)))
+    return tables
+
+
+def _draw_tables(tables: list[_Table], at: np.ndarray, u: np.ndarray, row_to_col: np.ndarray):
+    """One draw of every component of matrix `at[q]` of the tables' stack, per q; returns ln w_hat.
+
+    The component whose first row is j draws with uniform u[q, j]. The drawn
+    columns go into row_to_col[q]; ln w_hat is the sum of the drawn
+    components' log-weights, table by table.
+    """
+    log_w = np.zeros(len(at))
+    for t in tables:
+        n_comps, width = t.cum.shape[1:]
+        hyps = _draw_rows(
+            t.cum[at].reshape(-1, width), t.kept[at].ravel(), u[:, t.rows[:, 0]].ravel()
+        ).reshape(-1, n_comps)
+        picked = (at[:, None], np.arange(n_comps), hyps)
+        log_w = log_w + t.log_w[picked].sum(axis=1)
+        row_to_col[:, t.rows] = t.cols[picked]
+    return log_w
 
 
 def sample_global(
-    kernel: BackwardKernel,
-    m_best: int,
-    rng: np.random.Generator,
-    w_hyp_min: float = 0.0,
+    kernel: BackwardKernel, m_best: int, rng: np.random.Generator, w_hyp_min: float = 0.0
 ) -> tuple[Assignment, float]:
-    """Draw one global hypothesis from the ranked top-M; returns it with ln w_hat."""
-    table = _global_distributions(kernel.cost[None], m_best, w_hyp_min)
-    idx = int(_draw_index(table.cum[0, :table.kept[0]], rng.random()))
-    log_w = float(table.log_w[0, idx])
-    return Assignment(tuple(table.rows[0, idx].tolist()), -log_w), log_w
+    """Draw one global hypothesis, each component from its top-M; returns it with ln w_hat."""
+    tables = _component_tables(kernel.cost[None], m_best, w_hyp_min)
+    cols = np.zeros((1, kernel.m), dtype=int)
+    (log_w,) = _draw_tables(tables, np.zeros(1, int), rng.random((1, kernel.m)), cols).tolist()
+    return Assignment(tuple(cols[0].tolist()), -log_w), log_w
 
 
 def _draw_index(cum: np.ndarray, u):
@@ -849,9 +859,9 @@ def backward_simulate(
     are shared by tail and head bytes, so equal trajectories have one id. The
     kernels of the groups come from batched passes over their stacked heads
     (`_kernels`, up to `_BATCH` groups per pass), as one cost stack per
-    number of present trajectories, and their ranked-hypothesis tables with
-    cumulative probabilities from one pass per cost-matrix pattern
-    (`_global_distributions`), as padded arrays.
+    number of present trajectories and +inf pattern, and each stack's
+    per-component draw tables with cumulative probabilities
+    (`_component_tables`).
 
     Every random number is a Philox word at a counter fixed by the particle,
     the step and the number's role (module docstring), so each particle
@@ -900,8 +910,7 @@ def _simulate(log, birth, m, params: SmootherParams, gate: float) -> ParticleSet
             present, sizes = rows[rows >= 0], (rows >= 0).sum(axis=1)
             batch = _kernels(cache, nodes.heads[present], sizes, gate)
             tables = [
-                _global_distributions(b.cost, params.m_best, params.w_hyp_min)
-                for b in batch.blocks
+                _component_tables(b.cost, params.m_best, params.w_hyp_min) for b in batch.blocks
             ]
             particles = np.flatnonzero((group >= lo) & (group < lo + _BATCH))
             members, log_w = _sample_set(
@@ -979,19 +988,20 @@ def _sample_set(
     """Draw the members of the sets over k:K of a batch's particles; returns them and ln w_hat.
 
     `batch` holds the kernels of the batch's conditioning sets (`_kernels`)
-    and `tables[b]` the ranked table of block b (`_global_distributions`).
-    `present` holds the node ids of the sets' present trajectories, in the
-    order of the batch's heads; particle `particles[q]` has set `group[q]`.
-    The log-weights of the drawn hypotheses come in the order of `particles`.
+    and `tables[b]` the component tables of block b (`_component_tables`).
+    `present` holds the node ids of the sets' present
+    trajectories, in the order of the batch's heads; particle `particles[q]`
+    has set `group[q]`. The log-weights of the drawn hypotheses come in the
+    order of `particles`.
 
     Every draw is an array operation over the batch. `_words` gives every
-    particle's hypothesis uniform, its existence uniforms and a
-    first-detection block per present trajectory (read when its column is
-    drawn); the hypotheses are one comparison per block's table stack
-    (`_draw_rows`). Without dirac mode `_words` gives the normals of exactly
-    the heads drawn, and those heads are one stacked `_draw` with the
-    sampling roots of the distinct covariances they read (`_roots_of`). In
-    dirac mode a head is its mean.
+    particle's hypothesis uniforms (one per component, at its first row), its
+    existence uniforms and a first-detection block per present trajectory
+    (read when its column is drawn); the components' assignments are one
+    comparison per block's table stack (`_draw_tables`). Without dirac mode
+    `_words` gives the normals of exactly the heads drawn, and those heads are
+    one stacked `_draw` with the sampling roots of the distinct covariances
+    they read (`_roots_of`). In dirac mode a head is its mean.
     """
     first, n_tracks = batch.first, len(step.exist_end)
     # each set's block, row in its block and number of present trajectories
@@ -1007,17 +1017,16 @@ def _sample_set(
     entry_start = np.cumsum(counts) - counts
     j = np.arange(len(q)) - entry_start[q]
     head = (np.cumsum(sizes) - sizes)[group][q] + j
-    u = _uniforms(_words(key, k, _HYP, particles)[:, 0])
+    u = _uniforms(_words(key, k, _HYP, particles, n_words=sizes.max(initial=0)))
     exist_w = _words(key, k, _EXIST, particles, n_words=n_tracks)
     first_w = _words(key, k, _FIRST, particles[q], j, 2)
     log_w = np.empty(len(particles))
     col = np.empty(len(q), dtype=int)
     for b, (block, table) in enumerate(zip(batch.blocks, tables)):
         qb = np.flatnonzero(block_of[group] == b)
-        r = row_of[group[qb]]
-        hyps = _draw_rows(table.cum[r], table.kept[r], u[qb])
-        log_w[qb] = table.log_w[r, hyps]
-        col[entry_start[qb][:, None] + np.arange(block.heads.shape[1])] = table.rows[r, hyps]
+        row_to_col = np.empty((len(qb), block.heads.shape[1]), dtype=int)
+        log_w[qb] = _draw_tables(table, row_of[group[qb]], u[qb], row_to_col)
+        col[entry_start[qb][:, None] + np.arange(row_to_col.shape[1])] = row_to_col
 
     cont = col < n_tracks
     qc, tc, hc = q[cont], col[cont], head[cont]

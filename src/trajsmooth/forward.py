@@ -14,9 +14,12 @@ rather than one per track, component or (track, measurement) pair:
 - weigh: the updated means of the gated pairs and the Joseph covariances are
   one stacked product each, the new-track likelihoods stay arrays and are
   summed per measurement with a row-wise log-sum-exp;
-- rank: `murty` ranks the best global association hypotheses of the
-  (measurement x track+new) cost matrix, and the marginal association
-  probabilities are accumulated across them;
+- rank: the (measurement x track+new) cost matrix is split into its
+  connected components (`assignment._ranked_components`). A global
+  association hypothesis's weight is the product of its components', so
+  each component's best M assignments are normalised on their own and the
+  marginal association probabilities are accumulated across them; the
+  measurements alone in their component are one vectorised pass;
 - collapse: every track and every new-track hypothesis is moment matched back
   to a single Bernoulli (track-oriented marginalization) in one batched pass.
 
@@ -40,7 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assignment import murty
+# murty stays importable from here: perfbench's tracer patches it in this module
+from .assignment import _ranked_components, murty  # noqa: F401
 from .errors import ConfigError, ContractError, check_int, check_real
 from .gaussians import (
     GaussianDensity,
@@ -124,7 +128,7 @@ class FilterLog:
 class FilterParams:
     """Forward-filter settings; the CLI flags and `mc` keys take their defaults from here."""
 
-    m_best: int = 100  # global hypotheses kept per update (Murty)
+    m_best: int = 100  # ranked assignments kept per connected component per update
     gate_prob: float = 0.9999  # gate mass of the innovation chi-square; 1.0 = no gate
     prune_r: float = 1e-4  # Bernoullis with smaller existence probability are dropped
     prune_w: float = 1e-4  # undetected-intensity components with smaller weight are dropped
@@ -278,23 +282,25 @@ def update_pmb(
         for lo, lw in zip(log_obj.tolist(), log_w_new.tolist())
     ])
 
-    # global hypotheses via ranked assignment on the (measurement x track+new) costs
+    # association hypotheses per connected component of the (measurement x
+    # track+new) costs: a global hypothesis's weight is the product of its
+    # components' weights, so each component's top-M is normalised on its own
     cost = np.full((mz, n + mz), np.inf)
     cost[j, i] = -(log_w_det - log_w_miss[i])
     cost[np.arange(mz), n + np.arange(mz)] = -log_w_new
-    hyps = murty(cost, m_best)
-    log_w_hyps = np.array([-h.cost for h in hyps])
-    betas = np.exp(log_w_hyps - _lse_rows(log_w_hyps[None])[0][0])
-
-    # marginal association probabilities, summed over hypotheses in rank order
-    cols = np.array([h.row_to_col for h in hyps], dtype=int).reshape(-1)
-    meas = np.tile(np.arange(mz), len(hyps))
-    beta = np.repeat(betas, mz)
-    to_track = cols < n
     p_det = np.zeros((n, mz))
     p_new = np.zeros(mz)
-    np.add.at(p_det, (cols[to_track], meas[to_track]), beta[to_track])
-    np.add.at(p_new, meas[~to_track], beta[~to_track])
+    for rows, cols, costs in _ranked_components(cost[None], m_best):
+        log_w = -costs[0]
+        betas = np.exp(log_w - _lse_rows(log_w)[0][:, None])
+        # marginal association probabilities, summed over each component's list in
+        # rank order; past the end of a list beta is 0 and adds nothing
+        col = cols[0].ravel()
+        meas = np.broadcast_to(rows[:, None], cols.shape[1:]).ravel()
+        beta = np.broadcast_to(betas[..., None], cols.shape[1:]).ravel()
+        to_track = col < n
+        np.add.at(p_det, (col[to_track], meas[to_track]), beta[to_track])
+        np.add.at(p_new, meas[~to_track], beta[~to_track])
 
     # track mixtures back to back: [missed, gated pairs in measurement order] per track
     counts = 1 + np.bincount(i, minlength=n)

@@ -11,11 +11,10 @@ from trajsmooth import assignment
 from trajsmooth.assignment import (
     _ENUM_CAP,
     Assignment,
-    _combined,
     _components,
     _merge_ranked,
     _murty_queue,
-    _ranked_stack,
+    _ranked_components,
     murty,
     solve_lap,
 )
@@ -333,10 +332,10 @@ def test_clustered_ranking_matches_brute_force(cost, m_best):
 
 
 @pytest.mark.parametrize("integer", [False, True])
-def test_ranked_stack_equals_murty_per_matrix(integer):
+def test_ranked_components_equal_murty_per_component(integer):
     # one +inf pattern with a component too large to enumerate, an enumerated
-    # one, a single row and a fixed row, so every route of the clustered path
-    # runs once per matrix of the stack
+    # one, a single row and a fixed row, so every route runs once per matrix
+    # of the stack
     rng = np.random.default_rng(6000 + integer)
     pattern = np.full((9, 12), False)
     pattern[:5, :6] = True
@@ -346,14 +345,21 @@ def test_ranked_stack_equals_murty_per_matrix(integer):
     pattern = pattern[rng.permutation(9)][:, rng.permutation(12)]
     values = rng.integers(0, 4, size=(3, 9, 12)) if integer else rng.normal(0.0, 5.0, (3, 9, 12))
     costs = np.where(pattern, values.astype(float), np.inf)
-    rows, totals = _ranked_stack(costs, 30)
-    assert rows.shape == (3, 30, 9)
-    for cost, r, t in zip(costs, rows.tolist(), totals.tolist()):
-        assert [(a.row_to_col, a.cost) for a in murty(cost, 30)] == list(zip(map(tuple, r), t))
+    lists = _ranked_components(costs, 30)
+    components = [rows.tolist() for comps, _, _ in lists for rows in comps]
+    assert sorted(components) == sorted(rows.tolist() for rows in _components(pattern))
+    assert [len(rows) for rows in components] == [1, 1, 2, 5]  # single rows first
+    for rows, cols, totals in lists:
+        for c, comp in enumerate(rows):
+            for cost, r, t in zip(costs, cols[:, c], totals[:, c]):
+                expected = [(a.row_to_col, a.cost) for a in murty(cost[comp], 30)]
+                listed = np.isfinite(t)
+                assert list(zip(map(tuple, r[listed].tolist()), t[listed].tolist())) == expected
+                assert np.all(t[len(expected):] == np.inf)
 
 
 def _slack(cost):
-    """The rounding slack `_ranked_stack` gives a matrix."""
+    """The rounding slack `assignment._slack` gives a matrix."""
     scale = np.where(np.isfinite(cost), np.abs(cost), 0.0).max(axis=1).sum()
     return 4 * cost.shape[0] * np.finfo(float).eps * scale
 
@@ -403,23 +409,6 @@ def test_merge_equals_murty_queue(cost, m_best):
     for got_array, expected_array in zip(got, expected):
         assert got_array.dtype == expected_array.dtype
         np.testing.assert_array_equal(got_array, expected_array)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=5), min_size=1, max_size=6),
-    st.integers(1, 40),
-    st.sampled_from([0.0, 0.5, 1.0, 2.0]),
-)
-def test_combined_equals_brute_force(lists, m_best, slack):
-    # small-integer costs sum exactly, so ties are exact and plentiful
-    lists = [np.array(sorted(costs), dtype=float) for costs in lists]
-    sums = {idx: sum(c[i] for c, i in zip(lists, idx))
-            for idx in itertools.product(*(range(len(c)) for c in lists))}
-    bound = sorted(sums.values())[min(m_best, len(sums)) - 1] + slack
-    picks = _combined(lists, m_best, slack)
-    assert picks.shape[1] == len(lists)
-    assert sorted(map(tuple, picks.tolist())) == sorted(i for i, t in sums.items() if t <= bound)
 
 
 @pytest.mark.parametrize("m_best", [1, 3, 10])

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import json
 import math
 import subprocess
@@ -17,7 +18,7 @@ from scipy.special import logsumexp
 from scipy.stats import kstest, norm
 
 from trajsmooth import backward
-from trajsmooth.assignment import _ranked_stack
+from trajsmooth.assignment import murty
 from trajsmooth.backward import (
     BackwardKernel,
     ContinuedSmoothed,
@@ -164,7 +165,8 @@ def test_first_detection_weight_and_split():
 def test_first_detection_underflow_floors_with_warning():
     pmb = PMBDensity(GaussianMixture(), ())
     empty_birth = BirthModel(GaussianMixture())
-    with pytest.warns(RuntimeWarning):
+    # no birth and no undetected intensity: there is no term to underflow
+    with pytest.warns(RuntimeWarning, match="no first-detection term for trajectory 0; floored"):
         kernel = build_backward_kernel(pmb, empty_birth, MOTION, [traj(2, 0.0)], gate=1e9, k=1)
     assert np.isfinite(kernel.cost[0, 0])
 
@@ -339,9 +341,11 @@ def test_backward_simulate_trajectories_within_horizon():
 # only the last bits of some log-weights `c` moved. The sampled-head pins here,
 # of the toy and of the gating toy were re-recorded again when the normals
 # became Box-Muller draws from word pairs; the dirac-mode pins did not move.
+# Both pins here and the gating toy's were re-recorded when each connected
+# component of a kernel was ranked and drawn on its own; the toy's did not move.
 PINNED_PARTICLES = {
-    True: "6dcdfb81d29888f7a248dc719a8502afa51b3f1016d1aad132a0943c163be143",
-    False: "b9431e322b6c5669f850e8175557da11ff331fb3efc3bc51bd0bf49b6b8244b1",
+    True: "8b4030d4cc3a9cc235c8150e0e3752d14ea90e691f8c589f2925628a77bab6b4",
+    False: "49b51ad5f1be40a9e0ab7145bbde52d1e96d37aef17da0360793def4b6aa5d76",
 }
 
 
@@ -460,10 +464,10 @@ def test_backward_simulate_pinned_bytes_toy(no_kernel_records_or_prepends):
 # floor (without the uniform level), with w_hyp_min > 0; re-recorded with
 # PINNED_PARTICLES
 PINNED_GATING = {
-    (0.0, True): "68b31ef4bfebaf5b1529614491a3be8ed61480b6a90186d4887e0e0722cde567",
-    (0.0, False): "f49aecc8f695160477fb34e8b95bd2c738194fc74b07475dfc4f5c24322c0c6d",
-    (0.02, True): "3086c1afcc259d2f12759305ce410159829edcec2dca8b67042cd32b4a03b983",
-    (0.02, False): "3f40a91636bafed8a811d185aff36aa0c31eec0ea093561893530f8d7b61673f",
+    (0.0, True): "5f637846774838f7cc82ec4ff3c19bf254ce086a0ea0fbd97ec9ffba2d511114",
+    (0.0, False): "5e873f9f1e523d81683ad3721ec9dd82a54dcb415ec41540602b22075cdb68ab",
+    (0.02, True): "c82d65b4e677a2e40cdd90bd7fb52098a0e0c48cb059dcb9eec318b59598fdae",
+    (0.02, False): "d3867f0c27279ccfeff95c021c898497273ec23a93aad89fc85c115959df04ae",
 }
 
 
@@ -717,16 +721,16 @@ def test_stacked_draw_equals_draw_index_per_table(case):
     assert backward._draw_rows(padded, kept, top).tolist() == [len(c) - 1 for c in tables]
 
 
-def per_table_distribution(cost, m_best, w_hyp_min):
-    """One matrix's ranked table as the per-set form computed it: a 1-d sum over the kept."""
-    rows, totals = _ranked_stack(cost[None], m_best)
-    log_w = -totals[0]
+def per_component_distribution(cost, rows, m_best, w_hyp_min):
+    """One component's table as the per-component form computes it: a 1-d sum over the kept."""
+    hyps = murty(cost[rows], m_best)
+    log_w = np.array([-h.cost for h in hyps])
     shifted = np.exp(log_w - log_w.max())
     probs = shifted / shifted.sum()
     keep = probs >= w_hyp_min
-    keep[probs.argmax()] = True
+    keep[0] = True
     pr = probs[keep]
-    return rows[0][keep], log_w[keep], np.cumsum(pr / pr.sum())
+    return [h.row_to_col for h in hyps[:keep.sum()]], log_w[keep], np.cumsum(pr / pr.sum())
 
 
 @settings(max_examples=150, deadline=None)
@@ -735,7 +739,7 @@ def per_table_distribution(cost, m_best, w_hyp_min):
     st.sampled_from([0.0, 1e-4, 0.01, 0.05, 0.3]), st.integers(0, 2**32 - 1),
 )
 def test_stacked_tables_equal_per_table_form(m, n_tracks, m_best, w_hyp_min, seed):
-    # backward-kernel-shaped stacks with ragged kept counts after w_hyp_min
+    # backward-kernel-shaped stacks with several patterns and ragged kept counts after w_hyp_min
     rng = np.random.default_rng(seed)
     g = int(rng.integers(1, 12))
     cost = np.full((g, m, n_tracks + m), np.inf)
@@ -743,15 +747,67 @@ def test_stacked_tables_equal_per_table_form(m, n_tracks, m_best, w_hyp_min, see
     cost[rng.random(cost.shape) < 0.3] = np.inf  # gated-out pairs: several patterns per stack
     # every first-detection column stays open
     cost[:, np.arange(m), n_tracks + np.arange(m)] = rng.normal(0.0, 2.0, (g, m))
-    table = backward._global_distributions(cost, m_best, w_hyp_min)
-    for i in range(g):
-        rows, log_w, cum = per_table_distribution(cost[i], m_best, w_hyp_min)
-        n = int(table.kept[i])
-        assert n == len(cum)
-        assert table.rows[i, :n].tolist() == rows.tolist()
-        assert table.log_w[i, :n].tobytes() == log_w.tobytes()
-        assert table.cum[i, :n].tobytes() == cum.tobytes()
-        assert np.all(table.cum[i, n:] == np.inf) and np.all(table.log_w[i, n:] == np.inf)
+    _, pattern = np.unique(np.isfinite(cost).reshape(g, -1), axis=0, return_inverse=True)
+    for p in range(pattern.max() + 1):
+        members = np.flatnonzero(pattern == p)
+        tables = backward._component_tables(cost[members], m_best, w_hyp_min)
+        for at, i in enumerate(members.tolist()):
+            # a matrix's tables do not depend on the other matrices of the stack
+            alone = backward._component_tables(cost[i:i + 1], m_best, w_hyp_min)
+            for t, one in zip(tables, alone, strict=True):
+                assert t.rows.tobytes() == one.rows.tobytes()
+                for a, b in zip(t[1:], one[1:]):
+                    assert a[at].tobytes() == b[0].tobytes()
+            # each component's table is murty on its rows, cut by w_hyp_min and renormalised
+            for t in tables:
+                for c, rows in enumerate(t.rows):
+                    cols, log_w, cum = per_component_distribution(cost[i], rows, m_best, w_hyp_min)
+                    n = int(t.kept[at, c])
+                    assert n == len(cum)
+                    assert list(map(tuple, t.cols[at, c, :n].tolist())) == cols
+                    assert t.log_w[at, c, :n].tobytes() == log_w.tobytes()
+                    # a table's sums run over its whole list, zeros past the kept
+                    # count, so they may round apart from sums over the kept alone
+                    tol = 2 * m_best * np.finfo(float).eps
+                    np.testing.assert_allclose(t.cum[at, c, :n], cum, rtol=tol, atol=0)
+                    assert np.all(t.cum[at, c, n:] == np.inf) and np.all(t.log_w[at, c, n:] == np.inf)
+
+
+# TV of 1e5 factorised draws against the product distribution, seeds 0-9: 0.0060-0.0097
+# (a global top-7 table, at every seed: 0.662)
+FACTORISED_TV = 0.02
+
+
+def test_factorised_draws_match_the_product_distribution():
+    # three components, rows 0-1 on track 0, rows 2-3 on tracks 1-2 and row 4
+    # alone: 3 x 7 x 2 = 42 global hypotheses, of which a global top-7 keeps
+    # a third of the mass; M = 7 lists every component whole
+    n_tracks, m, n = 4, 5, 100_000
+    cost = np.full((m, n_tracks + m), np.inf)
+    cost[0:2, 0] = [0.2, 0.5]
+    cost[2:4, 1:3] = [[0.1, 0.9], [0.6, 0.3]]
+    cost[4, 3] = 0.4
+    cost[np.arange(m), n_tracks + np.arange(m)] = [0.7, 0.3, 0.8, 0.5, 0.6]
+    exact = {}
+    for cols in itertools.product(*(np.flatnonzero(np.isfinite(row)).tolist() for row in cost)):
+        if len(set(cols)) == m:
+            exact[cols] = math.exp(-sum(cost[i, c] for i, c in enumerate(cols)))
+    total = sum(exact.values())
+    assert len(exact) == 42
+    assert sum(sorted(exact.values())[-7:]) / total < 0.4
+    tables = backward._component_tables(cost[None], 7, 0.0)
+    assert sorted(len(t.rows[0]) for t in tables) == [1, 2, 2]
+    rows = np.zeros((n, m), dtype=int)
+    log_w = backward._draw_tables(
+        tables, np.zeros(n, dtype=int), np.random.default_rng(0).random((n, m)), rows
+    )
+    drawn, counts = np.unique(rows, axis=0, return_counts=True)
+    freq = dict(zip(map(tuple, drawn.tolist()), (counts / n).tolist()))
+    assert set(freq) <= set(exact)
+    tv = 0.5 * sum(abs(freq.get(k, 0.0) - w / total) for k, w in exact.items())
+    assert tv < FACTORISED_TV, tv
+    # a draw's log-weight is the sum of its components' -cost
+    np.testing.assert_allclose(log_w, -cost[np.arange(m), rows].sum(axis=1), rtol=1e-15)
 
 
 def test_extension_draw_stays_on_gated_components():
@@ -836,16 +892,17 @@ def test_backward_step_preserves_conditioning_set():
     for k in range(k_max - 1, 0, -1):
         kernel = build(pmb, BIRTH, MOTION, current, gate=1e9, k=k)
         assignment, log_w = sample_global(kernel, 20, rng)
-        # the kernel as a batch of one set, and a table holding only the drawn hypothesis
+        # the kernel as a batch of one set, and one table listing only the drawn assignment
         block = backward._Block(np.array([0]), np.arange(kernel.m)[None], kernel.cost[None])
         batch = backward._Batch(kernel.diffs, kernel.log_w, kernel.first, [block])
         table = backward._Table(
-            np.array(assignment.row_to_col, dtype=int).reshape(1, 1, -1), np.array([[log_w]]),
-            np.array([[1.0]]), np.array([1]),
+            np.arange(kernel.m)[None], np.array(assignment.row_to_col).reshape(1, 1, 1, -1),
+            np.array([[[log_w]]]), np.array([[[1.0]]]), np.array([[1]]),
         )
         present = row[0][nodes.birth[row[0]] == k + 1]
         drawn, _ = backward._sample_set(
-            kernel.step, batch, [table], present, np.array([0]), np.array([0]), k, False, key
+            kernel.step, batch, [[table] if kernel.m else []], present, np.array([0]), np.array([0]),
+            k, False, key,
         )
         row = backward._next_sets(nodes, row, [drawn], k, False)
         new_set = nodes.particles(row, np.zeros(1))[0].trajectories
@@ -1094,5 +1151,6 @@ def test_backward_probe_tool_runs():
     sections = ("kernels", "tables", "draws", "assembly", "materialise")
     assert set(run) == {"seed", "total_s", "retained_mb", *(f"{s}_s" for s in sections)}
     assert all(run[f"{s}_s"] > 0.0 for s in sections)
+    assert run["tables_s"] > 0.0  # the per-component table builder is found by its name
     assert 0.0 < run["retained_mb"] < RETAINED_MB
     assert [row["K"] for row in report["desk"]] == [5]

@@ -1303,13 +1303,14 @@ def test_particle_file_is_written_one_particle_at_a_time(tmp_path):
 # when the normals became Box-Muller draws from word pairs; of the dirac-mode
 # particles, which read no normal, recorded before that change; and of the log's
 # posteriors as read back, recorded while the log still held the predicted
-# intensities and the estimates
+# intensities and the estimates. All five were re-recorded when each connected
+# component was ranked on its own in the filter and the smoother
 PINNED_SCENARIO1_SEED3 = {
-    "s1_3_pt.json": "58a9c2f9681703ed996fed4ed60238ce80da4ffc72f1c0341701459c1b1d3013",
-    "s1_3_bp.json": "3371d5c7911fa67c1e7dee636af9fbf82201046b69173f83a60032674205f9bb",
-    "s1_3_rep.json": "1cfc6b218b4659779b5ef49dc079e50b51bbeac503fc3214dc298016899a2014",
-    "s1_3_dirac_pt.json": "2edbe85e4ef06aa8a6d659d377d86f7b8f602507e391fa1879862dc687d8ed21",
-    "s1_3_posteriors": "9adc21c79d53d7c9b5da0c62cbc4df93517dcfd99fd5dd7a278e776174a4bd6b",
+    "s1_3_pt.json": "40317b3fcd7f02a03fca4310671c1c1f9ec79c181aaf403046901c18d3255d51",
+    "s1_3_bp.json": "4c4ed04838435a9dc5320e7f020fbacaeb7e9e9d6006053fc257334157d55f74",
+    "s1_3_rep.json": "5853f8cc69bfc04aaad1d9dcf9946613b21b62a654b0829537b53fb4fda8b063",
+    "s1_3_dirac_pt.json": "47fcb04bd7c25b4dad4f57d5842eb6d2f0b0b78e750b63907995556e20ad57b9",
+    "s1_3_posteriors": "3ab19e47af39f0aff7f3aea18a5f400df0ac4c58125fbfb880441278674459b9",
 }
 
 

@@ -1,7 +1,9 @@
 import io
+import itertools
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from hypothesis import strategies as st
 from scipy.special import chdtri, logsumexp
 from scipy.stats import chi2, norm
 
-from trajsmooth import assignment
+from trajsmooth import assignment, forward
+from trajsmooth.assignment import _components
 from trajsmooth.errors import ContractError, SettingError
 from trajsmooth.forward import (
     BernoulliComponent,
@@ -334,10 +337,76 @@ def test_update_marginals_match_exhaustive_enumeration():
         assert out.bernoullis[2 + j].r == pytest.approx(p_new[j] * r_new[j], rel=1e-9)
 
 
+def _feasible_count(finite):
+    """The number of maps of the rows of a mask to distinct columns, each on a True entry."""
+    cols = [np.flatnonzero(row).tolist() for row in finite]
+    return sum(len(set(c)) == len(c) for c in itertools.product(*cols))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_update_marginals_match_brute_force_per_component(seed):
+    # clusters of tracks and measurements far apart are the cost matrix's
+    # components; M covers every component's assignments but not their product,
+    # so a global top-M would drop mass while per-component lists are exact
+    rng = np.random.default_rng(900 + seed)
+    pd_val, rate, volume = 0.7, 2.0, 100.0
+    mm, _ = scalar_models(pd=pd_val)
+    cm = ClutterModel(rate, [[-50.0, 50.0]])
+    tracks, zs, sizes = [], [], []
+    for center in (0.0, 20.0, 40.0)[: int(rng.integers(2, 4))]:
+        n_c, mz_c = int(rng.integers(1, 4)), int(rng.integers(2, 4))
+        tracks += [(rng.uniform(0.2, 1.0), center + rng.uniform(-0.5, 0.5)) for _ in range(n_c)]
+        zs += [center + rng.uniform(-0.6, 0.6) for _ in range(mz_c)]
+        sizes.append(sum(math.comb(mz_c, k) * math.perm(n_c, k) for k in range(min(n_c, mz_c) + 1)))
+    zs.append(-30.0)  # a measurement alone in its component
+    var, lam = 0.2, (0.5, 20.0, 400.0)  # track variance; the undetected intensity's weight, mean, var
+    pmb = PMBDensity(
+        GaussianMixture(((lam[0], g1(lam[1], lam[2])),)),
+        tuple(BernoulliComponent(r, g1(x, var)) for r, x in tracks),
+    )
+    m_best = max(sizes)
+    assert m_best < math.prod(sizes)
+    out = update_pmb(pmb, [np.array([z]) for z in zs], mm, cm, gate=25.0, m_best=m_best)
+
+    s = var + mm.R[0, 0]
+    gated = [[(z - x) ** 2 / s <= 25.0 for z in zs] for _, x in tracks]
+    w_miss = [1.0 - r + r * (1.0 - pd_val) for r, _ in tracks]
+    w_det = [[r * pd_val * norm.pdf(z, x, math.sqrt(s)) for z in zs] for r, x in tracks]
+    w_obj = [pd_val * lam[0] * norm.pdf(z, lam[1], math.sqrt(lam[2] + mm.R[0, 0])) for z in zs]
+    w_new = [rate / volume + w for w in w_obj]
+    # every global hypothesis: per measurement, a gated track or None (new or clutter)
+    choices = [[None] + [i for i in range(len(tracks)) if gated[i][j]] for j in range(len(zs))]
+    p_det = np.zeros((len(tracks), len(zs)))
+    p_new = np.zeros(len(zs))
+    total = 0.0
+    for assoc in itertools.product(*choices):
+        picked = [a for a in assoc if a is not None]
+        if len(picked) != len(set(picked)):
+            continue
+        weight = math.prod(
+            w_det[i][assoc.index(i)] if i in assoc else w_miss[i] for i in range(len(tracks))
+        ) * math.prod(w_new[j] for j, a in enumerate(assoc) if a is None)
+        total += weight
+        for j, a in enumerate(assoc):
+            if a is None:
+                p_new[j] += weight
+            else:
+                p_det[a, j] += weight
+    p_det /= total
+    p_new /= total
+    for i, (r, _) in enumerate(tracks):
+        r_miss = r * (1.0 - pd_val) / w_miss[i]
+        expected = (1.0 - p_det[i].sum()) * r_miss + p_det[i].sum()
+        assert out.r[i] == pytest.approx(expected, rel=1e-9)
+    expected_new = [p * w / wn for p, w, wn in zip(p_new, w_obj, w_new)]
+    np.testing.assert_allclose(out.r[len(tracks):], expected_new, rtol=1e-9)
+
+
 # sha256 of the compact sorted-key filter-log JSON (per step, the posterior and
 # the estimates extracted from it), re-recorded when the log stopped carrying the
-# predicted intensities; the filter before that change gives the same value
-PINNED_FILTERLOG = "535043448e32eac5d0558fb79b57e6a3bc5e49d9ddbe4aeb90f4dc3ae41f0838"
+# predicted intensities (the filter before that change gives the same value), and
+# again when M applied per connected component of the cost matrix
+PINNED_FILTERLOG = "355f202f649204c00538ea52f3718f5d138083b08bba585791a21adf490f75c5"
 
 
 def test_run_forward_pinned_bytes():
@@ -396,8 +465,9 @@ def edge_updates():
 
 # sha256 of the compact sorted-key JSON; the filter log's was re-recorded with
 # PINNED_FILTERLOG, the edge updates' (single posteriors) were recorded before the
-# measurement update was batched over tracks x measurements
-PINNED_SCENARIO1_K30 = "53ace9b981edd3ca68229ff66f1fe573ebfd47c73a64a1386d915565b8fde584"
+# measurement update was batched over tracks x measurements, and did not move when
+# M came to apply per component
+PINNED_SCENARIO1_K30 = "4ba503e21f2d9c1f3e934bc70ae5c0d2f92c0f9632f29af82a1794caf37ffbce"
 PINNED_EDGE_UPDATES = {
     "empty_scan": "2075d608bd59899b52a621fb8c1906bde7015a29463e2359ed1f6150f2c1714d",
     "empty_ppp": "89015cf63fbf2d60062372a01e0564f93d60dd62e193a155878d4b9fd57fe800",
@@ -474,9 +544,16 @@ def test_update_posterior_independent_of_scan_order(tracks, ppp, grid, pd, data)
     order = data.draw(st.permutations(range(len(scan))))
     # at least every injective measurement-to-track map, so no M-best truncation binds
     n, mz = len(tracks), len(scan)
-    m_best = sum(math.comb(mz, k) * math.perm(n, k) for k in range(min(n, mz) + 1))
-    a = update_pmb(pmb, scan, mm, cm, 16.0, m_best)
-    b = update_pmb(pmb, [scan[k] for k in order], mm, cm, 16.0, m_best)
+    m_global = sum(math.comb(mz, k) * math.perm(n, k) for k in range(min(n, mz) + 1))
+    ranked, costs = forward._ranked_components, []
+
+    def capture(cost, m_best):
+        costs.append(cost[0])
+        return ranked(cost, m_best)
+
+    with mock.patch.object(forward, "_ranked_components", capture):
+        a = update_pmb(pmb, scan, mm, cm, 16.0, m_global)
+    b = update_pmb(pmb, [scan[k] for k in order], mm, cm, 16.0, m_global)
 
     def same(ca, cb):
         np.testing.assert_allclose(ca.r, cb.r, rtol=1e-9, atol=1e-12)
@@ -486,12 +563,23 @@ def test_update_posterior_independent_of_scan_order(tracks, ppp, grid, pd, data)
     def by_mean(bernoullis):
         return sorted(bernoullis, key=lambda c: tuple(c.density.mean))
 
-    # track Bernoullis keep their order; new tracks follow the scan, so compare them as a multiset
-    assert len(a.bernoullis) == len(b.bernoullis)
-    for ca, cb in zip(a.bernoullis[:n], b.bernoullis[:n]):
-        same(ca, cb)
-    for ca, cb in zip(by_mean(a.bernoullis[n:]), by_mean(b.bernoullis[n:])):
-        same(ca, cb)
+    def same_posterior(a, b):
+        # track Bernoullis keep their order; new tracks follow the scan, so compare them as a multiset
+        assert len(a.bernoullis) == len(b.bernoullis)
+        for ca, cb in zip(a.bernoullis[:n], b.bernoullis[:n]):
+            same(ca, cb)
+        for ca, cb in zip(by_mean(a.bernoullis[n:]), by_mean(b.bernoullis[n:])):
+            same(ca, cb)
+
+    same_posterior(a, b)
+    # M applies per component: at the largest component's feasible count, which is
+    # below the global count whenever two components have more than one assignment,
+    # nothing is truncated and the posterior is the same
+    finite = np.isfinite(costs[0])
+    m_best = max((_feasible_count(finite[rows]) for rows in _components(finite)), default=1)
+    c = update_pmb(pmb, scan, mm, cm, 16.0, m_best)
+    same_posterior(a, c)
+    same_posterior(c, update_pmb(pmb, [scan[k] for k in order], mm, cm, 16.0, m_best))
 
 
 def _log_bytes(log, dim) -> bytes:

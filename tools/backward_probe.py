@@ -10,10 +10,11 @@ Run it once per tree to compare two trees on the same machine. Two probes:
   the whole call plus one pass over every particle's trajectories
   (`total_s`, what a caller pays to read every particle), the time inside
   each backward section the tree has: kernels (`_kernels`), tables
-  (`_global_distributions`), draws (`_sample_set`), assembly (`_next_sets`)
-  and materialisation (`ParticleSet._particles`, which builds the objects
-  on read; a tree that builds them inside the call has
-  `_Nodes.trajectories`), and `retained_mb`, the traced bytes
+  (`_component_tables`, the per-component draw tables; a tree that ranks a
+  global top-M has `_global_distributions`), draws (`_sample_set`),
+  assembly (`_next_sets`) and materialisation (`ParticleSet._particles`,
+  which builds the objects on read; a tree that builds them inside the call
+  has `_Nodes.trajectories`), and `retained_mb`, the traced bytes
   (tracemalloc) that the returned particles hold after `gc.collect()`,
   from a second, untimed call. A tree without a section reports none for it.
 - desk: configs/desk_scale.json with zero initial velocities and deaths at
@@ -37,7 +38,7 @@ for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 SECTIONS = {
     "kernels": "_kernels",
-    "tables": "_global_distributions",
+    "tables": ("_component_tables", "_global_distributions"),
     "draws": "_sample_set",
     "assembly": "_next_sets",
     "materialise": ("ParticleSet._particles", "_Nodes.trajectories"),
