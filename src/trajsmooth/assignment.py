@@ -12,9 +12,9 @@ finite column). The components' assignments combine freely and an
 assignment's cost is the sum of its components' costs, so the filter and the
 smoother rank each component on its own (`_ranked_components`) and never
 need a ranked list of the whole matrix; M applies per component. A row alone
-in its component lists its finite entries, sorted, for the whole stack at
-once. A larger component, and `murty`'s whole matrix, is ranked as one block
-(`_ranked_block`) by one of three routes, which give the same output:
+in its component lists its finite entries, sorted, for a whole stack at once.
+A larger component (once per pattern of the joined rows) and `murty`'s matrix
+are ranked as one block (`_ranked_block`) by one of three equivalent routes:
 
 - enumeration, when its product of per-row candidate counts is at most
   `_ENUM_CAP`;
@@ -162,39 +162,60 @@ def _ranked(cost: np.ndarray, m_best: int) -> list[Assignment]:
 def _ranked_components(costs: np.ndarray, m_best: int) -> list[tuple[np.ndarray, ...]]:
     """Each connected component's ranked assignments, per matrix of a (G, m, n) stack.
 
-    The matrices share one +inf pattern, so they share its components: rows
-    joined when they share a finite column. A component's list is its
-    min(m_best, #feasible) cheapest assignments, sorted by (cost, row_to_col)
-    on its own rows. Returns lists of C components of r rows each as
-    (rows, cols, costs): each component's rows (C, r), ascending; the
-    row_to_col of each listed assignment (G, C, L, r), global columns; and
-    their costs (G, C, L), +inf past a component's list. The rows alone in
-    their component come first, together (r = 1): their finite entries,
-    stably sorted, so ties keep column order. Each larger component follows
-    on its own (C = 1), ranked on its columns by `_ranked_block`, in order of
-    first row.
+    The matrices may differ in +inf pattern. A list holds a component's
+    min(m_best, #feasible) cheapest assignments, sorted by (cost, row_to_col).
+    Returns lists of I entries of r rows as (mats, rows, cols, costs): each
+    entry's matrix (I,) and ascending rows (I, r), its row_to_cols (I, L, r)
+    in global columns and their costs (I, L), +inf past its list. First come
+    all rows alone in their component (r = 1), by matrix and row: their
+    finite entries, stably sorted, so ties keep column order. Then, per
+    pattern of the joined rows, each larger component in order of first
+    row, ranked once for the pattern's matrices by `_ranked_block`.
     """
-    finite = np.isfinite(costs[0])
-    counts = finite.sum(axis=1)
-    if len(counts) and counts.min() == 0:
+    _, m, n = costs.shape
+    finite = np.isfinite(costs)
+    counts = finite.sum(axis=2)
+    if counts.size and counts.min() == 0:
         raise InfeasibleAssignmentError("a row has no finite-cost column")
-    components = _components(finite)
-    single = np.array([rows[0] for rows in components if len(rows) == 1], dtype=np.intp)
+    # a row is alone when none of its finite columns is finite in another row
+    alone = ~(finite & (finite.sum(axis=1) > 1)[:, None]).any(axis=2)
+    mats, rows = np.nonzero(alone)
     out = []
-    if len(single):
-        # each row's finite columns, ascending, padded to the longest row
-        slot = np.arange(counts[single].max()) < counts[single][:, None]
-        idx = np.zeros(slot.shape, dtype=np.intp)
-        idx[slot] = np.nonzero(finite[single])[1]
-        vals = np.where(slot, costs[:, single[:, None], idx], np.inf)
-        order = np.argsort(vals, axis=2, kind="stable")[:, :, :m_best]
-        cols = np.take_along_axis(np.broadcast_to(idx, vals.shape), order, axis=2)
-        out.append((single[:, None], cols[..., None], np.take_along_axis(vals, order, axis=2)))
-    for rows in components:
-        if len(rows) > 1:
-            cols, totals = _ranked_block(costs, finite, rows, m_best)
-            out.append((rows[None], cols[:, None], totals[:, None]))
+    if len(mats):
+        # +inf sorts after every finite entry, so the first `count` columns are the list
+        vals = costs[mats, rows]
+        order = np.argsort(vals, axis=1, kind="stable")[:, :min(m_best, counts[mats, rows].max())]
+        out.append((mats, rows[:, None], order[..., None], np.take_along_axis(vals, order, axis=1)))
+    joined = finite & ~alone[:, :, None]
+    first, pattern = _unique_rows(np.packbits(joined.reshape(len(costs), m * n), axis=1))
+    for p, f in enumerate(first.tolist()):
+        members = np.flatnonzero(pattern == p)
+        for comp in _components(joined[f]):
+            if len(comp) > 1:
+                cols, totals = _ranked_block(costs[members], joined[f], comp, m_best)
+                rows = np.broadcast_to(comp, (len(members), len(comp)))
+                out.append((members, rows, cols, totals))
     return out
+
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a 2-d array in order of first appearance.
+
+    Returns the index of each distinct row's first appearance and, per row,
+    the number of its distinct row in that order.
+    """
+    n = len(rows)
+    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(n)
+    ranked = rows[order]
+    new = np.ones(n, dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    first = order[new]  # a stable sort keeps equal rows in index order
+    by_first = np.argsort(first)
+    number = np.empty(len(first), dtype=int)
+    number[by_first] = np.arange(len(first))
+    of = np.empty(n, dtype=int)
+    of[order] = number[np.cumsum(new) - 1]
+    return first[by_first], of
 
 
 def _slack(costs: np.ndarray) -> np.ndarray:

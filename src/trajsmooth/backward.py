@@ -46,12 +46,12 @@ sampled heads two draws almost never agree. The kernels of many groups are
 built in one batched pass: their heads are stacked, gated against every
 active track, birth and undetected component at once, and the cost matrices
 of the groups with the same number of present trajectories are cut out as
-one (groups, m, n) stack, cut by +inf pattern. The first-detection weights of
-all heads come from (terms x heads) arrays with -inf for gated-out terms.
-Matrices of one pattern share its components and are ranked as one stack
-(`assignment._ranked_components`); each component's draw table holds
-row_to_col rows, log-weights and cumulative probabilities over the stack,
-+inf past its kept count, and the rows alone in their component share one.
+one (groups, m, n) stack. The first-detection weights of all heads come from
+(terms x heads) arrays with -inf for gated-out terms. Each stack is ranked
+as one, whatever its matrices' +inf patterns (`assignment._ranked_components`).
+A draw table entry holds a component's row_to_col rows, log-weights and
+cumulative probabilities, +inf past its kept count, and is keyed by the
+batch head of the component's first row.
 
 The kernel weighs heads with the forward filter's arithmetic: the gated
 Mahalanobis log-terms (`gaussians._gated`), the row log-sum-exp
@@ -108,6 +108,7 @@ import math
 import operator
 import warnings
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -115,7 +116,7 @@ import numpy as np
 
 # _ranked and sample_gaussian stay importable from here: perfbench's tracer patches them
 # in this module
-from .assignment import Assignment, _ranked, _ranked_components  # noqa: F401
+from .assignment import Assignment, _ranked, _ranked_components, _unique_rows  # noqa: F401
 from .errors import ContractError, SettingError, check_int, check_real
 from .forward import _LOG_TINY, FilterLog, PMBDensity, _lse_rows, _thinned
 from .gaussians import (
@@ -123,6 +124,7 @@ from .gaussians import (
     _draw,
     _gate_tail,
     _gated,
+    _groups,
     _inv_log_norm,
     _linear_terms,
     _of_dim,
@@ -326,17 +328,15 @@ class ParticleSet(Sequence):
         owned = rows >= 0
         nodes = rows[owned]
         start = self.start[nodes]
-        built = [
-            _trajectory(t, self.states[a:b])
-            for t, a, b in zip(
-                self.birth[nodes].tolist(), start.tolist(), (start + self.length[nodes]).tolist()
-            )
-        ]
+        stop = start + self.length[nodes]
         ends = np.cumsum(owned.sum(axis=1)).tolist()
-        return [
-            Particle(tuple(built[lo:hi]), acc)
-            for lo, hi, acc in zip([0] + ends, ends, log_w.tolist())
-        ]
+        with _collector_paused():
+            spans = zip(self.birth[nodes].tolist(), start.tolist(), stop.tolist())
+            built = [_trajectory(t, self.states[a:b]) for t, a, b in spans]
+            return [
+                Particle(tuple(built[lo:hi]), acc)
+                for lo, hi, acc in zip([0] + ends, ends, log_w.tolist())
+            ]
 
 
 @dataclass(frozen=True)
@@ -460,9 +460,8 @@ def build_backward_kernel(
 
 
 class _Block(NamedTuple):
-    """The conditioning sets of a batch with `size` present trajectories and one +inf pattern."""
+    """The conditioning sets of a batch with `size` present trajectories."""
 
-    sets: np.ndarray  # (G,) the sets' indices in the batch
     heads: np.ndarray  # (G, size) their present trajectories' columns in the batch's head arrays
     cost: np.ndarray  # (G, size, n_tracks + size) their cost matrices
 
@@ -483,17 +482,12 @@ def _kernels(cache: _KernelCache, heads: np.ndarray, sizes: np.ndarray, gate: fl
     after set in set order; set s has `sizes[s]` of them. Every head is gated
     against every active track and every birth and undetected component at
     once (`_gated`). Sets with the same number of present trajectories then
-    get their cost matrices and smoothed extension means as one stack each,
-    and the cost stack is cut into one block per +inf pattern.
+    get their cost matrices and smoothed extension means as one block each.
     """
     n_tracks = len(cache.exist_end)
     starts = np.cumsum(sizes) - sizes
     # (sets, size) head indices per number of present trajectories
-    blocks = [
-        (members, starts[members][:, None] + np.arange(size))
-        for size in np.unique(sizes).tolist()
-        for members in (np.flatnonzero(sizes == size),)
-    ]
+    blocks = [starts[sizes == size, None] + np.arange(size) for size in np.unique(sizes).tolist()]
 
     t = cache.tracks
     diffs, log_w, gated = _gated(heads, t.log_const, t.mean_pred, t.inv_pred, gate)
@@ -506,7 +500,7 @@ def _kernels(cache: _KernelCache, heads: np.ndarray, sizes: np.ndarray, gate: fl
     ext_diffs, ext_lp, ext_ok = _gated(heads, ppp.log_const, ppp.mean_pred, ppp.inv_pred, gate)
     ext_means = np.empty(ext_diffs.shape)
     gains_t = ppp.gains.transpose(0, 2, 1)[:, None]
-    for _, idx in blocks:
+    for idx in blocks:
         block = ppp.means[:, None, None, :] + ext_diffs[:, idx] @ gains_t
         ext_means[:, idx.ravel()] = block.reshape(len(ppp.means), idx.size, cache.dim)
     _, birth_lp, birth_ok = _gated(heads, *cache.birth_comps, gate)
@@ -515,16 +509,13 @@ def _kernels(cache: _KernelCache, heads: np.ndarray, sizes: np.ndarray, gate: fl
     first_cost = -first.log_w
 
     stacks = []
-    for members, idx in blocks:
+    for idx in blocks:
         size = idx.shape[1]
         rows = np.arange(size)
-        cost = np.full((len(members), size, n_tracks + size), np.inf)
+        cost = np.full((len(idx), size, n_tracks + size), np.inf)
         cost[:, :, cache.active_idx] = continued[:, idx].transpose(1, 2, 0)
         cost[:, rows, n_tracks + rows] = first_cost[idx]
-        # matrices of one pattern share its components, so they are ranked as one stack
-        _, pattern = _unique_rows(np.packbits(np.isfinite(cost).reshape(len(cost), -1), axis=1))
-        for at in (np.flatnonzero(pattern == p) for p in range(pattern.max() + 1)):
-            stacks.append(_Block(members[at], idx[at], cost[at]))
+        stacks.append(_Block(idx, cost))
     return _Batch(diffs, log_w, first, stacks)
 
 
@@ -565,67 +556,81 @@ def _first_detected_all(birth_lp, birth_ok, ext_lp, ext_ok, ext_means, local, ca
 
 
 class _Table(NamedTuple):
-    """Draw tables of C connected components of r rows each, per matrix of a cost stack."""
+    """Draw tables of I component entries of r rows each, keyed by the batch head of a first row."""
 
-    rows: np.ndarray  # (C, r) each component's rows
-    cols: np.ndarray  # (G, C, L, r) row_to_col of each ranked assignment of a component
-    log_w: np.ndarray  # (G, C, L) its ln w_hat; +inf past the component's kept count
-    cum: np.ndarray  # (G, C, L) cumulative draw probabilities; +inf past the kept count
-    kept: np.ndarray  # (G, C) assignments kept after w_hyp_min
+    head: np.ndarray  # (I,) batch head of each entry's first row, ascending
+    rows: np.ndarray  # (I, r) each entry's rows in its cost matrix
+    cols: np.ndarray  # (I, L, r) row_to_col of each ranked assignment of an entry
+    log_w: np.ndarray  # (I, L) its ln w_hat; +inf past the entry's kept count
+    cum: np.ndarray  # (I, L) cumulative draw probabilities; +inf past the kept count
+    kept: np.ndarray  # (I,) assignments kept after w_hyp_min
 
 
-def _component_tables(cost: np.ndarray, m_best: int, w_hyp_min: float) -> list[_Table]:
-    """Draw tables of the components of a (G, m, n) cost stack that shares one +inf pattern.
+def _component_tables(cost, heads, m_best: int, w_hyp_min: float) -> list[_Table]:
+    """Draw tables of the components of a (G, m, n) cost stack whose rows are batch heads `heads`.
 
     The components are ranked by `assignment._ranked_components`. Within a
     component, assignments whose probability falls below `w_hyp_min` are
     dropped and the rest renormalised. A list is ranked by cost, so its
     probabilities never rise with rank and the kept ones are a prefix of it
-    (the best, at rank 0, always survives). Every sum runs over one
-    component's row, whose length the pattern fixes, so a matrix's tables do
-    not depend on the other matrices of the stack.
+    (the best, at rank 0, always survives). Its sums run in order along the
+    entry (cumulative sums), to which +inf padding adds exact zeros, so a
+    matrix's tables do not depend on the other matrices of the stack.
     """
     tables = []
     # kernel matrices are valid by construction
-    for rows, cols, totals in _ranked_components(cost, m_best):
+    for mats, rows, cols, totals in _ranked_components(cost, m_best):
         log_w = -totals
-        shifted = np.exp(log_w - log_w.max(axis=2, keepdims=True))
-        probs = shifted / shifted.sum(axis=2, keepdims=True)
+        shifted = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+        probs = shifted / np.cumsum(shifted, axis=1)[:, -1:]
         keep = (probs >= w_hyp_min) & np.isfinite(log_w)
-        keep[..., 0] = True  # the best always survives
+        keep[:, 0] = True  # the best always survives
         pr = np.where(keep, probs, 0.0)
-        cum = np.where(keep, np.cumsum(pr / pr.sum(axis=2, keepdims=True), axis=2), np.inf)
-        tables.append(_Table(rows, cols, np.where(keep, log_w, np.inf), cum, keep.sum(axis=2)))
+        cum = np.where(keep, np.cumsum(pr / np.cumsum(pr, axis=1)[:, -1:], axis=1), np.inf)
+        kept_w = np.where(keep, log_w, np.inf)
+        tables.append(_Table(heads[mats, rows[:, 0]], rows, cols, kept_w, cum, keep.sum(axis=1)))
     return tables
 
 
-def _draw_tables(tables: list[_Table], at: np.ndarray, u: np.ndarray, row_to_col: np.ndarray):
-    """One draw of every component of matrix `at[q]` of the tables' stack, per q; returns ln w_hat.
+def _draw_tables(tables: list[_Table], counts, head, u) -> tuple[np.ndarray, np.ndarray]:
+    """One draw of every component of each particle's set; returns the columns and ln w_hat.
 
-    The component whose first row is j draws with uniform u[q, j]. The drawn
-    columns go into row_to_col[q]; ln w_hat is the sum of the drawn
-    components' log-weights, table by table.
+    Particle q owns the next `counts[q]` entries, one per present trajectory
+    in row order; entry e is at batch head `head[e]`. The component whose
+    first row is entry e draws with uniform u[e] from the table entry keyed
+    by that head, and gives the columns of its rows' entries. ln w_hat, per
+    particle, adds its alone rows' log-weights as one row sum, then each
+    larger component's in order of first row.
     """
-    log_w = np.zeros(len(at))
+    q = np.repeat(np.arange(len(counts)), counts)
+    col = np.empty(len(head), dtype=int)
+    # per entry, the drawn log-weight and row count of the component it is the first row of
+    drawn, size = np.zeros(len(head)), np.zeros(len(head), dtype=int)
     for t in tables:
-        n_comps, width = t.cum.shape[1:]
-        hyps = _draw_rows(
-            t.cum[at].reshape(-1, width), t.kept[at].ravel(), u[:, t.rows[:, 0]].ravel()
-        ).reshape(-1, n_comps)
-        picked = (at[:, None], np.arange(n_comps), hyps)
-        log_w = log_w + t.log_w[picked].sum(axis=1)
-        row_to_col[:, t.rows] = t.cols[picked]
-    return log_w
+        e = np.flatnonzero(np.isin(head, t.head))
+        i = np.searchsorted(t.head, head[e])
+        hyps = _draw_rows(t.cum[i], t.kept[i], u[e])
+        col[e[:, None] + t.rows[i] - t.rows[i, :1]] = t.cols[i, hyps]
+        drawn[e], size[e] = t.log_w[i, hyps], t.rows.shape[1]
+    log_w = np.zeros(len(counts))
+    single = drawn[size == 1]
+    for ps, rows in _groups(np.bincount(q[size == 1], minlength=len(counts))):
+        log_w[ps] += single[rows].sum(axis=1)
+    ql, vals = q[size > 1], drawn[size > 1]
+    rank = np.arange(len(ql)) - np.searchsorted(ql, ql)  # a particle's entries are adjacent
+    for r in range(rank.max(initial=-1) + 1):
+        log_w[ql[rank == r]] += vals[rank == r]
+    return col, log_w
 
 
 def sample_global(
     kernel: BackwardKernel, m_best: int, rng: np.random.Generator, w_hyp_min: float = 0.0
 ) -> tuple[Assignment, float]:
     """Draw one global hypothesis, each component from its top-M; returns it with ln w_hat."""
-    tables = _component_tables(kernel.cost[None], m_best, w_hyp_min)
-    cols = np.zeros((1, kernel.m), dtype=int)
-    (log_w,) = _draw_tables(tables, np.zeros(1, int), rng.random((1, kernel.m)), cols).tolist()
-    return Assignment(tuple(cols[0].tolist()), -log_w), log_w
+    rows = np.arange(kernel.m)
+    tables = _component_tables(kernel.cost[None], rows[None], m_best, w_hyp_min)
+    cols, (log_w,) = _draw_tables(tables, np.array([kernel.m]), rows, rng.random(kernel.m))
+    return Assignment(tuple(cols.tolist()), -float(log_w)), float(log_w)
 
 
 def _draw_index(cum: np.ndarray, u):
@@ -806,26 +811,6 @@ class _Nodes:
         return ParticleSet(self.birth[nodes], start, length, states, rows, log_w)
 
 
-def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of a 2-d array in order of first appearance.
-
-    Returns the index of each distinct row's first appearance and, per row,
-    the number of its distinct row in that order.
-    """
-    n = len(rows)
-    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(n)
-    ranked = rows[order]
-    new = np.ones(n, dtype=bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    first = order[new]  # a stable sort keeps equal rows in index order
-    by_first = np.argsort(first)
-    number = np.empty(len(first), dtype=int)
-    number[by_first] = np.arange(len(first))
-    of = np.empty(n, dtype=int)
-    of[order] = number[np.cumsum(new) - 1]
-    return first[by_first], of
-
-
 def _rows(owner: np.ndarray, slot: np.ndarray, node: np.ndarray, n: int) -> np.ndarray:
     """(n, width) node-id rows padded with -1: row p holds the nodes owned by p in slot order.
 
@@ -838,6 +823,18 @@ def _rows(owner: np.ndarray, slot: np.ndarray, node: np.ndarray, n: int) -> np.n
     rows = np.full((n, counts.max(initial=0)), -1)
     rows[owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]] = node
     return rows
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, then leave it as the caller had it."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def backward_simulate(
@@ -859,16 +856,15 @@ def backward_simulate(
     are shared by tail and head bytes, so equal trajectories have one id. The
     kernels of the groups come from batched passes over their stacked heads
     (`_kernels`, up to `_BATCH` groups per pass), as one cost stack per
-    number of present trajectories and +inf pattern, and each stack's
-    per-component draw tables with cumulative probabilities
-    (`_component_tables`).
+    number of present trajectories, and each stack's per-component draw
+    tables with cumulative probabilities (`_component_tables`).
 
     Every random number is a Philox word at a counter fixed by the particle,
     the step and the number's role (module docstring), so each particle
     depends only on the seed and its index: the first n particles of a larger
     run equal an n-particle run, whatever the grouping and batching. A
     batch's particles draw as arrays (`_sample_set`): the hypotheses by one
-    comparison per table stack, the existences and first-detection choices by
+    comparison per table, the existences and first-detection choices by
     comparisons, and the Gaussian heads by one stacked `_draw`. The new sets
     are one sort of every particle's absent trajectories, tracks and first
     detections (`_next_sets`). The result is a `ParticleSet`: each distinct
@@ -877,18 +873,13 @@ def backward_simulate(
     objects are built only when it is read.
 
     The cyclic garbage collector is paused for the run, which creates no
-    reference cycles, and left as the caller had it.
+    reference cycles, and left as the caller had it (`_collector_paused`).
     """
     if log.k_max < 1:
         raise ContractError("backward simulation needs at least one filtered step")
     gate = gate_quantile(m.dim, params.gate_prob)
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
+    with _collector_paused():
         return _simulate(log, birth, m, params, gate)
-    finally:
-        if collecting:
-            gc.enable()
 
 
 def _simulate(log, birth, m, params: SmootherParams, gate: float) -> ParticleSet:
@@ -910,11 +901,12 @@ def _simulate(log, birth, m, params: SmootherParams, gate: float) -> ParticleSet
             present, sizes = rows[rows >= 0], (rows >= 0).sum(axis=1)
             batch = _kernels(cache, nodes.heads[present], sizes, gate)
             tables = [
-                _component_tables(b.cost, params.m_best, params.w_hyp_min) for b in batch.blocks
+                t for b in batch.blocks
+                for t in _component_tables(b.cost, b.heads, params.m_best, params.w_hyp_min)
             ]
             particles = np.flatnonzero((group >= lo) & (group < lo + _BATCH))
             members, log_w = _sample_set(
-                cache, batch, tables, present, group[particles] - lo, particles, k,
+                cache, batch, tables, present, sizes, group[particles] - lo, particles, k,
                 params.dirac_mode, key,
             )
             accs[particles] += log_w
@@ -982,51 +974,36 @@ class _Drawn(NamedTuple):
 
 
 def _sample_set(
-    step: _KernelCache, batch: _Batch, tables, present, group, particles, k: int,
+    step: _KernelCache, batch: _Batch, tables, present, sizes, group, particles, k: int,
     dirac_mode: bool, key,
 ) -> tuple[_Drawn, np.ndarray]:
     """Draw the members of the sets over k:K of a batch's particles; returns them and ln w_hat.
 
     `batch` holds the kernels of the batch's conditioning sets (`_kernels`)
-    and `tables[b]` the component tables of block b (`_component_tables`).
-    `present` holds the node ids of the sets' present
-    trajectories, in the order of the batch's heads; particle `particles[q]`
-    has set `group[q]`. The log-weights of the drawn hypotheses come in the
-    order of `particles`.
+    and `tables` the component tables of its blocks (`_component_tables`).
+    `present` holds the node ids of the sets' present trajectories, in the
+    order of the batch's heads; set s has `sizes[s]` of them, and particle
+    `particles[q]` has set `group[q]`; ln w_hat comes in the order of `particles`.
 
     Every draw is an array operation over the batch. `_words` gives every
     particle's hypothesis uniforms (one per component, at its first row), its
     existence uniforms and a first-detection block per present trajectory
-    (read when its column is drawn); the components' assignments are one
-    comparison per block's table stack (`_draw_tables`). Without dirac mode
-    `_words` gives the normals of exactly the heads drawn, and those heads are
-    one stacked `_draw` with the sampling roots of the distinct covariances
-    they read (`_roots_of`). In dirac mode a head is its mean.
+    (read when its column is drawn); the components' assignments are drawn
+    over the batch's (particle, row) entries (`_draw_tables`). Without dirac
+    mode `_words` gives the normals of exactly the heads drawn, and those
+    heads are one stacked `_draw` with the sampling roots of the distinct
+    covariances they read (`_roots_of`). In dirac mode a head is its mean.
     """
     first, n_tracks = batch.first, len(step.exist_end)
-    # each set's block, row in its block and number of present trajectories
-    block_of, row_of, sizes = (
-        np.empty(sum(len(b.sets) for b in batch.blocks), dtype=int) for _ in range(3)
-    )
-    for b, block in enumerate(batch.blocks):
-        block_of[block.sets], row_of[block.sets] = b, np.arange(len(block.sets))
-        sizes[block.sets] = block.heads.shape[1]
     # one entry per particle q and present trajectory j, with its batch head
     counts = sizes[group]
     q = np.repeat(np.arange(len(particles)), counts)
-    entry_start = np.cumsum(counts) - counts
-    j = np.arange(len(q)) - entry_start[q]
+    j = np.arange(len(q)) - (np.cumsum(counts) - counts)[q]
     head = (np.cumsum(sizes) - sizes)[group][q] + j
     u = _uniforms(_words(key, k, _HYP, particles, n_words=sizes.max(initial=0)))
     exist_w = _words(key, k, _EXIST, particles, n_words=n_tracks)
     first_w = _words(key, k, _FIRST, particles[q], j, 2)
-    log_w = np.empty(len(particles))
-    col = np.empty(len(q), dtype=int)
-    for b, (block, table) in enumerate(zip(batch.blocks, tables)):
-        qb = np.flatnonzero(block_of[group] == b)
-        row_to_col = np.empty((len(qb), block.heads.shape[1]), dtype=int)
-        log_w[qb] = _draw_tables(table, row_of[group[qb]], u[qb], row_to_col)
-        col[entry_start[qb][:, None] + np.arange(row_to_col.shape[1])] = row_to_col
+    col, log_w = _draw_tables(tables, counts, head, u[q, j])
 
     cont = col < n_tracks
     qc, tc, hc = q[cont], col[cont], head[cont]

@@ -290,14 +290,14 @@ def update_pmb(
     cost[np.arange(mz), n + np.arange(mz)] = -log_w_new
     p_det = np.zeros((n, mz))
     p_new = np.zeros(mz)
-    for rows, cols, costs in _ranked_components(cost[None], m_best):
-        log_w = -costs[0]
+    for _, rows, cols, costs in _ranked_components(cost[None], m_best):
+        log_w = -costs
         betas = np.exp(log_w - _lse_rows(log_w)[0][:, None])
         # marginal association probabilities, summed over each component's list in
         # rank order; past the end of a list beta is 0 and adds nothing
-        col = cols[0].ravel()
-        meas = np.broadcast_to(rows[:, None], cols.shape[1:]).ravel()
-        beta = np.broadcast_to(betas[..., None], cols.shape[1:]).ravel()
+        col = cols.ravel()
+        meas = np.broadcast_to(rows[:, None], cols.shape).ravel()
+        beta = np.broadcast_to(betas[..., None], cols.shape).ravel()
         to_track = col < n
         np.add.at(p_det, (col[to_track], meas[to_track]), beta[to_track])
         np.add.at(p_new, meas[~to_track], beta[~to_track])

@@ -333,9 +333,10 @@ def test_clustered_ranking_matches_brute_force(cost, m_best):
 
 @pytest.mark.parametrize("integer", [False, True])
 def test_ranked_components_equal_murty_per_component(integer):
-    # one +inf pattern with a component too large to enumerate, an enumerated
-    # one, a single row and a fixed row, so every route runs once per matrix
-    # of the stack
+    # a stack whose matrices differ in +inf pattern: the first two share one
+    # with a component too large to enumerate, an enumerated one, a single row
+    # and a fixed row, so every route runs; the others gate out entries at
+    # random, which splits their components and leaves rows alone
     rng = np.random.default_rng(6000 + integer)
     pattern = np.full((9, 12), False)
     pattern[:5, :6] = True
@@ -343,19 +344,35 @@ def test_ranked_components_equal_murty_per_component(integer):
     pattern[7, 9:11] = True
     pattern[8, 11] = True
     pattern = pattern[rng.permutation(9)][:, rng.permutation(12)]
-    values = rng.integers(0, 4, size=(3, 9, 12)) if integer else rng.normal(0.0, 5.0, (3, 9, 12))
-    costs = np.where(pattern, values.astype(float), np.inf)
+    patterns = np.repeat(pattern[None], 8, axis=0)
+    for p in patterns[2:]:
+        # a random feasible assignment stays, and each other entry with probability 0.4
+        kept = solve_lap(np.where(p, rng.random(p.shape), np.inf)).row_to_col
+        p &= rng.random(p.shape) < 0.4
+        p[np.arange(len(p)), kept] = True
+    shape = patterns.shape
+    values = rng.integers(0, 4, size=shape) if integer else rng.normal(0.0, 5.0, shape)
+    costs = np.where(patterns, values.astype(float), np.inf)
     lists = _ranked_components(costs, 30)
-    components = [rows.tolist() for comps, _, _ in lists for rows in comps]
-    assert sorted(components) == sorted(rows.tolist() for rows in _components(pattern))
-    assert [len(rows) for rows in components] == [1, 1, 2, 5]  # single rows first
-    for rows, cols, totals in lists:
-        for c, comp in enumerate(rows):
-            for cost, r, t in zip(costs, cols[:, c], totals[:, c]):
-                expected = [(a.row_to_col, a.cost) for a in murty(cost[comp], 30)]
-                listed = np.isfinite(t)
-                assert list(zip(map(tuple, r[listed].tolist()), t[listed].tolist())) == expected
-                assert np.all(t[len(expected):] == np.inf)
+    # the rows alone in their component come first, together
+    assert lists[0][1].shape[1] == 1 and all(rows.shape[1] > 1 for _, rows, _, _ in lists[1:])
+    assert len(lists[0][0]) > 2 * len(costs)  # gating left rows alone that are not in matrix 0
+    listed_rows = [[] for _ in costs]
+    for mats, rows, cols, totals in lists:
+        for g, comp, c, t in zip(mats.tolist(), rows, cols, totals):
+            listed_rows[g].append(comp.tolist())
+            expected = [(a.row_to_col, a.cost) for a in murty(costs[g][comp], 30)]
+            listed = np.isfinite(t)
+            assert list(zip(map(tuple, c[listed].tolist()), t[listed].tolist())) == expected
+            assert np.all(t[len(expected):] == np.inf)
+            if len(comp) == 1:
+                # an alone row's list is its finite entries, stably sorted
+                row = costs[g, comp[0]]
+                finite = np.flatnonzero(np.isfinite(row))
+                ranked = finite[np.argsort(row[finite], kind="stable")][:30]
+                assert c[listed, 0].tolist() == ranked.tolist()
+    for found, p in zip(listed_rows, patterns):
+        assert sorted(found) == sorted(rows.tolist() for rows in _components(p))
 
 
 def _slack(cost):

@@ -17,8 +17,8 @@ from helpers import desk_like_problem, gating_problem, make_log, tv_toy
 from scipy.special import logsumexp
 from scipy.stats import kstest, norm
 
-from trajsmooth import backward
-from trajsmooth.assignment import murty
+from trajsmooth import assignment, backward
+from trajsmooth.assignment import _components, murty
 from trajsmooth.backward import (
     BackwardKernel,
     ContinuedSmoothed,
@@ -38,7 +38,13 @@ from trajsmooth.backward import (
     split_y,
 )
 from trajsmooth.errors import ContractError
-from trajsmooth.forward import BernoulliComponent, PMBDensity, _lse_rows
+from trajsmooth.forward import (
+    BernoulliComponent,
+    FilterParams,
+    PMBDensity,
+    _lse_rows,
+    run_forward,
+)
 from trajsmooth.gaussians import (
     GaussianDensity,
     GaussianMixture,
@@ -50,7 +56,10 @@ from trajsmooth.gaussians import (
     symmetrize,
 )
 from trajsmooth.models import BirthModel
+from trajsmooth.simulate import load_scenario_config, simulate_scenario
 from trajsmooth.trajectory import Trajectory
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def g1(mean, var):
@@ -733,13 +742,19 @@ def per_component_distribution(cost, rows, m_best, w_hyp_min):
     return [h.row_to_col for h in hyps[:keep.sum()]], log_w[keep], np.cumsum(pr / pr.sum())
 
 
+def table_entries(tables):
+    """Per head keying a table entry: (its table, its index in it)."""
+    return {h: (t, i) for t in tables for i, h in enumerate(t.head.tolist())}
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    st.integers(1, 4), st.integers(0, 3), st.integers(1, 30),
+    st.integers(1, 4), st.integers(0, 12), st.integers(1, 30),
     st.sampled_from([0.0, 1e-4, 0.01, 0.05, 0.3]), st.integers(0, 2**32 - 1),
 )
 def test_stacked_tables_equal_per_table_form(m, n_tracks, m_best, w_hyp_min, seed):
-    # backward-kernel-shaped stacks with several patterns and ragged kept counts after w_hyp_min
+    # backward-kernel-shaped stacks that mix +inf patterns, with ragged kept counts after
+    # w_hyp_min; up to 12 tracks make rows of 8 or more entries, where numpy's sum pairs terms
     rng = np.random.default_rng(seed)
     g = int(rng.integers(1, 12))
     cost = np.full((g, m, n_tracks + m), np.inf)
@@ -747,30 +762,35 @@ def test_stacked_tables_equal_per_table_form(m, n_tracks, m_best, w_hyp_min, see
     cost[rng.random(cost.shape) < 0.3] = np.inf  # gated-out pairs: several patterns per stack
     # every first-detection column stays open
     cost[:, np.arange(m), n_tracks + np.arange(m)] = rng.normal(0.0, 2.0, (g, m))
-    _, pattern = np.unique(np.isfinite(cost).reshape(g, -1), axis=0, return_inverse=True)
-    for p in range(pattern.max() + 1):
-        members = np.flatnonzero(pattern == p)
-        tables = backward._component_tables(cost[members], m_best, w_hyp_min)
-        for at, i in enumerate(members.tolist()):
-            # a matrix's tables do not depend on the other matrices of the stack
-            alone = backward._component_tables(cost[i:i + 1], m_best, w_hyp_min)
-            for t, one in zip(tables, alone, strict=True):
-                assert t.rows.tobytes() == one.rows.tobytes()
-                for a, b in zip(t[1:], one[1:]):
-                    assert a[at].tobytes() == b[0].tobytes()
+    heads = np.arange(g * m).reshape(g, m)
+    stacked = table_entries(backward._component_tables(cost, heads, m_best, w_hyp_min))
+    for i in range(g):
+        # a matrix's tables do not depend on the other matrices of the stack,
+        # whose alone rows may widen the table its own alone rows are in
+        alone = table_entries(backward._component_tables(cost[i:i + 1], heads[i:i + 1], m_best,
+                                                         w_hyp_min))
+        assert sorted(alone) == sorted(h for h in stacked if h // m == i)
+        components = []
+        for h, (one, e) in alone.items():
+            t, at = stacked[h]
+            n = int(one.kept[e])
+            assert t.kept[at] == n and t.rows[at].tobytes() == one.rows[e].tobytes()
+            for a, b in ((t.cols, one.cols), (t.log_w, one.log_w), (t.cum, one.cum)):
+                assert a[at, :n].tobytes() == b[e, :n].tobytes()
+            assert np.all(t.cum[at, n:] == np.inf) and np.all(t.log_w[at, n:] == np.inf)
             # each component's table is murty on its rows, cut by w_hyp_min and renormalised
-            for t in tables:
-                for c, rows in enumerate(t.rows):
-                    cols, log_w, cum = per_component_distribution(cost[i], rows, m_best, w_hyp_min)
-                    n = int(t.kept[at, c])
-                    assert n == len(cum)
-                    assert list(map(tuple, t.cols[at, c, :n].tolist())) == cols
-                    assert t.log_w[at, c, :n].tobytes() == log_w.tobytes()
-                    # a table's sums run over its whole list, zeros past the kept
-                    # count, so they may round apart from sums over the kept alone
-                    tol = 2 * m_best * np.finfo(float).eps
-                    np.testing.assert_allclose(t.cum[at, c, :n], cum, rtol=tol, atol=0)
-                    assert np.all(t.cum[at, c, n:] == np.inf) and np.all(t.log_w[at, c, n:] == np.inf)
+            rows = t.rows[at]
+            components.append(rows.tolist())
+            cols, log_w, cum = per_component_distribution(cost[i], rows, m_best, w_hyp_min)
+            assert n == len(cum)
+            assert list(map(tuple, t.cols[at, :n].tolist())) == cols
+            assert t.log_w[at, :n].tobytes() == log_w.tobytes()
+            # a table's sums run in order over its whole row, zeros past the kept
+            # count, so they may round apart from numpy's sums over the kept alone
+            tol = 2 * m_best * np.finfo(float).eps
+            np.testing.assert_allclose(t.cum[at, :n], cum, rtol=tol, atol=0)
+        expected = _components(np.isfinite(cost[i]))
+        assert sorted(components) == sorted(rows.tolist() for rows in expected)
 
 
 # TV of 1e5 factorised draws against the product distribution, seeds 0-9: 0.0060-0.0097
@@ -795,12 +815,14 @@ def test_factorised_draws_match_the_product_distribution():
     total = sum(exact.values())
     assert len(exact) == 42
     assert sum(sorted(exact.values())[-7:]) / total < 0.4
-    tables = backward._component_tables(cost[None], 7, 0.0)
+    tables = backward._component_tables(cost[None], np.arange(m)[None], 7, 0.0)
     assert sorted(len(t.rows[0]) for t in tables) == [1, 2, 2]
-    rows = np.zeros((n, m), dtype=int)
-    log_w = backward._draw_tables(
-        tables, np.zeros(n, dtype=int), np.random.default_rng(0).random((n, m)), rows
+    # n particles drawing from the one matrix, each with its m rows as entries
+    rows, log_w = backward._draw_tables(
+        tables, np.full(n, m), np.tile(np.arange(m), n),
+        np.random.default_rng(0).random((n, m)).ravel(),
     )
+    rows = rows.reshape(n, m)
     drawn, counts = np.unique(rows, axis=0, return_counts=True)
     freq = dict(zip(map(tuple, drawn.tolist()), (counts / n).tolist()))
     assert set(freq) <= set(exact)
@@ -892,17 +914,19 @@ def test_backward_step_preserves_conditioning_set():
     for k in range(k_max - 1, 0, -1):
         kernel = build(pmb, BIRTH, MOTION, current, gate=1e9, k=k)
         assignment, log_w = sample_global(kernel, 20, rng)
-        # the kernel as a batch of one set, and one table listing only the drawn assignment
-        block = backward._Block(np.array([0]), np.arange(kernel.m)[None], kernel.cost[None])
+        # the kernel as a batch of one set, and one table listing only the drawn
+        # assignment, as one component keyed by the set's first head
+        block = backward._Block(np.arange(kernel.m)[None], kernel.cost[None])
         batch = backward._Batch(kernel.diffs, kernel.log_w, kernel.first, [block])
         table = backward._Table(
-            np.arange(kernel.m)[None], np.array(assignment.row_to_col).reshape(1, 1, 1, -1),
-            np.array([[[log_w]]]), np.array([[[1.0]]]), np.array([[1]]),
+            np.array([0]), np.arange(kernel.m)[None],
+            np.array(assignment.row_to_col).reshape(1, 1, -1), np.array([[log_w]]),
+            np.array([[1.0]]), np.array([1]),
         )
         present = row[0][nodes.birth[row[0]] == k + 1]
         drawn, _ = backward._sample_set(
-            kernel.step, batch, [[table] if kernel.m else []], present, np.array([0]), np.array([0]),
-            k, False, key,
+            kernel.step, batch, [table] if kernel.m else [], present, np.array([kernel.m]),
+            np.array([0]), np.array([0]), k, False, key,
         )
         row = backward._next_sets(nodes, row, [drawn], k, False)
         new_set = nodes.particles(row, np.zeros(1))[0].trajectories
@@ -1030,6 +1054,67 @@ def test_backward_simulate_leaves_no_reference_cycles():
     assert len(particles) == 200
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_particle_set_reads_restore_collector_state(monkeypatch, enabled):
+    # a set builds each read pass's objects with the collector paused, and the
+    # caller sees its own state again between the particles of an iteration
+    log, birth, motion = tv_toy()
+    particles = backward_simulate(log, birth, motion, SmootherParams(num_particles=20, seed=1))
+    build, paused = backward._trajectory, []
+
+    def recorded(t, states):
+        paused.append(not gc.isenabled())
+        return build(t, states)
+
+    monkeypatch.setattr(backward, "_trajectory", recorded)
+    monkeypatch.setattr(backward, "_READ", 7)  # three read passes
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for _ in particles:
+            assert gc.isenabled() == enabled
+        assert len(list(particles)) == 20 and gc.isenabled() == enabled
+        particles[3]
+        assert gc.isenabled() == enabled
+        with pytest.raises(IndexError):
+            particles[20]
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert paused and all(paused)
+
+
+# `_ranked_block` calls of the backward pass of the run below when its cost stacks
+# were cut into one block per +inf pattern
+PATTERN_BLOCK_RANKINGS = 9
+
+
+def test_one_table_build_per_kernel_pass_and_set_size(monkeypatch):
+    # scenario1 at seed 61, filtered at M=100, then 10 sampled particles: a
+    # pass ranks each size's cost stack once, whatever its +inf patterns
+    cfg = json.loads((CONFIGS / "scenario1.json").read_text())
+    scenario = simulate_scenario(load_scenario_config({**cfg, "seed": 61}))
+    log = run_forward(scenario, FilterParams())
+    calls = dict.fromkeys(("sizes", "_component_tables", "_ranked_block"), 0)
+
+    def counted(owner, name, key, count=lambda *args: 1):
+        inner = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[key] += count(*args)
+            return inner(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(backward, "_kernels", "sizes", lambda cache, heads, sizes, gate: len(set(sizes)))
+    counted(backward, "_component_tables", "_component_tables")
+    counted(assignment, "_ranked_block", "_ranked_block")
+    params = SmootherParams(num_particles=10, seed=61)
+    backward_simulate(log, scenario.birth, scenario.motion, params)
+    assert calls["_component_tables"] == calls["sizes"] > 0
+    assert 0 < calls["_ranked_block"] <= PATTERN_BLOCK_RANKINGS
+
+
 def eager_particles(nodes, sets, accs):
     """The particles of node-id rows as objects, each trajectory walked node by node."""
     def walk(node):
@@ -1138,9 +1223,9 @@ def test_particle_set_retains_arrays_not_objects():
 
 
 def test_backward_probe_tool_runs():
-    # tools/backward_probe.py times backward internals it finds by name, and
-    # drops a section it cannot find; every section must still be there, and
-    # each run reports the traced memory its particles hold
+    # tools/backward_probe.py times and counts the calls of backward internals it
+    # finds by name, and drops a section it cannot find; every section must still
+    # be there, and each run reports the traced memory its particles hold
     root = Path(__file__).resolve().parents[1]
     tool = root / "tools" / "backward_probe.py"
     argv = [sys.executable, str(tool), "--tree", str(root), "--toy-seeds", "1", "--desk-k", "5"]
@@ -1149,8 +1234,9 @@ def test_backward_probe_tool_runs():
     report = json.loads(proc.stdout)
     (run,) = report["toy"]
     sections = ("kernels", "tables", "draws", "assembly", "materialise")
-    assert set(run) == {"seed", "total_s", "retained_mb", *(f"{s}_s" for s in sections)}
-    assert all(run[f"{s}_s"] > 0.0 for s in sections)
+    timings = (f"{s}_{unit}" for s in sections for unit in ("s", "calls"))
+    assert set(run) == {"seed", "total_s", "retained_mb", *timings}
+    assert all(run[f"{s}_s"] > 0.0 and run[f"{s}_calls"] > 0 for s in sections)
     assert run["tables_s"] > 0.0  # the per-component table builder is found by its name
     assert 0.0 < run["retained_mb"] < RETAINED_MB
     assert [row["K"] for row in report["desk"]] == [5]

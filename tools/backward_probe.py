@@ -14,7 +14,8 @@ Run it once per tree to compare two trees on the same machine. Two probes:
   global top-M has `_global_distributions`), draws (`_sample_set`),
   assembly (`_next_sets`) and materialisation (`ParticleSet._particles`,
   which builds the objects on read; a tree that builds them inside the call
-  has `_Nodes.trajectories`), and `retained_mb`, the traced bytes
+  has `_Nodes.trajectories`), the number of calls of each section
+  (`tables_calls` counts the table builds), and `retained_mb`, the traced bytes
   (tracemalloc) that the returned particles hold after `gc.collect()`,
   from a second, untimed call. A tree without a section reports none for it.
 - desk: configs/desk_scale.json with zero initial velocities and deaths at
@@ -45,10 +46,11 @@ SECTIONS = {
 }
 
 
-def timed(owner, name, totals, section):
+def timed(owner, name, totals, calls, section):
     inner = getattr(owner, name)
 
     def wrapper(*args, **kwargs):
+        calls[section] += 1
         start = time.perf_counter()
         try:
             return inner(*args, **kwargs)
@@ -60,20 +62,21 @@ def timed(owner, name, totals, section):
 
 def toy_probe(backward, toy, seeds):
     totals = dict.fromkeys(SECTIONS, 0.0)
+    calls = dict.fromkeys(SECTIONS, 0)
     present = []
     for section, paths in SECTIONS.items():
         for path in (paths,) if isinstance(paths, str) else paths:
             owner, _, name = path.rpartition(".")
             target = getattr(backward, owner, None) if owner else backward
             if hasattr(target, name):
-                timed(target, name, totals, section)
+                timed(target, name, totals, calls, section)
                 present.append(section)
                 break
     log, birth, motion = toy
     runs = []
     for seed in seeds:
         for section in totals:
-            totals[section] = 0.0
+            totals[section], calls[section] = 0.0, 0
         params = backward.SmootherParams(
             num_particles=10_000, m_best=64, gate_prob=1.0, w_hyp_min=0.0, seed=seed
         )
@@ -81,7 +84,8 @@ def toy_probe(backward, toy, seeds):
         for p in backward.backward_simulate(log, birth, motion, params):
             p.trajectories
         run = {"seed": seed, "total_s": time.perf_counter() - start}
-        run.update({f"{s}_s": totals[s] for s in present})
+        for s in present:
+            run.update({f"{s}_s": totals[s], f"{s}_calls": calls[s]})
         run["retained_mb"] = retained_mb(backward.backward_simulate, log, birth, motion, params)
         runs.append(run)
     return runs
