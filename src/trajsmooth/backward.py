@@ -607,8 +607,9 @@ def _draw_tables(tables: list[_Table], counts, head, u) -> tuple[np.ndarray, np.
     # per entry, the drawn log-weight and row count of the component it is the first row of
     drawn, size = np.zeros(len(head)), np.zeros(len(head), dtype=int)
     for t in tables:
-        e = np.flatnonzero(np.isin(head, t.head))
-        i = np.searchsorted(t.head, head[e])
+        i = np.minimum(np.searchsorted(t.head, head), len(t.head) - 1)
+        e = np.flatnonzero(t.head[i] == head)
+        i = i[e]
         hyps = _draw_rows(t.cum[i], t.kept[i], u[e])
         col[e[:, None] + t.rows[i] - t.rows[i, :1]] = t.cols[i, hyps]
         drawn[e], size[e] = t.log_w[i, hyps], t.rows.shape[1]
