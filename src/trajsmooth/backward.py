@@ -21,10 +21,10 @@ batch's first-detection arrays (`_FirstDetections`). What does not depend on
 the conditioning set (the ended-track existences and heads, the smoothing
 terms of every track and undetected component, and the covariances the
 heads are drawn with) lives in the step's `_KernelCache`, shared by all
-kernels of the step and computed from the filter log's arrays, as is the
-initial set. The step computes only what its draws read: the sampling roots
-of the distinct covariances a batch draws from, in one stacked
-factorisation (dirac mode draws none). The hypothesis records
+kernels of the step and computed from the filter log's arrays. The step
+computes only what its draws read: the sampling roots of the distinct
+covariances a batch draws from, in one stacked factorisation (dirac mode
+draws none). The hypothesis records
 (`BackwardKernel`, `LocalHypothesis` and its densities) are built only by
 `build_backward_kernel` and on read, for tests and `sample_bernoulli`; the
 sampler creates none.
@@ -68,16 +68,16 @@ counter-based generator Philox4x64-10 (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC 2011), drawn from `np.random.Philox` under
 the key `SeedSequence(seed).generate_state(2, uint64)`, which it derives from
 the same seed. The counter is (particle, step, role + 256 * block, slot),
-with step K for the initial set and k for the step that draws the set over
-k:K. A counter gives four 64-bit words; a slot of more than four words reads
+with step k for the step that draws the set over k:K, K included. A
+counter gives four 64-bit words; a slot of more than four words reads
 blocks 0, 1, ... in order. The roles and their slots:
 
   - `_HYP`, slot 0: word j is the uniform that draws the assignment of the
     component whose first row is present trajectory j;
   - `_EXIST`, slot 0: word i is track i's existence uniform (an ended track
-    at k, every track at K);
+    at k; at K every track ends);
   - `_HEAD`, slot i: the first ceil(d / 2) word pairs give the normals of
-    track i's head (an ended or continued track at k, a track at K);
+    track i's head (an ended or continued track at k);
   - `_FIRST`, slot j: words 0 and 1 are the keep and extension-choice
     uniforms of present trajectory j, read when its first-detection column
     is drawn;
@@ -109,7 +109,7 @@ import operator
 import warnings
 from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -720,8 +720,7 @@ def _words(key: np.ndarray, step: int, role: int, particles, slots=0, n_words: i
     counter before each block, so per distinct slot and block one run started
     just below the lowest particle gives four words per particle up to the
     highest. For particle 0 the start (2**64 - 1, step - 1, ...) carries into
-    (0, step, ...), so `step` must then be at least 1: the initial set draws
-    at K, the steps at K - 1 .. 1.
+    (0, step, ...), so `step` must then be at least 1: the steps draw at K .. 1.
     """
     particles = np.asarray(particles)
     slots = np.broadcast_to(slots, particles.shape)
@@ -844,21 +843,24 @@ def backward_simulate(
     m: LinearMotionModel,
     params: SmootherParams,
 ) -> ParticleSet:
-    """Algorithm: initialize at K from f_{K|K}, then sample the kernel down to k=1.
+    """Algorithm: sample the kernel from k=K down to k=1, starting from empty sets.
 
-    All particles advance together, one step at a time. A trajectory is a
-    node of a table (`_Nodes`): birth time, head state and the node of its
-    tail. A particle's set is a row of node ids in set order, and prepending
-    a head appends a node. At step k the particles are grouped by the ids of
-    their trajectories present at k+1, in set order: the kernel depends on
-    nothing else, and the trajectories born later pass through. The order
-    matters because it fixes the cost-matrix rows (hence ranking tie-breaks)
-    and the order of the sampled set. In dirac mode the nodes drawn at a step
-    are shared by tail and head bytes, so equal trajectories have one id. The
-    kernels of the groups come from batched passes over their stacked heads
-    (`_kernels`, up to `_BATCH` groups per pass), as one cost stack per
-    number of present trajectories, and each stack's per-component draw
-    tables with cumulative probabilities (`_component_tables`).
+    The step at K conditions on nothing after K: every track ends there with
+    its filtered existence (survival 0 in its `_KernelCache`), so the set over
+    K:K is a draw from f_{K|K}. All particles advance together, one step at a
+    time. A trajectory is a node of a table (`_Nodes`): birth time, head state
+    and the node of its tail. A particle's set is a row of node ids in set
+    order, and prepending a head appends a node. At step k the particles are
+    grouped by the ids of their trajectories present at k+1, in set order:
+    the kernel depends on nothing else, and the trajectories born later pass
+    through. The order matters because it fixes the cost-matrix rows (hence
+    ranking tie-breaks) and the order of the sampled set. In dirac mode the
+    nodes drawn at a step are shared by tail and head bytes, so equal
+    trajectories have one id. The kernels of the groups come from batched
+    passes over their stacked heads (`_kernels`, up to `_BATCH` groups per
+    pass), as one cost stack per number of present trajectories, and each
+    stack's per-component draw tables with cumulative probabilities
+    (`_component_tables`).
 
     Every random number is a Philox word at a counter fixed by the particle,
     the step and the number's role (module docstring), so each particle
@@ -887,12 +889,12 @@ def _simulate(log, birth, m, params: SmootherParams, gate: float) -> ParticleSet
     key = np.random.SeedSequence(params.seed).generate_state(2, np.uint64)
     k_max = int(log.k_max)
     nodes = _Nodes(m.dim)
-    sets = _initial_set(
-        nodes, log.posteriors[k_max - 1], k_max, params.dirac_mode, key, params.num_particles
-    )
+    sets = np.empty((params.num_particles, 0), dtype=int)
     accs = np.zeros(params.num_particles)
-    for k in range(k_max - 1, 0, -1):
-        cache = _KernelCache(log.posteriors[k - 1], birth, m)
+    for k in range(k_max, 0, -1):
+        # nothing follows K: every track ends there, with its filtered existence
+        motion = m if k < k_max else replace(m, ps=0.0)
+        cache = _KernelCache(log.posteriors[k - 1], birth, motion)
         owner, at = np.nonzero((sets >= 0) & (nodes.birth[sets] == k + 1))
         present_rows = _rows(owner, at, sets[owner, at], len(sets))
         first, group = _unique_rows(present_rows)
@@ -914,28 +916,6 @@ def _simulate(log, birth, m, params: SmootherParams, gate: float) -> ParticleSet
             drawn.append(members)
         sets = _next_sets(nodes, sets, drawn, k, params.dirac_mode)
     return nodes.particles(sets, accs)
-
-
-def _initial_set(nodes: _Nodes, pmb: PMBDensity, k_max: int, dirac_mode: bool, key, n: int):
-    """Node-id rows of the length-1 trajectory sets at K of particles 0 .. n-1.
-
-    The sets are drawn from the posterior at K; in dirac mode a track's
-    node is shared by every particle that keeps it.
-    """
-    r = pmb.r
-    if not len(r):
-        return np.empty((n, 0), dtype=int)
-    means, covs = _of_dim(nodes.heads.shape[1], pmb)
-    exist = _words(key, k_max, _EXIST, np.arange(n), n_words=len(r))
-    owners, tracks = np.nonzero(_uniforms(exist) < r)
-    if dirac_mode:
-        heads = means[tracks]
-    else:
-        d = means.shape[1]
-        words = _words(key, k_max, _HEAD, owners, tracks, d + d % 2)
-        heads = _draw(means[tracks], _roots_of(covs, tracks), _normals(words)[:, :d])
-    ids = nodes.add(k_max, heads, np.full(len(tracks), -1), dirac_mode)
-    return _rows(owners, tracks, ids, n)
 
 
 def _roots_of(covs: np.ndarray, idx: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import desk_like_problem, gating_problem, make_log, tv_toy
+from helpers import desk_like_problem, g, gating_problem, make_log, tv_toy
 from scipy.special import logsumexp
 from scipy.stats import kstest, norm
 
@@ -509,6 +509,74 @@ def test_backward_simulate_particles_independent_of_count(dirac_mode):
     assert particles_to_jsonable(runs[0][:10]) == particles_to_jsonable(runs[1])
 
 
+# a one-step log: two 2-D tracks far apart, so a head's track is its side of x = 50
+ONE_STEP_R = np.array([0.3, 0.8])
+ONE_STEP_MEANS = np.array([[0.0, 0.0], [100.0, -50.0]])
+ONE_STEP_COVS = np.array([[[2.0, 0.6], [0.6, 1.0]], [[0.5, -0.3], [-0.3, 3.0]]])
+
+
+def one_step_problem():
+    motion = LinearMotionModel(np.eye(2), 0.1 * np.eye(2), ps=0.9)
+    birth = BirthModel(GaussianMixture(((0.1, g([0.0, 0.0], 4.0)),)))
+    ppp = GaussianMixture(((0.2, g([10.0, 10.0], 1.0)),))
+    tracks = tuple(
+        BernoulliComponent(float(r), g(mean, cov))
+        for r, mean, cov in zip(ONE_STEP_R, ONE_STEP_MEANS, ONE_STEP_COVS)
+    )
+    return make_log([PMBDensity(ppp, tracks)]), birth, motion
+
+
+def one_step_heads(particles):
+    """Each particle's kept heads with their particle, track and row in `states`."""
+    owner, _ = np.nonzero(particles.rows >= 0)
+    at = particles.start[particles.rows[particles.rows >= 0]]
+    heads = particles.states[at]
+    return owner, (heads[:, 0] > 50.0).astype(int), at, heads
+
+
+def test_backward_simulate_one_step_draws_the_posterior_at_k():
+    # with K = 1 only the draw at K runs: every track ends there and is kept
+    # with its filtered existence, its head drawn from its filtering Gaussian.
+    # Bounds from seeds 0-199 at N = 4e4 (400 values per statistic): the largest
+    # |z| of a track's frequency was 3.1, of n d^T P^-1 d for its head mean
+    # (chi-square, 2 dof) 22.2, and of sqrt(n) max|L^-1 S L^-T - I| for its
+    # head covariance 4.3
+    log, birth, motion = one_step_problem()
+    n = 40_000
+    sampled = backward_simulate(log, birth, motion, SmootherParams(num_particles=n, seed=3))
+    assert (sampled.birth == 1).all() and (sampled.length == 1).all()
+    owner, track, _, heads = one_step_heads(sampled)
+    for i in (0, 1):
+        x = heads[track == i]
+        r, mean, cov = ONE_STEP_R[i], ONE_STEP_MEANS[i], ONE_STEP_COVS[i]
+        assert abs(len(x) / n - r) < 5.0 * math.sqrt(r * (1.0 - r) / n)
+        d = x.mean(axis=0) - mean
+        assert len(x) * d @ np.linalg.solve(cov, d) < 40.0
+        whiten = np.linalg.inv(np.linalg.cholesky(cov))
+        spread = np.abs(whiten @ np.cov(x.T) @ whiten.T - np.eye(2)).max()
+        assert math.sqrt(len(x)) * spread < 7.0
+
+    # dirac mode reads the same existence uniforms and keeps each track's mean,
+    # one node shared by every particle that keeps it
+    dirac = backward_simulate(
+        log, birth, motion, SmootherParams(num_particles=n, dirac_mode=True, seed=3)
+    )
+    d_owner, d_track, d_at, d_heads = one_step_heads(dirac)
+    assert d_owner.tolist() == owner.tolist() and d_track.tolist() == track.tolist()
+    assert d_heads.tobytes() == ONE_STEP_MEANS[d_track].tobytes()
+    assert [len(set(d_at[d_track == i].tolist())) for i in (0, 1)] == [1, 1]
+
+    for dirac_mode in (False, True):
+        small, large = (
+            backward_simulate(
+                log, birth, motion,
+                SmootherParams(num_particles=size, dirac_mode=dirac_mode, seed=3),
+            )
+            for size in (500, 1000)
+        )
+        assert particles_to_jsonable(large[:500]) == particles_to_jsonable(small)
+
+
 @pytest.mark.parametrize("dirac_mode", [True, False])
 @pytest.mark.parametrize("problem", ["desk", "toy"])
 def test_backward_simulate_particles_independent_of_batch(monkeypatch, problem, dirac_mode):
@@ -567,7 +635,7 @@ def test_node_id_groups_equal_content_groups(monkeypatch, problem, dirac_mode):
     monkeypatch.setattr(backward, "_kernels", counted_kernels)
     monkeypatch.setattr(backward, "_next_sets", counted_sets)
     backward_simulate(log, birth, motion, params)
-    assert len(steps) == log.k_max - 1
+    assert len(steps) == log.k_max
     for by_id, by_content, n_kernels, n_present in steps:
         assert by_id == by_content and n_kernels == n_present, steps
     if dirac_mode:  # dirac particles share sets, so the check is not vacuous

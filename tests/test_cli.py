@@ -1314,9 +1314,27 @@ PINNED_SCENARIO1_SEED3 = {
 }
 
 
-def test_scenario1_pipeline_pinned_bytes(tmp_path):
-    root = CONFIGS.parent
-    spec = importlib.util.spec_from_file_location("artifact_checks", root / "tools" / "artifact_checks.py")
+def artifact_checks():
+    """tools/artifact_checks.py as a module."""
+    path = CONFIGS.parent / "tools" / "artifact_checks.py"
+    spec = importlib.util.spec_from_file_location("artifact_checks", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    assert tool.scenario1_checks(root, 3, tmp_path) == PINNED_SCENARIO1_SEED3
+    return tool
+
+
+def test_scenario1_pipeline_pinned_bytes(tmp_path):
+    assert artifact_checks().scenario1_checks(CONFIGS.parent, 3, tmp_path) == PINNED_SCENARIO1_SEED3
+
+
+# sha256 of the sampled and dirac-mode particles (50 each) of scenario1 cut to
+# K = 1, where the draw at K is the only backward step; recorded while that
+# draw was a separate initial-set function, before it became the first step
+PINNED_ONE_STEP = {
+    "k1_pt.json": "74ebfd716d450d6985dbfb299132b4afd92b5107acae8ace365b64137f62344d",
+    "k1_dirac_pt.json": "d31c40b11f23f72d2c2c683f194fd91484b266f41857ec4f6ea1f31ad95c79f4",
+}
+
+
+def test_one_step_pipeline_pinned_bytes(tmp_path):
+    assert artifact_checks().one_step_checks(CONFIGS.parent, tmp_path) == PINNED_ONE_STEP

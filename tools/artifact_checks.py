@@ -19,6 +19,11 @@ The JSON object printed holds:
   shape and bytes of each posterior array. It does not depend on the
   archive's layout, so it compares the filter's numbers across trees whose
   logs hold other arrays;
+- `k1_pt.json`, `k1_dirac_pt.json`: configs/scenario1.json cut to one
+  step (K = 1, every object born and dead at 1) through the CLI's simulate,
+  filter and smooth (50 particles), with sampled heads and with
+  `--dirac-mode`: the particles of a run whose only backward step is the
+  draw at K;
 - `desk_report`: `mc` on configs/desk_mc.json with 2 runs and T = 50
   (dirac mode): its report.json;
 - `toy_particles`, `toy_oracle`: perfbench's criterion-04 toy through
@@ -58,17 +63,23 @@ def posteriors_sha(filterlog: Path, dim: int) -> str:
     return h.hexdigest()
 
 
-def scenario1_checks(tree: Path, seed: int, workdir: Path) -> dict[str, str]:
-    """sha256 of the `s1_<seed>_*` artifacts of one scenario1 CLI pipeline (module docstring)."""
+def run_cli(commands: list[list[str]], what: str) -> None:
     from trajsmooth.cli import main
 
+    for argv in commands:
+        if main(argv) != 0:
+            raise RuntimeError(f"{argv[0]} failed on {what}")
+
+
+def scenario1_checks(tree: Path, seed: int, workdir: Path) -> dict[str, str]:
+    """sha256 of the `s1_<seed>_*` artifacts of one scenario1 CLI pipeline (module docstring)."""
     cfg = json.loads((tree / "configs" / "scenario1.json").read_text())
     cfg["seed"] = seed
     config, sc, fl = workdir / "cfg.json", workdir / "sc.json", workdir / "filterlog"
     pt, bp, rep = workdir / "pt.json", workdir / "bp.json", workdir / "rep.json"
     dirac_pt = workdir / "dirac_pt.json"
     config.write_text(json.dumps(cfg))
-    for argv in (
+    run_cli([
         ["simulate", "--config", str(config), "--out", str(sc)],
         ["filter", "--scenario", str(sc), "--out", str(fl)],
         ["smooth", "--scenario", str(sc), "--filterlog", str(fl), "--out", str(pt),
@@ -77,26 +88,40 @@ def scenario1_checks(tree: Path, seed: int, workdir: Path) -> dict[str, str]:
          "--particles", "10", "--dirac-mode"],
         ["evaluate", "--scenario", str(sc), "--filterlog", str(fl), "--best", str(bp),
          "--out", str(rep)],
-    ):
-        if main(argv) != 0:
-            raise RuntimeError(f"{argv[0]} failed on scenario1 seed {seed}")
+    ], f"scenario1 seed {seed}")
     checks = {f"s1_{seed}_{p.name}": _sha(p.read_bytes()) for p in (pt, bp, rep, dirac_pt)}
     dim = len(json.loads(sc.read_text())["models"]["motion"]["F"])
     checks[f"s1_{seed}_posteriors"] = posteriors_sha(fl, dim)
     return checks
 
 
-def desk_checks(tree: Path, workdir: Path) -> dict[str, str]:
-    from trajsmooth.cli import main
+def one_step_checks(tree: Path, workdir: Path) -> dict[str, str]:
+    """sha256 of the `k1_*` particles: scenario1 over one step (module docstring)."""
+    cfg = json.loads((tree / "configs" / "scenario1.json").read_text())
+    cfg["K"] = 1
+    n = len(cfg["schedule"]["births"])
+    cfg["schedule"]["births"] = cfg["schedule"]["deaths"] = [1] * n
+    config, sc, fl = workdir / "cfg.json", workdir / "sc.json", workdir / "filterlog"
+    pt, dirac_pt = workdir / "k1_pt.json", workdir / "k1_dirac_pt.json"
+    config.write_text(json.dumps(cfg))
+    smooth = ["smooth", "--scenario", str(sc), "--filterlog", str(fl), "--particles", "50"]
+    run_cli([
+        ["simulate", "--config", str(config), "--out", str(sc)],
+        ["filter", "--scenario", str(sc), "--out", str(fl)],
+        [*smooth, "--out", str(pt)],
+        [*smooth, "--out", str(dirac_pt), "--dirac-mode"],
+    ], "scenario1 with K = 1")
+    return {p.name: _sha(p.read_bytes()) for p in (pt, dirac_pt)}
 
+
+def desk_checks(tree: Path, workdir: Path) -> dict[str, str]:
     cfg = json.loads((tree / "configs" / "desk_mc.json").read_text())
     cfg["scenario"] = str(tree / "configs" / cfg["scenario"])
     cfg["mc_runs"] = 2
     cfg["smoother"]["T"] = 50
     config = workdir / "desk_mc.json"
     config.write_text(json.dumps(cfg))
-    if main(["mc", "--config", str(config), "--out", str(workdir / "mc")]) != 0:
-        raise RuntimeError("mc failed on desk_mc")
+    run_cli([["mc", "--config", str(config), "--out", str(workdir / "mc")]], "desk_mc")
     return {"desk_report": _sha((workdir / "mc" / "report.json").read_bytes())}
 
 
@@ -127,6 +152,9 @@ def main(argv=None) -> int:
             workdir = Path(tmp) / f"s1_{seed}"
             workdir.mkdir()
             checks.update(scenario1_checks(tree, seed, workdir))
+        workdir = Path(tmp) / "k1"
+        workdir.mkdir()
+        checks.update(one_step_checks(tree, workdir))
         checks.update(desk_checks(tree, Path(tmp)))
     checks.update(toy_checks())
     print(json.dumps(checks, indent=1, sort_keys=True))

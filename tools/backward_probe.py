@@ -10,14 +10,13 @@ Run it once per tree to compare two trees on the same machine. Two probes:
   the whole call plus one pass over every particle's trajectories
   (`total_s`, what a caller pays to read every particle), the time inside
   each backward section the tree has: kernels (`_kernels`), tables
-  (`_component_tables`, the per-component draw tables; a tree that ranks a
-  global top-M has `_global_distributions`), draws (`_sample_set`),
-  assembly (`_next_sets`) and materialisation (`ParticleSet._particles`,
-  which builds the objects on read; a tree that builds them inside the call
-  has `_Nodes.trajectories`), the number of calls of each section
-  (`tables_calls` counts the table builds), and `retained_mb`, the traced bytes
-  (tracemalloc) that the returned particles hold after `gc.collect()`,
-  from a second, untimed call. A tree without a section reports none for it.
+  (`_component_tables`, the per-component draw tables), draws
+  (`_sample_set`), assembly (`_next_sets`) and materialisation
+  (`ParticleSet._particles`, which builds the objects on read), the number
+  of calls of each section (`tables_calls` counts the table builds), and
+  `retained_mb`, the traced bytes (tracemalloc) that the returned particles
+  hold after `gc.collect()`, from a second, untimed call. A tree without a
+  section reports none for it.
 - desk: configs/desk_scale.json with zero initial velocities and deaths at
   K, filtered at M=20, then 200 dirac particles at M=20; backward
   milliseconds per step at each K.
@@ -39,10 +38,10 @@ for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 SECTIONS = {
     "kernels": "_kernels",
-    "tables": ("_component_tables", "_global_distributions"),
+    "tables": "_component_tables",
     "draws": "_sample_set",
     "assembly": "_next_sets",
-    "materialise": ("ParticleSet._particles", "_Nodes.trajectories"),
+    "materialise": "ParticleSet._particles",
 }
 
 
@@ -64,14 +63,12 @@ def toy_probe(backward, toy, seeds):
     totals = dict.fromkeys(SECTIONS, 0.0)
     calls = dict.fromkeys(SECTIONS, 0)
     present = []
-    for section, paths in SECTIONS.items():
-        for path in (paths,) if isinstance(paths, str) else paths:
-            owner, _, name = path.rpartition(".")
-            target = getattr(backward, owner, None) if owner else backward
-            if hasattr(target, name):
-                timed(target, name, totals, calls, section)
-                present.append(section)
-                break
+    for section, path in SECTIONS.items():
+        owner, _, name = path.rpartition(".")
+        target = getattr(backward, owner, None) if owner else backward
+        if hasattr(target, name):
+            timed(target, name, totals, calls, section)
+            present.append(section)
     log, birth, motion = toy
     runs = []
     for seed in seeds:
