@@ -93,16 +93,20 @@ are r cos theta and r sin theta; the head keeps the first d. A normal
 depends on its pair alone, and numpy's `log`, `cos` and `sin` give an
 element the same bits wherever it sits in an array. A particle's numbers
 therefore depend on neither the number of particles, nor the grouping, nor
-`_BATCH`. A batch of a step draws its uniforms (each particle's hypothesis
-and existence blocks and one first-detection block per present trajectory)
-and, without dirac mode, the normals of exactly the heads it draws, one
-generator run per role, slot and block (`_words`); the draws are array
-operations over the batch, and a hypothesis is the count of a table's
-cumulative probabilities below its uniform.
+the batches. A step cuts its conditioning sets into batches of at most
+`_BATCH` cost cells, m (n_tracks + m) + 1 for a set of m present
+trajectories, and at least one set (`_batches`). A batch draws its uniforms
+(each particle's hypothesis and existence blocks and one first-detection
+block per present trajectory) and, without dirac mode, the normals of
+exactly the heads it draws, one generator run per role, distinct slot and
+block, its particles grouped by slot with one sort (`_words`); the draws
+are array operations over the batch, and a hypothesis is the count of a
+table's cumulative probabilities below its uniform.
 """
 
 from __future__ import annotations
 
+import bisect
 import gc
 import math
 import operator
@@ -137,8 +141,9 @@ from .gaussians import (
 from .models import BirthModel
 from .trajectory import Trajectory, trajectory_from_jsonable, trajectory_to_jsonable
 
-# conditioning sets per batched kernel build: bounds the memory of one pass
-_BATCH = 1024
+# cost cells per batched kernel build, m (n_tracks + m) + 1 per set of m present
+# trajectories (`_batches`): bounds the memory of one pass
+_BATCH = 2**15
 # particles built per pass while a ParticleSet is iterated: bounds the objects alive at once
 _READ = 1024
 
@@ -334,7 +339,7 @@ class ParticleSet(Sequence):
             spans = zip(self.birth[nodes].tolist(), start.tolist(), stop.tolist())
             built = [_trajectory(t, self.states[a:b]) for t, a, b in spans]
             return [
-                Particle(tuple(built[lo:hi]), acc)
+                _particle(tuple(built[lo:hi]), acc)
                 for lo, hi, acc in zip([0] + ends, ends, log_w.tolist())
             ]
 
@@ -684,12 +689,26 @@ def _head(mean: np.ndarray, root, dirac_mode: bool, rng) -> np.ndarray:
     return _draw(mean[None], root[None], rng.standard_normal((1, mean.size)))[0]
 
 
+# the records' slot descriptors: setting a slot through one skips the frozen
+# dataclass's __setattr__, and building through `object.__new__` its __init__
+_set_t, _set_states = Trajectory.t.__set__, Trajectory.states.__set__
+_set_trajectories, _set_acc = Particle.trajectories.__set__, Particle.log_weight_acc.__set__
+
+
 def _trajectory(t: int, states: np.ndarray) -> Trajectory:
     """The trajectory born at t with `states`, a float (length, d) array, unchecked."""
     tr = object.__new__(Trajectory)
-    object.__setattr__(tr, "t", t)
-    object.__setattr__(tr, "states", states)
+    _set_t(tr, t)
+    _set_states(tr, states)
     return tr
+
+
+def _particle(trajectories: tuple[Trajectory, ...], log_weight_acc: float) -> Particle:
+    """The particle with these trajectories and accumulated log-weight, unchecked."""
+    p = object.__new__(Particle)
+    _set_trajectories(p, trajectories)
+    _set_acc(p, log_weight_acc)
+    return p
 
 
 # counter roles (module docstring)
@@ -716,31 +735,46 @@ def _normals(words: np.ndarray) -> np.ndarray:
 def _words(key: np.ndarray, step: int, role: int, particles, slots=0, n_words: int = 1):
     """(len(particles), n_words): the first words of each (particle, slot) pair's slot.
 
-    `slots` broadcasts against `particles`. numpy's Philox increments its
-    counter before each block, so per distinct slot and block one run started
-    just below the lowest particle gives four words per particle up to the
-    highest. For particle 0 the start (2**64 - 1, step - 1, ...) carries into
-    (0, step, ...), so `step` must then be at least 1: the steps draw at K .. 1.
+    `slots` is one slot for every particle or one per particle. numpy's
+    Philox increments its counter before each block, so per distinct slot and
+    block one run started just below the lowest particle gives four words per
+    particle up to the highest. A scalar slot is one run over all the
+    particles; an array is grouped by slot with one stable sort, and the
+    words are put back in the particles' order at the end. For particle 0 the
+    start (2**64 - 1, step - 1, ...) carries into (0, step, ...), so `step`
+    must then be at least 1: the steps draw at K .. 1.
     """
     particles = np.asarray(particles)
-    slots = np.broadcast_to(slots, particles.shape)
     blocks = -(-n_words // 4)
     out = np.empty((len(particles), 4 * blocks), dtype=np.uint64)
+    if not len(particles):
+        return out[:, :n_words]
+    order = None
+    if np.ndim(slots) == 0:
+        runs = [(int(slots), 0, len(particles))]
+    else:
+        order = np.argsort(slots, kind="stable")
+        ordered, particles = np.asarray(slots)[order], particles[order]
+        cuts = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), len(order)]
+        runs = [(int(ordered[a]), a, b) for a, b in zip(cuts[:-1], cuts[1:])]
     # one generator, restarted per slot and block with its fresh state's empty buffer
     gen = np.random.Philox(key=key)
     state = gen.state
-    for slot in np.unique(slots).tolist():
-        at = np.flatnonzero(slots == slot)
-        p = particles[at]
+    for slot, a, b in runs:
+        p = particles[a:b]
         lo, hi = int(p.min()), int(p.max())
-        for b in range(blocks):
+        for blk in range(blocks):
             # a uint64 array: numpy casts a list holding 2**64 - 1 through float
             state["state"]["counter"] = np.array(
-                [(lo - 1) % 2**64, step - (lo == 0), role + 256 * b, slot], dtype=np.uint64
+                [(lo - 1) % 2**64, step - (lo == 0), role + 256 * blk, slot], dtype=np.uint64
             )
             gen.state = state
-            raw = gen.random_raw(4 * (hi - lo + 1))
-            out[at, 4 * b:4 * b + 4] = raw.reshape(-1, 4)[p - lo]
+            raw = gen.random_raw(4 * (hi - lo + 1)).reshape(-1, 4)
+            out[a:b, 4 * blk:4 * blk + 4] = raw.take(p - lo, axis=0)
+    if order is not None:
+        back = np.empty_like(order)
+        back[order] = np.arange(len(order))
+        out = out.take(back, axis=0)
     return out[:, :n_words]
 
 
@@ -857,10 +891,10 @@ def backward_simulate(
     ranking tie-breaks) and the order of the sampled set. In dirac mode the
     nodes drawn at a step are shared by tail and head bytes, so equal
     trajectories have one id. The kernels of the groups come from batched
-    passes over their stacked heads (`_kernels`, up to `_BATCH` groups per
-    pass), as one cost stack per number of present trajectories, and each
-    stack's per-component draw tables with cumulative probabilities
-    (`_component_tables`).
+    passes over their stacked heads (`_kernels`, groups of up to `_BATCH`
+    cost cells per pass, `_batches`), as one cost stack per number of present
+    trajectories, and each stack's per-component draw tables with cumulative
+    probabilities (`_component_tables`).
 
     Every random number is a Philox word at a counter fixed by the particle,
     the step and the number's role (module docstring), so each particle
@@ -899,15 +933,15 @@ def _simulate(log, birth, m, params: SmootherParams, gate: float) -> ParticleSet
         present_rows = _rows(owner, at, sets[owner, at], len(sets))
         first, group = _unique_rows(present_rows)
         drawn = []
-        for lo in range(0, len(first), _BATCH):
-            rows = present_rows[first[lo:lo + _BATCH]]
+        for lo, hi in _batches((present_rows[first] >= 0).sum(axis=1), len(cache.exist_end)):
+            rows = present_rows[first[lo:hi]]
             present, sizes = rows[rows >= 0], (rows >= 0).sum(axis=1)
             batch = _kernels(cache, nodes.heads[present], sizes, gate)
             tables = [
                 t for b in batch.blocks
                 for t in _component_tables(b.cost, b.heads, params.m_best, params.w_hyp_min)
             ]
-            particles = np.flatnonzero((group >= lo) & (group < lo + _BATCH))
+            particles = np.flatnonzero((group >= lo) & (group < hi))
             members, log_w = _sample_set(
                 cache, batch, tables, present, sizes, group[particles] - lo, particles, k,
                 params.dirac_mode, key,
@@ -916,6 +950,23 @@ def _simulate(log, birth, m, params: SmootherParams, gate: float) -> ParticleSet
             drawn.append(members)
         sets = _next_sets(nodes, sets, drawn, k, params.dirac_mode)
     return nodes.particles(sets, accs)
+
+
+def _batches(sizes: np.ndarray, n_tracks: int) -> list[tuple[int, int]]:
+    """The (lo, hi) ranges that cut a step's conditioning sets into batches of `_BATCH` cost cells.
+
+    Set s has `sizes[s]` present trajectories. A set of m counts
+    m (n_tracks + m) + 1 cells: its cost matrix and one for the set itself,
+    so a set of none counts too. A batch takes the next sets while their
+    cells sum to at most `_BATCH`, and at least one set.
+    """
+    ends = np.cumsum(sizes * (n_tracks + sizes) + 1).tolist()
+    out, lo = [], 0
+    while lo < len(ends):
+        hi = max(bisect.bisect_right(ends, (ends[lo - 1] if lo else 0) + _BATCH), lo + 1)
+        out.append((lo, hi))
+        lo = hi
+    return out
 
 
 def _roots_of(covs: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -1010,9 +1061,10 @@ def _sample_set(
     if not dirac_mode:
         d = step.dim
         n_words = d + d % 2  # whole pairs
+        # a particle's track is continued or ended, never both: one run per track slot
         words = (
-            _words(key, k, _HEAD, particles[qc], tc, n_words),
-            _words(key, k, _HEAD, particles[qe], te, n_words),
+            _words(key, k, _HEAD, particles[np.concatenate((qc, qe))], np.concatenate((tc, te)),
+                   n_words),
             _words(key, k, _EXT, particles[qx], jx, n_words),
         )
         roots = (

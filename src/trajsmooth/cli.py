@@ -24,7 +24,6 @@ import os
 import sys
 import time
 import zipfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -395,6 +394,9 @@ def cmd_mc(args) -> int:
         raise ConfigError(f"TRAJSMOOTH_WORKERS must be an integer >= 1, got {value!r}")
     start = time.perf_counter()
     if workers > 1:
+        # imported here: the pool brings multiprocessing into every process that imports the CLI
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, runs)) as pool:
             results = list(pool.map(_mc_single, payloads))
     else:

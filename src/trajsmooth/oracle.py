@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import truediv
 
 import numpy as np
 
@@ -79,11 +81,18 @@ def structure_signature(trajectories, resolution: float = 0.5):
     For well-separated component geometry this is in bijection with the
     (birth, death, association path) structure, and it is computable for both
     oracle hypotheses and sampled particles.
+
+    States are finite. Each is quantized as round(state / resolution), half
+    to even: the integer that `np.rint(states / resolution).astype(np.int64)`
+    gives wherever |state / resolution| < 2^63. Beyond that the cast wrapped,
+    and `round` gives the exact integer.
     """
     items = []
     for tr in trajectories:
-        quant = np.rint(np.asarray(tr.states, dtype=float) / resolution).astype(np.int64)
-        items.append((tr.t, tuple(map(tuple, quant.tolist()))))
+        states = tr.states
+        quant = map(round, map(truediv, states.ravel().tolist(), repeat(resolution)))
+        # zip over one iterator d times cuts the flat values into rows of d
+        items.append((tr.t, tuple(zip(*[quant] * states.shape[1]))))
     return tuple(sorted(items))
 
 

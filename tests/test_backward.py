@@ -580,7 +580,9 @@ def test_backward_simulate_one_step_draws_the_posterior_at_k():
 @pytest.mark.parametrize("dirac_mode", [True, False])
 @pytest.mark.parametrize("problem", ["desk", "toy"])
 def test_backward_simulate_particles_independent_of_batch(monkeypatch, problem, dirac_mode):
-    # every number is a function of its counter, so one set per kernel batch changes nothing
+    # every number is a function of its counter, so the batches change nothing: a bound
+    # of one cost cell gives one set per batch, and 20 cells put the toy's sets of
+    # different sizes into one batch
     if problem == "desk":
         log, birth, motion = desk_like_problem()
         params = SmootherParams(num_particles=40, m_best=20, dirac_mode=dirac_mode, seed=7)
@@ -591,8 +593,18 @@ def test_backward_simulate_particles_independent_of_batch(monkeypatch, problem, 
             seed=5,
         )
     default = particles_to_jsonable(backward_simulate(log, birth, motion, params))
-    monkeypatch.setattr(backward, "_BATCH", 1)
-    assert particles_to_jsonable(backward_simulate(log, birth, motion, params)) == default
+    for bound in (1, 20):
+        monkeypatch.setattr(backward, "_BATCH", bound)
+        assert particles_to_jsonable(backward_simulate(log, birth, motion, params)) == default
+
+
+def test_batches_bound_cost_cells(monkeypatch):
+    # sets of 0-3 present trajectories against 2 tracks count 1, 4, 9 and 16 cells; a
+    # batch takes sets while they fit, and a set larger than the bound goes alone
+    monkeypatch.setattr(backward, "_BATCH", 13)
+    assert backward._batches(np.array([0, 1, 2, 3, 0]), 2) == [(0, 2), (2, 3), (3, 4), (4, 5)]
+    assert backward._batches(np.array([1, 1, 1]), 2) == [(0, 3)]
+    assert backward._batches(np.array([], dtype=int), 2) == []
 
 
 def content_key(trajectories):
@@ -674,7 +686,8 @@ def philox_block(key, counter):
 def test_philox_equals_numpy_philox(seed):
     # `_words` against one numpy block per (particle, slot) counter: particle 0, whose run
     # starts at counter word 0 = 2**64 - 1 and carries into the step, a batch above 0, a
-    # slot of two blocks, repeated particles and slots, and particles far apart
+    # slot of two blocks, repeated particles and slots, particles far apart, and no
+    # particles with a scalar slot or an empty slot array
     key = philox_key(seed)
     for step, role, particles, slots, n_words in (
         (3, backward._HYP, [0, 1, 2], 0, 1),
@@ -682,6 +695,8 @@ def test_philox_equals_numpy_philox(seed):
         (5, backward._EXIST, [7, 9, 8], 0, 6),
         (2, backward._HEAD, [4, 4, 2, 4], [1, 3, 1, 1], 9),
         (9, backward._FIRST, [900, 3, 52_000, 3], [0, 2, 0, 2], 2),
+        (4, backward._HYP, np.empty(0, dtype=int), 0, 3),
+        (4, backward._HEAD, np.empty(0, dtype=int), np.empty(0, dtype=int), 5),
     ):
         got = backward._words(key, step, role, particles, slots, n_words)
         expected = [
@@ -690,8 +705,10 @@ def test_philox_equals_numpy_philox(seed):
             ])[:n_words]
             for p, s in zip(particles, np.broadcast_to(slots, len(particles)).tolist())
         ]
-        assert got.dtype == np.uint64
-        np.testing.assert_array_equal(got, np.array(expected, dtype=np.uint64))
+        assert got.dtype == np.uint64 and got.shape == (len(particles), n_words)
+        np.testing.assert_array_equal(
+            got, np.array(expected, dtype=np.uint64).reshape(len(particles), n_words)
+        )
 
 
 @pytest.mark.parametrize("seed", [0, 3, 404])

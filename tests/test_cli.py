@@ -1027,6 +1027,21 @@ def test_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_leaves_process_pool_unloaded():
+    # `mc` imports the pool only when it runs more than one worker
+    src = str(Path(trajsmooth.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, trajsmooth.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_smooth_diagnostics_dead_ppp(workdir):
     tmp_path, cfg = workdir
     scenario = tmp_path / "sc.json"

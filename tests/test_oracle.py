@@ -11,6 +11,7 @@ from trajsmooth.errors import SizeCapError
 from trajsmooth.forward import BernoulliComponent, PMBDensity
 from trajsmooth.gaussians import GaussianMixture, LinearMotionModel
 from trajsmooth.models import BirthModel
+from trajsmooth.trajectory import Trajectory
 from trajsmooth.oracle import (
     exact_smooth,
     posterior_to_jsonable,
@@ -111,6 +112,40 @@ def test_structure_probability_total_and_missing():
     assert total == pytest.approx(1.0, abs=1e-9)
     missing = ((99, ((1,),)),)
     assert structure_probability(post, missing, 0.1) == 0.0
+
+
+def rint_signature(trajectories, resolution):
+    """`structure_signature` by the numpy formula: rint, then a cast to int64."""
+    return tuple(sorted(
+        (tr.t, tuple(map(tuple, np.rint(tr.states / resolution).astype(np.int64).tolist())))
+        for tr in trajectories
+    ))
+
+
+@pytest.mark.parametrize("resolution", [0.5, 0.25, 0.1])
+def test_structure_signature_matches_numpy_rint(resolution):
+    # ties (k + 0.5) resolution, exact at binary resolutions, round half to even; negatives
+    # and -0.0; 1-, 2- and 4-d states; and the empty set
+    rng = np.random.default_rng(17)
+    ties = (np.arange(-6, 6) + 0.5) * resolution
+    sets = [
+        [Trajectory(1, ties[:, None]), Trajectory(2, np.array([[-0.0], [0.0], [-1e-300]]))],
+        [Trajectory(3, ties.reshape(6, 2)), Trajectory(1, rng.normal(0.0, 5.0, (4, 2)))],
+        [Trajectory(2, ties.reshape(3, 4)), Trajectory(1, rng.normal(0.0, 50.0, (5, 4)))],
+        [],
+    ]
+    for trajectories in sets:
+        assert structure_signature(trajectories, resolution) == rint_signature(
+            trajectories, resolution
+        )
+    assert structure_signature([], resolution) == ()
+
+
+def test_structure_signature_matches_numpy_rint_on_sampled_particles():
+    log, birth, motion = tv_toy()
+    params = SmootherParams(num_particles=500, m_best=64, gate_prob=1.0, w_hyp_min=0.0, seed=9)
+    for p in backward_simulate(log, birth, motion, params):
+        assert structure_signature(p.trajectories, 0.1) == rint_signature(p.trajectories, 0.1)
 
 
 def test_size_cap():

@@ -19,7 +19,7 @@ Run it once per tree to compare two trees on the same machine. Two probes:
   section reports none for it.
 - desk: configs/desk_scale.json with zero initial velocities and deaths at
   K, filtered at M=20, then 200 dirac particles at M=20; backward
-  milliseconds per step at each K.
+  milliseconds per step at each K, over the K steps k = K .. 1.
 
 BLAS and OpenMP are pinned to one thread, as perfbench pins them.
 """
@@ -119,7 +119,7 @@ def desk_probe(root, k_values):
         start = time.perf_counter()
         backward_simulate(log, scenario.birth, scenario.motion, params)
         elapsed = time.perf_counter() - start
-        out.append({"K": k_max, "backward_ms_per_step": 1e3 * elapsed / (k_max - 1)})
+        out.append({"K": k_max, "backward_ms_per_step": 1e3 * elapsed / k_max})
     return out
 
 
