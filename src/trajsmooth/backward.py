@@ -56,12 +56,16 @@ batch head of the component's first row.
 The kernel weighs heads with the forward filter's arithmetic: the gated
 Mahalanobis log-terms (`gaussians._gated`), the row log-sum-exp
 (`forward._lse_rows`) and the "Bernoulli yields nothing" split
-(`forward._thinned`). Batched arithmetic keeps one invariant: a particle's
-numbers do not depend on the batch's composition. Every stacked product runs
-one product per member (a stacked matmul, or one (size, d) @ (d, d) matmul
-per set of a size), and every reduction runs over one C-contiguous row per
-head or table, so a head's or table's result is the same whatever other
-sets share its batch.
+(`forward._thinned`), all plain numpy: the log-sum-exp is
+top + log(sum(exp(x - top))) and the logs are numpy's `log` on whole arrays.
+Batched arithmetic keeps one invariant: a particle's numbers do not depend
+on the batch's composition. Every stacked product runs one product per
+member (a stacked matmul, or one (size, d) @ (d, d) matmul per set of a
+size), every reduction runs over one C-contiguous row per head or table,
+and a particle's ln w_hat adds its drawn components' log-weights left to
+right in order of first row (one weighted `np.bincount`), so a head's,
+table's or particle's result is the same whatever other sets share its
+batch.
 
 Every random number is a pure function of its counter: a word of the
 counter-based generator Philox4x64-10 (Salmon et al., "Parallel random
@@ -128,7 +132,6 @@ from .gaussians import (
     _draw,
     _gate_tail,
     _gated,
-    _groups,
     _inv_log_norm,
     _linear_terms,
     _of_dim,
@@ -401,8 +404,9 @@ def _smoothing_terms(log_w: np.ndarray, means: np.ndarray, covs: np.ndarray,
 
 def _log_kept(w: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
     """The members with w > 0 and scale > 0, and their weights ln w + ln scale."""
+    log_scale = math.log(scale) if scale > 0.0 else -math.inf
     kept = np.flatnonzero((w > 0.0) & (scale > 0.0))
-    return kept, np.array([math.log(x) + math.log(scale) for x in w[kept].tolist()])
+    return kept, np.log(w[kept]) + log_scale
 
 
 class _KernelCache:
@@ -604,29 +608,22 @@ def _draw_tables(tables: list[_Table], counts, head, u) -> tuple[np.ndarray, np.
     in row order; entry e is at batch head `head[e]`. The component whose
     first row is entry e draws with uniform u[e] from the table entry keyed
     by that head, and gives the columns of its rows' entries. ln w_hat, per
-    particle, adds its alone rows' log-weights as one row sum, then each
-    larger component's in order of first row.
+    particle, is the sum of its drawn components' log-weights from left to
+    right in order of first row (one weighted `np.bincount`), so it does not
+    depend on the other particles of the batch.
     """
-    q = np.repeat(np.arange(len(counts)), counts)
     col = np.empty(len(head), dtype=int)
-    # per entry, the drawn log-weight and row count of the component it is the first row of
-    drawn, size = np.zeros(len(head)), np.zeros(len(head), dtype=int)
+    # per entry, the drawn log-weight of the component it is the first row of, else 0
+    drawn = np.zeros(len(head))
     for t in tables:
         i = np.minimum(np.searchsorted(t.head, head), len(t.head) - 1)
         e = np.flatnonzero(t.head[i] == head)
         i = i[e]
         hyps = _draw_rows(t.cum[i], t.kept[i], u[e])
         col[e[:, None] + t.rows[i] - t.rows[i, :1]] = t.cols[i, hyps]
-        drawn[e], size[e] = t.log_w[i, hyps], t.rows.shape[1]
-    log_w = np.zeros(len(counts))
-    single = drawn[size == 1]
-    for ps, rows in _groups(np.bincount(q[size == 1], minlength=len(counts))):
-        log_w[ps] += single[rows].sum(axis=1)
-    ql, vals = q[size > 1], drawn[size > 1]
-    rank = np.arange(len(ql)) - np.searchsorted(ql, ql)  # a particle's entries are adjacent
-    for r in range(rank.max(initial=-1) + 1):
-        log_w[ql[rank == r]] += vals[rank == r]
-    return col, log_w
+        drawn[e] = t.log_w[i, hyps]
+    q = np.repeat(np.arange(len(counts)), counts)
+    return col, np.bincount(q, weights=drawn, minlength=len(counts))
 
 
 def sample_global(

@@ -12,8 +12,9 @@ rather than one per track, component or (track, measurement) pair:
   PPP components x measurements, are formed and gated in one pass each; the
   gated pairs are kept as index arrays;
 - weigh: the updated means of the gated pairs and the Joseph covariances are
-  one stacked product each, the new-track likelihoods stay arrays and are
-  summed per measurement with a row-wise log-sum-exp;
+  one stacked product each, and the new-track likelihoods are summed per
+  measurement with one row-wise log-sum-exp over a -inf-padded
+  (measurements, components) array;
 - rank: the (measurement x track+new) cost matrix is split into its
   connected components (`assignment._ranked_components`). A global
   association hypothesis's weight is the product of its components', so
@@ -23,9 +24,10 @@ rather than one per track, component or (track, measurement) pair:
 - collapse: every track and every new-track hypothesis is moment matched back
   to a single Bernoulli (track-oriented marginalization) in one batched pass.
 
-Every batched expression is the per-item arithmetic in the same order, so the
-filter output is byte-identical to a loop over items (see the note above
-`_thinned`).
+The arithmetic is plain vectorised numpy: numpy's `log` and `exp` on whole
+arrays, segment sums by `np.bincount` and `np.add.reduceat`. It is
+deterministic, so equal inputs give byte-identical logs, but it does not
+replay a loop over items bit for bit.
 
 The filter log is the sequence of posteriors, which is all the smoother needs
 besides the dynamic model; the estimates are a function of each posterior
@@ -53,7 +55,6 @@ from .gaussians import (
     _collapse,
     _gate_tail,
     _gated,
-    _groups,
     _linear_terms,
     _of_dim,
     _predict,
@@ -167,27 +168,6 @@ def prune_pmb(pmb: PMBDensity, r_min: float, w_min: float) -> PMBDensity:
 # the floor of a log-weight whose weight is 0, so cost ratios against it stay finite
 _LOG_TINY = math.log(np.finfo(float).tiny)
 
-# The batched forms below reproduce the per-item arithmetic bit for bit. Checked
-# on random stacks against a loop over items (numpy 2.4, OpenBLAS, x86-64); the
-# sha256 pins in tests/test_forward.py guard the result. The package imports
-# numpy and the standard library only; the tests check its ports of scipy
-# functions bit for bit against scipy.
-# - Equal: `d S^-1 d` as two stacked matmuls (`gaussians._gated`; the
-#   row-vector form makes the same gemv-then-dot calls as one pair, and a
-#   stacked gemm `matmul(D, S_inv)` also matched); updated means
-#   `m + matmul(gain, d[..., None])[..., 0]`; stacked `F P F^T + Q`,
-#   `A P A^T + N`, gains and the Joseph form; means `(F @ m[..., None])[..., 0]`;
-#   row sums and `np.vecdot` over rows of equal length (`gaussians._groups`);
-#   scipy's `logsumexp` rebuilt row-wise in numpy (`_lse_rows`, which the
-#   oracle uses too); `np.exp`, `np.log`,
-#   `np.logaddexp` on an array against the same ufunc per element.
-# - Not equal: a three-operand tensor contraction, or broadcast-then-`.sum(-1)`,
-#   for either product or a dot; `m @ F.T` for the means; `math.log`,
-#   `math.exp` and `math.log1p` against their numpy ufuncs (last-ulp
-#   differences), so the scalar `math` calls of the per-item code stay one per
-#   track, component or measurement. `backward._normals` has no per-item form
-#   to match: it calls `np.log`, `np.cos` and `np.sin` on whole arrays.
-
 
 def _thinned(r: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
     """ln(1 - r + r (1 - p)) and r (1 - p) / (1 - r + r (1 - p)) of Bernoullis r thinned by p.
@@ -198,7 +178,7 @@ def _thinned(r: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
     where the existence is 0.
     """
     w = 1.0 - r + r * (1.0 - p)
-    log_w = np.array([math.log(x) if x > 0.0 else _LOG_TINY for x in w.tolist()])
+    log_w = np.log(w, out=np.full(len(r), _LOG_TINY), where=w > 0.0)
     return log_w, np.divide(r * (1.0 - p), w, out=np.zeros(len(r)), where=w > 0.0)
 
 
@@ -212,21 +192,16 @@ def _joseph(covs: np.ndarray, gains: np.ndarray, mm: MeasurementModel) -> np.nda
 def _lse_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log-sum-exp of each row of `x` (g, c) and the row maxima (g, 1).
 
-    The arithmetic of `scipy.special.logsumexp` on one row: the maxima are
-    taken out of the sum and counted, log1p(sum / count) + log(count) + max,
-    and a non-finite result falls back to log(sum(exp)). A row of no terms,
-    or of -inf terms only, gives -inf. The rows are reduced as C-contiguous
-    rows, so a row's result does not depend on the other rows.
+    top + log(sum(exp(x - top))) with top the row maximum, shifted by 0
+    where the maximum is not finite. A row of no terms, or of -inf terms
+    only, gives -inf. The rows are reduced as C-contiguous rows, so a row's
+    result depends only on its own terms, not on the other rows.
     """
     x = np.ascontiguousarray(x)
     top = x.max(axis=1, keepdims=True, initial=-np.inf)
-    at_top = x == top
-    count = at_top.sum(axis=1, keepdims=True, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = np.exp(np.where(at_top, -np.inf, x) - top).sum(axis=1, keepdims=True)
-        out = np.log1p(np.where(s == 0, s, s / count)) + np.log(count) + top
-        out = np.where(np.isfinite(out), out, np.log(np.exp(x).sum(axis=1, keepdims=True)))
-    return out[:, 0], top
+    shift = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(x - shift).sum(axis=1)) + shift[:, 0], top
 
 
 def update_pmb(
@@ -252,7 +227,7 @@ def update_pmb(
     log_w_miss, r_miss = _thinned(r, pd)
     det = np.flatnonzero(r > 0.0) if pd > 0.0 and mz else np.empty(0, dtype=int)
     z_pred, s_inv, log_norm, gains = _linear_terms(means[det], covs[det], mm.H, mm.R)
-    log_r_pd = np.array([math.log(x) for x in r[det].tolist()]) + log_pd
+    log_r_pd = np.log(r[det]) + log_pd
     d, terms, gated = _gated(z, log_r_pd + log_norm, z_pred, s_inv, gate)
     a, j = np.nonzero(gated)
     i = det[a]
@@ -265,22 +240,19 @@ def update_pmb(
     pos = pmb.ppp.weights > 0.0
     p_means, p_covs = (a[pos] for a in _of_dim(mm.dim_x, pmb.ppp))
     p_z, p_s_inv, p_log_norm, p_gains = _linear_terms(p_means, p_covs, mm.H, mm.R)
-    log_w = np.array([math.log(w) for w in pmb.ppp.weights[pos].tolist()])
+    log_w = np.log(pmb.ppp.weights[pos])
     p_d, p_terms, p_gated = _gated(z, log_w + p_log_norm, p_z, p_s_inv, gate)
     pj, pc = np.nonzero(p_gated.T)
     liks = p_terms[pc, pj]
     n_comp = np.bincount(pj, minlength=mz)
-    log_obj = np.full(mz, -math.inf)
-    log_mix = np.empty(len(liks))  # ln of the new-track mixture weights, max 0 per measurement
-    for js, rows in _groups(n_comp):
-        lse, top = _lse_rows(liks[rows])
-        log_obj[js] = log_pd + lse
-        log_mix[rows] = liks[rows] - top
+    padded = np.full((mz, n_comp.max(initial=0)), -math.inf)
+    padded[pj, np.arange(len(pj)) - (np.cumsum(n_comp) - n_comp)[pj]] = liks
+    lse, top = _lse_rows(padded)
+    log_obj = log_pd + lse
+    log_mix = liks - top[pj, 0]  # ln of the new-track mixture weights, max 0 per measurement
     log_w_new = np.logaddexp(cm.log_density, log_obj)
-    r_new = np.array([
-        math.exp(lo - lw) if math.isfinite(lw) else 0.0
-        for lo, lw in zip(log_obj.tolist(), log_w_new.tolist())
-    ])
+    # 0 without clutter or a gated component, where both logs are -inf
+    r_new = np.exp(log_obj - np.where(np.isfinite(log_w_new), log_w_new, 0.0))
 
     # association hypotheses per connected component of the (measurement x
     # track+new) costs: a global hypothesis's weight is the product of its
@@ -312,9 +284,7 @@ def update_pmb(
     probs[first] = np.where(p_missed > 0.0, p_missed, 0.0)
     probs[pair] = p_det[i, j]
     rs[first] = r_miss
-    r_bar = np.empty(n)
-    for ts, rows in _groups(counts):
-        r_bar[ts] = np.vecdot(probs[rows], rs[rows])
+    r_bar = np.bincount(np.repeat(np.arange(n), counts), weights=probs * rs, minlength=n)
     mix_means, mix_covs = np.empty((len(pair), mm.dim_x)), np.empty((len(pair),) + covs.shape[1:])
     mix_means[first], mix_covs[first] = means, covs
     mix_means[pair], mix_covs[pair] = det_means, det_covs

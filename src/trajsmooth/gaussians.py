@@ -9,9 +9,10 @@ help. The filter update and the backward kernel invert stacks through
 the one-step smoothing update, and weigh points against those terms through
 `_gated`, the one Mahalanobis log-term and gate; `gate_quantile` turns a gate
 mass into that gate, the chi-square quantile. Prediction (`_predict`) and
-moment matching (`_collapse`) also work on stacks: a `GaussianMixture` is
-stored as its weight, mean and covariance arrays, which `_of_dim` reads at a
-model's dimension, so each operation has one arithmetic path. Sampling splits
+moment matching (`_collapse`, segment sums over mixtures stored back to
+back) also work on stacks: a `GaussianMixture` is stored as its weight, mean
+and covariance arrays, which `_of_dim` reads at a model's dimension, so each
+operation has one arithmetic path. Sampling splits
 into `_sampling_root`, the (d, d) factor of a covariance, `_sampling_roots`,
 the same factors of a stack from one stacked Cholesky, which the backward
 sampler takes of the distinct members its draws read, and `_draw`, which
@@ -128,9 +129,12 @@ def make_cv_model(ts: float, sigma_q: float, ps: float, dims: int = 2) -> Linear
 def _jittered(a: np.ndarray) -> np.ndarray:
     """`a` (d, d) or a stack (..., d, d) with the jitter added to each bad member.
 
-    Good members come back unchanged. Raises SingularMatrixError when the
-    jitter does not bring every member under the limit.
+    Good members come back unchanged. Raises SingularMatrixError when a
+    member has a non-finite entry, or when the jitter does not bring every
+    member under the limit.
     """
+    if not np.isfinite(a).all():
+        raise SingularMatrixError("matrix has a non-finite entry")
     bad = ~(np.linalg.cond(a) <= _COND_MAX)
     if not bad.any():
         return a
@@ -263,42 +267,21 @@ def _predict(means: np.ndarray, covs: np.ndarray, m: LinearMotionModel):
     return (m.F @ means[..., None])[..., 0], symmetrize(m.F @ covs @ m.F.T + m.Q)
 
 
-def _groups(counts):
-    """Per distinct count c > 0: the items k with c parts and their (len(k), c) part rows.
-
-    Item k owns the next counts[k] rows of a back-to-back layout. A row sum or
-    `np.vecdot` over a (g, c) array equals the same reduction of each row
-    alone bit for bit; a ragged, zero-padded layout would not (numpy's sum
-    switches to pairwise blocks at 8 terms, BLAS dot at 32).
-    """
-    counts = np.asarray(counts, dtype=int)
-    starts = np.cumsum(counts) - counts
-    for c in np.unique(counts[counts > 0]):
-        k = np.flatnonzero(counts == c)
-        yield k, starts[k, None] + np.arange(c)
-
-
 def _collapse(w: np.ndarray, means: np.ndarray, covs: np.ndarray, counts):
     """Moment-matched means and covariances of mixtures stored back to back.
 
-    Mixture k owns the next counts[k] rows of `w` (positive total), `means`
-    and `covs`. Mixtures with equal counts are matched as one stack in the
-    arithmetic of a single mixture: weights over their sum, then the mean and
-    the covariance accumulated component by component.
+    Mixture k owns the next counts[k] >= 1 rows of `w` (positive total),
+    `means` and `covs`: its weights over their sum, then the weighted sums of
+    the means and of the spread terms P + (m - mean)(m - mean)^T, each one
+    `np.add.reduceat` over the back-to-back rows.
     """
-    dim = means.shape[1]
-    out_means, out_covs = np.empty((len(counts), dim)), np.empty((len(counts), dim, dim))
-    for k, rows in _groups(counts):
-        wk = w[rows] / w[rows].sum(axis=1, keepdims=True)
-        mean = np.zeros((len(k), dim))
-        for c in range(rows.shape[1]):
-            mean = mean + wk[:, c, None] * means[rows[:, c]]
-        cov = np.zeros((len(k), dim, dim))
-        for c in range(rows.shape[1]):
-            d = means[rows[:, c]] - mean
-            cov += wk[:, c, None, None] * (covs[rows[:, c]] + d[:, :, None] * d[:, None, :])
-        out_means[k], out_covs[k] = mean, symmetrize(cov)
-    return out_means, out_covs
+    starts = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(len(starts)), counts)
+    wk = w / np.add.reduceat(w, starts)[owner]
+    mean = np.add.reduceat(wk[:, None] * means, starts)
+    d = means - mean[owner]
+    spread = wk[:, None, None] * (covs + d[:, :, None] * d[:, None, :])
+    return mean, symmetrize(np.add.reduceat(spread, starts))
 
 
 def sample_gaussian(g: GaussianDensity, rng: np.random.Generator) -> np.ndarray:

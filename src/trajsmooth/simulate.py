@@ -6,6 +6,7 @@ downstream code must not depend on the order of elements within a scan.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +114,16 @@ def _mixture_from_jsonable(data: dict, path: str, dim: int | None = None) -> Gau
     return GaussianMixture.of(np.array(weights, dtype=float), means, covs)
 
 
+@contextmanager
+def _overflow(fields: str):
+    """ConfigError naming `fields` when building a model from them overflows a float."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except (OverflowError, FloatingPointError):
+        raise ConfigError(f"{fields}: the noise covariance overflows") from None
+
+
 def load_scenario_config(cfg: dict) -> ScenarioConfig:
     """Parse a scenario config from its decoded JSON object."""
     if not isinstance(cfg, dict):
@@ -124,12 +135,11 @@ def load_scenario_config(cfg: dict) -> ScenarioConfig:
     mo = _field(cfg, "", "motion", dict)
     ps = check_real("motion.pS", _field(mo, "motion", "pS"), "[0, 1]")
     if mo.get("model") == "cv":
-        motion = make_cv_model(
-            float(check_real("motion.Ts", _field(mo, "motion", "Ts"), "(0, inf)")),
-            float(check_real("motion.sigma_q", _field(mo, "motion", "sigma_q"), "[0, inf)")),
-            ps,
-            dims=check_int("motion.dims", mo.get("dims", 2), 1),
-        )
+        ts = float(check_real("motion.Ts", _field(mo, "motion", "Ts"), "(0, inf)"))
+        sigma_q = float(check_real("motion.sigma_q", _field(mo, "motion", "sigma_q"), "[0, inf)"))
+        dims = check_int("motion.dims", mo.get("dims", 2), 1)
+        with _overflow(f"motion.Ts {ts!r} with motion.sigma_q {sigma_q!r}"):
+            motion = make_cv_model(ts, sigma_q, ps, dims=dims)
     else:
         motion = _motion(
             "motion", _field(mo, "motion", "F", list), _field(mo, "motion", "Q", list), ps
@@ -140,13 +150,11 @@ def load_scenario_config(cfg: dict) -> ScenarioConfig:
     if me.get("model") == "position":
         if motion.dim % 2 != 0:
             raise ConfigError("measurement.model=position needs (pos, vel) state pairs")
-        measurement = make_position_measurement(
-            motion.dim // 2,
-            float(check_real(
-                "measurement.sigma_r", _field(me, "measurement", "sigma_r"), "[0, inf)"
-            )),
-            pd,
-        )
+        sigma_r = float(check_real(
+            "measurement.sigma_r", _field(me, "measurement", "sigma_r"), "[0, inf)"
+        ))
+        with _overflow(f"measurement.sigma_r {sigma_r!r}"):
+            measurement = make_position_measurement(motion.dim // 2, sigma_r, pd)
     else:
         measurement = _measurement(
             "measurement",

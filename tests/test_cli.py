@@ -624,6 +624,76 @@ def test_singular_birth_covariance_exit_code(tmp_path):
     assert main(argv) in (0, 3)
 
 
+def scenario1_k6(tmp_path):
+    """configs/scenario1.json cut to 6 steps, simulated; the scenario's path and JSON."""
+    cfg = json.loads((CONFIGS / "scenario1.json").read_text())
+    cfg["K"] = 6
+    cfg["schedule"]["births"] = [min(b, 6) for b in cfg["schedule"]["births"]]
+    cfg["schedule"]["deaths"] = [min(d, 6) for d in cfg["schedule"]["deaths"]]
+    path, scenario = tmp_path / "cfg.json", tmp_path / "sc.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(path), "--out", str(scenario)]) == 0
+    return scenario, json.loads(scenario.read_text())
+
+
+def test_filter_non_finite_covariance_exits_3(tmp_path, capsys):
+    # a 1e308 initial variance overflows the predicted covariances to inf
+    _, data = scenario1_k6(tmp_path)
+    data["models"]["init_ppp"]["covs"][0][0][0] = 1e308
+    bad, filterlog = tmp_path / "bad.json", tmp_path / "fl.npz"
+    bad.write_text(json.dumps(data))
+    assert main(["filter", "--scenario", str(bad), "--out", str(filterlog)]) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not filterlog.exists()
+
+
+@pytest.mark.parametrize("f00", [1e308, -1e308])
+def test_smooth_non_finite_covariance_exits_3(tmp_path, capsys, f00):
+    scenario, data = scenario1_k6(tmp_path)
+    filterlog, particles = tmp_path / "fl.npz", tmp_path / "pt.json"
+    assert main(["filter", "--scenario", str(scenario), "--out", str(filterlog)]) == 0
+    data["models"]["motion"]["F"][0][0] = f00
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    argv = ["smooth", "--scenario", str(bad), "--filterlog", str(filterlog),
+            "--out", str(particles), "--particles", "5"]
+    assert main(argv) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not particles.exists()
+
+
+@pytest.mark.parametrize(
+    "path, value, field",
+    [
+        (("motion", "sigma_q"), 1e200, "motion.sigma_q 1e+200"),
+        (("motion", "sigma_q"), 1e308, "motion.sigma_q 1e+308"),
+        (("motion", "Ts"), 1e103, "motion.Ts 1e+103"),
+        (("motion", "Ts"), 1e308, "motion.Ts 1e+308"),
+        (("measurement", "sigma_r"), 1e308, "measurement.sigma_r 1e+308"),
+    ],
+)
+def test_simulate_overflowing_model_parameter_exits_2(tmp_path, capsys, path, value, field):
+    cfg = small_config()
+    set_at(cfg, path, value)
+    cfg_path, out = tmp_path / "bad.json", tmp_path / "x.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "the noise covariance overflows" in err
+    assert not out.exists()
+
+
+def test_mc_overflowing_model_parameter_exits_2(tmp_path, capsys):
+    scenario = json.loads((CONFIGS / "desk_scale.json").read_text())
+    scenario["motion"]["sigma_q"] = 1e308
+    run = {**json.loads((CONFIGS / "desk_mc.json").read_text()), "scenario": scenario}
+    cfg, out = tmp_path / "mc.json", tmp_path / "out"
+    cfg.write_text(json.dumps(run))
+    assert main(["mc", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "motion.sigma_q 1e+308: the noise covariance overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "filter", "mc"])
 def test_missing_input_file_is_config_error(tmp_path, capsys, command):
     missing = tmp_path / "missing.json"
@@ -1319,13 +1389,14 @@ def test_particle_file_is_written_one_particle_at_a_time(tmp_path):
 # particles, which read no normal, recorded before that change; and of the log's
 # posteriors as read back, recorded while the log still held the predicted
 # intensities and the estimates. All five were re-recorded when each connected
-# component was ranked on its own in the filter and the smoother
+# component was ranked on its own in the filter and the smoother, and again when
+# the filter and kernel weights became plain numpy arithmetic
 PINNED_SCENARIO1_SEED3 = {
-    "s1_3_pt.json": "40317b3fcd7f02a03fca4310671c1c1f9ec79c181aaf403046901c18d3255d51",
-    "s1_3_bp.json": "4c4ed04838435a9dc5320e7f020fbacaeb7e9e9d6006053fc257334157d55f74",
-    "s1_3_rep.json": "5853f8cc69bfc04aaad1d9dcf9946613b21b62a654b0829537b53fb4fda8b063",
-    "s1_3_dirac_pt.json": "47fcb04bd7c25b4dad4f57d5842eb6d2f0b0b78e750b63907995556e20ad57b9",
-    "s1_3_posteriors": "3ab19e47af39f0aff7f3aea18a5f400df0ac4c58125fbfb880441278674459b9",
+    "s1_3_pt.json": "282890cad4bf9b13945d855ad4a49d34ad932850500716e7ba5ed43c16d10a43",
+    "s1_3_bp.json": "590d18e203b394cf359bf0eac674dbe9be1c8f919b7a8caa8add06ab36c50d87",
+    "s1_3_rep.json": "220f1891829bb3346bb54c2e48444f6f79c5b38e87e1ab4dd0cff3f41d041698",
+    "s1_3_dirac_pt.json": "97ed016bf9d8dff38aadfbe79dcc2b2325b511ec343055f62bf488c701805227",
+    "s1_3_posteriors": "f402fe0ad598e21c53f3e58ccdc20f94a5797fe2b68bd725dbbce464e939605c",
 }
 
 

@@ -314,10 +314,11 @@ def test_collapse_equals_per_mixture_loop_bitwise():
     w = np.concatenate([wk for wk, _ in mixtures])
     means, covs = _stack([g for _, dens in mixtures for g in dens], 3)
     out_means, out_covs = _collapse(w, means, covs, [len(wk) for wk, _ in mixtures])
+    # segment sums (`np.add.reduceat`), not the loop's order: equal to 1e-12 relative
     for k, (wk, dens) in enumerate(mixtures):
         ref_mean, ref_cov = _moment_match_loop(wk, dens)
-        np.testing.assert_array_equal(out_means[k], ref_mean)
-        np.testing.assert_array_equal(out_covs[k], ref_cov)
+        np.testing.assert_allclose(out_means[k], ref_mean, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(out_covs[k], ref_cov, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("d, p", [(1, 1), (2, 1), (4, 2), (6, 3)])
