@@ -2,6 +2,7 @@
 checked decoding of arrays read from input files."""
 
 import math
+import sys
 from numbers import Integral, Real
 
 import numpy as np
@@ -16,7 +17,8 @@ class ContractError(TrajsmoothError):
 
 
 class SingularMatrixError(TrajsmoothError):
-    """A covariance required to be invertible is numerically singular even after jitter."""
+    """A covariance required to be invertible is non-finite, or after jitter still has no
+    Cholesky factor (it is indefinite or singular) or a condition estimate above the limit."""
 
 
 class InfeasibleAssignmentError(TrajsmoothError):
@@ -45,11 +47,13 @@ def check_int(name: str, value, low: int):
 def check_real(name: str, value, interval: str):
     """`value`, or SettingError unless it is a real number (not a bool) in `interval`.
 
-    `interval` is written like "(0, 1]" or "[0, inf)".
+    `interval` is written like "(0, 1]" or "[0, inf)". A number beyond the
+    largest float, such as a JSON integer too large for one, is refused.
     """
     low, high = (float(x) for x in interval[1:-1].split(","))
     if isinstance(value, bool) or not isinstance(value, Real) or not (
-        (low < value if interval[0] == "(" else low <= value)
+        abs(value) <= sys.float_info.max
+        and (low < value if interval[0] == "(" else low <= value)
         and (value < high if interval[-1] == ")" else value <= high)
     ):
         raise SettingError(f"{name} must be a number in {interval}, got {value!r}")
@@ -62,7 +66,10 @@ def _matrix(path: str, value, shape: tuple) -> np.ndarray:
     A None entry of `shape` matches any length. The model matrices, Gaussian
     densities and measurements of every input file are decoded here.
     """
-    a = np.asarray(value, float)
+    try:
+        a = np.asarray(value, float)
+    except OverflowError:
+        raise ConfigError(f"{path} must be finite, got an integer too large for a float") from None
     if a.ndim != len(shape) or any(n is not None and n != got for n, got in zip(shape, a.shape)):
         want = ", ".join("n" if n is None else str(n) for n in shape)
         want += "," * (len(shape) == 1)

@@ -1,23 +1,26 @@
 """Linear-Gaussian primitives: densities, prediction, gating, moment matching, sampling.
 
 All covariance-producing operations symmetrize their output as (A + A^T)/2 to
-bound floating-point drift. One inversion policy, `_jittered`, covers every
-covariance the package inverts: a matrix whose condition estimate exceeds 1e12
-gets a single 1e-9 jitter on the diagonal and is rejected if that does not
-help. The filter update and the backward kernel invert stacks through
-`_inv_log_norm`/`_linear_terms`, the one path for innovation terms, gains and
-the one-step smoothing update, and weigh points against those terms through
-`_gated`, the one Mahalanobis log-term and gate; `gate_quantile` turns a gate
-mass into that gate, the chi-square quantile. Prediction (`_predict`) and
-moment matching (`_collapse`, segment sums over mixtures stored back to
-back) also work on stacks: a `GaussianMixture` is stored as its weight, mean
-and covariance arrays, which `_of_dim` reads at a model's dimension, so each
-operation has one arithmetic path. Sampling splits
-into `_sampling_root`, the (d, d) factor of a covariance, `_sampling_roots`,
-the same factors of a stack from one stacked Cholesky, which the backward
-sampler takes of the distinct members its draws read, and `_draw`, which
-turns given standard normals into samples of a stack; `_psd_root` is the
-eigen-based root of a PSD matrix that is not positive definite.
+bound floating-point drift. One Cholesky factorisation per covariance,
+`_cholesky`, serves the inversion policy, the log-normalisers and the sampling
+roots. The policy, in `_inv_log_norm`, covers every covariance the package
+inverts: a matrix without a factor (not positive definite), or whose condition
+estimate from the factor's pivots exceeds 1e12, gets a single 1e-9 jitter on
+the diagonal and is rejected if that does not help. The filter update and the
+backward kernel invert stacks through `_inv_log_norm`/`_linear_terms`, the one
+path for innovation terms, gains and the one-step smoothing update, and weigh
+points against those terms through `_gated`, the one Mahalanobis log-term and
+gate; `gate_quantile` turns a gate mass into that gate, the chi-square
+quantile. Prediction (`_predict`) and moment matching (`_collapse`, segment
+sums over mixtures stored back to back) also work on stacks: a
+`GaussianMixture` is stored as its weight, mean and covariance arrays, which
+`_of_dim` reads at a model's dimension, so each operation has one arithmetic
+path. Sampling splits into `_sampling_roots`, the (d, d) factors of a stack's
+members (their `_cholesky` factors beyond 1-d), which the backward sampler
+takes of the distinct members its draws read, `_sampling_root`, that factor of
+one covariance, and `_draw`, which turns given standard normals into samples
+of a stack; `_psd_root` is the eigen-based root of a PSD matrix that is not
+positive definite.
 """
 
 from __future__ import annotations
@@ -126,32 +129,43 @@ def make_cv_model(ts: float, sigma_q: float, ps: float, dims: int = 2) -> Linear
     return LinearMotionModel(F, Q, ps)
 
 
-def _jittered(a: np.ndarray) -> np.ndarray:
-    """`a` (d, d) or a stack (..., d, d) with the jitter added to each bad member.
+def _cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of a stack (n, d, d) and the mask of members that have one.
 
-    Good members come back unchanged. Raises SingularMatrixError when a
-    member has a non-finite entry, or when the jitter does not bring every
-    member under the limit.
+    One stacked factorisation; only when that raises, one per member, and a
+    member that is not positive definite gets a zero factor.
     """
-    if not np.isfinite(a).all():
-        raise SingularMatrixError("matrix has a non-finite entry")
-    bad = ~(np.linalg.cond(a) <= _COND_MAX)
-    if not bad.any():
-        return a
-    a = np.where(np.asarray(bad)[..., None, None], a + _JITTER * np.eye(a.shape[-1]), a)
-    cond = np.linalg.cond(a)
-    if not np.all(cond <= _COND_MAX):
-        raise SingularMatrixError(
-            f"matrix numerically singular (condition estimate {np.max(cond):.3e})"
-        )
-    return a
+    try:
+        return np.linalg.cholesky(a), np.ones(len(a), bool)
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.zeros_like(a), np.zeros(1, bool)
+    low, ok = zip(*(_cholesky(member[None]) for member in a))
+    return np.concatenate(low), np.concatenate(ok)
 
 
 def _inv_log_norm(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverses and log-normalisers -0.5 (d ln 2pi + ln det S) of a jittered stack."""
-    s = _jittered(s)
-    _, logdet = np.linalg.slogdet(s)
-    return np.linalg.inv(s), -0.5 * (s.shape[-1] * _LOG_2PI + logdet)
+    """Inverses and log-normalisers -0.5 d ln 2pi - sum ln L_ii of a stack (n, d, d).
+
+    L is a member's `_cholesky` factor. A member is bad when it has none, or
+    when its condition estimate (max L_ii / min L_ii)^2 exceeds 1e12: each
+    pivot L_ii^2 lies between the extreme eigenvalues, so the estimate is a
+    lower bound on the 2-norm condition number. Each bad member gets a single
+    1e-9 jitter on the diagonal and is factored again; good members are used
+    unchanged. Raises SingularMatrixError when the stack has a non-finite
+    entry, or when a member is still bad after the jitter.
+    """
+    if not np.isfinite(s).all():
+        raise SingularMatrixError("matrix has a non-finite entry")
+    for jitter in (0.0, _JITTER):
+        if jitter:
+            s = np.where(bad[:, None, None], s + jitter * np.eye(s.shape[-1]), s)
+        low, ok = _cholesky(s)
+        diag = np.diagonal(low, axis1=-2, axis2=-1)
+        bad = ~ok | (diag.max(-1) > _COND_MAX**0.5 * diag.min(-1))
+        if not bad.any():
+            return np.linalg.inv(s), -0.5 * s.shape[-1] * _LOG_2PI - np.log(diag).sum(-1)
+    raise SingularMatrixError("matrix numerically singular or indefinite, even after jitter")
 
 
 def _stack(densities, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -290,35 +304,23 @@ def sample_gaussian(g: GaussianDensity, rng: np.random.Generator) -> np.ndarray:
 
 
 def _sampling_root(cov: np.ndarray) -> np.ndarray:
-    """The (d, d) factor `_draw` samples a covariance with.
-
-    Zero for a point mass, the standard deviation in 1-d, else Cholesky, or
-    eigen-based when the matrix is not positive definite.
-    """
-    if cov.shape[0] == 1:
-        var = cov[0, 0]
-        return np.array([[0.0 if var <= 0.0 else math.sqrt(var)]])
-    if not np.any(cov):
-        return np.zeros(cov.shape)
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        return _psd_root(cov)
+    """The (d, d) factor `_draw` samples a covariance with: `_sampling_roots` of one member."""
+    return _sampling_roots(cov[None])[0]
 
 
 def _sampling_roots(covs: np.ndarray) -> np.ndarray:
-    """`_sampling_root` of each member of a stack (n, d, d), bit for bit.
+    """The `_draw` factor of each member of a stack (n, d, d).
 
-    In 1-d the standard deviations (zero for a point mass); otherwise one
-    Cholesky of the whole stack, and each member on its own only when some
-    member is not positive definite (a point mass, or a singular matrix).
+    In 1-d the standard deviations (zero for a point mass); otherwise the
+    `_cholesky` factors, zero for a member without one that is a point mass
+    and the eigen-based `_psd_root` for any other member without one.
     """
     if covs.shape[-1] == 1:
         return np.where(covs > 0.0, np.sqrt(np.maximum(covs, 0.0)), 0.0)
-    try:
-        return np.linalg.cholesky(covs)
-    except np.linalg.LinAlgError:
-        return np.array([_sampling_root(c) for c in covs])
+    roots, ok = _cholesky(covs)
+    for i in np.flatnonzero(~ok & covs.any((1, 2))):
+        roots[i] = _psd_root(covs[i])
+    return roots
 
 
 def _psd_root(cov: np.ndarray) -> np.ndarray:

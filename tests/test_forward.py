@@ -409,8 +409,10 @@ def test_update_marginals_match_brute_force_per_component(seed):
 # predicted intensities (the filter before that change gives the same value),
 # again when M applied per connected component of the cost matrix, and again when
 # the update's weights became plain numpy arithmetic (ufunc logs and exps, a padded
-# log-sum-exp, bincount and reduceat sums) instead of a replay of per-item loops
-PINNED_FILTERLOG = "a4b269452e42d909ae74a7ae52b79abf448cc9d4141b441e19d2d3b63c30bc7a"
+# log-sum-exp, bincount and reduceat sums) instead of a replay of per-item loops,
+# and again when the log-normalisers came from one Cholesky factor instead of an LU
+# log-determinant (means moved by at most 1.1e-13, existences by 2.9e-16)
+PINNED_FILTERLOG = "c58ac9cfe837307aa1701f09dcede08c0c53496dc7ee749ab0df7fb8bdce68df"
 
 
 def test_run_forward_pinned_bytes():
@@ -471,14 +473,15 @@ def edge_updates():
 # PINNED_FILTERLOG, the edge updates' (single posteriors) were recorded before the
 # measurement update was batched over tracks x measurements, and did not move when
 # M came to apply per component; all were re-recorded with PINNED_FILTERLOG's plain
-# arithmetic, where empty_scan and pd_zero did not move
-PINNED_SCENARIO1_K30 = "6d19a4541811443f3e1619ef4e0a41058fbfdd798f297d46f4e72d7f20a5db2a"
+# arithmetic, where empty_scan and pd_zero did not move, and again with its Cholesky
+# log-normalisers, where only the scenario1 cut and one_d_measurement moved
+PINNED_SCENARIO1_K30 = "73fdd1b4f1feeef5af50ee02888531db007b94094c8ca27b8f8e0ba6b6bdf895"
 PINNED_EDGE_UPDATES = {
     "empty_scan": "2075d608bd59899b52a621fb8c1906bde7015a29463e2359ed1f6150f2c1714d",
     "empty_ppp": "c41d6cd5520a450e7bb036309623a5223bfd8257634ec1c8cb2db89d6565d4bf",
     "pd_zero": "1ad6ee5b41a60dd0b43160fd06c208fdc373d032fc93cc3ddbc86ad37434bb6b",
     "r_zero_track": "51d84b6bf052326d04ef4a868a13abe5d9268eac798865cecf23eece7cfae1a9",
-    "one_d_measurement": "35df8ab735e2900f8ac82e2000050dad32c2a3b0b29ce74df5e2ff39b3ed62c7",
+    "one_d_measurement": "e92c07268b164c8d5d171c8e94d8ff88c9e7c8abf26867bf0cd4d2b3f2ced999",
 }
 
 

@@ -12,7 +12,6 @@ from trajsmooth.gaussians import (
     GaussianDensity,
     _collapse,
     _inv_log_norm,
-    _jittered,
     _linear_terms,
     _of_dim,
     _predict,
@@ -236,21 +235,35 @@ def test_jitter_rescues_zero_predicted_cov():
     assert mean == pytest.approx([1.0])
 
 
-def test_jittered_stack_touches_only_bad_members():
+def test_inv_log_norm_jitters_only_bad_members():
+    # a good member's inverse and log-normaliser are the same bits alone and in a stack,
+    # also where the stacked factorisation raises and each member is factored alone
     rng = np.random.default_rng(8)
     good = [random_spd(rng, 3) for _ in range(2)]
-    stack = np.stack([good[0], np.zeros((3, 3)), good[1]])
-    out = _jittered(stack)
-    assert out[0].tobytes() == good[0].tobytes()
-    assert out[2].tobytes() == good[1].tobytes()
-    np.testing.assert_array_equal(out[1], 1e-9 * np.eye(3))
-    assert _jittered(np.stack(good)).tobytes() == np.stack(good).tobytes()
+    alone = [_inv_log_norm(g[None]) for g in good]
+    with_zero = np.stack([good[0], np.zeros((3, 3)), good[1]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(with_zero)
+    for stack, rows in ((np.stack(good), [0, 1]), (with_zero, [0, 2])):
+        inv, log_norm = _inv_log_norm(stack)
+        for (inv_alone, log_norm_alone), row in zip(alone, rows):
+            assert inv[row].tobytes() == inv_alone[0].tobytes()
+            assert log_norm[row] == log_norm_alone[0]
+    # the good members are inverted unchanged and only the zero member is jittered
+    for (inv_alone, _), g in zip(alone, good):
+        assert inv_alone[0].tobytes() == np.linalg.inv(g).tobytes()
+    np.testing.assert_array_equal(inv[1], np.linalg.inv(1e-9 * np.eye(3)))
+    assert log_norm[1] == pytest.approx(-1.5 * math.log(2 * math.pi * 1e-9))
 
 
-def test_jittered_stack_rejects_member_jitter_cannot_fix():
-    stack = np.stack([np.eye(2), np.diag([1e20, 1e-20])])
+@pytest.mark.parametrize(
+    "bad",
+    [np.diag([1e20, 1e-20]), np.diag([1.0, -1.0]), np.array([[1.0, np.nan], [np.nan, 1.0]])],
+    ids=["ill-conditioned", "indefinite", "non-finite"],
+)
+def test_inv_log_norm_rejects_member_jitter_cannot_fix(bad):
     with pytest.raises(SingularMatrixError):
-        _jittered(stack)
+        _inv_log_norm(np.stack([np.eye(2), bad]))
 
 
 def test_mixture_validation_and_helpers():
